@@ -88,8 +88,8 @@ def _progress_printer(label: str, enabled: bool):
 
 
 def _fold_is_long(spec: ArrangementSpec) -> bool:
-    ground, _, nslots = fold_parameters(spec)
-    return count_matchings(ground) * (2**nslots) > 10**5
+    geometry = fold_parameters(spec)
+    return count_matchings(geometry.ground) * (2**geometry.nslots) > 10**5
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +130,7 @@ def cmd_tables(args) -> int:
     for family, rank in rows:
         spec = parse_spec(f"{family}:{rank}")
         phi = spec.positive_root_count
-        _, k, _ = fold_parameters(spec)
+        k = fold_parameters(spec).k
         long_fold = _fold_is_long(spec)
         lead = quotient(spec, phi, threads, _progress_printer(f"{spec} d={phi}", long_fold))
         second = quotient(spec, phi + 2, threads, _progress_printer(f"{spec} d={phi + 2}", long_fold))

@@ -21,13 +21,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .matchings import enumerate_matchings
+from .matchings import enumerate_matchings, fold_parameters, form_values
 from .oracle import BallSpec, auto_degree_cap, exact_sign_fold, mc_pizza
 from .polyring import (Poly, exact_divide_linear, mul, partitions,
                        schur_bialternant, vandermonde)
 from .rootsys import ArrangementSpec, chamber_sign, make_spec
-from .taylor import (ParityRegimeError, compose_block, fold_parameters,
-                     t_poly, y_poly, z_poly)
+from .taylor import ParityRegimeError, compose_block, t_poly, y_poly, z_poly
 
 CONJECTURE_IDS = ("signA", "signD", "lemma51", "yNeg", "schurRecon", "tPos")
 
@@ -85,16 +84,13 @@ def _finish(conjecture_id: str, params: dict, witnesses: List[dict], notes: List
 def _max_structure_square(spec: ArrangementSpec, center: Sequence[float]) -> float:
     """Largest sum of squared unit-form pairings over the matching-indexed
     subsystems; controls the series tail at this center."""
-    ground = spec.rank + 1 if spec.family == "A" else spec.rank
+    geometry = fold_parameters(spec)
     worst = 0.0
-    for matching in enumerate_matchings(ground):
+    for matching in enumerate_matchings(geometry.ground):
         s = 0.0
-        for i, j in matching.edges:
-            minus = (center[i - 1] - center[j - 1]) / math.sqrt(2)
-            s += minus * minus
-            if spec.family == "D":
-                plus = (center[i - 1] + center[j - 1]) / math.sqrt(2)
-                s += plus * plus
+        for u in form_values(geometry, matching, center):
+            unit = u / math.sqrt(2)
+            s += unit * unit
         worst = max(worst, s)
     return worst
 
@@ -103,7 +99,7 @@ def _signed_estimate(spec: ArrangementSpec, center: Sequence[float]) -> Tuple[Fr
     """(value, tail, degree_cap) from the exact rational fold, the cap grown
     until the band excludes zero or the cap limit is reached.  The value is
     the quantity up to a positive prefactor, so its sign is decisive."""
-    _, k, _ = fold_parameters(spec)
+    k = fold_parameters(spec).k
     smax = _max_structure_square(spec, center)
     cap = auto_degree_cap(spec.rank, k, smax, 1e-12)
     value, tail = exact_sign_fold(spec, center, cap)

@@ -10,7 +10,7 @@ over them reproducibly and split work by index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .rootsys import ArrangementSpec, Root
 
@@ -117,21 +117,53 @@ def sign_sum(r: int) -> int:
     return sum(sign(m) for m in enumerate_matchings(r))
 
 
+@dataclass(frozen=True)
+class FoldGeometry:
+    """How the maximal matchings of a family index its orthogonal
+    subsystems: matchings of {1..ground}, k forms per subsystem, nslots
+    edges per matching, and per edge the minus form e_i - e_j alone (type A)
+    or the minus/plus pair e_i - e_j, e_i + e_j (type D)."""
+
+    ground: int
+    k: int
+    nslots: int
+    pair_forms: bool
+
+
+def fold_parameters(spec: ArrangementSpec) -> FoldGeometry:
+    """The fold geometry of a type A or D arrangement."""
+    if spec.family == "A":
+        ground = spec.rank + 1
+        return FoldGeometry(ground, ground // 2, ground // 2, False)
+    if spec.family == "D":
+        return FoldGeometry(spec.rank, spec.rank - 1, spec.rank // 2, True)
+    raise ValueError(f"no matching fold for family {spec.family}")
+
+
+def form_values(geometry: FoldGeometry, m: Matching, point: Sequence) -> Iterator:
+    """The unnormalized forms of the subsystem indexed by m at a point, edge
+    by edge: a_i - a_j, then a_i + a_j when the edge carries a pair."""
+    for i, j in m.edges:
+        yield point[i - 1] - point[j - 1]
+        if geometry.pair_forms:
+            yield point[i - 1] + point[j - 1]
+
+
 def two_structure(spec: ArrangementSpec, m: Matching) -> TwoStructure:
     """Positive roots per edge: e_i - e_j for type A; for type D the pair
     e_i - e_j then e_i + e_j.  Coordinates are unnormalized integers."""
     if spec.family not in ("A", "D"):
         raise ValueError(f"two-structures by matchings exist for families A and D, not {spec.family}")
-    expected_ground = spec.rank + 1 if spec.family == "A" else spec.rank
-    if m.ground_size != expected_ground:
-        raise ValueError(f"matching ground size {m.ground_size} does not match {spec} (expected {expected_ground})")
+    geometry = fold_parameters(spec)
+    if m.ground_size != geometry.ground:
+        raise ValueError(f"matching ground size {m.ground_size} does not match {spec} (expected {geometry.ground})")
     dim = spec.ambient_dim
     roots: List[Root] = []
     for i, j in m.edges:
         minus = [0] * dim
         minus[i - 1], minus[j - 1] = 1, -1
         roots.append(Root(tuple(minus), 2))
-        if spec.family == "D":
+        if geometry.pair_forms:
             plus = [0] * dim
             plus[i - 1], plus[j - 1] = 1, 1
             roots.append(Root(tuple(plus), 2))

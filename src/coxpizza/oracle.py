@@ -29,7 +29,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import matchings as mt
-from .matchings import enumerate_matchings
+from .matchings import enumerate_matchings, fold_parameters, form_values
 from .rootsys import ArrangementSpec, numeric_roots
 from .taylor import c_coefficient
 
@@ -357,21 +357,19 @@ def exact_sign_fold(spec: ArrangementSpec, center: Sequence, degree_cap: int) ->
     """
     if spec.family not in ("A", "D"):
         raise ValueError(f"exact fold applies to families A and D, not {spec.family}")
+    if len(center) != spec.ambient_dim:
+        raise ValueError(f"center has dimension {len(center)}, expected {spec.ambient_dim}")
     exact_center = [Fraction(x) for x in center]
     n = spec.rank
-    ground = n + 1 if spec.family == "A" else n
-    k = (n + 1) // 2 if spec.family == "A" else n - 1
+    geometry = fold_parameters(spec)
+    k = geometry.k
     m_top = (degree_cap - k) // 2
     # tail bounds are stated for unit pairings; lift them by 2^ceil(k/2) >= 2^(k/2)
     lift = 1 << ((k + 1) // 2)
     value = Fraction(0)
     bound = Fraction(0)
-    for matching in enumerate_matchings(ground):
-        pairings = []
-        for i, j in matching.edges:
-            pairings.append(exact_center[i - 1] - exact_center[j - 1])
-            if spec.family == "D":
-                pairings.append(exact_center[i - 1] + exact_center[j - 1])
+    for matching in enumerate_matchings(geometry.ground):
+        pairings = list(form_values(geometry, matching, exact_center))
         v, t = _exact_inner_series(n, k, pairings, m_top)
         value += mt.sign(matching) * v
         bound += lift * t
@@ -459,8 +457,8 @@ def sum_over_2structures(spec: ArrangementSpec, ball: BallSpec,
     if len(ball.center) != spec.ambient_dim:
         raise ValueError(f"center has dimension {len(ball.center)}, expected {spec.ambient_dim}")
     n = spec.rank
-    ground = n + 1 if spec.family == "A" else n
-    k = (n + 1) // 2 if spec.family == "A" else n - 1
+    geometry = fold_parameters(spec)
+    k = geometry.k
     scale = ball.radius ** n
     center = [x / ball.radius for x in ball.center]
     norm = math.sqrt(sum(x * x for x in center))
@@ -471,13 +469,8 @@ def sum_over_2structures(spec: ArrangementSpec, ball: BallSpec,
     prefactor = 2**k * ball_volume(n - k)
     value = 0.0
     tail = 0.0
-    for matching in enumerate_matchings(ground):
-        coords: List[float] = []
-        for i, j in matching.edges:
-            minus = (center[i - 1] - center[j - 1]) * inv_sqrt2
-            coords.append(minus)
-            if spec.family == "D":
-                coords.append((center[i - 1] + center[j - 1]) * inv_sqrt2)
+    for matching in enumerate_matchings(geometry.ground):
+        coords = [u * inv_sqrt2 for u in form_values(geometry, matching, center)]
         v, t = _series_core(n, k, coords, degree_cap)
         value += mt.sign(matching) * v
         tail += t

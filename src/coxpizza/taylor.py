@@ -13,10 +13,10 @@ unit-length roots is an integer power of two, applied once to the quotient
 (and to the reduced fold y_poly), never inside the pipeline.
 
 The per-matching composition work is delegated to an accumulation kernel
-(compiled when available) operating on packed exponent keys and integer
-coefficients; denominators are cleared up front per degree and divided back
-out once at the end, so the fold itself is pure integer arithmetic and its
-result is independent of how matchings are chunked across workers.
+operating on packed exponent keys and integer coefficients; denominators
+are cleared up front per degree and divided back out once at the end, so
+the fold itself is pure integer arithmetic and its result is independent
+of how matchings are chunked across workers.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import matchings as mt
-from ._kernel import kernel_for, key_container, unpack_exponents
-from .matchings import TwoStructure, count_matchings, enumerate_matchings
+from ._kernel import accumulate_tensor, unpack_exponents
+from .matchings import TwoStructure, count_matchings, enumerate_matchings, fold_parameters
 from .polyring import Poly, divide_by_vandermonde, mul, substitute_linear
-from .rootsys import ArrangementSpec
+from .rootsys import ArrangementSpec, make_spec
 
 MAX_DEGREE = 60
 MAX_MONOMIAL_INSTANCES = 10**8
@@ -155,8 +155,7 @@ def t_eval_on_structure(t: TPoly, phi: TwoStructure, ambient: int) -> Poly:
 @dataclass
 class _FoldPlan:
     pair_forms: bool  # one form per edge (type A) or a minus/plus pair (type D)
-    ground: int
-    arity: int
+    ground: int  # matched vertices, one variable each
     k: int
     nslots: int
     m: int
@@ -205,16 +204,15 @@ def _abstract_pair(q: int) -> Tuple[List[Tuple[int, int, int]], int]:
 
 
 def _build_plan(family: str, rank: int, d: int, kind: str) -> _FoldPlan:
+    geometry = fold_parameters(make_spec(family, rank))
     if kind == "z":
-        if family == "A":
-            ground, arity, k = rank + 1, rank + 1, (rank + 1) // 2
-        else:
-            ground, arity, k = rank, rank, rank - 1
+        ground = geometry.ground
     elif kind == "y":
-        ground, arity, k = rank - 1, rank - 1, rank - 1
+        ground = geometry.ground - 1  # perfect matchings of {1..n-1}
     else:
         raise ValueError(f"unknown fold kind {kind!r}")
-    pair_forms = family == "D"
+    pair_forms = geometry.pair_forms
+    k = geometry.k
     nslots = ground // 2
     m = (d - k) // 2
 
@@ -240,7 +238,7 @@ def _build_plan(family: str, rank: int, d: int, kind: str) -> _FoldPlan:
         scaled = f * denom
         assert scaled.denominator == 1
         scales.append(scaled.numerator)
-    return _FoldPlan(pair_forms, ground, arity, k, nslots, m, comps, scales, denom, abstract)
+    return _FoldPlan(pair_forms, ground, k, nslots, m, comps, scales, denom, abstract)
 
 
 @lru_cache(maxsize=8)
@@ -256,8 +254,7 @@ def _edge_lists(plan: _FoldPlan, memo: dict, i0: int, j0: int):
     keys_by_q = []
     coeffs_by_q = []
     for entries in plan.abstract:
-        keys = key_container([(ei << (8 * i0)) | (ej << (8 * j0)) for ei, ej, _ in entries], plan.arity)
-        keys_by_q.append(keys)
+        keys_by_q.append([(ei << (8 * i0)) | (ej << (8 * j0)) for ei, ej, _ in entries])
         coeffs_by_q.append([c for _, _, c in entries])
     memo[(i0, j0)] = (keys_by_q, coeffs_by_q)
     return memo[(i0, j0)]
@@ -266,7 +263,6 @@ def _edge_lists(plan: _FoldPlan, memo: dict, i0: int, j0: int):
 def _fold_range(plan: _FoldPlan, chunk: int, nchunks: int,
                 progress: Optional[Callable[[int, int], None]] = None) -> Dict[int, int]:
     """Accumulate the signed fold over matchings with index = chunk (mod nchunks)."""
-    kernel, _ = kernel_for(plan.arity)
     acc: Dict[int, int] = {}
     memo: dict = {}
     total = count_matchings(plan.ground)
@@ -281,7 +277,7 @@ def _fold_range(plan: _FoldPlan, chunk: int, nchunks: int,
             keys_by_q, coeffs_by_q = _edge_lists(plan, memo, i - 1, j - 1)
             slot_keys.append(keys_by_q)
             slot_coeffs.append(coeffs_by_q)
-        kernel(acc, slot_keys, slot_coeffs, plan.comps, plan.scales, mt.sign(matching))
+        accumulate_tensor(acc, slot_keys, slot_coeffs, plan.comps, plan.scales, mt.sign(matching))
     if progress is not None:
         progress(total, total)
     return acc
@@ -329,8 +325,8 @@ def _poly_from_acc(acc: Dict[int, int], plan: _FoldPlan) -> Poly:
     terms = {}
     for key, val in acc.items():
         if val:
-            terms[unpack_exponents(key, plan.arity)] = Fraction(val, denom)
-    return Poly(plan.arity, terms)
+            terms[unpack_exponents(key, plan.ground)] = Fraction(val, denom)
+    return Poly(plan.ground, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -365,27 +361,18 @@ def _guard_resources(ground: int, nslots: int, d: int) -> None:
         )
 
 
-def fold_parameters(spec: ArrangementSpec) -> Tuple[int, int, int]:
-    """(ground set size, form count k, slots per matching) for the fold."""
-    if spec.family == "A":
-        return spec.rank + 1, (spec.rank + 1) // 2, (spec.rank + 1) // 2
-    if spec.family == "D":
-        return spec.rank, spec.rank - 1, spec.rank // 2
-    raise ValueError(f"no matching fold for family {spec.family}")
-
-
 def z_poly(spec: ArrangementSpec, d: int, threads: int = 1,
            progress: Optional[Callable[[int, int], None]] = None) -> Poly:
     """The signed fold over all maximal matchings of the composed degree-d
     blocks, on unnormalized integer forms (carries 2^(d/2) relative to
     unit forms).  Zero when d < k or d has the wrong parity."""
     _require_symbolic_regime(spec)
-    ground, k, nslots = fold_parameters(spec)
+    geometry = fold_parameters(spec)
     if d < 0:
         raise ValueError("degree must be non-negative")
-    if d < k or (d - k) % 2:
+    if d < geometry.k or (d - geometry.k) % 2:
         return Poly.zero(spec.ambient_dim)
-    _guard_resources(ground, nslots, d)
+    _guard_resources(geometry.ground, geometry.nslots, d)
     acc, plan = _run_fold(spec.family, spec.rank, d, "z", threads, progress)
     return _poly_from_acc(acc, plan)
 
@@ -394,12 +381,12 @@ def z_poly_reference(spec: ArrangementSpec, d: int) -> Poly:
     """Same value as z_poly via the direct per-structure composition;
     independent of the packed kernel, for cross-checking."""
     _require_symbolic_regime(spec)
-    ground, k, _ = fold_parameters(spec)
-    if d < k or (d - k) % 2:
+    geometry = fold_parameters(spec)
+    if d < geometry.k or (d - geometry.k) % 2:
         return Poly.zero(spec.ambient_dim)
-    block = t_poly(spec.rank, k, d)
+    block = t_poly(spec.rank, geometry.k, d)
     total = Poly.zero(spec.ambient_dim)
-    for matching in enumerate_matchings(ground):
+    for matching in enumerate_matchings(geometry.ground):
         phi = mt.two_structure(spec, matching)
         piece = t_eval_on_structure(block, phi, spec.ambient_dim)
         total = total + piece.scale(mt.sign(matching))
@@ -548,7 +535,7 @@ def expansion_report(spec: ArrangementSpec, degrees: Sequence[int], threads: int
                      progress: Optional[Callable[[int, int], None]] = None) -> ExpansionReport:
     """Quotients (and, for type A, representatives modulo the sum relation)
     at each requested degree."""
-    _, k, _ = fold_parameters(spec)
+    k = fold_parameters(spec).k
     entries = []
     for d in degrees:
         q = quotient(spec, d, threads, progress)

@@ -59,7 +59,7 @@ class FoldCache:
     def report(self, family, rank):
         spec = make_spec(family, rank)
         phi = spec.positive_root_count
-        _, k, _ = fold_parameters(spec)
+        k = fold_parameters(spec).k
         entries = []
         for d in (phi, phi + 2):
             q = self.quotient(family, rank, d)

@@ -159,7 +159,7 @@ def test_criterion_7_oracle_cross_validation():
     start = time.perf_counter()
     for family, rank in (("A", 2), ("A", 3), ("D", 3)):
         spec = make_spec(family, rank)
-        _, k, _ = fold_parameters(spec)
+        k = fold_parameters(spec).k
         centers = random_interior_centers(spec, 5, SEED, radius=0.4)
         for idx, center in enumerate(centers):
             ball = BallSpec(center, 1.0)

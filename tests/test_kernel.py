@@ -1,11 +1,9 @@
+import itertools
 import random
-from array import array
 
 import pytest
 
-from coxpizza._kernel import (COMPILED_MAX_ARITY, accumulate_tensor_compiled,
-                              accumulate_tensor_pure, kernel_for, key_container,
-                              pack_exponents, unpack_exponents)
+from coxpizza._kernel import accumulate_tensor, pack_exponents, unpack_exponents
 
 
 def test_pack_roundtrip():
@@ -27,11 +25,6 @@ def test_packed_addition_adds_exponents():
     assert unpack_exponents(a + b, 3) == (3, 3, 5)
 
 
-def test_key_container_types():
-    assert isinstance(key_container([1, 2], 4), array)
-    assert isinstance(key_container([1, 2], 9), list)
-
-
 def random_problem(rng, nslots):
     m = rng.randint(0, 3)
     slot_keys = []
@@ -41,63 +34,48 @@ def random_problem(rng, nslots):
         coeffs_by_q = []
         for q in range(m + 1):
             count = rng.randint(1, 4)
-            keys = [pack_exponents(tuple(rng.randint(0, 3) for _ in range(4))) for _ in range(count)]
-            keys_by_q.append(array("Q", keys))
+            keys_by_q.append([pack_exponents(tuple(rng.randint(0, 3) for _ in range(4)))
+                              for _ in range(count)])
             coeffs_by_q.append([rng.randint(-10**12, 10**12) for _ in range(count)])
         slot_keys.append(keys_by_q)
         slot_coeffs.append(coeffs_by_q)
-
-    comps = []
-    scales = []
-
-    def rec(total, parts, prefix):
-        if parts == 1:
-            comps.append(prefix + (total,))
-            scales.append(rng.randint(-10**15, 10**15))
-            return
-        for first in range(total, -1, -1):
-            rec(total - first, parts - 1, prefix + (first,))
-
-    rec(m, nslots, ())
+    comps = [comp for comp in itertools.product(range(m + 1), repeat=nslots) if sum(comp) == m]
+    scales = [rng.randint(-10**15, 10**15) for _ in comps]
     return slot_keys, slot_coeffs, comps, scales
 
 
-@pytest.mark.skipif(accumulate_tensor_compiled is None, reason="compiled kernel not built")
-def test_pure_and_compiled_agree():
+def test_accumulation_matches_direct_expansion():
+    # every slot count, including the generic recursive path beyond four
     rng = random.Random(17)
-    for nslots in range(1, 6):
+    for nslots in range(1, 7):
         for _ in range(10):
             slot_keys, slot_coeffs, comps, scales = random_problem(rng, nslots)
             sign = rng.choice((-1, 1))
-            acc_pure, acc_fast = {}, {}
-            accumulate_tensor_pure(acc_pure, slot_keys, slot_coeffs, comps, scales, sign)
-            accumulate_tensor_compiled(acc_fast, slot_keys, slot_coeffs, comps, scales, sign)
-            assert acc_pure == acc_fast
+            expected = {}
+            for comp, scale in zip(comps, scales):
+                lists = [zip(slot_keys[t][q], slot_coeffs[t][q]) for t, q in enumerate(comp)]
+                for terms in itertools.product(*lists):
+                    key = sum(k for k, _ in terms)
+                    coeff = sign * scale
+                    for _, c in terms:
+                        coeff *= c
+                    expected[key] = expected.get(key, 0) + coeff
+            acc = {}
+            accumulate_tensor(acc, slot_keys, slot_coeffs, comps, scales, sign)
+            assert acc == expected
 
 
 def test_pure_kernel_handles_wide_arity():
-    # arities beyond the packed-uint64 limit use plain int keys
+    # keys are Python ints, so arities beyond 8 bytes pack without overflow
     key = pack_exponents(tuple([1] * 10))
     acc = {}
-    accumulate_tensor_pure(acc, [[[key], [key]]], [[[2], [3]]], [(0,), (1,)], [5, 7], 1)
+    accumulate_tensor(acc, [[[key], [key]]], [[[2], [3]]], [(0,), (1,)], [5, 7], 1)
     assert acc == {key: 2 * 5 + 3 * 7}
-
-
-def test_kernel_selection_by_arity():
-    _, name_small = kernel_for(4)
-    _, name_wide = kernel_for(COMPILED_MAX_ARITY + 1)
-    assert name_wide == "pure"
-    if accumulate_tensor_compiled is not None:
-        assert name_small == "cython"
 
 
 def test_accumulation_is_exact_at_large_magnitude():
     key = pack_exponents((1, 1))
     big = 10**40
     acc = {}
-    accumulate_tensor_pure(acc, [[[key]]], [[[big]]], [(0,)], [big], 1)
+    accumulate_tensor(acc, [[[key]]], [[[big]]], [(0,)], [big], 1)
     assert acc == {key: big * big}
-    if accumulate_tensor_compiled is not None:
-        acc2 = {}
-        accumulate_tensor_compiled(acc2, [[array("Q", [key])]], [[[big]]], [(0,)], [big], 1)
-        assert acc2 == acc

@@ -190,7 +190,7 @@ def test_sum2s_truncation_matches_symbolic_partial_sum():
     cases = [(make_spec("A", 2), 13), (make_spec("A", 3), 12), (make_spec("D", 3), 12)]
     for spec, cap in cases:
         own_centers = random_interior_centers(spec, 5, SEED)
-        _, k, _ = fold_parameters(spec)
+        k = fold_parameters(spec).k
         prefactor = 2**k * ball_volume(spec.rank - k)
         for center in own_centers:
             direct, _ = sum_over_2structures(spec, BallSpec(center, 1.0), cap)
@@ -213,6 +213,13 @@ def test_exact_sign_fold_matches_float_route():
     float_value, float_tail = sum_over_2structures(spec, BallSpec(center, 1.0), 41)
     assert math.isclose(float(value) * prefactor, float_value, rel_tol=1e-10)
     assert abs(value) > bound
+
+
+@pytest.mark.parametrize("family,rank,dim", [("D", 5, 7), ("D", 5, 4), ("A", 6, 8), ("A", 6, 6)])
+def test_exact_sign_fold_rejects_wrong_center_dimension(family, rank, dim):
+    center = (0.0625,) * dim
+    with pytest.raises(ValueError, match=f"center has dimension {dim}, expected"):
+        exact_sign_fold(make_spec(family, rank), center, 41)
 
 
 def test_exact_sign_fold_sign_matches_leading_term():

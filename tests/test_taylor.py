@@ -164,6 +164,31 @@ def test_fold_type_d_invariant_under_sign_flips():
         assert z.flip_variable_sign(i) == z
 
 
+def laplacian(p):
+    terms = {}
+    for mono, c in p.terms.items():
+        for i, e in enumerate(mono):
+            if e >= 2:
+                lowered = mono[:i] + (e - 2,) + mono[i + 1:]
+                terms[lowered] = terms.get(lowered, 0) + c * e * (e - 1)
+    return Poly(p.arity, terms)
+
+
+@pytest.mark.parametrize("family,rank,extra", [
+    (family, rank, extra)
+    for family, rank in (("A", 2), ("A", 3), ("D", 3), ("D", 5))
+    for extra in (0, 2)
+])
+def test_fold_laplacian_recursion(family, rank, extra):
+    # Darboux's equation for ball means, applied to sum_d r^(n-d) Z_d:
+    # Laplacian(Z_(d+2)) = -2 d (n-d) Z_d on the integer-root forms
+    spec = make_spec(family, rank)
+    d = spec.positive_root_count + extra
+    lower = z_poly(spec, d)
+    assert not lower.is_zero()
+    assert laplacian(z_poly(spec, d + 2)) == lower.scale(-2 * d * (rank - d))
+
+
 def test_fold_deterministic_across_chunking():
     spec = make_spec("A", 3)
     serial = z_poly(spec, 8, threads=1)
