@@ -357,7 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--threads", type=int, default=None,
-                       help="worker count for folds (0 = auto; default 1 or PIZZA_THREADS)")
+                       help="worker processes for oracle --method mc (0 = auto; default 1 or "
+                            "PIZZA_THREADS); quotients are computed in one process, so expand "
+                            "and tables output is the same for any value")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--out", default=None, help="write results to a file instead of stdout")
 

@@ -363,6 +363,8 @@ def exact_sign_fold(spec: ArrangementSpec, center: Sequence, degree_cap: int) ->
     n = spec.rank
     geometry = fold_parameters(spec)
     k = geometry.k
+    if degree_cap < k:
+        raise ValueError("degree_cap below the lowest block degree")
     m_top = (degree_cap - k) // 2
     # tail bounds are stated for unit pairings; lift them by 2^ceil(k/2) >= 2^(k/2)
     lift = 1 << ((k + 1) // 2)

@@ -11,8 +11,9 @@ The monomial order used for division and rendering is graded lexicographic
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 Rational = Fraction
 Monomial = Tuple[int, ...]
@@ -465,3 +466,96 @@ def schur_bialternant(lam: Iterable[int], nvars: int) -> Poly:
     exponents = [padded[j] + (nvars - 1 - j) for j in range(nvars)]
     numerator = _alternant_determinant(exponents, nvars)
     return divide_by_vandermonde(numerator, range(nvars))
+
+
+def _monomial_coefficients(coeffs: Mapping[Partition, Rational], size: int,
+                           nvars: int) -> Dict[Partition, Rational]:
+    """Coefficients q_nu on the sorted monomials x^nu of sum c_lambda s_lambda
+    over the partitions of ``size``, keyed by nu padded to ``nvars`` parts.
+
+    Multiplying by the Vandermonde a_delta turns the sum into the alternant
+    sum c_lambda a_(lambda+delta), so comparing coefficients on x^(lambda+delta)
+    gives c_lambda = sum over permutations w of sgn(w) q_sort(lambda+delta-w.delta).
+    Every w other than the identity yields a partition strictly above lambda
+    in dominance, hence in lexicographic order, so the relation is solved for
+    q_lambda in decreasing lexicographic order.  Only permutations keeping
+    every exponent non-negative are visited: the last position is filled
+    first, and each position admits the unused delta values up to its own
+    exponent, a set that only grows towards the front, so no branch dies.
+    """
+    out: Dict[Partition, Rational] = {}
+    alpha = [0] * nvars
+    residual = [0] * nvars
+    used = [False] * nvars  # delta values 0..nvars-1, each taken once
+
+    def alternating_sum(pos: int, inversions: int) -> Rational:
+        if pos < 0:
+            q = out.get(tuple(sorted(residual, reverse=True)))
+            if q is None:  # the identity (lambda itself, not yet solved) or zero
+                return 0
+            return -q if inversions % 2 else q
+        total = 0
+        above = 0  # used values greater than v: the inversions placing v adds
+        for v in range(min(alpha[pos], nvars - 1), -1, -1):
+            if used[v]:
+                above += 1
+                continue
+            used[v] = True
+            residual[pos] = alpha[pos] - v
+            total += alternating_sum(pos - 1, inversions + above)
+            used[v] = False
+        return total
+
+    for lam in partitions(size, nvars):
+        padded = lam + (0,) * (nvars - len(lam))
+        for i, part in enumerate(padded):
+            alpha[i] = part + nvars - 1 - i
+        q = coeffs.get(lam, 0) - alternating_sum(nvars - 1, 0)
+        if q:
+            out[padded] = q
+    return out
+
+
+def _distinct_permutations(values: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+    """Every distinct rearrangement of a multiset, each exactly once."""
+    counts = Counter(values)
+    distinct = sorted(counts, reverse=True)
+    slots: List[int] = [0] * len(values)
+
+    def rec(pos: int) -> Iterator[Tuple[int, ...]]:
+        if pos == len(slots):
+            yield tuple(slots)
+            return
+        for v in distinct:
+            if counts[v]:
+                counts[v] -= 1
+                slots[pos] = v
+                yield from rec(pos + 1)
+                counts[v] += 1
+
+    return rec(0)
+
+
+def schur_combination(coeffs: Mapping[Partition, Rational], nvars: int,
+                      squared: bool = False) -> Poly:
+    """sum of coeffs[lambda] * s_lambda(x_1..x_nvars), expanded, or of
+    s_lambda(x_1^2..x_nvars^2) when squared.
+
+    Partitions are keyed as ``partitions`` yields them (no trailing zeros).
+    The result is symmetric, so only its sorted-monomial coefficients are
+    solved for (see _monomial_coefficients) and each is then spread over the
+    distinct rearrangements of its exponents; no alternant is expanded and
+    nothing is divided.
+    """
+    if nvars < 1:
+        raise ValueError("need at least one variable")
+    for lam in coeffs:
+        if normalize_partition(lam) != tuple(lam) or len(lam) > nvars:
+            raise ValueError(f"{lam} is not a partition into at most {nvars} parts")
+    factor = 2 if squared else 1
+    terms: Dict[Monomial, Rational] = {}
+    for size in sorted({sum(lam) for lam in coeffs}):
+        for nu, q in _monomial_coefficients(coeffs, size, nvars).items():
+            for mono in _distinct_permutations(nu):
+                terms[tuple(factor * e for e in mono)] = q
+    return Poly(nvars, terms)

@@ -3,20 +3,30 @@
 The degree-d block T_d is a polynomial in k variables (one per orthogonal
 unit form).  Composing T_d with the linear forms of each matching-indexed
 orthogonal subsystem and folding with the matching signs gives the degree-d
-polynomial Z_d; dividing by the arrangement Jacobian and fixing the
-power-of-two normalization yields the reported quotients.
+polynomial Z_d; its quotient by the arrangement Jacobian, with the
+power-of-two normalization fixed, is what the reports carry.
+
+The quotient is computed without expanding Z_d.  Z_d is alternating (in
+the squared variables for type D), so Z_d = sum c_lambda a_(lambda+delta)
+and the quotient is sum c_lambda s_lambda by the bialternant formula.  Each
+edge of a matching touches two variables only, so a matching's share of one
+dominant coefficient c_lambda is a single product of per-edge coefficients;
+polyring.schur_combination then expands the Schur combination.
+
+The full fold z_poly stays as the independent route that does not assume
+the alternation: the structural audits, the y_poly fold and the tests
+check the quotients against it (quotient_from_fold divides it by the
+Vandermonde).  Its per-matching composition work is delegated to an
+accumulation kernel operating on packed exponent keys and integer
+coefficients; denominators are cleared up front per degree and divided
+back out once at the end, so the fold itself is pure integer arithmetic and
+its result is independent of how matchings are chunked across workers.
 
 All algebra runs on unnormalized integer root coordinates, which keeps
 every coefficient rational.  Because the supported degrees always have the
 same parity as the positive-root count, the normalization mismatch against
 unit-length roots is an integer power of two, applied once to the quotient
 (and to the reduced fold y_poly), never inside the pipeline.
-
-The per-matching composition work is delegated to an accumulation kernel
-operating on packed exponent keys and integer coefficients; denominators
-are cleared up front per degree and divided back out once at the end, so
-the fold itself is pure integer arithmetic and its result is independent
-of how matchings are chunked across workers.
 """
 
 from __future__ import annotations
@@ -31,8 +41,10 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import matchings as mt
 from ._kernel import accumulate_tensor, unpack_exponents
-from .matchings import TwoStructure, count_matchings, enumerate_matchings, fold_parameters
-from .polyring import Poly, divide_by_vandermonde, mul, substitute_linear
+from .matchings import (FoldGeometry, TwoStructure, count_matchings, enumerate_matchings,
+                        fold_parameters)
+from .polyring import (Poly, divide_by_vandermonde, mul, partitions, schur_combination,
+                       substitute_linear)
 from .rootsys import ArrangementSpec, make_spec
 
 MAX_DEGREE = 60
@@ -361,18 +373,27 @@ def _guard_resources(ground: int, nslots: int, d: int) -> None:
         )
 
 
-def z_poly(spec: ArrangementSpec, d: int, threads: int = 1,
-           progress: Optional[Callable[[int, int], None]] = None) -> Poly:
-    """The signed fold over all maximal matchings of the composed degree-d
-    blocks, on unnormalized integer forms (carries 2^(d/2) relative to
-    unit forms).  Zero when d < k or d has the wrong parity."""
+def _admitted_geometry(spec: ArrangementSpec, d: int) -> Optional[FoldGeometry]:
+    """The fold geometry when the degree-d fold is admitted and not zero by
+    parity (d < k or d - k odd gives None); raises for arrangements outside
+    the symbolic regime, negative degrees and oversize jobs."""
     _require_symbolic_regime(spec)
     geometry = fold_parameters(spec)
     if d < 0:
         raise ValueError("degree must be non-negative")
     if d < geometry.k or (d - geometry.k) % 2:
-        return Poly.zero(spec.ambient_dim)
+        return None
     _guard_resources(geometry.ground, geometry.nslots, d)
+    return geometry
+
+
+def z_poly(spec: ArrangementSpec, d: int, threads: int = 1,
+           progress: Optional[Callable[[int, int], None]] = None) -> Poly:
+    """The signed fold over all maximal matchings of the composed degree-d
+    blocks, on unnormalized integer forms (carries 2^(d/2) relative to
+    unit forms).  Zero when d < k or d has the wrong parity."""
+    if _admitted_geometry(spec, d) is None:
+        return Poly.zero(spec.ambient_dim)
     acc, plan = _run_fold(spec.family, spec.rank, d, "z", threads, progress)
     return _poly_from_acc(acc, plan)
 
@@ -406,12 +427,107 @@ def quotient_from_fold(spec: ArrangementSpec, d: int, z: Poly) -> Poly:
     return q.scale(Fraction(1, 1 << half)) if half >= 0 else q.scale(1 << (-half))
 
 
+@lru_cache(maxsize=None)  # bounded: q <= MAX_DEGREE / 2, two edge layouts
+def _edge_table(pair_forms: bool, q: int) -> Tuple[Dict[Tuple[int, int], int], int]:
+    """One edge's cleared coefficients at inner degree q, keyed by the
+    exponent pair (e_i, e_j), and the scalar cleared from them."""
+    entries, scalar = _abstract_pair(q) if pair_forms else _abstract_single(q)
+    return {(ei, ej): c for ei, ej, c in entries}, scalar
+
+
+def _dominant_coefficients(spec: ArrangementSpec, geometry: FoldGeometry, d: int, size: int,
+                           progress: Optional[Callable[[int, int], None]]
+                           ) -> Dict[Tuple[int, ...], Fraction]:
+    """c_lambda for every partition lambda of `size` into at most `ground`
+    parts: the coefficient of the degree-d fold on a^(lambda+delta) (type A)
+    or a^(2(lambda+delta)) (type D), delta = (ground-1, ..., 0).
+
+    Edge (i, j) of a matching touches only a_i and a_j, so a matching
+    contributes to a target monomial mu through one composition only: edge
+    t takes inner degree q_t = (mu_i + mu_j - 1)/2 (single form) or
+    (mu_i + mu_j - 2)/2 (minus/plus pair), and an isolated vertex needs
+    exponent 0.  The contribution is the product of the edges' coefficients
+    on (mu_i, mu_j) times the composition's scale c_m m! / prod cleared[q_t],
+    which depends only on the multiset of the q_t; the signed integer
+    products are summed per multiset and scaled once at the end.  The
+    exponents of mu are distinct, so mu_i + mu_j >= 1 (>= 2 for pairs) and
+    every q_t lies in 0..m; a q_t of the wrong parity finds no table entry.
+    """
+    ground = geometry.ground
+    m = (d - geometry.k) // 2
+    stretch = 2 if geometry.pair_forms else 1
+    offset = 2 if geometry.pair_forms else 1
+    lookups, cleared = zip(*(_edge_table(geometry.pair_forms, q) for q in range(m + 1)))
+    lams = list(partitions(size, ground))
+    targets = []
+    for lam in lams:
+        padded = lam + (0,) * (ground - len(lam))
+        targets.append(tuple(stretch * (part + ground - 1 - i) for i, part in enumerate(padded)))
+    sums: List[Dict[Tuple[int, ...], int]] = [{} for _ in targets]
+
+    total = count_matchings(ground)
+    if progress is not None:
+        progress(0, total)
+    for visited, matching in enumerate(enumerate_matchings(ground), start=1):
+        sgn = mt.sign(matching)
+        edges = [(i - 1, j - 1) for i, j in matching.edges]
+        isolated = None if matching.isolated is None else matching.isolated - 1
+        for mu, acc in zip(targets, sums):
+            if isolated is not None and mu[isolated]:
+                continue
+            prod = sgn
+            qs = []
+            for i, j in edges:
+                q = (mu[i] + mu[j] - offset) >> 1
+                c = lookups[q].get((mu[i], mu[j]))
+                if c is None:
+                    break
+                prod *= c
+                qs.append(q)
+            else:
+                key = tuple(sorted(qs))
+                acc[key] = acc.get(key, 0) + prod
+        if progress is not None:
+            progress(visited, total)
+
+    base = c_coefficient(spec.rank, geometry.k, m) * math.factorial(m)
+    scales: Dict[Tuple[int, ...], Fraction] = {}
+    coeffs: Dict[Tuple[int, ...], Fraction] = {}
+    for lam, acc in zip(lams, sums):
+        value = Fraction(0)
+        for qs, count in acc.items():
+            if count:
+                if qs not in scales:
+                    scales[qs] = base / math.prod(cleared[q] for q in qs)
+                value += scales[qs] * count
+        if value:
+            coeffs[lam] = value
+    return coeffs
+
+
 def quotient(spec: ArrangementSpec, d: int, threads: int = 1,
              progress: Optional[Callable[[int, int], None]] = None) -> Poly:
     """Exact quotient of the degree-d fold by the Jacobian, normalized so the
-    result matches the unit-root convention: the Vandermonde division is
-    followed by the factor 2^-((d - |roots|)/2)."""
-    return quotient_from_fold(spec, d, z_poly(spec, d, threads, progress))
+    result matches the unit-root convention (the factor 2^-((d - |roots|)/2)).
+
+    The fold is alternating (in the squared variables for type D), so it is
+    sum c_lambda a_(lambda+delta) and the quotient is sum c_lambda s_lambda
+    by the bialternant formula; only the dominant coefficients c_lambda are
+    extracted from the matchings, and neither the full fold nor a division
+    is computed.  Equal to quotient_from_fold(spec, d, z_poly(spec, d)).
+    `threads` is validated but unused: the extraction runs in this process,
+    and `progress(done, total)` counts the matchings visited."""
+    geometry = _admitted_geometry(spec, d)
+    _resolve_threads(threads)
+    shift = d - spec.positive_root_count
+    if geometry is None or shift < 0:
+        return Poly.zero(spec.ambient_dim)
+    assert shift % 2 == 0, "supported degrees share parity with the root count"
+    size = shift // 2 if geometry.pair_forms else shift
+    coeffs = _dominant_coefficients(spec, geometry, d, size, progress)
+    norm = Fraction(1, 1 << (shift // 2))
+    return schur_combination({lam: c * norm for lam, c in coeffs.items()}, geometry.ground,
+                             squared=geometry.pair_forms)
 
 
 def reduce_mod_relation(p: Poly, spec: ArrangementSpec) -> Poly:

@@ -3,7 +3,8 @@ its stated tolerance.  The conftest hook prints one PASS/FAIL line per
 criterion at the end of the run.
 
 Heavy folds are computed once per session (threads=1) and shared; the
-determinism criterion recomputes them at other thread counts.
+determinism criterion compares the reports built from them with the
+quotients computed at other thread counts.
 """
 
 import json

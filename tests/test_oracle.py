@@ -222,6 +222,17 @@ def test_exact_sign_fold_rejects_wrong_center_dimension(family, rank, dim):
         exact_sign_fold(make_spec(family, rank), center, 41)
 
 
+@pytest.mark.parametrize("family,rank,cap", [("D", 5, 2), ("D", 5, 3), ("A", 6, 2)])
+def test_degree_cap_below_block_degree_rejected(family, rank, cap):
+    # the lowest nonzero block has degree k (4 for D_5, 3 for A_6)
+    spec = make_spec(family, rank)
+    center = (0.0625,) * spec.ambient_dim
+    with pytest.raises(ValueError, match="degree_cap below the lowest block degree"):
+        exact_sign_fold(spec, center, cap)
+    with pytest.raises(ValueError, match="degree_cap below the lowest block degree"):
+        sum_over_2structures(spec, BallSpec(center, 1.0), cap)
+
+
 def test_exact_sign_fold_sign_matches_leading_term():
     # near the origin the sign is the sign of (lead quotient) x (Jacobian)
     spec = make_spec("D", 5)

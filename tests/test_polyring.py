@@ -7,7 +7,7 @@ import pytest
 from coxpizza.polyring import (NonDivisible, Poly, add, divide_by_vandermonde,
                                exact_divide_linear, is_skew_under_transposition, mul,
                                normalize_partition, partitions, schur_bialternant,
-                               substitute_linear, vandermonde)
+                               schur_combination, substitute_linear, vandermonde)
 
 
 def P(arity, terms):
@@ -228,6 +228,32 @@ def test_schur_matches_tableau_oracle_and_positivity():
                 got = schur_bialternant(lam, nvars)
                 assert got == ssyt_schur(lam, nvars), (lam, nvars)
                 assert all(c > 0 for c in got.terms.values()), (lam, nvars)
+
+
+@pytest.mark.parametrize("squared", [False, True], ids=["plain", "squared"])
+def test_schur_combination_matches_bialternant(squared):
+    factor = 2 if squared else 1
+    for nvars in range(1, 6):
+        for size in range(5):
+            for lam in partitions(size, nvars):
+                expected = schur_bialternant(lam, nvars)
+                expected = Poly(nvars, {tuple(factor * e for e in mono): c
+                                        for mono, c in expected.terms.items()})
+                got = schur_combination({lam: Fraction(1)}, nvars, squared=squared)
+                assert got == expected, (lam, nvars)
+
+
+def test_schur_combination_is_linear():
+    coeffs = {(3,): Fraction(2, 3), (2, 1): Fraction(-5), (1, 1, 1): Fraction(7, 2)}
+    expected = Poly.zero(3)
+    for lam, c in coeffs.items():
+        expected = expected + schur_bialternant(lam, 3).scale(c)
+    assert schur_combination(coeffs, 3) == expected
+    assert schur_combination({}, 3).is_zero()
+    with pytest.raises(ValueError):
+        schur_combination({(1, 2): Fraction(1)}, 3)
+    with pytest.raises(ValueError):
+        schur_combination({(1, 1, 1): Fraction(1)}, 2)
 
 
 def test_schur_rejects_too_many_parts():

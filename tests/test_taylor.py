@@ -197,10 +197,11 @@ def test_fold_deterministic_across_chunking():
 
 
 def test_resource_guards():
-    with pytest.raises(ResourceCapExceeded):
-        z_poly(make_spec("A", 2), 61)
-    with pytest.raises(ResourceCapExceeded):
-        z_poly(make_spec("A", 14), 29)  # 15!! matchings x 2^7 forms over the cap
+    for route in (z_poly, quotient):
+        with pytest.raises(ResourceCapExceeded):
+            route(make_spec("A", 2), 61)
+        with pytest.raises(ResourceCapExceeded):
+            route(make_spec("A", 14), 29)  # 15!! matchings x 2^7 forms over the cap
 
 
 def test_frontier_size_is_accepted():
@@ -220,6 +221,34 @@ def test_frontier_size_is_accepted():
 
 
 # -- quotients ---------------------------------------------------------------
+
+
+CROSS_ROUTE_CASES = ([("A", 2, d) for d in range(3, 10, 2)]
+                     + [("A", 3, d) for d in range(6, 13, 2)]
+                     + [("A", 6, 21), ("A", 6, 23)]
+                     + [("D", 3, d) for d in range(6, 13, 2)]
+                     + [("D", 5, d) for d in range(20, 27, 2)]
+                     + [("A", 3, 36)])
+
+
+@pytest.mark.parametrize("family,rank,d", CROSS_ROUTE_CASES,
+                         ids=[f"{f}{r}_d{d}" for f, r, d in CROSS_ROUTE_CASES])
+def test_quotient_matches_division_of_full_fold(cache, family, rank, d):
+    # the dominant-coefficient route against the full fold divided by the
+    # Vandermonde, a route that does not assume the fold is alternating
+    assert quotient(make_spec(family, rank), d) == cache.quotient(family, rank, d)
+
+
+def test_quotient_validates_threads():
+    with pytest.raises(ValueError):
+        quotient(make_spec("D", 3), 6, threads=-1)
+
+
+def test_quotient_progress_counts_every_matching():
+    calls = []
+    q = quotient(make_spec("A", 10), 55, progress=lambda done, total: calls.append((done, total)))
+    assert calls == [(done, 10395) for done in range(10396)]
+    assert q.degree() == 0 and not q.is_zero()
 
 
 def test_quotient_table_values_small():
