@@ -103,14 +103,10 @@ def _p2_coefficient_mod_relation(q: Poly, spec: ArrangementSpec) -> Optional[Fra
     if spec.family == "D":
         return power_sum_multiple(q)
     arity = q.arity
-    reduced = reduce_mod_relation(q, spec)
-    probe = Poly(arity, {tuple(2 if i == 0 else 0 for i in range(arity)): Fraction(1)})
-    denom = reduce_mod_relation(probe, spec).coefficient((2,) + (0,) * (arity - 1))
-    first = reduced.coefficient((2,) + (0,) * (arity - 1))
-    if denom == 0:
-        return None
-    c = first / denom
     p2 = Poly(arity, {tuple(2 if i == j else 0 for i in range(arity)): Fraction(1) for j in range(arity)})
+    square = (2,) + (0,) * (arity - 1)
+    # modulo the relation, p2 has a_1^2 coefficient 2 (a_1^2 plus one from a_(n+1)^2)
+    c = reduce_mod_relation(q, spec).coefficient(square) / reduce_mod_relation(p2, spec).coefficient(square)
     if reduce_mod_relation(q - p2.scale(c), spec).is_zero():
         return c
     return None

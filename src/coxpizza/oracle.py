@@ -13,6 +13,10 @@ Three independent routes:
 sum_over_2structures folds the series evaluator over all matching-indexed
 orthogonal subsystems with their signs, giving a semi-exact evaluator for
 types A and D that the symbolic pipeline is validated against.
+exact_sign_fold is the same fold in exact arithmetic, for sign verdicts: the
+pairings are cleared to integers by one common denominator, the matchings'
+integer series are added with their signs into one sum per degree, and the
+series coefficients and the denominator are applied once at the end.
 
 Type A lives on the hyperplane sum(a) = 0 inside R^(n+1); sampling happens
 in an explicit orthonormal basis of that subspace, so volumes are the
@@ -291,57 +295,10 @@ def auto_degree_cap(n: int, k: int, s: float, target_tail: float,
 # ---------------------------------------------------------------------------
 
 
-def _exact_inner_series(n: int, k: int, pairings: Sequence[Fraction],
-                        m_top: int) -> Tuple[Fraction, Fraction]:
-    """Exact partial sum sum_m 2^-m c_m conv[m] over the unnormalized integer
-    pairings u (the unit-form value scaled by sqrt(2)^k), plus the tail bound
-    sum_(m>m_top) |c_m| s^m with s = sum(u^2)/2 < 1.
-
-    conv is the binomial convolution across variables of u^(2r+1)/(2r+1),
-    so 2^-m c_m conv[m] equals sqrt(2)^k times the block value at u/sqrt(2).
-    """
-    s = sum(u * u for u in pairings) / 2
-    if s >= 1:
-        raise DivergentRegion("exact fold needs the center strictly inside the unit ball")
-    size = m_top + 1
-    conv: Optional[List[Fraction]] = None
-    for u in pairings:
-        g = [Fraction(0)] * size
-        g[0] = Fraction(u)
-        uu = u * u
-        for r in range(1, size):
-            g[r] = g[r - 1] * uu * (2 * r - 1) / (2 * r + 1)
-        if conv is None:
-            conv = g
-        else:
-            nxt = [Fraction(0)] * size
-            for m in range(size):
-                total = Fraction(0)
-                for j in range(m + 1):
-                    if conv[j] and g[m - j]:
-                        total += math.comb(m, j) * conv[j] * g[m - j]
-                nxt[m] = total
-            conv = nxt
-    value = Fraction(0)
-    half = Fraction(1, 2)
-    weight = Fraction(1)
-    for m in range(size):
-        c = c_coefficient(n, k, m)
-        if c and conv[m]:
-            value += c * weight * conv[m]
-        weight *= half
-    c_next = abs(c_coefficient(n, k, m_top + 1))
-    alpha = Fraction(n - k, 2)
-    prev = c_next
-    for m in range(m_top + 2, m_top + 64):
-        cur = prev * abs(Fraction(m - 1) - alpha) / m
-        if prev and cur > prev:
-            raise ValueError(f"cap too small: coefficients still growing at m={m}")
-        if cur == 0:
-            break
-        prev = cur
-    tail = c_next * s ** (m_top + 1) / (1 - s)
-    return value, tail
+def _int_binomial_convolve(a: List[int], b: List[int], comb: List[List[int]]) -> List[int]:
+    """c[m] = sum_j C(m, j) a[j] b[m-j] on integers, truncated to len(comb)."""
+    return [sum(c * x * y for c, x, y in zip(row, a, reversed(b[: m + 1])))
+            for m, row in enumerate(comb)]
 
 
 def exact_sign_fold(spec: ArrangementSpec, center: Sequence, degree_cap: int) -> Tuple[Fraction, Fraction]:
@@ -354,6 +311,22 @@ def exact_sign_fold(spec: ArrangementSpec, center: Sequence, degree_cap: int) ->
     catastrophic here: the fold is orders of magnitude smaller than its
     individual terms near the origin.  Float centers convert exactly (they
     are dyadic rationals), so the verdict applies to the center as given.
+
+    Per matching, the unnormalized pairings u (the unit-form values scaled
+    by sqrt(2)^k) give W_M = sum_m 2^-m c_m conv[m], where conv is the
+    binomial convolution across the k forms of u^(2r+1)/(2r+1).  All of it
+    runs on integers: with D the lcm of the pairing denominators over all
+    matchings and O = lcm(1, 3, .., 2 m_top + 1), each form contributes
+    U^(2r+1) * (O/(2r+1)) with U = u D, and the integer convolutions are
+    summed with the matching signs into one S[m] per degree, so that
+
+        W = sum_m c_m 2^-m S[m] / (D^(2m+k) O^k).
+
+    The edge series (one form, or the convolved minus/plus pair for type D)
+    are built once per edge, not once per matching.  B sums the matching
+    tail bounds 2^ceil(k/2) |c_(m_top+1)| s^(m_top+1) / (1 - s), with
+    s = sum(u^2)/2 < 1 the matching's squared radius; the bound is valid
+    once the coefficients |c_m| stop growing, which is checked.
     """
     if spec.family not in ("A", "D"):
         raise ValueError(f"exact fold applies to families A and D, not {spec.family}")
@@ -366,16 +339,68 @@ def exact_sign_fold(spec: ArrangementSpec, center: Sequence, degree_cap: int) ->
     if degree_cap < k:
         raise ValueError("degree_cap below the lowest block degree")
     m_top = (degree_cap - k) // 2
-    # tail bounds are stated for unit pairings; lift them by 2^ceil(k/2) >= 2^(k/2)
-    lift = 1 << ((k + 1) // 2)
-    value = Fraction(0)
-    bound = Fraction(0)
+    size = m_top + 1
+    forms_per_edge = 2 if geometry.pair_forms else 1
+
+    c = [c_coefficient(n, k, m) for m in range(size + 1)]
+
+    matchings = []
     for matching in enumerate_matchings(geometry.ground):
         pairings = list(form_values(geometry, matching, exact_center))
-        v, t = _exact_inner_series(n, k, pairings, m_top)
-        value += mt.sign(matching) * v
-        bound += lift * t
+        if sum(u * u for u in pairings) >= 2:
+            raise DivergentRegion("exact fold needs the center strictly inside the unit ball")
+        if not matchings:  # the cap is checked after the first matching's radius
+            _require_decaying(n, k, m_top, c[size])
+        matchings.append((mt.sign(matching), matching.edges, pairings))
+    denominator = math.lcm(*(u.denominator for _, _, us in matchings for u in us))
+    odd = math.lcm(*range(1, 2 * m_top + 2, 2))
+    radius_square = 2 * denominator * denominator  # s = 1 in the units of sum(U^2)
+
+    comb = [[math.comb(m, j) for j in range(m + 1)] for m in range(size)]
+    edge_series = {}
+    tails = Fraction(0)
+    signed = [0] * size
+    for sign, edges, pairings in matchings:
+        scaled = [int(u * denominator) for u in pairings]
+        q = sum(v * v for v in scaled)
+        tails += Fraction(q ** (m_top + 1), radius_square - q)
+        conv = None
+        for slot, edge in enumerate(edges):
+            series = edge_series.get(edge)
+            if series is None:
+                for v in scaled[slot * forms_per_edge : (slot + 1) * forms_per_edge]:
+                    g, power, vv = [], v, v * v
+                    for r in range(size):
+                        g.append(power * (odd // (2 * r + 1)))
+                        power *= vv
+                    series = g if series is None else _int_binomial_convolve(series, g, comb)
+                edge_series[edge] = series
+            conv = series if conv is None else _int_binomial_convolve(conv, series, comb)
+        for m in range(size):
+            signed[m] += sign * conv[m]
+
+    # W = sum_m c_m S[m] (2 D^2)^(m_top - m) / ((2 D^2)^m_top D^k O^k)
+    total = sum(c[m] * (signed[m] * radius_square ** (m_top - m)) for m in range(size))
+    value = Fraction(total) / (radius_square ** m_top * (denominator * odd) ** k)
+
+    # per matching, with q = sum(U^2) = 2 D^2 s:
+    # lift |c_next| s^(m_top+1) / (1 - s) = lift |c_next| q^(m_top+1) / ((2 D^2)^m_top (2 D^2 - q))
+    lift = 1 << ((k + 1) // 2)  # tail bounds are stated for unit pairings; 2^ceil(k/2) >= 2^(k/2)
+    bound = lift * abs(c[size]) * tails / radius_square ** m_top
     return value, bound
+
+
+def _require_decaying(n: int, k: int, m_top: int, c_next: Fraction) -> None:
+    """The geometric tail bound needs |c_m| non-increasing past m_top + 1."""
+    alpha = Fraction(n - k, 2)
+    prev = abs(c_next)
+    for m in range(m_top + 2, m_top + 64):
+        cur = prev * abs(Fraction(m - 1) - alpha) / m
+        if prev and cur > prev:
+            raise ValueError(f"cap too small: coefficients still growing at m={m}")
+        if cur == 0:
+            break
+        prev = cur
 
 
 # ---------------------------------------------------------------------------

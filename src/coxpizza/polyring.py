@@ -277,20 +277,18 @@ def substitute_linear(p: Poly, var_index: int, form: Poly) -> Poly:
     _check_same_arity(p, form)
     if form.degree() > 1:
         raise ValueError("substitution form must have degree <= 1")
-    # Group by the exponent of the substituted variable; reuse form powers.
-    powers: Dict[int, Poly] = {0: Poly.constant(p.arity, 1)}
-    result = Poly.zero(p.arity)
+    # Horner in the substituted variable: p = sum_e p_e x^e with p_e free of
+    # x, so the result is (..(p_top form + p_(top-1)) form + ..) form + p_0.
+    slices: Dict[int, Dict[Monomial, Rational]] = {}
     for mono, coeff in p.terms.items():
-        e = mono[var_index]
-        if e not in powers:
-            prev = max(k for k in powers if k <= e)
-            acc = powers[prev]
-            for k in range(prev + 1, e + 1):
-                acc = mul(acc, form)
-                powers[k] = acc
         rest = list(mono)
         rest[var_index] = 0
-        result = add(result, mul(Poly(p.arity, {tuple(rest): coeff}), powers[e]))
+        slices.setdefault(mono[var_index], {})[tuple(rest)] = coeff
+    result = Poly.zero(p.arity)
+    for e in range(max(slices, default=0), -1, -1):
+        result = mul(result, form)
+        if e in slices:
+            result = add(result, Poly(p.arity, slices[e]))
     return result
 
 

@@ -44,6 +44,18 @@ def test_tables_type_d_json(capsys):
     assert d3["computed_second_coeff"] == {"num": -1, "den": 10}
 
 
+def test_tables_type_a_json(capsys):
+    code, out, _ = run_cli(capsys, "tables", "--which", "A", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["all_match"] is True
+    assert [(row["family"], row["rank"]) for row in doc["rows"]] == [
+        ("A", 2), ("A", 3), ("A", 6), ("A", 7)]
+    assert [row["computed_second_coeff"] for row in doc["rows"]] == [
+        {"num": 3, "den": 32}, {"num": -1, "den": 10},
+        {"num": -315315, "den": 8192}, {"num": 323323, "den": 128}]
+
+
 def test_expand_text_json_csv(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "expand", "--spec", "A:2", "--degrees", "3,5,7")
     assert code == 0 and "degree 3: 1/2" in out

@@ -92,6 +92,14 @@ def test_sign_checks_consistent_small():
     assert d3.verdict == "consistent"
 
 
+@pytest.mark.parametrize("family,check", [("D", check_sign_D), ("A", check_sign_A)])
+def test_sign_checks_consistent_rank_seven(family, check):
+    centers = random_interior_centers(make_spec(family, 7), 3, 5, radius=0.4, margin=0.01)
+    report = check(7, centers)
+    assert report.verdict == "consistent"
+    assert report.notes == []
+
+
 def test_sign_check_with_mc_cross_validation():
     centers = random_interior_centers(make_spec("A", 2), 2, SEED, radius=0.35)
     report = check_sign_A(2, centers, samples=300_000, seed=SEED)

@@ -1,13 +1,16 @@
 import math
+from fractions import Fraction
 
 import pytest
 
+from coxpizza import matchings as mt
+from coxpizza.matchings import enumerate_matchings, form_values
 from coxpizza.oracle import (BallSpec, DivergentRegion, McEstimate,
                              a1k_pizza_quadrature, a1k_pizza_series, auto_degree_cap,
                              ball_volume, exact_sign_fold, mc_pizza,
                              random_interior_centers, sum_over_2structures)
 from coxpizza.rootsys import make_spec
-from coxpizza.taylor import fold_parameters, quotient, z_poly
+from coxpizza.taylor import c_coefficient, fold_parameters, quotient, z_poly
 from coxpizza.polyring import vandermonde
 
 SEED = 90210
@@ -213,6 +216,102 @@ def test_exact_sign_fold_matches_float_route():
     float_value, float_tail = sum_over_2structures(spec, BallSpec(center, 1.0), 41)
     assert math.isclose(float(value) * prefactor, float_value, rel_tol=1e-10)
     assert abs(value) > bound
+
+
+def _reference_inner_series(n, k, pairings, m_top):
+    """One matching in Fraction arithmetic: sum_m 2^-m c_m conv[m], conv the
+    binomial convolution of u^(2r+1)/(2r+1) across the pairings u, and the
+    tail bound sum_(m>m_top) |c_m| s^m <= |c_(m_top+1)| s^(m_top+1)/(1-s)."""
+    s = sum(u * u for u in pairings) / 2
+    if s >= 1:
+        raise DivergentRegion("exact fold needs the center strictly inside the unit ball")
+    size = m_top + 1
+    conv = None
+    for u in pairings:
+        g = [Fraction(0)] * size
+        g[0] = Fraction(u)
+        for r in range(1, size):
+            g[r] = g[r - 1] * u * u * (2 * r - 1) / (2 * r + 1)
+        if conv is None:
+            conv = g
+        else:
+            conv = [sum(math.comb(m, j) * conv[j] * g[m - j] for j in range(m + 1))
+                    for m in range(size)]
+    value = sum(c_coefficient(n, k, m) * Fraction(1, 2**m) * conv[m] for m in range(size))
+    c_next = abs(c_coefficient(n, k, m_top + 1))
+    alpha = Fraction(n - k, 2)
+    prev = c_next
+    for m in range(m_top + 2, m_top + 64):
+        cur = prev * abs(Fraction(m - 1) - alpha) / m
+        if prev and cur > prev:
+            raise ValueError(f"cap too small: coefficients still growing at m={m}")
+        if cur == 0:
+            break
+        prev = cur
+    return value, c_next * s ** (m_top + 1) / (1 - s)
+
+
+def _reference_sign_fold(spec, center, degree_cap):
+    """exact_sign_fold matching by matching, all in Fraction arithmetic."""
+    geometry = fold_parameters(spec)
+    k = geometry.k
+    m_top = (degree_cap - k) // 2
+    exact_center = [Fraction(x) for x in center]
+    value = bound = Fraction(0)
+    for matching in enumerate_matchings(geometry.ground):
+        pairings = list(form_values(geometry, matching, exact_center))
+        v, t = _reference_inner_series(spec.rank, k, pairings, m_top)
+        value += mt.sign(matching) * v
+        bound += (1 << ((k + 1) // 2)) * t
+    return value, bound
+
+
+def _reference_centers(spec):
+    dim = spec.ambient_dim
+    dyadic = random_interior_centers(spec, 1, SEED, radius=0.4, margin=0.01)[0]
+    decimal = tuple((0.1, -0.07, 0.13, -0.05, 0.02, 0.11, -0.09)[:dim])
+    thirds_fifths = tuple(Fraction((-1) ** i, 3 + 2 * i) for i in range(dim))  # 1/3, -1/5, ..
+    return {"dyadic": dyadic, "decimal": decimal, "thirds_fifths": thirds_fifths}
+
+
+@pytest.mark.parametrize("center_kind", ["dyadic", "decimal", "thirds_fifths"])
+@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("A", 6), ("D", 3), ("D", 5)])
+def test_exact_sign_fold_matches_reference(family, rank, center_kind):
+    spec = make_spec(family, rank)
+    k = fold_parameters(spec).k
+    center = _reference_centers(spec)[center_kind]
+    odd_cap = k + 9 if k % 2 == 0 else k + 10
+    for cap in (k, odd_cap):
+        assert exact_sign_fold(spec, center, cap) == _reference_sign_fold(spec, center, cap)
+    # grow the cap as the sign checker does, from the lowest block on, until
+    # the band excludes zero; the early caps need escalating
+    for escalations, cap in enumerate(range(k, k + 120, 6)):
+        value, bound = exact_sign_fold(spec, center, cap)
+        assert (value, bound) == _reference_sign_fold(spec, center, cap), cap
+        if abs(value) > bound:
+            break
+    assert abs(value) > bound and escalations > 0
+
+
+def test_exact_sign_fold_outside_unit_ball():
+    for spec, center in ((make_spec("D", 3), (0.9, 0.5, 0.25)),
+                         (make_spec("A", 2), (0.9, -0.6, -0.3))):
+        for fold in (exact_sign_fold, _reference_sign_fold):
+            with pytest.raises(DivergentRegion, match="strictly inside the unit ball"):
+                fold(spec, center, 21)
+
+
+def test_exact_sign_fold_rejects_growing_coefficients():
+    # A_14: (n-k)/2 = 7/2, so |c_2/c_1| = 5/4 > 1; caps 7 and 8 stop at m_top = 0.
+    # Raised at the first matching, before the other 2,027,024 are visited.
+    spec = make_spec("A", 14)
+    inside = tuple(Fraction(i - 7, 256) for i in range(15))
+    with pytest.raises(ValueError, match="cap too small: coefficients still growing at m=2"):
+        exact_sign_fold(spec, inside, 8)
+    # the first matching's radius is checked first
+    outside = (Fraction(3, 4), Fraction(-3, 4)) + (Fraction(0),) * 13
+    with pytest.raises(DivergentRegion):
+        exact_sign_fold(spec, outside, 8)
 
 
 @pytest.mark.parametrize("family,rank,dim", [("D", 5, 7), ("D", 5, 4), ("A", 6, 8), ("A", 6, 6)])

@@ -103,6 +103,24 @@ def test_substitute_identity():
             assert substitute_linear(p, i, x(3, i)) == p
 
 
+def test_substitute_matches_direct_expansion():
+    # term by term: coeff * (monomial without x_i) * form^e, with forms that
+    # carry a constant term, fractional coefficients and x_i itself
+    rng = random.Random(29)
+    forms = [P(3, {(0, 0, 0): (2, 3), (1, 0, 0): (-1, 2), (0, 0, 1): 3}),
+             P(3, {(0, 0, 0): -1, (0, 1, 0): (5, 7)}),
+             P(3, {(1, 0, 0): (1, 3), (0, 1, 0): -2, (0, 0, 1): (3, 4)})]
+    for _ in range(8):
+        p = random_poly(rng, 3, max_degree=6, max_terms=8)
+        for i in range(3):
+            for form in forms:
+                direct = Poly.zero(3)
+                for mono, coeff in p.terms.items():
+                    rest = tuple(0 if j == i else e for j, e in enumerate(mono))
+                    direct = direct + mul(Poly(3, {rest: coeff}), form.pow(mono[i]))
+                assert substitute_linear(p, i, form) == direct
+
+
 def test_substitute_rejects_quadratic_form():
     with pytest.raises(ValueError):
         substitute_linear(x(2, 0), 0, P(2, {(2, 0): 1}))
