@@ -54,15 +54,20 @@ EXTENDED_D_RANKS = (3, 5, 7)
 
 
 def _threads_from(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("PIZZA_THREADS")
-    if env:
+    """The worker thread count from --threads or PIZZA_THREADS (default 1);
+    0 means one per CPU, and a negative value is a usage error."""
+    threads = args.threads
+    if threads is None:
+        env = os.environ.get("PIZZA_THREADS")
+        if not env:
+            return 1
         try:
-            return int(env)
+            threads = int(env)
         except ValueError:
             raise ValueError(f"PIZZA_THREADS must be an integer, got {env!r}") from None
-    return 1
+    if threads < 0:
+        raise ValueError(f"threads must be >= 0, got {threads}")
+    return threads or os.cpu_count() or 1
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -239,7 +244,7 @@ def cmd_oracle(args) -> int:
     payload = {"schema_version": 1, "spec": str(spec), "center": list(center),
                "radius": args.radius, "method": args.method}
     if args.method == "mc":
-        est = mc_pizza(spec, ball, args.samples, args.seed, threads=max(1, _threads_from(args)))
+        est = mc_pizza(spec, ball, args.samples, args.seed, threads=_threads_from(args))
         payload.update({"value": est.value, "std_error": est.std_error,
                         "samples": est.samples, "seed": est.seed})
     elif args.method == "series":
@@ -353,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--threads", type=int, default=None,
-                       help="worker processes for oracle --method mc (0 = auto; default 1 or "
-                            "PIZZA_THREADS); quotients are computed in one process, so expand "
+                       help="worker threads for oracle --method mc (0 = one per CPU; default 1 "
+                            "or PIZZA_THREADS); quotients are computed in one thread, so expand "
                             "and tables output is the same for any value")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--out", default=None, help="write results to a file instead of stdout")
@@ -404,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(c)
     c.set_defaults(func=cmd_check_sign)
 
-    c = checks.add_parser("y-neg", help="negativity of the reduced-fold target coefficients")
+    c = checks.add_parser("y-neg", help="negativity of the type D fold's dominant coefficients")
     c.add_argument("--rank", type=int, required=True)
     c.add_argument("--max-degree", dest="max_degree", type=int, required=True)
     c.add_argument("--mode", choices=("auto", "test", "explore"), default="auto")

@@ -26,7 +26,7 @@ from .oracle import BallSpec, auto_degree_cap, exact_sign_fold, mc_pizza
 from .polyring import (Poly, exact_divide_linear, mul, partitions,
                        schur_bialternant, vandermonde)
 from .rootsys import ArrangementSpec, chamber_sign, make_spec
-from .taylor import ParityRegimeError, compose_block, t_poly, y_poly, z_poly
+from .taylor import ParityRegimeError, compose_block, dominant_coefficients, t_poly, z_poly
 
 CONJECTURE_IDS = ("signA", "signD", "lemma51", "yNeg", "schurRecon", "tPos")
 
@@ -208,23 +208,25 @@ def check_lemma51(n: int, d: int) -> ConjectureReport:
 
 
 def check_y_negativity(n: int, d_max: int) -> ConjectureReport:
-    """For each valid degree d from n(n-1) to d_max, every strictly
-    decreasing target monomial of the reduced fold must have a strictly
-    negative coefficient.  Zero coefficients are classified separately from
-    positive ones (the statement is strict)."""
+    """For each valid degree d from n(n-1) to d_max, the coefficient c_lambda
+    of the type D fold on every strictly decreasing target monomial
+    a^(2(lambda+delta)) with a zero last exponent (lambda with at most n-1
+    parts) must be strictly negative.  Zero coefficients are classified
+    separately from positive ones (the statement is strict)."""
     started = time.perf_counter()
     if n < 3 or n % 2 == 0:
         raise ParityRegimeError("y-negativity applies to odd rank >= 3")
+    spec = make_spec("D", n)
     base = n * (n - 1)
     witnesses: List[dict] = []
     degrees = list(range(base, d_max + 1, 2))
     for d in degrees:
-        y = y_poly(n, d)
+        coeffs = dominant_coefficients(spec, d)
         half = (d - base) // 2
         for lam in partitions(half, n - 1):
             padded = list(lam) + [0] * (n - 1 - len(lam))
             mono = tuple(2 * padded[i] + 2 * (n - 1 - i) for i in range(n - 1))
-            coeff = y.coefficient(mono)
+            coeff = coeffs.get(lam, 0)
             if coeff > 0:
                 witnesses.append({"degree": d, "partition": list(lam), "monomial": list(mono),
                                   "coefficient": str(coeff), "kind": "positive"})
@@ -241,16 +243,17 @@ def _squares_substituted(p: Poly) -> Poly:
 
 
 def schur_reconstruct(n: int, d: int) -> ConjectureReport:
-    """Rebuild the full type D fold from the strictly-decreasing coefficients
-    of the reduced fold: sum over partitions of c_lambda times the squared
-    Vandermonde times the Schur polynomial in the squared variables must
-    equal the fold exactly.  A mismatch raises ReconstructionMismatch."""
+    """Rebuild the full type D fold from its dominant coefficients c_lambda
+    (lambda with at most n-1 parts; the others vanish by Lemma 5.1(b)): sum
+    over partitions of c_lambda times the squared Vandermonde times the
+    Schur polynomial in the squared variables must equal the fold exactly.
+    A mismatch raises ReconstructionMismatch."""
     started = time.perf_counter()
     spec = make_spec("D", n)
     base = n * (n - 1)
     if d < base or (d - base) % 2:
         raise ValueError(f"degree {d} below the lowest nonzero degree {base} or wrong parity")
-    y = y_poly(n, d)
+    coeffs = dominant_coefficients(spec, d)
     shift = (d - base) // 2
     target = z_poly(spec, d).scale(Fraction(1, 1 << shift))
     vand_sq = vandermonde(n, squared=True)
@@ -258,9 +261,7 @@ def schur_reconstruct(n: int, d: int) -> ConjectureReport:
     lambda_coeffs: Dict[Tuple[int, ...], Fraction] = {}
     reconstruction = Poly.zero(n)
     for lam in partitions(shift, n - 1):
-        padded = list(lam) + [0] * (n - 1 - len(lam))
-        mono = tuple(2 * padded[i] + 2 * (n - 1 - i) for i in range(n - 1))
-        c = y.coefficient(mono)
+        c = coeffs.get(lam, 0)
         lambda_coeffs[lam] = c
         if c:
             schur_sq = _squares_substituted(schur_bialternant(lam, n))

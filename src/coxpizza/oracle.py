@@ -39,6 +39,7 @@ from .taylor import c_coefficient
 
 _CHUNK = 1 << 16
 _HYPERPLANE_TOL = 1e-12
+_MAX_REJECTED_DRAWS = 20_000
 
 
 class DivergentRegion(ValueError):
@@ -161,12 +162,21 @@ def random_interior_centers(spec: ArrangementSpec, count: int, seed: int,
     are drawn inside the sum-zero subspace.
 
     Coordinates are quantized to multiples of 1/256, so they convert to
-    small exact rationals for the exact sign fold."""
+    small exact rationals for the exact sign fold.  Raises ValueError after
+    _MAX_REJECTED_DRAWS consecutive draws fail the tests (at the defaults,
+    D_7 and higher ranks practically never meet the margin)."""
     rng = np.random.default_rng([seed, 0x5EED])
     roots = np.array(numeric_roots(spec))
     dim, embed = _sampling_frame(spec)
     out: List[Tuple[float, ...]] = []
+    rejected = 0
     while len(out) < count:
+        if rejected == _MAX_REJECTED_DRAWS:
+            raise ValueError(
+                f"no interior center for {spec} with radius {radius} and margin {margin} "
+                f"in {_MAX_REJECTED_DRAWS} consecutive draws; lower the margin or give the centers"
+            )
+        rejected += 1
         y = rng.normal(size=dim)
         y *= radius * rng.random() ** (1.0 / dim) / np.linalg.norm(y)
         x = embed @ y if embed is not None else y
@@ -177,6 +187,7 @@ def random_interior_centers(spec: ArrangementSpec, count: int, seed: int,
             continue
         if np.min(np.abs(roots @ x)) >= margin:
             out.append(tuple(float(v) for v in x))
+            rejected = 0
     return out
 
 

@@ -11,29 +11,29 @@ the squared variables for type D), so Z_d = sum c_lambda a_(lambda+delta)
 and the quotient is sum c_lambda s_lambda by the bialternant formula.  Each
 edge of a matching touches two variables only, so a matching's share of one
 dominant coefficient c_lambda is a single product of per-edge coefficients;
-polyring.schur_combination then expands the Schur combination.
+dominant_coefficients reads them off, and polyring.schur_combination then
+expands the Schur combination.  The type D audits in conjectures read the
+same c_lambda.
 
 The full fold z_poly stays as the independent route that does not assume
-the alternation: the structural audits, the y_poly fold and the tests
-check the quotients against it (quotient_from_fold divides it by the
-Vandermonde).  Its per-matching composition work is delegated to an
-accumulation kernel operating on packed exponent keys and integer
-coefficients; denominators are cleared up front per degree and divided
-back out once at the end, so the fold itself is pure integer arithmetic and
-its result is independent of how matchings are chunked across workers.
+the alternation: the structural audits and the tests check the quotients
+against it (quotient_from_fold divides it by the Vandermonde).  It runs
+serially; its per-matching composition work is delegated to an accumulation
+kernel operating on packed exponent keys and integer coefficients, with the
+same per-edge tables as dominant_coefficients.  Denominators are cleared up
+front per degree and divided back out once at the end, so the fold itself
+is pure integer arithmetic.
 
 All algebra runs on unnormalized integer root coordinates, which keeps
 every coefficient rational.  Because the supported degrees always have the
 same parity as the positive-root count, the normalization mismatch against
-unit-length roots is an integer power of two, applied once to the quotient
-(and to the reduced fold y_poly), never inside the pipeline.
+unit-length roots is an integer power of two, applied once to the
+dominant coefficients (or to the divided fold), never inside the pipeline.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -45,7 +45,7 @@ from .matchings import (FoldGeometry, TwoStructure, count_matchings, enumerate_m
                         fold_parameters)
 from .polyring import (Poly, divide_by_vandermonde, mul, partitions, schur_combination,
                        substitute_linear)
-from .rootsys import ArrangementSpec, make_spec
+from .rootsys import ArrangementSpec
 
 MAX_DEGREE = 60
 MAX_MONOMIAL_INSTANCES = 10**8
@@ -166,15 +166,11 @@ def t_eval_on_structure(t: TPoly, phi: TwoStructure, ambient: int) -> Poly:
 
 @dataclass
 class _FoldPlan:
-    pair_forms: bool  # one form per edge (type A) or a minus/plus pair (type D)
     ground: int  # matched vertices, one variable each
-    k: int
-    nslots: int
-    m: int
     comps: List[Tuple[int, ...]]
     scales: List[int]
     denom: int
-    abstract: List[List[Tuple[int, int, int]]]  # q -> [(exp_i, exp_j, coeff)]
+    tables: Tuple[Dict[Tuple[int, int], int], ...]  # q -> {(exp_i, exp_j): coeff}
 
 
 def _abstract_single(q: int) -> Tuple[List[Tuple[int, int, int]], int]:
@@ -215,29 +211,20 @@ def _abstract_pair(q: int) -> Tuple[List[Tuple[int, int, int]], int]:
     return entries, scalar
 
 
-def _build_plan(family: str, rank: int, d: int, kind: str) -> _FoldPlan:
-    geometry = fold_parameters(make_spec(family, rank))
-    if kind == "z":
-        ground = geometry.ground
-    elif kind == "y":
-        ground = geometry.ground - 1  # perfect matchings of {1..n-1}
-    else:
-        raise ValueError(f"unknown fold kind {kind!r}")
-    pair_forms = geometry.pair_forms
-    k = geometry.k
-    nslots = ground // 2
-    m = (d - k) // 2
+@lru_cache(maxsize=None)  # bounded: q <= MAX_DEGREE / 2, two edge layouts
+def _edge_table(pair_forms: bool, q: int) -> Tuple[Dict[Tuple[int, int], int], int]:
+    """One edge's cleared coefficients at inner degree q, keyed by the
+    exponent pair (e_i, e_j), and the scalar cleared from them."""
+    entries, scalar = _abstract_pair(q) if pair_forms else _abstract_single(q)
+    return {(ei, ej): c for ei, ej, c in entries}, scalar
 
-    abstract: List[List[Tuple[int, int, int]]] = []
-    cleared: List[int] = []
-    for q in range(m + 1):
-        entries, scalar = _abstract_pair(q) if pair_forms else _abstract_single(q)
-        abstract.append(entries)
-        cleared.append(scalar)
 
-    c_m = c_coefficient(rank, k, m)
+def _build_plan(spec: ArrangementSpec, geometry: FoldGeometry, d: int) -> _FoldPlan:
+    m = (d - geometry.k) // 2
+    tables, cleared = zip(*(_edge_table(geometry.pair_forms, q) for q in range(m + 1)))
+    c_m = c_coefficient(spec.rank, geometry.k, m)
     m_fact = math.factorial(m)
-    comps = list(_compositions(m, nslots))
+    comps = list(_compositions(m, geometry.nslots))
     factors = []
     for comp in comps:
         f = c_m * m_fact
@@ -250,12 +237,7 @@ def _build_plan(family: str, rank: int, d: int, kind: str) -> _FoldPlan:
         scaled = f * denom
         assert scaled.denominator == 1
         scales.append(scaled.numerator)
-    return _FoldPlan(pair_forms, ground, k, nslots, m, comps, scales, denom, abstract)
-
-
-@lru_cache(maxsize=8)
-def _plan_cached(family: str, rank: int, d: int, kind: str) -> _FoldPlan:
-    return _build_plan(family, rank, d, kind)
+    return _FoldPlan(geometry.ground, comps, scales, denom, tables)
 
 
 def _edge_lists(plan: _FoldPlan, memo: dict, i0: int, j0: int):
@@ -265,22 +247,19 @@ def _edge_lists(plan: _FoldPlan, memo: dict, i0: int, j0: int):
         return hit
     keys_by_q = []
     coeffs_by_q = []
-    for entries in plan.abstract:
-        keys_by_q.append([(ei << (8 * i0)) | (ej << (8 * j0)) for ei, ej, _ in entries])
-        coeffs_by_q.append([c for _, _, c in entries])
+    for table in plan.tables:
+        keys_by_q.append([(ei << (8 * i0)) | (ej << (8 * j0)) for ei, ej in table])
+        coeffs_by_q.append(list(table.values()))
     memo[(i0, j0)] = (keys_by_q, coeffs_by_q)
     return memo[(i0, j0)]
 
 
-def _fold_range(plan: _FoldPlan, chunk: int, nchunks: int,
-                progress: Optional[Callable[[int, int], None]] = None) -> Dict[int, int]:
-    """Accumulate the signed fold over matchings with index = chunk (mod nchunks)."""
+def _fold(plan: _FoldPlan, progress: Optional[Callable[[int, int], None]] = None) -> Dict[int, int]:
+    """Accumulate the signed fold over every matching, in enumeration order."""
     acc: Dict[int, int] = {}
     memo: dict = {}
     total = count_matchings(plan.ground)
     for idx, matching in enumerate(enumerate_matchings(plan.ground)):
-        if idx % nchunks != chunk:
-            continue
         if progress is not None:
             progress(idx, total)
         slot_keys = []
@@ -295,41 +274,11 @@ def _fold_range(plan: _FoldPlan, chunk: int, nchunks: int,
     return acc
 
 
-def _fold_chunk_worker(args) -> Dict[int, int]:
-    family, rank, d, kind, chunk, nchunks = args
-    plan = _plan_cached(family, rank, d, kind)
-    return _fold_range(plan, chunk, nchunks)
-
-
-def _resolve_threads(threads: int) -> int:
+def _check_threads(threads: int) -> None:
+    """`threads` is kept in the signatures for callers and validated, but
+    every computation here runs in the calling thread."""
     if threads < 0:
         raise ValueError("threads must be >= 0")
-    return threads if threads else (os.cpu_count() or 1)
-
-
-def _run_fold(family: str, rank: int, d: int, kind: str, threads: int,
-              progress: Optional[Callable[[int, int], None]]) -> Tuple[Dict[int, int], _FoldPlan]:
-    plan = _plan_cached(family, rank, d, kind)
-    nchunks = _resolve_threads(threads)
-    if nchunks <= 1:
-        return _fold_range(plan, 0, 1, progress), plan
-    acc: Dict[int, int] = {}
-    total = count_matchings(plan.ground)
-    jobs = [(family, rank, d, kind, c, nchunks) for c in range(nchunks)]
-    workers = min(nchunks, os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        done = 0
-        for partial in pool.map(_fold_chunk_worker, jobs):
-            for key, val in partial.items():
-                merged = acc.get(key, 0) + val
-                if merged:
-                    acc[key] = merged
-                else:
-                    acc.pop(key, None)
-            done += 1
-            if progress is not None:
-                progress(min(total, done * ((total + nchunks - 1) // nchunks)), total)
-    return acc, plan
 
 
 def _poly_from_acc(acc: Dict[int, int], plan: _FoldPlan) -> Poly:
@@ -391,11 +340,15 @@ def z_poly(spec: ArrangementSpec, d: int, threads: int = 1,
            progress: Optional[Callable[[int, int], None]] = None) -> Poly:
     """The signed fold over all maximal matchings of the composed degree-d
     blocks, on unnormalized integer forms (carries 2^(d/2) relative to
-    unit forms).  Zero when d < k or d has the wrong parity."""
-    if _admitted_geometry(spec, d) is None:
+    unit forms).  Zero when d < k or d has the wrong parity.  `threads` is
+    validated but unused: the fold runs in this process, and
+    `progress(done, total)` counts the matchings visited."""
+    _check_threads(threads)
+    geometry = _admitted_geometry(spec, d)
+    if geometry is None:
         return Poly.zero(spec.ambient_dim)
-    acc, plan = _run_fold(spec.family, spec.rank, d, "z", threads, progress)
-    return _poly_from_acc(acc, plan)
+    plan = _build_plan(spec, geometry, d)
+    return _poly_from_acc(_fold(plan, progress), plan)
 
 
 def z_poly_reference(spec: ArrangementSpec, d: int) -> Poly:
@@ -427,20 +380,15 @@ def quotient_from_fold(spec: ArrangementSpec, d: int, z: Poly) -> Poly:
     return q.scale(Fraction(1, 1 << half)) if half >= 0 else q.scale(1 << (-half))
 
 
-@lru_cache(maxsize=None)  # bounded: q <= MAX_DEGREE / 2, two edge layouts
-def _edge_table(pair_forms: bool, q: int) -> Tuple[Dict[Tuple[int, int], int], int]:
-    """One edge's cleared coefficients at inner degree q, keyed by the
-    exponent pair (e_i, e_j), and the scalar cleared from them."""
-    entries, scalar = _abstract_pair(q) if pair_forms else _abstract_single(q)
-    return {(ei, ej): c for ei, ej, c in entries}, scalar
-
-
-def _dominant_coefficients(spec: ArrangementSpec, geometry: FoldGeometry, d: int, size: int,
-                           progress: Optional[Callable[[int, int], None]]
-                           ) -> Dict[Tuple[int, ...], Fraction]:
-    """c_lambda for every partition lambda of `size` into at most `ground`
-    parts: the coefficient of the degree-d fold on a^(lambda+delta) (type A)
-    or a^(2(lambda+delta)) (type D), delta = (ground-1, ..., 0).
+def dominant_coefficients(spec: ArrangementSpec, d: int,
+                          progress: Optional[Callable[[int, int], None]] = None
+                          ) -> Dict[Tuple[int, ...], Fraction]:
+    """The nonzero c_lambda of the degree-d fold, keyed by partitions as
+    `partitions` yields them: the coefficient on a^(lambda+delta) (type A)
+    or a^(2(lambda+delta)) (type D), delta = (ground-1, ..., 0), normalized
+    by 2^-((d - |roots|)/2) as in quotient.  |lambda| is d - |roots| (type
+    A) or half of it (type D); empty below the root count or when the fold
+    is zero by parity.  `progress(done, total)` counts the matchings visited.
 
     Edge (i, j) of a matching touches only a_i and a_j, so a matching
     contributes to a target monomial mu through one composition only: edge
@@ -453,6 +401,12 @@ def _dominant_coefficients(spec: ArrangementSpec, geometry: FoldGeometry, d: int
     exponents of mu are distinct, so mu_i + mu_j >= 1 (>= 2 for pairs) and
     every q_t lies in 0..m; a q_t of the wrong parity finds no table entry.
     """
+    geometry = _admitted_geometry(spec, d)
+    shift = d - spec.positive_root_count
+    if geometry is None or shift < 0:
+        return {}
+    assert shift % 2 == 0, "supported degrees share parity with the root count"
+    size = shift // 2 if geometry.pair_forms else shift
     ground = geometry.ground
     m = (d - geometry.k) // 2
     stretch = 2 if geometry.pair_forms else 1
@@ -490,7 +444,7 @@ def _dominant_coefficients(spec: ArrangementSpec, geometry: FoldGeometry, d: int
         if progress is not None:
             progress(visited, total)
 
-    base = c_coefficient(spec.rank, geometry.k, m) * math.factorial(m)
+    base = c_coefficient(spec.rank, geometry.k, m) * math.factorial(m) / (1 << (shift // 2))
     scales: Dict[Tuple[int, ...], Fraction] = {}
     coeffs: Dict[Tuple[int, ...], Fraction] = {}
     for lam, acc in zip(lams, sums):
@@ -517,17 +471,10 @@ def quotient(spec: ArrangementSpec, d: int, threads: int = 1,
     is computed.  Equal to quotient_from_fold(spec, d, z_poly(spec, d)).
     `threads` is validated but unused: the extraction runs in this process,
     and `progress(done, total)` counts the matchings visited."""
-    geometry = _admitted_geometry(spec, d)
-    _resolve_threads(threads)
-    shift = d - spec.positive_root_count
-    if geometry is None or shift < 0:
-        return Poly.zero(spec.ambient_dim)
-    assert shift % 2 == 0, "supported degrees share parity with the root count"
-    size = shift // 2 if geometry.pair_forms else shift
-    coeffs = _dominant_coefficients(spec, geometry, d, size, progress)
-    norm = Fraction(1, 1 << (shift // 2))
-    return schur_combination({lam: c * norm for lam, c in coeffs.items()}, geometry.ground,
-                             squared=geometry.pair_forms)
+    _check_threads(threads)
+    coeffs = dominant_coefficients(spec, d, progress)
+    geometry = fold_parameters(spec)
+    return schur_combination(coeffs, geometry.ground, squared=geometry.pair_forms)
 
 
 def reduce_mod_relation(p: Poly, spec: ArrangementSpec) -> Poly:
@@ -540,26 +487,6 @@ def reduce_mod_relation(p: Poly, spec: ArrangementSpec) -> Poly:
     last = p.arity - 1
     form = Poly.linear_form(p.arity, [-1] * last + [0])
     return substitute_linear(p, last, form)
-
-
-def y_poly(n: int, d: int, threads: int = 1) -> Poly:
-    """Signed fold over perfect matchings of {1..n-1} of the degree-d blocks
-    on the minus/plus pair forms, in n-1 variables (n odd), normalized by
-    the same power-of-two convention as quotient: 2^-((d - n(n-1))/2).
-
-    Its strictly-decreasing-exponent coefficients agree with those of the
-    full n-variable fold at the same normalization."""
-    if n < 3 or n % 2 == 0:
-        raise ParityRegimeError("y_poly needs odd n >= 3")
-    k = n - 1
-    if d < k or (d - k) % 2:
-        return Poly.zero(n - 1)
-    _guard_resources(n - 1, (n - 1) // 2, d)
-    acc, plan = _run_fold("D", n, d, "y", threads, None)
-    raw = _poly_from_acc(acc, plan)
-    half = (d - n * (n - 1)) // 2
-    assert (d - n * (n - 1)) % 2 == 0
-    return raw.scale(Fraction(1, 1 << half)) if half >= 0 else raw.scale(1 << (-half))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 import json
+import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
-from coxpizza.cli import main
+from coxpizza import cli
+from coxpizza.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -175,3 +180,44 @@ def test_cli_json_deterministic_across_threads(capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_threads_resolved_once(monkeypatch, capsys):
+    seen = []
+    real_mc = cli.mc_pizza
+
+    def capture(*args, threads):
+        seen.append(threads)
+        return real_mc(*args, threads=threads)
+
+    monkeypatch.setattr(cli, "mc_pizza", capture)
+    outputs = []
+    for threads in ("0", "1"):
+        code, out, _ = run_cli(capsys, "oracle", "--spec", "A1k:1@1", "--center", "0.37",
+                               "--samples", "200000", "--seed", "3", "--format", "json",
+                               "--threads", threads)
+        assert code == 0
+        outputs.append(out)
+    assert seen == [os.cpu_count() or 1, 1]
+    assert outputs[0] == outputs[1]
+
+
+def test_negative_threads_is_a_usage_error(capsys):
+    code, _, err = run_cli(capsys, "oracle", "--spec", "A1k:1@1", "--center", "0.37",
+                           "--samples", "1000", "--threads", "-1")
+    assert code == 2 and "error:" in err and "threads" in err
+
+
+def test_check_sign_without_interior_centers_is_a_usage_error(capsys):
+    code, _, err = run_cli(capsys, "check", "sign", "--spec", "D:7", "--centers", "auto:3")
+    assert code == 2 and "error:" in err and "margin" in err
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("coxpizza ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])

@@ -35,6 +35,12 @@ def test_y_negativity_small_ranges():
     assert report5.verdict == "consistent"
 
 
+def test_y_negativity_rank_seven():
+    report = check_y_negativity(7, 50)
+    assert report.verdict == "consistent"
+    assert report.parameters["degrees"] == [42, 44, 46, 48, 50]
+
+
 def test_y_negativity_rejects_even_rank():
     with pytest.raises(ParityRegimeError):
         check_y_negativity(4, 16)

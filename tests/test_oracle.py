@@ -355,3 +355,9 @@ def test_centers_generator_properties():
             if spec.family == "A":
                 assert abs(sum(c)) < 1e-12
         assert centers == random_interior_centers(spec, 4, SEED)
+
+
+def test_centers_generator_gives_up_when_no_draw_meets_the_margin():
+    # at the defaults no D_7 draw in practice keeps every pairing >= 0.03
+    with pytest.raises(ValueError, match=r"D:7.*radius 0\.4.*margin 0\.03"):
+        random_interior_centers(make_spec("D", 7), 3, SEED)

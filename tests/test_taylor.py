@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 from coxpizza.matchings import Matching, two_structure
-from coxpizza.polyring import Poly, vandermonde
+from coxpizza.polyring import Poly, partitions, vandermonde
 from coxpizza.rootsys import make_spec
 from coxpizza.taylor import (ParityRegimeError, ResourceCapExceeded,
-                             c_coefficient, expansion_report,
-                             power_sum_multiple, quotient, reduce_mod_relation,
-                             t_eval_on_structure, t_poly, y_poly, z_poly,
+                             c_coefficient, dominant_coefficients, expansion_report,
+                             fold_parameters, power_sum_multiple, quotient,
+                             reduce_mod_relation, t_eval_on_structure, t_poly, z_poly,
                              z_poly_reference)
 
 
@@ -189,11 +189,13 @@ def test_fold_laplacian_recursion(family, rank, extra):
     assert laplacian(z_poly(spec, d + 2)) == lower.scale(-2 * d * (rank - d))
 
 
-def test_fold_deterministic_across_chunking():
+def test_fold_same_for_any_thread_count():
     spec = make_spec("A", 3)
-    serial = z_poly(spec, 8, threads=1)
-    chunked = z_poly(spec, 8, threads=3)
-    assert serial == chunked
+    with pytest.raises(ValueError):
+        z_poly(spec, 8, threads=-1)
+    folds = [z_poly(spec, 8, threads=threads) for threads in (0, 1, 3)]
+    assert not folds[0].is_zero()
+    assert folds[0] == folds[1] == folds[2]
 
 
 def test_resource_guards():
@@ -295,51 +297,43 @@ def test_reduce_mod_relation():
         reduce_mod_relation(Poly.constant(3, 1), make_spec("D", 3))
 
 
-# -- the reduced fold --------------------------------------------------------
+# -- dominant coefficients ---------------------------------------------------
 
 
 def test_y_leading_coefficient_matches_quotient():
-    y = y_poly(3, 6)
-    assert y.coefficient((4, 2)) == Fraction(-1, 6)
+    spec = make_spec("D", 3)
+    assert dominant_coefficients(spec, 6) == {(): Fraction(-1, 6)}
+    assert quotient(spec, 6) == Poly.constant(3, Fraction(-1, 6))
 
 
 def test_y_second_degree_coefficient():
-    y = y_poly(3, 8)
-    assert y.coefficient((6, 2)) == Fraction(-1, 10)
+    assert dominant_coefficients(make_spec("D", 3), 8) == {(1,): Fraction(-1, 10)}
 
 
-def test_y_even_in_each_variable():
-    for n, d in ((3, 6), (3, 8), (5, 20)):
-        y = y_poly(n, d)
-        assert not y.is_zero()
-        for mono in y.terms:
-            assert all(e % 2 == 0 for e in mono), (n, d, mono)
+DOMINANT_CASES = ([("D", 3, d) for d in range(6, 13, 2)]
+                  + [("D", 5, d) for d in range(20, 25, 2)]
+                  + [("A", 2, d) for d in range(3, 10, 2)]
+                  + [("A", 3, d) for d in range(6, 11, 2)])
 
 
-def test_y_no_repeated_positive_exponent():
-    # no monomial carries two equal nonzero exponents
-    for n, d in ((3, 8), (5, 20), (5, 22)):
-        y = y_poly(n, d)
-        for mono in y.terms:
-            positive = [e for e in mono if e > 0]
-            assert len(set(positive)) == len(positive), (n, d, mono)
-
-
-def test_y_agrees_with_fold_on_decreasing_monomials():
-    # on monomials with every exponent positive the reduced fold matches the
-    # full fold with its last variable dropped
-    n, d = 3, 8
-    y = y_poly(n, d)
-    shift = (d - n * (n - 1)) // 2
-    z = z_poly(make_spec("D", n), d).scale(Fraction(1, 1 << shift))
-    for mono, coeff in y.terms.items():
-        if all(e > 0 for e in mono):
-            assert z.coefficient(mono + (0,)) == coeff
-
-
-def test_y_rejects_even_rank():
-    with pytest.raises(ParityRegimeError):
-        y_poly(4, 12)
+@pytest.mark.parametrize("family,rank,d", DOMINANT_CASES,
+                         ids=[f"{f}{r}_d{d}" for f, r, d in DOMINANT_CASES])
+def test_dominant_coefficients_agree_with_fold(cache, family, rank, d):
+    # c_lambda is the full fold's coefficient on a^(lambda+delta), or on
+    # a^(2(lambda+delta)) for type D, at the quotient's normalization; an
+    # absent partition means a zero coefficient
+    spec = make_spec(family, rank)
+    geometry = fold_parameters(spec)
+    shift = d - spec.positive_root_count
+    stretch = 2 if geometry.pair_forms else 1
+    z = cache.fold(family, rank, d).scale(Fraction(1, 1 << (shift // 2)))
+    coeffs = dominant_coefficients(spec, d)
+    lams = list(partitions(shift // stretch, geometry.ground))
+    assert set(coeffs) <= set(lams) and all(coeffs.values())
+    for lam in lams:
+        padded = lam + (0,) * (geometry.ground - len(lam))
+        mono = tuple(stretch * (part + geometry.ground - 1 - i) for i, part in enumerate(padded))
+        assert z.coefficient(mono) == coeffs.get(lam, 0), lam
 
 
 # -- reports -----------------------------------------------------------------
