@@ -18,8 +18,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from . import __version__
-from ._kernel import KERNEL_IMPLEMENTATION
+from . import KERNEL_IMPLEMENTATION, __version__
 from .conjectures import (check_lemma51, check_sign_A, check_sign_D,
                           check_t_positivity, check_y_negativity, schur_reconstruct)
 from .matchings import count_matchings, enumerate_matchings, sign, sign_sum
@@ -357,22 +356,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        p.add_argument("--out", default=None, help="write results to a file instead of stdout")
+
+    def threaded(p):
         p.add_argument("--threads", type=int, default=None,
                        help="worker threads for oracle --method mc (0 = one per CPU; default 1 "
                             "or PIZZA_THREADS); quotients are computed in one thread, so expand "
                             "and tables output is the same for any value")
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--out", default=None, help="write results to a file instead of stdout")
 
     p = sub.add_parser("tables", help="recompute the reference quotient tables and compare exactly")
     p.add_argument("--which", choices=("A", "D", "all"), default="all")
     p.add_argument("--extended", action="store_true", help="include the rank-7 type D row")
+    threaded(p)
     common(p)
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("expand", help="quotient report at chosen degrees")
     p.add_argument("--spec", required=True, help="arrangement, e.g. A:3 or D:5")
     p.add_argument("--degrees", required=True, help="comma-separated degrees")
+    threaded(p)
     common(p)
     p.set_defaults(func=cmd_expand)
 
@@ -392,6 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=20240)
     p.add_argument("--degree-cap", dest="degree_cap", type=int, default=61)
+    threaded(p)
     common(p)
     p.set_defaults(func=cmd_oracle)
 

@@ -23,8 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .matchings import enumerate_matchings, fold_parameters, form_values
 from .oracle import BallSpec, auto_degree_cap, exact_sign_fold, mc_pizza
-from .polyring import (Poly, exact_divide_linear, mul, partitions,
-                       schur_bialternant, vandermonde)
+from .polyring import Poly, alternant, exact_divide_linear, mul, partitions
 from .rootsys import ArrangementSpec, chamber_sign, make_spec
 from .taylor import ParityRegimeError, compose_block, dominant_coefficients, t_poly, z_poly
 
@@ -237,17 +236,13 @@ def check_y_negativity(n: int, d_max: int) -> ConjectureReport:
     return _finish("yNeg", params, witnesses, [], False, started)
 
 
-def _squares_substituted(p: Poly) -> Poly:
-    """p(x_1^2, ..., x_r^2): doubles every exponent."""
-    return Poly(p.arity, {tuple(2 * e for e in mono): c for mono, c in p.terms.items()})
-
-
 def schur_reconstruct(n: int, d: int) -> ConjectureReport:
     """Rebuild the full type D fold from its dominant coefficients c_lambda
-    (lambda with at most n-1 parts; the others vanish by Lemma 5.1(b)): sum
-    over partitions of c_lambda times the squared Vandermonde times the
-    Schur polynomial in the squared variables must equal the fold exactly.
-    A mismatch raises ReconstructionMismatch."""
+    (lambda with at most n-1 parts; the others vanish by Lemma 5.1(b)): the
+    sum over partitions of c_lambda times the alternant a_(2(lambda+delta)),
+    which is the squared Vandermonde times the Schur polynomial in the
+    squared variables, must equal the fold exactly.  A mismatch raises
+    ReconstructionMismatch."""
     started = time.perf_counter()
     spec = make_spec("D", n)
     base = n * (n - 1)
@@ -256,7 +251,6 @@ def schur_reconstruct(n: int, d: int) -> ConjectureReport:
     coeffs = dominant_coefficients(spec, d)
     shift = (d - base) // 2
     target = z_poly(spec, d).scale(Fraction(1, 1 << shift))
-    vand_sq = vandermonde(n, squared=True)
 
     lambda_coeffs: Dict[Tuple[int, ...], Fraction] = {}
     reconstruction = Poly.zero(n)
@@ -264,8 +258,9 @@ def schur_reconstruct(n: int, d: int) -> ConjectureReport:
         c = coeffs.get(lam, 0)
         lambda_coeffs[lam] = c
         if c:
-            schur_sq = _squares_substituted(schur_bialternant(lam, n))
-            reconstruction = reconstruction + mul(vand_sq, schur_sq).scale(c)
+            padded = lam + (0,) * (n - len(lam))
+            exponents = [2 * (part + n - 1 - i) for i, part in enumerate(padded)]
+            reconstruction = reconstruction + alternant(exponents, n).scale(c)
     if reconstruction != target:
         raise ReconstructionMismatch(
             f"rank {n} degree {d}: alternant reconstruction does not match the fold"

@@ -417,7 +417,7 @@ def partitions(total: int, max_parts: int, max_part: int | None = None) -> Itera
     yield from rec(total, max_parts, max_part, ())
 
 
-def _alternant_determinant(exponents: Sequence[int], nvars: int) -> Poly:
+def alternant(exponents: Sequence[int], nvars: int) -> Poly:
     """det of the matrix (x_i ^ exponents[j]) via signed permutation expansion.
 
     Entries are single monomials, so cofactor expansion reduces to the sum
@@ -462,7 +462,7 @@ def schur_bialternant(lam: Iterable[int], nvars: int) -> Poly:
         raise ValueError("need at least one variable")
     padded = list(lam) + [0] * (nvars - len(lam))
     exponents = [padded[j] + (nvars - 1 - j) for j in range(nvars)]
-    numerator = _alternant_determinant(exponents, nvars)
+    numerator = alternant(exponents, nvars)
     return divide_by_vandermonde(numerator, range(nvars))
 
 

@@ -18,11 +18,11 @@ same c_lambda.
 The full fold z_poly stays as the independent route that does not assume
 the alternation: the structural audits and the tests check the quotients
 against it (quotient_from_fold divides it by the Vandermonde).  It runs
-serially; its per-matching composition work is delegated to an accumulation
-kernel operating on packed exponent keys and integer coefficients, with the
-same per-edge tables as dominant_coefficients.  Denominators are cleared up
-front per degree and divided back out once at the end, so the fold itself
-is pure integer arithmetic.
+serially, matching by matching, and multiplies each matching's per-edge
+term lists one edge at a time, keeping only the degree-d total at the last
+edge.  Both routes read the same per-edge tables, cleared once per degree
+to one common denominator that is divided back out at the end, so the
+matching loops are pure integer arithmetic.
 
 All algebra runs on unnormalized integer root coordinates, which keeps
 every coefficient rational.  Because the supported degrees always have the
@@ -40,7 +40,6 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import matchings as mt
-from ._kernel import accumulate_tensor, unpack_exponents
 from .matchings import (FoldGeometry, TwoStructure, count_matchings, enumerate_matchings,
                         fold_parameters)
 from .polyring import (Poly, divide_by_vandermonde, mul, partitions, schur_combination,
@@ -153,40 +152,33 @@ def t_eval_on_structure(t: TPoly, phi: TwoStructure, ambient: int) -> Poly:
     """Compose a Taylor block with the integer linear forms of an orthogonal
     subsystem, expanded in the ambient variables.
 
-    Straightforward reference path; the production fold in z_poly uses the
-    packed kernel instead and is tested against this.
+    Straightforward reference path; z_poly multiplies the per-edge tables
+    instead and is tested against this.
     """
     return compose_block(t, [Poly.linear_form(ambient, r.coords) for r in phi.positive_roots])
 
 
 # ---------------------------------------------------------------------------
-# fold plans: per-degree precomputation for the accumulation kernel
+# per-edge tables: one edge's share of a composed block, by inner degree
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _FoldPlan:
-    ground: int  # matched vertices, one variable each
-    comps: List[Tuple[int, ...]]
-    scales: List[int]
-    denom: int
-    tables: Tuple[Dict[Tuple[int, int], int], ...]  # q -> {(exp_i, exp_j): coeff}
-
-
-def _abstract_single(q: int) -> Tuple[List[Tuple[int, int, int]], int]:
-    """Expansion of (x - y)^(2q+1) and the cleared scalar (2q+1)*q!."""
+def _abstract_single(q: int) -> Tuple[Dict[Tuple[int, int], int], int]:
+    """Expansion of (x - y)^(2q+1), keyed by the exponent pair, and the
+    cleared scalar (2q+1)*q!."""
     e = 2 * q + 1
-    entries = [(s, e - s, (-1 if (e - s) % 2 else 1) * math.comb(e, s)) for s in range(e, -1, -1)]
-    return entries, (2 * q + 1) * math.factorial(q)
+    terms = {(s, e - s): (-1 if (e - s) % 2 else 1) * math.comb(e, s) for s in range(e, -1, -1)}
+    return terms, (2 * q + 1) * math.factorial(q)
 
 
-def _abstract_pair(q: int) -> Tuple[List[Tuple[int, int, int]], int]:
+def _abstract_pair(q: int) -> Tuple[Dict[Tuple[int, int], int], int]:
     """Aggregated minus/plus pair at inner degree q:
 
         sum over r+s=q of (x-y)^(2r+1) (x+y)^(2s+1) / ((2r+1)(2s+1) r! s!)
 
-    returned with denominators cleared by their lcm.  The symmetrized sum is
-    even in x and in y, so it collapses to at most q+2 terms.
+    keyed by the exponent pair and returned with denominators cleared by
+    their lcm.  The symmetrized sum is even in x and in y, so it collapses
+    to at most q+2 terms.
     """
     acc: Dict[Tuple[int, int], Fraction] = {}
     for r in range(q + 1):
@@ -203,75 +195,41 @@ def _abstract_pair(q: int) -> Tuple[List[Tuple[int, int, int]], int]:
                 else:
                     acc.pop(key, None)
     scalar = math.lcm(*(c.denominator for c in acc.values()))
-    entries = []
-    for (ei, ej), c in sorted(acc.items(), reverse=True):
+    terms = {}
+    for key, c in sorted(acc.items(), reverse=True):
         scaled = c * scalar
         assert scaled.denominator == 1
-        entries.append((ei, ej, scaled.numerator))
-    return entries, scalar
+        terms[key] = scaled.numerator
+    return terms, scalar
 
 
 @lru_cache(maxsize=None)  # bounded: q <= MAX_DEGREE / 2, two edge layouts
 def _edge_table(pair_forms: bool, q: int) -> Tuple[Dict[Tuple[int, int], int], int]:
     """One edge's cleared coefficients at inner degree q, keyed by the
     exponent pair (e_i, e_j), and the scalar cleared from them."""
-    entries, scalar = _abstract_pair(q) if pair_forms else _abstract_single(q)
-    return {(ei, ej): c for ei, ej, c in entries}, scalar
+    return _abstract_pair(q) if pair_forms else _abstract_single(q)
 
 
-def _build_plan(spec: ArrangementSpec, geometry: FoldGeometry, d: int) -> _FoldPlan:
-    m = (d - geometry.k) // 2
-    tables, cleared = zip(*(_edge_table(geometry.pair_forms, q) for q in range(m + 1)))
-    c_m = c_coefficient(spec.rank, geometry.k, m)
-    m_fact = math.factorial(m)
-    comps = list(_compositions(m, geometry.nslots))
-    factors = []
-    for comp in comps:
-        f = c_m * m_fact
-        for q in comp:
-            f /= cleared[q]
-        factors.append(f)
-    denom = math.lcm(*(f.denominator for f in factors)) if factors else 1
-    scales = []
-    for f in factors:
-        scaled = f * denom
-        assert scaled.denominator == 1
-        scales.append(scaled.numerator)
-    return _FoldPlan(geometry.ground, comps, scales, denom, tables)
+@lru_cache(maxsize=None)  # bounded: m <= MAX_DEGREE / 2, two edge layouts
+def _cleared_tables(pair_forms: bool, m: int) -> Tuple[Tuple[Dict[Tuple[int, int], int], ...], int]:
+    """The edge tables for inner degrees q = 0..m over one denominator
+    L = lcm(cleared[0..m]): table q is _edge_table(q) times L // cleared[q].
+    Returned with L.
+
+    A matching's share of the composed degree-d block is c_m m! times the
+    sum over compositions q_1 + ... + q_E = m of the product of its edges'
+    tables at q_t.  Over L every composition carries the same denominator
+    L^E, so the products stay integers and the whole fold is scaled once by
+    c_m m! / L^E at the end."""
+    tables, cleared = zip(*(_edge_table(pair_forms, q) for q in range(m + 1)))
+    lcm = math.lcm(*cleared)
+    return tuple({key: c * (lcm // s) for key, c in table.items()}
+                 for table, s in zip(tables, cleared)), lcm
 
 
-def _edge_lists(plan: _FoldPlan, memo: dict, i0: int, j0: int):
-    """Packed key/coefficient lists for one edge, shared across matchings."""
-    hit = memo.get((i0, j0))
-    if hit is not None:
-        return hit
-    keys_by_q = []
-    coeffs_by_q = []
-    for table in plan.tables:
-        keys_by_q.append([(ei << (8 * i0)) | (ej << (8 * j0)) for ei, ej in table])
-        coeffs_by_q.append(list(table.values()))
-    memo[(i0, j0)] = (keys_by_q, coeffs_by_q)
-    return memo[(i0, j0)]
-
-
-def _fold(plan: _FoldPlan, progress: Optional[Callable[[int, int], None]] = None) -> Dict[int, int]:
-    """Accumulate the signed fold over every matching, in enumeration order."""
-    acc: Dict[int, int] = {}
-    memo: dict = {}
-    total = count_matchings(plan.ground)
-    for idx, matching in enumerate(enumerate_matchings(plan.ground)):
-        if progress is not None:
-            progress(idx, total)
-        slot_keys = []
-        slot_coeffs = []
-        for i, j in matching.edges:
-            keys_by_q, coeffs_by_q = _edge_lists(plan, memo, i - 1, j - 1)
-            slot_keys.append(keys_by_q)
-            slot_coeffs.append(coeffs_by_q)
-        accumulate_tensor(acc, slot_keys, slot_coeffs, plan.comps, plan.scales, mt.sign(matching))
-    if progress is not None:
-        progress(total, total)
-    return acc
+def _fold_scale(spec: ArrangementSpec, geometry: FoldGeometry, m: int, lcm: int) -> Fraction:
+    """c_m m! / L^E: the one scale of a fold summed over _cleared_tables."""
+    return c_coefficient(spec.rank, geometry.k, m) * math.factorial(m) / lcm**geometry.nslots
 
 
 def _check_threads(threads: int) -> None:
@@ -279,15 +237,6 @@ def _check_threads(threads: int) -> None:
     every computation here runs in the calling thread."""
     if threads < 0:
         raise ValueError("threads must be >= 0")
-
-
-def _poly_from_acc(acc: Dict[int, int], plan: _FoldPlan) -> Poly:
-    denom = plan.denom
-    terms = {}
-    for key, val in acc.items():
-        if val:
-            terms[unpack_exponents(key, plan.ground)] = Fraction(val, denom)
-    return Poly(plan.ground, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +291,60 @@ def z_poly(spec: ArrangementSpec, d: int, threads: int = 1,
     blocks, on unnormalized integer forms (carries 2^(d/2) relative to
     unit forms).  Zero when d < k or d has the wrong parity.  `threads` is
     validated but unused: the fold runs in this process, and
-    `progress(done, total)` counts the matchings visited."""
+    `progress(done, total)` counts the matchings visited.
+
+    Each matching's product is built edge by edge over _cleared_tables: the
+    partial products are kept by their running inner degree, and at the last
+    edge only the completions to degree m are added to the fold.  Monomials
+    are packed into ints, 8 bits per variable (exponents stay below 256 by
+    the degree cap), so multiplying monomials adds keys."""
     _check_threads(threads)
     geometry = _admitted_geometry(spec, d)
     if geometry is None:
         return Poly.zero(spec.ambient_dim)
-    plan = _build_plan(spec, geometry, d)
-    return _poly_from_acc(_fold(plan, progress), plan)
+    m = (d - geometry.k) // 2
+    tables, lcm = _cleared_tables(geometry.pair_forms, m)
+    edge_terms: Dict[Tuple[int, int], List[Tuple[List[int], List[int]]]] = {}
+    acc: Dict[int, int] = {}
+    get = acc.get
+    total = count_matchings(geometry.ground)
+    for idx, matching in enumerate(enumerate_matchings(geometry.ground)):
+        if progress is not None:
+            progress(idx, total)
+        for edge in matching.edges:
+            if edge not in edge_terms:
+                i, j = edge[0] - 1, edge[1] - 1
+                edge_terms[edge] = [([(ei << 8 * i) | (ej << 8 * j) for ei, ej in table],
+                                     list(table.values())) for table in tables]
+        # keys[inner], coeffs[inner]: the products of the edges so far whose
+        # inner degrees sum to `inner`, the matching's sign folded in
+        sgn = mt.sign(matching)
+        keys: List[List[int]] = [[0]] + [[] for _ in range(m)]
+        coeffs: List[List[int]] = [[sgn]] + [[] for _ in range(m)]
+        for edge in matching.edges[:-1]:
+            terms = edge_terms[edge]
+            grown_keys: List[List[int]] = [[] for _ in range(m + 1)]
+            grown_coeffs: List[List[int]] = [[] for _ in range(m + 1)]
+            for inner, (pk, pc) in enumerate(zip(keys, coeffs)):
+                if pk:
+                    for q in range(m + 1 - inner):
+                        out_keys, out_coeffs = grown_keys[inner + q], grown_coeffs[inner + q]
+                        for k2, c2 in zip(*terms[q]):
+                            out_keys.extend([k1 + k2 for k1 in pk])
+                            out_coeffs.extend([c1 * c2 for c1 in pc])
+            keys, coeffs = grown_keys, grown_coeffs
+        last = edge_terms[matching.edges[-1]]
+        for inner, (pk, pc) in enumerate(zip(keys, coeffs)):
+            for k2, c2 in zip(*last[m - inner]):
+                for k1, c1 in zip(pk, pc):
+                    key = k1 + k2
+                    acc[key] = get(key, 0) + c1 * c2
+    if progress is not None:
+        progress(total, total)
+    scale = _fold_scale(spec, geometry, m, lcm)
+    ground = geometry.ground
+    return Poly(ground, {tuple((key >> 8 * i) & 0xFF for i in range(ground)): scale * val
+                         for key, val in acc.items() if val})
 
 
 def z_poly_reference(spec: ArrangementSpec, d: int) -> Poly:
@@ -394,12 +390,11 @@ def dominant_coefficients(spec: ArrangementSpec, d: int,
     contributes to a target monomial mu through one composition only: edge
     t takes inner degree q_t = (mu_i + mu_j - 1)/2 (single form) or
     (mu_i + mu_j - 2)/2 (minus/plus pair), and an isolated vertex needs
-    exponent 0.  The contribution is the product of the edges' coefficients
-    on (mu_i, mu_j) times the composition's scale c_m m! / prod cleared[q_t],
-    which depends only on the multiset of the q_t; the signed integer
-    products are summed per multiset and scaled once at the end.  The
-    exponents of mu are distinct, so mu_i + mu_j >= 1 (>= 2 for pairs) and
-    every q_t lies in 0..m; a q_t of the wrong parity finds no table entry.
+    exponent 0.  The contribution is the product of the edges' entries of
+    _cleared_tables on (mu_i, mu_j); the signed integer products are summed
+    per target and scaled once at the end.  The exponents of mu are
+    distinct, so mu_i + mu_j >= 1 (>= 2 for pairs) and every q_t lies in
+    0..m; a q_t of the wrong parity finds no table entry.
     """
     geometry = _admitted_geometry(spec, d)
     shift = d - spec.positive_root_count
@@ -411,13 +406,13 @@ def dominant_coefficients(spec: ArrangementSpec, d: int,
     m = (d - geometry.k) // 2
     stretch = 2 if geometry.pair_forms else 1
     offset = 2 if geometry.pair_forms else 1
-    lookups, cleared = zip(*(_edge_table(geometry.pair_forms, q) for q in range(m + 1)))
+    tables, lcm = _cleared_tables(geometry.pair_forms, m)
     lams = list(partitions(size, ground))
     targets = []
     for lam in lams:
         padded = lam + (0,) * (ground - len(lam))
         targets.append(tuple(stretch * (part + ground - 1 - i) for i, part in enumerate(padded)))
-    sums: List[Dict[Tuple[int, ...], int]] = [{} for _ in targets]
+    sums = [0] * len(targets)
 
     total = count_matchings(ground)
     if progress is not None:
@@ -426,37 +421,22 @@ def dominant_coefficients(spec: ArrangementSpec, d: int,
         sgn = mt.sign(matching)
         edges = [(i - 1, j - 1) for i, j in matching.edges]
         isolated = None if matching.isolated is None else matching.isolated - 1
-        for mu, acc in zip(targets, sums):
+        for t, mu in enumerate(targets):
             if isolated is not None and mu[isolated]:
                 continue
             prod = sgn
-            qs = []
             for i, j in edges:
-                q = (mu[i] + mu[j] - offset) >> 1
-                c = lookups[q].get((mu[i], mu[j]))
+                c = tables[(mu[i] + mu[j] - offset) >> 1].get((mu[i], mu[j]))
                 if c is None:
                     break
                 prod *= c
-                qs.append(q)
             else:
-                key = tuple(sorted(qs))
-                acc[key] = acc.get(key, 0) + prod
+                sums[t] += prod
         if progress is not None:
             progress(visited, total)
 
-    base = c_coefficient(spec.rank, geometry.k, m) * math.factorial(m) / (1 << (shift // 2))
-    scales: Dict[Tuple[int, ...], Fraction] = {}
-    coeffs: Dict[Tuple[int, ...], Fraction] = {}
-    for lam, acc in zip(lams, sums):
-        value = Fraction(0)
-        for qs, count in acc.items():
-            if count:
-                if qs not in scales:
-                    scales[qs] = base / math.prod(cleared[q] for q in qs)
-                value += scales[qs] * count
-        if value:
-            coeffs[lam] = value
-    return coeffs
+    scale = _fold_scale(spec, geometry, m, lcm) / (1 << (shift // 2))
+    return {lam: scale * value for lam, value in zip(lams, sums) if value}
 
 
 def quotient(spec: ArrangementSpec, d: int, threads: int = 1,

@@ -208,6 +208,32 @@ def test_negative_threads_is_a_usage_error(capsys):
     assert code == 2 and "error:" in err and "threads" in err
 
 
+def test_threads_only_on_commands_that_read_it(capsys):
+    # matchings and the checks never read --threads, so they refuse it
+    # instead of silently accepting any value
+    for argv in (["matchings", "--size", "4", "--list"],
+                 ["check", "sign", "--spec", "A:2", "--centers", "auto:1"],
+                 ["check", "y-neg", "--rank", "3", "--max-degree", "8"],
+                 ["check", "t-pos", "--max-degree", "8"],
+                 ["check", "lemma51", "--rank", "3", "--degree", "8"],
+                 ["check", "schur", "--rank", "3", "--degree", "8"]):
+        code, _, err = run_cli(capsys, *argv, "--threads", "-5")
+        assert code == 2 and "--threads" in err, argv
+    parser = build_parser()
+    for argv in (["tables"], ["expand", "--spec", "A:2", "--degrees", "3"],
+                 ["oracle", "--spec", "A:2", "--center", "0,0,0"]):
+        assert parser.parse_args(argv + ["--threads", "2"]).threads == 2, argv
+
+
+def test_version_names_the_fold_engine(capsys):
+    # benchmark records compare runs only when the engine names agree
+    import coxpizza
+
+    assert coxpizza.KERNEL_IMPLEMENTATION == "pure"
+    code, out, _ = run_cli(capsys, "--version")
+    assert code == 0 and out.strip() == f"coxpizza {coxpizza.__version__} (kernel: pure)"
+
+
 def test_check_sign_without_interior_centers_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "check", "sign", "--spec", "D:7", "--centers", "auto:3")
     assert code == 2 and "error:" in err and "margin" in err

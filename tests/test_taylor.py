@@ -122,7 +122,7 @@ def test_fold_worked_example_a2_degree3():
 
 def test_fold_matches_reference_composition():
     cases = [("A", 2, 3), ("A", 2, 5), ("A", 2, 7), ("A", 3, 6), ("A", 3, 8),
-             ("D", 3, 6), ("D", 3, 8)]
+             ("D", 3, 6), ("D", 3, 8), ("D", 5, 20)]
     for family, rank, d in cases:
         spec = make_spec(family, rank)
         assert z_poly(spec, d) == z_poly_reference(spec, d), (family, rank, d)
