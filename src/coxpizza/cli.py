@@ -26,8 +26,8 @@ from .oracle import (BallSpec, a1k_pizza_series, mc_pizza, random_interior_cente
                      sum_over_2structures)
 from .polyring import Poly
 from .rootsys import ArrangementSpec, parse_spec
-from .taylor import (ResourceCapExceeded, expansion_report, fold_parameters,
-                     power_sum_multiple, quotient, reduce_mod_relation, serialize_terms)
+from .taylor import (ReportEntry, ResourceCapExceeded, expansion_report, fold_parameters,
+                     power_sum_multiple, reduce_mod_relation, serialize_terms)
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
@@ -101,23 +101,22 @@ def _fold_is_long(spec: ArrangementSpec) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _p2_coefficient_mod_relation(q: Poly, spec: ArrangementSpec) -> Optional[Fraction]:
-    """Coefficient c with q == c * (a_1^2 + ... ) exactly (type D) or modulo
-    the sum relation (type A); None if q is not of that shape."""
+def _p2_coefficient(entry: ReportEntry, spec: ArrangementSpec) -> Optional[Fraction]:
+    """Coefficient c with the entry's quotient == c * (a_1^2 + ... ) exactly
+    (type D) or modulo the sum relation (type A, read off the reduced
+    quotient); None if the quotient is not of that shape."""
     if spec.family == "D":
-        return power_sum_multiple(q)
-    arity = q.arity
-    p2 = Poly(arity, {tuple(2 if i == j else 0 for i in range(arity)): Fraction(1) for j in range(arity)})
+        return power_sum_multiple(entry.quotient)
+    arity = spec.ambient_dim
+    p2 = reduce_mod_relation(Poly(arity, {tuple(2 if i == j else 0 for i in range(arity)): Fraction(1)
+                                          for j in range(arity)}), spec)
     square = (2,) + (0,) * (arity - 1)
     # modulo the relation, p2 has a_1^2 coefficient 2 (a_1^2 plus one from a_(n+1)^2)
-    c = reduce_mod_relation(q, spec).coefficient(square) / reduce_mod_relation(p2, spec).coefficient(square)
-    if reduce_mod_relation(q - p2.scale(c), spec).is_zero():
-        return c
-    return None
+    c = entry.reduced_quotient.coefficient(square) / p2.coefficient(square)
+    return c if entry.reduced_quotient == p2.scale(c) else None
 
 
 def cmd_tables(args) -> int:
-    threads = _threads_from(args)
     which = args.which
     rows = []
     if which in ("A", "all"):
@@ -130,19 +129,17 @@ def cmd_tables(args) -> int:
     for family, rank in rows:
         spec = parse_spec(f"{family}:{rank}")
         phi = spec.positive_root_count
-        k = fold_parameters(spec).k
-        long_fold = _fold_is_long(spec)
-        lead = quotient(spec, phi, threads, _progress_printer(f"{spec} d={phi}", long_fold))
-        second = quotient(spec, phi + 2, threads, _progress_printer(f"{spec} d={phi + 2}", long_fold))
+        report = expansion_report(spec, [phi, phi + 2])
+        lead = report.entries[0].quotient
         lead_const = lead.coefficient((0,) * lead.arity) if lead.degree() <= 0 else None
-        second_coeff = _p2_coefficient_mod_relation(second, spec)
+        second_coeff = _p2_coefficient(report.entries[1], spec)
         gold_lead, gold_second = GOLDEN_ROWS[(family, rank)]
         match = lead_const == gold_lead and second_coeff == gold_second
         all_match = all_match and match
         results.append({
             "family": family,
             "rank": rank,
-            "k": k,
+            "k": report.k,
             "phi_plus": phi,
             "lead_degree": phi,
             "lead": {"num": gold_lead.numerator, "den": gold_lead.denominator},
@@ -187,10 +184,9 @@ def cmd_tables(args) -> int:
 def cmd_expand(args) -> int:
     spec = parse_spec(args.spec)
     degrees = [int(x) for x in args.degrees.split(",")]
-    threads = _threads_from(args)
     progress = _progress_printer(f"{spec}", _fold_is_long(spec))
     try:
-        report = expansion_report(spec, degrees, threads, progress)
+        report = expansion_report(spec, degrees, progress=progress)
     except ResourceCapExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -359,23 +355,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--out", default=None, help="write results to a file instead of stdout")
 
-    def threaded(p):
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for oracle --method mc (0 = one per CPU; default 1 "
-                            "or PIZZA_THREADS); quotients are computed in one thread, so expand "
-                            "and tables output is the same for any value")
-
     p = sub.add_parser("tables", help="recompute the reference quotient tables and compare exactly")
     p.add_argument("--which", choices=("A", "D", "all"), default="all")
     p.add_argument("--extended", action="store_true", help="include the rank-7 type D row")
-    threaded(p)
     common(p)
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("expand", help="quotient report at chosen degrees")
     p.add_argument("--spec", required=True, help="arrangement, e.g. A:3 or D:5")
     p.add_argument("--degrees", required=True, help="comma-separated degrees")
-    threaded(p)
     common(p)
     p.set_defaults(func=cmd_expand)
 
@@ -395,7 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=20240)
     p.add_argument("--degree-cap", dest="degree_cap", type=int, default=61)
-    threaded(p)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker threads for --method mc (0 = one per CPU; default 1 or "
+                        "PIZZA_THREADS); the estimate is the same for any value")
     common(p)
     p.set_defaults(func=cmd_oracle)
 

@@ -25,7 +25,8 @@ from .matchings import enumerate_matchings, fold_parameters, form_values
 from .oracle import BallSpec, auto_degree_cap, exact_sign_fold, mc_pizza
 from .polyring import Poly, alternant, exact_divide_linear, mul, partitions
 from .rootsys import ArrangementSpec, chamber_sign, make_spec
-from .taylor import ParityRegimeError, compose_block, dominant_coefficients, t_poly, z_poly
+from .taylor import (ParityRegimeError, _edge_table, c_coefficient, dominant_coefficients,
+                     z_poly)
 
 CONJECTURE_IDS = ("signA", "signD", "lemma51", "yNeg", "schurRecon", "tPos")
 
@@ -302,29 +303,37 @@ def _rewrite_even_symmetric(p: Poly) -> Dict[Tuple[int, int], Fraction]:
     return out
 
 
+def _t_block_basis(d: int) -> Dict[Tuple[int, int], Fraction]:
+    """Minus the degree-d block of T(3, 2) composed with (x+y, x-y) and
+    normalized to unit forms, divided exactly by x^2 - y^2, in the basis
+    u = x^2 + y^2, v = x^2 y^2.
+
+    With m = (d-2)/2 the composed block is c_m m! times the sum over
+    r+s=m of (x+y)^(2r+1) (x-y)^(2s+1) / ((2r+1)(2s+1) r! s!); swapping r
+    and s makes it the minus/plus pair's edge table at inner degree m, so
+    the block is that table scaled by -c_m m! / (S 2^(d/2))."""
+    m = (d - 2) // 2
+    table, scalar = _edge_table(True, m)
+    scale = -c_coefficient(3, 2, m) * math.factorial(m) / (scalar << (d // 2))
+    block = Poly(2, {mono: scale * c for mono, c in table.items()})
+    quot = exact_divide_linear(block, Poly.linear_form(2, (1, -1)))
+    quot = exact_divide_linear(quot, Poly.linear_form(2, (1, 1)))
+    return _rewrite_even_symmetric(quot)
+
+
 def check_t_positivity(d_max: int, d_min: int = 6) -> ConjectureReport:
     """For even degrees d in [6, d_max]: minus the degree-d block composed
     with (x+y, x-y) and normalized to unit forms, divided exactly by
     x^2 - y^2, must have non-negative coefficients in the basis
-    u = x^2 + y^2, v = x^2 y^2."""
+    u = x^2 + y^2, v = x^2 y^2.  The block is read off the minus/plus
+    edge table of the type D folds (see _t_block_basis)."""
     started = time.perf_counter()
     if d_min < 6:
         raise ValueError("the positivity range starts at degree 6")
     witnesses: List[dict] = []
-    basis_coeffs: Dict[int, Dict[Tuple[int, int], Fraction]] = {}
     degrees = [d for d in range(d_min, d_max + 1) if d % 2 == 0]
     for d in degrees:
-        block = t_poly(3, 2, d)
-        composed = compose_block(block, [
-            Poly.linear_form(2, (1, 1)),
-            Poly.linear_form(2, (1, -1)),
-        ]).scale(Fraction(1, 1 << (d // 2)))
-        negated = -composed
-        quot = exact_divide_linear(negated, Poly.linear_form(2, (1, -1)))
-        quot = exact_divide_linear(quot, Poly.linear_form(2, (1, 1)))
-        coeffs = _rewrite_even_symmetric(quot)
-        basis_coeffs[d] = coeffs
-        for (i, j), c in sorted(coeffs.items()):
+        for (i, j), c in sorted(_t_block_basis(d).items()):
             if c < 0:
                 witnesses.append({"degree": d, "u_power": i, "v_power": j, "coefficient": str(c)})
     params = {"degrees": degrees}

@@ -255,19 +255,8 @@ def _series_core(n: int, k: int, coords: Sequence[float], degree_cap: int) -> Tu
     c_seq = _c_sequence(n, k, m_top + 1)
     value = float(np.dot(c_seq[:size], running))
 
-    c_next = abs(c_seq[m_top + 1])
-    alpha = 0.5 * (n - k)
-    prev = c_next
-    for m in range(m_top + 2, m_top + 64):
-        cur = prev * abs(m - 1 - alpha) / m
-        if prev and cur > prev:
-            raise ValueError(
-                f"degree_cap {degree_cap} too small: series coefficients still growing at m={m}"
-            )
-        if cur == 0.0:
-            break
-        prev = cur
-    tail = c_next * s ** (m_top + 1) / (1.0 - s)
+    _require_decaying(n, k, m_top, f"degree_cap {degree_cap} too small: series coefficients")
+    tail = abs(c_seq[m_top + 1]) * s ** (m_top + 1) / (1.0 - s)
     return value, tail
 
 
@@ -361,7 +350,7 @@ def exact_sign_fold(spec: ArrangementSpec, center: Sequence, degree_cap: int) ->
         if sum(u * u for u in pairings) >= 2:
             raise DivergentRegion("exact fold needs the center strictly inside the unit ball")
         if not matchings:  # the cap is checked after the first matching's radius
-            _require_decaying(n, k, m_top, c[size])
+            _require_decaying(n, k, m_top, "cap too small: coefficients")
         matchings.append((mt.sign(matching), matching.edges, pairings))
     denominator = math.lcm(*(u.denominator for _, _, us in matchings for u in us))
     odd = math.lcm(*range(1, 2 * m_top + 2, 2))
@@ -401,17 +390,15 @@ def exact_sign_fold(spec: ArrangementSpec, center: Sequence, degree_cap: int) ->
     return value, bound
 
 
-def _require_decaying(n: int, k: int, m_top: int, c_next: Fraction) -> None:
-    """The geometric tail bound needs |c_m| non-increasing past m_top + 1."""
-    alpha = Fraction(n - k, 2)
-    prev = abs(c_next)
-    for m in range(m_top + 2, m_top + 64):
-        cur = prev * abs(Fraction(m - 1) - alpha) / m
-        if prev and cur > prev:
-            raise ValueError(f"cap too small: coefficients still growing at m={m}")
-        if cur == 0:
-            break
-        prev = cur
+def _require_decaying(n: int, k: int, m_top: int, what: str) -> None:
+    """The geometric tail bound needs |c_m| non-increasing past m_top + 1.
+
+    |c_m / c_(m-1)| = |m - 1 - (n-k)/2| / m exceeds 1 exactly when
+    4m < n - k + 2, so past m_top + 1 the coefficients can grow only at the
+    first step, m = m_top + 2; `what` names the failing cap in the error."""
+    m = m_top + 2
+    if 4 * m < n - k + 2:
+        raise ValueError(f"{what} still growing at m={m}")
 
 
 # ---------------------------------------------------------------------------

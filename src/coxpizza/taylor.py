@@ -24,6 +24,13 @@ edge.  Both routes read the same per-edge tables, cleared once per degree
 to one common denominator that is divided back out at the end, so the
 matching loops are pure integer arithmetic.
 
+An edge's share of a composed block at one inner degree is one integer
+table (_edge_table), built once per edge layout and degree; it
+is also the two-variable block that check t-pos in conjectures probes.
+t_poly and compose_block build the blocks by direct composition instead;
+they stay as the reference route (t_eval_on_structure, z_poly_reference)
+that the tests compare the tables and the folds against.
+
 All algebra runs on unnormalized integer root coordinates, which keeps
 every coefficient rational.  Because the supported degrees always have the
 same parity as the positive-root count, the normalization mismatch against
@@ -163,51 +170,42 @@ def t_eval_on_structure(t: TPoly, phi: TwoStructure, ambient: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _abstract_single(q: int) -> Tuple[Dict[Tuple[int, int], int], int]:
-    """Expansion of (x - y)^(2q+1), keyed by the exponent pair, and the
-    cleared scalar (2q+1)*q!."""
-    e = 2 * q + 1
-    terms = {(s, e - s): (-1 if (e - s) % 2 else 1) * math.comb(e, s) for s in range(e, -1, -1)}
-    return terms, (2 * q + 1) * math.factorial(q)
-
-
-def _abstract_pair(q: int) -> Tuple[Dict[Tuple[int, int], int], int]:
-    """Aggregated minus/plus pair at inner degree q:
-
-        sum over r+s=q of (x-y)^(2r+1) (x+y)^(2s+1) / ((2r+1)(2s+1) r! s!)
-
-    keyed by the exponent pair and returned with denominators cleared by
-    their lcm.  The symmetrized sum is even in x and in y, so it collapses
-    to at most q+2 terms.
-    """
-    acc: Dict[Tuple[int, int], Fraction] = {}
-    for r in range(q + 1):
-        s = q - r
-        a, b = 2 * r + 1, 2 * s + 1
-        weight = Fraction(1, a * b * math.factorial(r) * math.factorial(s))
-        for s1 in range(a + 1):
-            c1 = (-1 if (a - s1) % 2 else 1) * math.comb(a, s1)
-            for s2 in range(b + 1):
-                key = (s1 + s2, a + b - s1 - s2)
-                val = acc.get(key, Fraction(0)) + weight * c1 * math.comb(b, s2)
-                if val:
-                    acc[key] = val
-                else:
-                    acc.pop(key, None)
-    scalar = math.lcm(*(c.denominator for c in acc.values()))
-    terms = {}
-    for key, c in sorted(acc.items(), reverse=True):
-        scaled = c * scalar
-        assert scaled.denominator == 1
-        terms[key] = scaled.numerator
-    return terms, scalar
-
-
-@lru_cache(maxsize=None)  # bounded: q <= MAX_DEGREE / 2, two edge layouts
+# One cache entry per (layout, q) asked for.  The folds ask for q <= MAX_DEGREE / 2;
+# check t-pos asks for q up to (max_degree - 2) / 2, and its --max-degree is user-set.
+@lru_cache(maxsize=None)
 def _edge_table(pair_forms: bool, q: int) -> Tuple[Dict[Tuple[int, int], int], int]:
-    """One edge's cleared coefficients at inner degree q, keyed by the
-    exponent pair (e_i, e_j), and the scalar cleared from them."""
-    return _abstract_pair(q) if pair_forms else _abstract_single(q)
+    """One edge's share of a composed block at inner degree q, on integers:
+    the coefficients keyed by the exponent pair (e_i, e_j), in descending
+    key order without zeros, and the scalar S they are divided by.
+
+    A single form (x - y) gives (x - y)^(2q+1) / ((2q+1) q!).  The
+    minus/plus pair (x - y, x + y) gives
+
+        sum over r+s=q of (x-y)^a (x+y)^b / (a b r! s!),  a = 2r+1, b = 2s+1,
+
+    which is even in x and in y, so it has at most q+2 terms.  Over
+    O = lcm(1, 3, .., 2q+1) every term is an integer: C(q, r) (O/a) (O/b)
+    (x-y)^a (x+y)^b over O^2 q! (one form: (O/a) (x-y)^a over O q!).  The
+    sum is reduced once, by the gcd of its coefficients and that scalar.
+    """
+    signs = (-1, 1) if pair_forms else (-1,)
+    odd = math.lcm(*range(1, 2 * q + 2, 2))
+    acc = [0] * (2 * q + len(signs) + 1)  # coefficient of x^e_i y^(degree - e_i), by e_i
+    for comp in _compositions(q, len(signs)):
+        term = [math.factorial(q) // math.prod(map(math.factorial, comp))]
+        for r, sign in zip(comp, signs):
+            a = 2 * r + 1
+            power = [odd // a * math.comb(a, s) * sign ** (a - s) for s in range(a + 1)]
+            grown = [0] * (len(term) + a)
+            for i, c in enumerate(term):
+                for j, p in enumerate(power):
+                    grown[i + j] += c * p
+            term = grown
+        acc = [x + y for x, y in zip(acc, term)]
+    scalar = odd ** len(signs) * math.factorial(q)
+    g = math.gcd(scalar, *acc)
+    degree = len(acc) - 1
+    return {(e, degree - e): c // g for e, c in reversed(list(enumerate(acc))) if c}, scalar // g
 
 
 @lru_cache(maxsize=None)  # bounded: m <= MAX_DEGREE / 2, two edge layouts

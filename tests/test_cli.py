@@ -151,12 +151,21 @@ def test_usage_errors(capsys):
 
 
 def test_pizza_threads_env_fallback(monkeypatch, capsys):
+    seen = []
+    real_mc = cli.mc_pizza
+
+    def capture(*args, threads):
+        seen.append(threads)
+        return real_mc(*args, threads=threads)
+
+    monkeypatch.setattr(cli, "mc_pizza", capture)
+    argv = ("oracle", "--spec", "A1k:1@1", "--center", "0.37", "--samples", "1000",
+            "--format", "json")
     monkeypatch.setenv("PIZZA_THREADS", "2")
-    code, out, _ = run_cli(capsys, "expand", "--spec", "D:3", "--degrees", "6",
-                           "--format", "json")
-    assert code == 0 and json.loads(out)["entries"][0]["degree"] == 6
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["samples"] == 1000 and seen == [2]
     monkeypatch.setenv("PIZZA_THREADS", "many")
-    code, _, err = run_cli(capsys, "expand", "--spec", "D:3", "--degrees", "6")
+    code, _, err = run_cli(capsys, *argv)
     assert code == 2 and "PIZZA_THREADS" in err
 
 
@@ -170,16 +179,6 @@ def test_exit_code_contract_for_violations():
     assert _report_exit(violated, "test") == EXIT_VERIFICATION_FAILURE
     assert _report_exit(violated, "explore") == EXIT_EXPLORE_VIOLATION
     assert _report_exit(consistent, "test") == EXIT_OK
-
-
-def test_cli_json_deterministic_across_threads(capsys):
-    outputs = []
-    for threads in ("1", "2", "4"):
-        code, out, _ = run_cli(capsys, "expand", "--spec", "D:3", "--degrees", "6,8",
-                               "--format", "json", "--threads", threads)
-        assert code == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_threads_resolved_once(monkeypatch, capsys):
@@ -209,9 +208,11 @@ def test_negative_threads_is_a_usage_error(capsys):
 
 
 def test_threads_only_on_commands_that_read_it(capsys):
-    # matchings and the checks never read --threads, so they refuse it
-    # instead of silently accepting any value
-    for argv in (["matchings", "--size", "4", "--list"],
+    # only the Monte Carlo oracle reads --threads; the other commands refuse
+    # it instead of silently accepting any value
+    for argv in (["tables"],
+                 ["expand", "--spec", "A:2", "--degrees", "3"],
+                 ["matchings", "--size", "4", "--list"],
                  ["check", "sign", "--spec", "A:2", "--centers", "auto:1"],
                  ["check", "y-neg", "--rank", "3", "--max-degree", "8"],
                  ["check", "t-pos", "--max-degree", "8"],
@@ -219,10 +220,8 @@ def test_threads_only_on_commands_that_read_it(capsys):
                  ["check", "schur", "--rank", "3", "--degree", "8"]):
         code, _, err = run_cli(capsys, *argv, "--threads", "-5")
         assert code == 2 and "--threads" in err, argv
-    parser = build_parser()
-    for argv in (["tables"], ["expand", "--spec", "A:2", "--degrees", "3"],
-                 ["oracle", "--spec", "A:2", "--center", "0,0,0"]):
-        assert parser.parse_args(argv + ["--threads", "2"]).threads == 2, argv
+    argv = ["oracle", "--spec", "A:2", "--center", "0,0,0", "--threads", "2"]
+    assert build_parser().parse_args(argv).threads == 2
 
 
 def test_version_names_the_fold_engine(capsys):

@@ -3,12 +3,12 @@ from fractions import Fraction
 import pytest
 
 from coxpizza.conjectures import (ConjectureReport, RewriteFailed, _rewrite_even_symmetric,
-                                  check_lemma51, check_sign_A, check_sign_D,
+                                  _t_block_basis, check_lemma51, check_sign_A, check_sign_D,
                                   check_t_positivity, check_y_negativity, schur_reconstruct)
 from coxpizza.oracle import random_interior_centers
-from coxpizza.polyring import Poly
+from coxpizza.polyring import Poly, exact_divide_linear
 from coxpizza.rootsys import OnHyperplane, make_spec
-from coxpizza.taylor import ParityRegimeError
+from coxpizza.taylor import ParityRegimeError, compose_block, t_poly
 
 SEED = 4711
 
@@ -64,6 +64,17 @@ def test_t_positivity_leading_cases():
     report = check_t_positivity(16)
     assert report.verdict == "consistent"
     assert report.parameters["degrees"] == [6, 8, 10, 12, 14, 16]
+
+
+def test_t_block_basis_matches_the_composed_block():
+    # the reference route: compose T(3, 2) with (x+y, x-y), normalize to unit
+    # forms, negate, divide by x-y and x+y, rewrite in u = x^2+y^2, v = x^2 y^2
+    x_plus_y, x_minus_y = Poly.linear_form(2, (1, 1)), Poly.linear_form(2, (1, -1))
+    for d in range(6, 41, 2):
+        composed = compose_block(t_poly(3, 2, d), [x_plus_y, x_minus_y])
+        negated = -composed.scale(Fraction(1, 1 << (d // 2)))
+        quot = exact_divide_linear(exact_divide_linear(negated, x_minus_y), x_plus_y)
+        assert _t_block_basis(d) == _rewrite_even_symmetric(quot), d
 
 
 def test_t_positivity_range_starts_at_six():

@@ -5,8 +5,8 @@ import pytest
 
 from coxpizza import matchings as mt
 from coxpizza.matchings import enumerate_matchings, form_values
-from coxpizza.oracle import (BallSpec, DivergentRegion, McEstimate,
-                             a1k_pizza_quadrature, a1k_pizza_series, auto_degree_cap,
+from coxpizza.oracle import (BallSpec, DivergentRegion, McEstimate, _c_sequence,
+                             _require_decaying, a1k_pizza_quadrature, a1k_pizza_series, auto_degree_cap,
                              ball_volume, exact_sign_fold, mc_pizza,
                              random_interior_centers, sum_over_2structures)
 from coxpizza.rootsys import make_spec
@@ -312,6 +312,54 @@ def test_exact_sign_fold_rejects_growing_coefficients():
     outside = (Fraction(3, 4), Fraction(-3, 4)) + (Fraction(0),) * 13
     with pytest.raises(DivergentRegion):
         exact_sign_fold(spec, outside, 8)
+
+
+def _reference_growth(c_next, alpha, m_top):
+    """The loop the decay guards ran before the closed form, on Fractions or
+    floats: the first m past m_top + 1 at which |c_m| grows, or None."""
+    prev = abs(c_next)
+    for m in range(m_top + 2, m_top + 64):
+        cur = prev * abs(m - 1 - alpha) / m
+        if prev and cur > prev:
+            return m
+        if cur == 0:
+            break
+        prev = cur
+    return None
+
+
+def _guard_growth(n, k, m_top):
+    try:
+        _require_decaying(n, k, m_top, "cap too small: coefficients")
+    except ValueError as exc:
+        prefix, m = str(exc).rsplit("=", 1)
+        assert prefix == "cap too small: coefficients still growing at m"
+        return int(m)
+    return None
+
+
+def test_decay_guard_matches_the_growth_loops():
+    # the float loop of the series route on n < 40, k <= n, m_top < 40; the
+    # exact loop of the sign fold on m_top < 12 (it is slow, and for n < 40
+    # growth stops by m_top = 8)
+    for n in range(1, 40):
+        for k in range(1, n + 1):
+            c_float = _c_sequence(n, k, 40)
+            c_exact = Fraction(1)
+            for m_top in range(40):
+                c_exact *= Fraction(m_top - Fraction(n - k, 2), m_top + 1)  # now c_(m_top+1)
+                expected = _reference_growth(float(c_float[m_top + 1]), 0.5 * (n - k), m_top)
+                assert _guard_growth(n, k, m_top) == expected, (n, k, m_top)
+                if m_top < 12:
+                    assert _reference_growth(c_exact, Fraction(n - k, 2), m_top) == expected
+
+
+def test_series_route_rejects_growing_coefficients():
+    # (n-k)/2 = 13/2 and m_top = 0: |c_2/c_1| = 11/4 > 1
+    with pytest.raises(ValueError, match="^degree_cap 1 too small: series coefficients "
+                                         "still growing at m=2$"):
+        a1k_pizza_series(14, 1, [0.1], 1)
+    a1k_pizza_series(14, 1, [0.1], 5)  # m_top = 2: decaying from m = 4 on
 
 
 @pytest.mark.parametrize("family,rank,dim", [("D", 5, 7), ("D", 5, 4), ("A", 6, 8), ("A", 6, 6)])

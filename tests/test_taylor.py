@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from coxpizza.matchings import Matching, two_structure
 from coxpizza.polyring import Poly, partitions, vandermonde
 from coxpizza.rootsys import make_spec
-from coxpizza.taylor import (ParityRegimeError, ResourceCapExceeded,
+from coxpizza.taylor import (ParityRegimeError, ResourceCapExceeded, _edge_table,
                              c_coefficient, dominant_coefficients, expansion_report,
                              fold_parameters, power_sum_multiple, quotient,
                              reduce_mod_relation, t_eval_on_structure, t_poly, z_poly,
@@ -108,6 +109,40 @@ def test_composition_homogeneous():
     phi = two_structure(make_spec("D", 5), Matching(((1, 3), (2, 5)), 4, 5))
     composed = t_eval_on_structure(t_poly(5, 4, 8), phi, 5)
     assert composed.is_homogeneous() and composed.degree() == 8
+
+
+# -- per-edge tables -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("pair_forms", [False, True])
+def test_edge_table_matches_its_definition(pair_forms):
+    # one form: (x-y)^a / (a q!); the minus/plus pair: the sum over r+s=q of
+    # (x-y)^a (x+y)^b / (a b r! s!); both expanded with Poly over Fractions
+    minus, plus = Poly.linear_form(2, (1, -1)), Poly.linear_form(2, (1, 1))
+    for q in range(13):
+        if pair_forms:
+            expected = Poly.zero(2)
+            for r in range(q + 1):
+                a, b = 2 * r + 1, 2 * (q - r) + 1
+                weight = Fraction(1, a * b * math.factorial(r) * math.factorial(q - r))
+                expected = expected + (minus.pow(a) * plus.pow(b)).scale(weight)
+        else:
+            a = 2 * q + 1
+            expected = minus.pow(a).scale(Fraction(1, a * math.factorial(q)))
+        table, scalar = _edge_table(pair_forms, q)
+        assert Poly(2, {mono: Fraction(c, scalar) for mono, c in table.items()}) == expected, q
+        # cleared by the least scalar, keys descending, no zero entries
+        assert math.gcd(scalar, *table.values()) == 1, q
+        assert list(table) == sorted(table, reverse=True) and all(table.values()), q
+
+
+def test_edge_table_small_cases():
+    assert _edge_table(False, 0) == ({(1, 0): 1, (0, 1): -1}, 1)
+    assert _edge_table(False, 1) == ({(3, 0): 1, (2, 1): -3, (1, 2): 3, (0, 3): -1}, 3)
+    # (x-y)(x+y) = x^2 - y^2
+    assert _edge_table(True, 0) == ({(2, 0): 1, (0, 2): -1}, 1)
+    # ((x-y)^3 (x+y) + (x-y)(x+y)^3) / 3 = 2 (x^4 - y^4) / 3
+    assert _edge_table(True, 1) == ({(4, 0): 2, (0, 4): -2}, 3)
 
 
 # -- the signed fold ---------------------------------------------------------
