@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .matchings import enumerate_matchings, fold_parameters, form_values
-from .oracle import BallSpec, auto_degree_cap, exact_sign_fold, mc_pizza
+from .oracle import BallSpec, auto_degree_cap, exact_sign_fold, mc_pizza, require_sum_zero
 from .polyring import Poly, alternant, exact_divide_linear, mul, partitions
 from .rootsys import ArrangementSpec, chamber_sign, make_spec
 from .taylor import (ParityRegimeError, _edge_table, c_coefficient, dominant_coefficients,
@@ -112,12 +112,18 @@ def _signed_estimate(spec: ArrangementSpec, center: Sequence[float]) -> Tuple[Fr
 def _check_sign(conjecture_id: str, spec: ArrangementSpec, predicted_of_t,
                 centers: Sequence[Sequence[float]], samples: int, seed: int) -> ConjectureReport:
     started = time.perf_counter()
+    if not centers:
+        raise ValueError("no centers to probe")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
+    for center in centers:
+        if len(center) != spec.ambient_dim:
+            raise ValueError(f"center {center} has wrong dimension for {spec}")
+        require_sum_zero(spec, center)
     witnesses: List[dict] = []
     notes: List[str] = []
     inconclusive = False
     for idx, center in enumerate(centers):
-        if len(center) != spec.ambient_dim:
-            raise ValueError(f"center {center} has wrong dimension for {spec}")
         if math.sqrt(sum(x * x for x in center)) < 1e-12:
             notes.append(f"center {idx}: at the origin, quantity vanishes (degenerate, skipped)")
             continue
@@ -218,6 +224,8 @@ def check_y_negativity(n: int, d_max: int) -> ConjectureReport:
         raise ParityRegimeError("y-negativity applies to odd rank >= 3")
     spec = make_spec("D", n)
     base = n * (n - 1)
+    if d_max < base:
+        raise ValueError(f"max degree {d_max} is below the lowest nonzero degree {base}")
     witnesses: List[dict] = []
     degrees = list(range(base, d_max + 1, 2))
     for d in degrees:
@@ -330,6 +338,8 @@ def check_t_positivity(d_max: int, d_min: int = 6) -> ConjectureReport:
     started = time.perf_counter()
     if d_min < 6:
         raise ValueError("the positivity range starts at degree 6")
+    if d_max < d_min:
+        raise ValueError(f"max degree {d_max} is below the first degree {d_min}")
     witnesses: List[dict] = []
     degrees = [d for d in range(d_min, d_max + 1) if d % 2 == 0]
     for d in degrees:

@@ -13,14 +13,28 @@ Three independent routes:
 sum_over_2structures folds the series evaluator over all matching-indexed
 orthogonal subsystems with their signs, giving a semi-exact evaluator for
 types A and D that the symbolic pipeline is validated against.
-exact_sign_fold is the same fold in exact arithmetic, for sign verdicts: the
-pairings are cleared to integers by one common denominator, the matchings'
-integer series are added with their signs into one sum per degree, and the
-series coefficients and the denominator are applied once at the end.
+
+One exact point evaluator, _signed_sums, serves two callers.  It clears the
+pairings at a point to integers by one common denominator and adds the
+matchings' integer series with their signs into one sum per degree:
+
+  * exact_sign_fold  -- the same fold as sum_over_2structures in exact
+                        arithmetic, with a rational tail bound, for sign
+                        verdicts; the series coefficients and the
+                        denominators are applied once at the end.
+  * fold_at          -- the exact values Z_d(point) of the symbolic fold
+                        (z_poly's convention) at any exact point, degree by
+                        degree; the tests check the quotients with it at
+                        seeded integer points (Z_d = 2^shift Q J, and Z_d
+                        alternates under transpositions) without expanding
+                        the fold.
 
 Type A lives on the hyperplane sum(a) = 0 inside R^(n+1); sampling happens
 in an explicit orthonormal basis of that subspace, so volumes are the
-n-dimensional ones.
+n-dimensional ones.  mc_pizza, sum_over_2structures and the sign checks
+refuse type A centers off that hyperplane (require_sum_zero); the exact
+evaluators take any point of the ambient space, where their sums are
+still defined.
 """
 
 from __future__ import annotations
@@ -28,12 +42,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import matchings as mt
-from .matchings import enumerate_matchings, fold_parameters, form_values
+from .matchings import FoldGeometry, enumerate_matchings, fold_parameters, form_values
 from .rootsys import ArrangementSpec, numeric_roots
 from .taylor import c_coefficient
 
@@ -96,6 +110,13 @@ def _sampling_frame(spec: ArrangementSpec) -> Tuple[int, Optional[np.ndarray]]:
     return spec.ambient_dim, None
 
 
+def require_sum_zero(spec: ArrangementSpec, center: Sequence[float], radius: float = 1.0) -> None:
+    """Type A lives on the hyperplane sum(a) = 0: refuse a center off it
+    (up to 1e-9 relative to the radius, at least 1)."""
+    if spec.family == "A" and abs(sum(center)) > 1e-9 * max(1.0, radius):
+        raise ValueError("type A centers must satisfy sum(a) = 0")
+
+
 def mc_pizza(spec: ArrangementSpec, ball: BallSpec, samples: int, seed: int,
              threads: int = 1) -> McEstimate:
     """Monte Carlo estimate: Vol(ball) * mean of the chamber sign over
@@ -109,8 +130,7 @@ def mc_pizza(spec: ArrangementSpec, ball: BallSpec, samples: int, seed: int,
     if len(ball.center) != spec.ambient_dim:
         raise ValueError(f"center has dimension {len(ball.center)}, expected {spec.ambient_dim}")
     dim, embed = _sampling_frame(spec)
-    if spec.family == "A" and abs(sum(ball.center)) > 1e-9 * max(1.0, ball.radius):
-        raise ValueError("type A centers must satisfy sum(a) = 0")
+    require_sum_zero(spec, ball.center, ball.radius)
     roots = np.array(numeric_roots(spec))  # rows are unit roots in ambient coords
     center = np.array(ball.center, dtype=float)
     volume = ball_volume(dim) * ball.radius**dim
@@ -301,69 +321,46 @@ def _int_binomial_convolve(a: List[int], b: List[int], comb: List[List[int]]) ->
             for m, row in enumerate(comb)]
 
 
-def exact_sign_fold(spec: ArrangementSpec, center: Sequence, degree_cap: int) -> Tuple[Fraction, Fraction]:
-    """(W, B) with W an exact rational equal to the pizza quantity at radius
-    one divided by the positive prefactor 2^(k/2) * beta_(n-k), and B a
-    rational bound with |true/prefactor - W| <= B.  sign(W) is the sign of
-    the quantity whenever |W| > B.
-
-    Exactness sidesteps the float cancellation across matchings, which is
-    catastrophic here: the fold is orders of magnitude smaller than its
-    individual terms near the origin.  Float centers convert exactly (they
-    are dyadic rationals), so the verdict applies to the center as given.
-
-    Per matching, the unnormalized pairings u (the unit-form values scaled
-    by sqrt(2)^k) give W_M = sum_m 2^-m c_m conv[m], where conv is the
-    binomial convolution across the k forms of u^(2r+1)/(2r+1).  All of it
-    runs on integers: with D the lcm of the pairing denominators over all
-    matchings and O = lcm(1, 3, .., 2 m_top + 1), each form contributes
-    U^(2r+1) * (O/(2r+1)) with U = u D, and the integer convolutions are
-    summed with the matching signs into one S[m] per degree, so that
-
-        W = sum_m c_m 2^-m S[m] / (D^(2m+k) O^k).
-
-    The edge series (one form, or the convolved minus/plus pair for type D)
-    are built once per edge, not once per matching.  B sums the matching
-    tail bounds 2^ceil(k/2) |c_(m_top+1)| s^(m_top+1) / (1 - s), with
-    s = sum(u^2)/2 < 1 the matching's squared radius; the bound is valid
-    once the coefficients |c_m| stop growing, which is checked.
-    """
+def _exact_frame(spec: ArrangementSpec, point: Sequence, degree_cap: int
+                 ) -> Tuple[FoldGeometry, List[Fraction], int]:
+    """(geometry, exact point, m_top) for the exact folds, after the checks
+    they share: family A or D, the point's dimension, a cap of at least k."""
     if spec.family not in ("A", "D"):
         raise ValueError(f"exact fold applies to families A and D, not {spec.family}")
-    if len(center) != spec.ambient_dim:
-        raise ValueError(f"center has dimension {len(center)}, expected {spec.ambient_dim}")
-    exact_center = [Fraction(x) for x in center]
-    n = spec.rank
+    if len(point) != spec.ambient_dim:
+        raise ValueError(f"center has dimension {len(point)}, expected {spec.ambient_dim}")
     geometry = fold_parameters(spec)
-    k = geometry.k
-    if degree_cap < k:
+    if degree_cap < geometry.k:
         raise ValueError("degree_cap below the lowest block degree")
-    m_top = (degree_cap - k) // 2
+    return geometry, [Fraction(x) for x in point], (degree_cap - geometry.k) // 2
+
+
+def _signed_sums(geometry: FoldGeometry, matchings: Sequence[Tuple[int, tuple, List[Fraction]]],
+                 m_top: int) -> Tuple[List[int], int, int, List[int]]:
+    """The integer core of the exact folds: (S, D, O, squares) from the
+    (sign, edges, pairings) of every matching at one point.
+
+    D is the lcm of the pairing denominators over all matchings and
+    O = lcm(1, 3, .., 2 m_top + 1).  Each form contributes the series
+    U^(2r+1) (O/(2r+1)), r = 0..m_top, with U = u D; the forms' series are
+    binomially convolved across the matching (the edge series, one form or
+    the convolved minus/plus pair, are built once per edge), and the
+    convolutions are summed with the matching signs into S[m], so that
+
+        Z_(2m+k)(point) = c_m S[m] / (D^(2m+k) O^k)
+
+    on the unnormalized forms.  squares[i] is sum(U^2) of matching i."""
     size = m_top + 1
     forms_per_edge = 2 if geometry.pair_forms else 1
-
-    c = [c_coefficient(n, k, m) for m in range(size + 1)]
-
-    matchings = []
-    for matching in enumerate_matchings(geometry.ground):
-        pairings = list(form_values(geometry, matching, exact_center))
-        if sum(u * u for u in pairings) >= 2:
-            raise DivergentRegion("exact fold needs the center strictly inside the unit ball")
-        if not matchings:  # the cap is checked after the first matching's radius
-            _require_decaying(n, k, m_top, "cap too small: coefficients")
-        matchings.append((mt.sign(matching), matching.edges, pairings))
     denominator = math.lcm(*(u.denominator for _, _, us in matchings for u in us))
     odd = math.lcm(*range(1, 2 * m_top + 2, 2))
-    radius_square = 2 * denominator * denominator  # s = 1 in the units of sum(U^2)
-
     comb = [[math.comb(m, j) for j in range(m + 1)] for m in range(size)]
     edge_series = {}
-    tails = Fraction(0)
     signed = [0] * size
+    squares = []
     for sign, edges, pairings in matchings:
         scaled = [int(u * denominator) for u in pairings]
-        q = sum(v * v for v in scaled)
-        tails += Fraction(q ** (m_top + 1), radius_square - q)
+        squares.append(sum(v * v for v in scaled))
         conv = None
         for slot, edge in enumerate(edges):
             series = edge_series.get(edge)
@@ -378,6 +375,67 @@ def exact_sign_fold(spec: ArrangementSpec, center: Sequence, degree_cap: int) ->
             conv = series if conv is None else _int_binomial_convolve(conv, series, comb)
         for m in range(size):
             signed[m] += sign * conv[m]
+    return signed, denominator, odd, squares
+
+
+def fold_at(spec: ArrangementSpec, point: Sequence, degree_cap: int) -> Dict[int, Fraction]:
+    """The exact values Z_d(point) of the signed fold for d = k, k+2, ..,
+    <= degree_cap, keyed by d, in z_poly's convention (unnormalized integer
+    forms): Z_(2m+k)(point) = c_m S[m] / (D^(2m+k) O^k) from _signed_sums.
+
+    Z_d is a polynomial, so any exact point is admitted (no unit-ball or
+    sum-zero condition); this is the point-evaluation route that checks the
+    quotients (Z_d = 2^shift Q J) without expanding the fold."""
+    geometry, exact_point, m_top = _exact_frame(spec, point, degree_cap)
+    k = geometry.k
+    matchings = [(mt.sign(matching), matching.edges,
+                  list(form_values(geometry, matching, exact_point)))
+                 for matching in enumerate_matchings(geometry.ground)]
+    signed, denominator, odd, _ = _signed_sums(geometry, matchings, m_top)
+    return {2 * m + k: c_coefficient(spec.rank, k, m) * Fraction(s, denominator ** (2 * m + k))
+            / odd**k for m, s in enumerate(signed)}
+
+
+def exact_sign_fold(spec: ArrangementSpec, center: Sequence, degree_cap: int) -> Tuple[Fraction, Fraction]:
+    """(W, B) with W an exact rational equal to the pizza quantity at radius
+    one divided by the positive prefactor 2^(k/2) * beta_(n-k), and B a
+    rational bound with |true/prefactor - W| <= B.  sign(W) is the sign of
+    the quantity whenever |W| > B.
+
+    Exactness sidesteps the float cancellation across matchings, which is
+    catastrophic here: the fold is orders of magnitude smaller than its
+    individual terms near the origin.  Float centers convert exactly (they
+    are dyadic rationals), so the verdict applies to the center as given.
+
+    Per matching, the unnormalized pairings u (the unit-form values scaled
+    by sqrt(2)^k) give W_M = sum_m 2^-m c_m conv[m], where conv is the
+    binomial convolution across the k forms of u^(2r+1)/(2r+1).  All of it
+    runs on integers in _signed_sums, which returns the signed sums S[m]
+    under the common denominators D and O, so that
+
+        W = sum_m c_m 2^-m S[m] / (D^(2m+k) O^k),
+
+    combined once at the end.  B sums the matching tail bounds
+    2^ceil(k/2) |c_(m_top+1)| s^(m_top+1) / (1 - s), with s = sum(u^2)/2 < 1
+    the matching's squared radius; the bound is valid once the coefficients
+    |c_m| stop growing, which is checked.
+    """
+    geometry, exact_center, m_top = _exact_frame(spec, center, degree_cap)
+    n, k = spec.rank, geometry.k
+    size = m_top + 1
+    c = [c_coefficient(n, k, m) for m in range(size + 1)]
+
+    matchings = []
+    for matching in enumerate_matchings(geometry.ground):
+        pairings = list(form_values(geometry, matching, exact_center))
+        if sum(u * u for u in pairings) >= 2:
+            raise DivergentRegion("exact fold needs the center strictly inside the unit ball")
+        if not matchings:  # the cap is checked after the first matching's radius
+            _require_decaying(n, k, m_top, "cap too small: coefficients")
+        matchings.append((mt.sign(matching), matching.edges, pairings))
+    signed, denominator, odd, squares = _signed_sums(geometry, matchings, m_top)
+    radius_square = 2 * denominator * denominator  # s = 1 in the units of sum(U^2)
+    tails = sum((Fraction(q ** (m_top + 1), radius_square - q) for q in squares), Fraction(0))
 
     # W = sum_m c_m S[m] (2 D^2)^(m_top - m) / ((2 D^2)^m_top D^k O^k)
     total = sum(c[m] * (signed[m] * radius_square ** (m_top - m)) for m in range(size))
@@ -484,6 +542,9 @@ def sum_over_2structures(spec: ArrangementSpec, ball: BallSpec,
     n = spec.rank
     geometry = fold_parameters(spec)
     k = geometry.k
+    if degree_cap < k:
+        raise ValueError("degree_cap below the lowest block degree")
+    require_sum_zero(spec, ball.center, ball.radius)
     scale = ball.radius ** n
     center = [x / ball.radius for x in ball.center]
     norm = math.sqrt(sum(x * x for x in center))

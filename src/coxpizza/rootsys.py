@@ -36,10 +36,6 @@ class ArrangementSpec:
     ambient_dim: int
     positive_root_count: int
 
-    @property
-    def numeric_only(self) -> bool:
-        return self.family == "I2"
-
     def __str__(self) -> str:
         if self.family == "A1k":
             return f"A1k:{self.rank}@{self.ambient_dim}"

@@ -346,8 +346,9 @@ def z_poly(spec: ArrangementSpec, d: int, threads: int = 1,
 
 
 def z_poly_reference(spec: ArrangementSpec, d: int) -> Poly:
-    """Same value as z_poly via the direct per-structure composition;
-    independent of the packed kernel, for cross-checking."""
+    """Same value as z_poly via the direct per-structure composition
+    (t_poly composed with each subsystem's forms), without the per-edge
+    tables; for cross-checking."""
     _require_symbolic_regime(spec)
     geometry = fold_parameters(spec)
     if d < geometry.k or (d - geometry.k) % 2:
@@ -402,8 +403,8 @@ def dominant_coefficients(spec: ArrangementSpec, d: int,
     size = shift // 2 if geometry.pair_forms else shift
     ground = geometry.ground
     m = (d - geometry.k) // 2
+    # targets are stretched by the forms per edge, and so are an edge's table degrees 2q + forms
     stretch = 2 if geometry.pair_forms else 1
-    offset = 2 if geometry.pair_forms else 1
     tables, lcm = _cleared_tables(geometry.pair_forms, m)
     lams = list(partitions(size, ground))
     targets = []
@@ -424,7 +425,7 @@ def dominant_coefficients(spec: ArrangementSpec, d: int,
                 continue
             prod = sgn
             for i, j in edges:
-                c = tables[(mu[i] + mu[j] - offset) >> 1].get((mu[i], mu[j]))
+                c = tables[(mu[i] + mu[j] - stretch) >> 1].get((mu[i], mu[j]))
                 if c is None:
                     break
                 prod *= c

@@ -7,13 +7,6 @@ from coxpizza.taylor import (ExpansionReport, ReportEntry, fold_parameters,
 _acceptance_results = {}
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "acceptance(num, desc): marks a test as part of an acceptance criterion"
-    )
-    config.addinivalue_line("markers", "extended: non-default long-running targets")
-
-
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     outcome = yield
@@ -35,9 +28,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 class FoldCache:
-    """Session-wide cache of folds, quotients and table reports (threads=1),
-    shared by the acceptance and golden-file tests so the heavy folds are
-    computed once per run."""
+    """Session-wide cache of full folds, the quotients divided out of them
+    and table reports built from those (threads=1), shared by the acceptance
+    tests so each fold is computed once per run."""
 
     def __init__(self):
         self.folds = {}

@@ -4,11 +4,16 @@ criterion at the end of the run.
 
 Heavy folds are computed once per session (threads=1) and shared; the
 determinism criterion compares the reports built from them with the
-quotients computed at other thread counts.
+quotients computed at other thread counts.  The full folds of the rank-7
+type A cells take minutes, so their full-fold cells run under
+`-m extended`; by default every table cell, those included, is checked by
+exact evaluation of the fold at seeded integer points
+(test_criterion_6_point_identities).
 """
 
 import json
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -17,11 +22,11 @@ import pytest
 from coxpizza.conjectures import (check_sign_A, check_sign_D, check_t_positivity,
                                   check_y_negativity, schur_reconstruct)
 from coxpizza.matchings import Matching, crossings, sign, sign_sum
-from coxpizza.oracle import (BallSpec, auto_degree_cap, mc_pizza,
+from coxpizza.oracle import (BallSpec, auto_degree_cap, fold_at, mc_pizza,
                              random_interior_centers, sum_over_2structures)
 from coxpizza.polyring import Poly, mul, vandermonde
-from coxpizza.rootsys import chamber_sign, make_spec
-from coxpizza.taylor import (expansion_report, fold_parameters,
+from coxpizza.rootsys import chamber_sign, make_spec, positive_roots
+from coxpizza.taylor import (expansion_report, fold_parameters, quotient,
                              reduce_mod_relation, z_poly)
 
 SEED = 31415
@@ -53,6 +58,16 @@ TABLE_D_EXTENDED_CELLS = [
 ALL_TABLE_KEYS = [("A", rank, d) for rank, d, _, _ in TABLE_A_CELLS] + \
                  [("D", rank, d) for rank, d, _, _ in TABLE_D_CELLS]
 
+# rows whose full folds run only under -m extended (minutes each)
+EXTENDED_FOLD_ROWS = {("A", 7), ("D", 7)}
+
+
+def _fold_param(family, rank, values, id):
+    """pytest param for a cell (or row) that reads the full fold of family
+    and rank; marked extended for EXTENDED_FOLD_ROWS."""
+    marks = [pytest.mark.extended] if (family, rank) in EXTENDED_FOLD_ROWS else []
+    return pytest.param(*values, id=id, marks=marks)
+
 
 def p2(arity, c=1):
     return Poly(arity, {tuple(2 if i == j else 0 for i in range(arity)): Fraction(c)
@@ -82,7 +97,8 @@ def assert_cell(cache, family, rank, d, kind, expected):
 
 @pytest.mark.acceptance(1, "type A table reproduction, exact")
 @pytest.mark.parametrize("rank,d,kind,expected",
-                         TABLE_A_CELLS, ids=[f"A{r}_d{d}" for r, d, _, _ in TABLE_A_CELLS])
+                         [_fold_param("A", r, (r, d, kind, expected), f"A{r}_d{d}")
+                          for r, d, kind, expected in TABLE_A_CELLS])
 def test_criterion_1_table_a(cache, rank, d, kind, expected):
     assert_cell(cache, "A", rank, d, kind, expected)
 
@@ -124,11 +140,9 @@ def test_criterion_5_leading_degree_vanishing():
 
 
 @pytest.mark.acceptance(6, "divisibility, skew-symmetry and monomial audits, exact")
-@pytest.mark.parametrize("family,rank,d", ALL_TABLE_KEYS,
-                         ids=[f"{f}{r}_d{d}" for f, r, d in ALL_TABLE_KEYS])
+@pytest.mark.parametrize("family,rank,d", [_fold_param(f, r, (f, r, d), f"{f}{r}_d{d}")
+                                           for f, r, d in ALL_TABLE_KEYS])
 def test_criterion_6_divisibility_and_skew(cache, family, rank, d):
-    import random
-
     spec = make_spec(family, rank)
     z = cache.fold(family, rank, d)
     q = cache.quotient(family, rank, d)
@@ -153,6 +167,64 @@ def test_criterion_6_divisibility_and_skew(cache, family, rank, d):
             assert all(e % 2 == 0 for e in mono), (rank, d, mono)
             assert any(e == 0 for e in mono), (rank, d, mono)
             assert len(set(mono)) == len(mono), (rank, d, mono)
+
+
+POINT_CELLS = ([("A", rank, d) for rank, d, _, _ in TABLE_A_CELLS]
+               + [("D", rank, d) for rank, d, _, _ in TABLE_D_CELLS + TABLE_D_EXTENDED_CELLS])
+
+
+def exact_value(poly, point):
+    """The exact value of a polynomial at an integer point."""
+    powers = [[1] for _ in point]
+    total = Fraction(0)
+    for mono, coeff in poly.terms.items():
+        value = coeff
+        for x, row, e in zip(point, powers, mono):
+            while len(row) <= e:
+                row.append(row[-1] * x)
+            value *= row[e]
+        total += value
+    return total
+
+
+@pytest.mark.acceptance(6, "divisibility, skew-symmetry and monomial audits, exact")
+@pytest.mark.parametrize("family,rank,d", POINT_CELLS, ids=[f"{f}{r}_d{d}" for f, r, d in POINT_CELLS])
+def test_criterion_6_point_identities(cache, family, rank, d):
+    """Every table cell at three seeded 32-bit integer points a, by exact
+    evaluation of the fold (fold_at), without expanding it:
+
+      * Z_d(a) = 2^shift Q(a) J(a), with Q the computed quotient and J the
+        product of the positive roots' linear forms at a;
+      * Z_d(sigma a) = -Z_d(a) for a seeded transposition sigma, and for
+        type D Z_d is even in a seeded variable;
+      * where the suite expands the fold anyway, fold_at equals its exact
+        value at a.
+
+    A wrong polynomial identity of degree d survives a uniform point of
+    S^n with probability at most d / |S| (Schwartz-Zippel), here d / 2^32."""
+    spec = make_spec(family, rank)
+    q = quotient(spec, d)
+    roots = positive_roots(spec)
+    shift = (d - spec.positive_root_count) // 2
+    fold = None if (family, rank) in EXTENDED_FOLD_ROWS else cache.fold(family, rank, d)
+    rng = random.Random(SEED + 100 * rank + d)
+    for _ in range(3):
+        point = [rng.randrange(-2**31, 2**31) for _ in range(spec.ambient_dim)]
+        z = fold_at(spec, point, d)[d]
+        jacobian = math.prod(root.pairing(point) for root in roots)
+        assert jacobian != 0 and z != 0, (family, rank, d, point)
+        assert z == (1 << shift) * exact_value(q, point) * jacobian, (family, rank, d, point)
+
+        i, j = rng.sample(range(spec.ambient_dim), 2)
+        swapped = list(point)
+        swapped[i], swapped[j] = point[j], point[i]
+        assert fold_at(spec, swapped, d)[d] == -z, (family, rank, d, point, i, j)
+        if family == "D":
+            flipped = list(point)
+            flipped[i] = -point[i]
+            assert fold_at(spec, flipped, d)[d] == z, (family, rank, d, point, i)
+        if fold is not None:
+            assert exact_value(fold, point) == z, (family, rank, d, point)
 
 
 @pytest.mark.acceptance(7, "Monte Carlo and series fold agree within 3 sigma plus tail")
@@ -223,9 +295,9 @@ def test_criterion_9_conjecture_consistency():
 
 
 @pytest.mark.acceptance(10, "table outputs byte-identical across thread counts 1, 4, 8")
-@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("A", 6), ("A", 7),
-                                         ("D", 3), ("D", 5)],
-                         ids=["A2", "A3", "A6", "A7", "D3", "D5"])
+@pytest.mark.parametrize("family,rank", [_fold_param(f, r, (f, r), f"{f}{r}")
+                                         for f, r in (("A", 2), ("A", 3), ("A", 6), ("A", 7),
+                                                      ("D", 3), ("D", 5))])
 def test_criterion_10_thread_determinism(cache, family, rank):
     spec = make_spec(family, rank)
     phi = spec.positive_root_count

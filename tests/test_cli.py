@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from coxpizza import cli
 from coxpizza.cli import build_parser, main
 
@@ -236,6 +238,36 @@ def test_version_names_the_fold_engine(capsys):
 def test_check_sign_without_interior_centers_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "check", "sign", "--spec", "D:7", "--centers", "auto:3")
     assert code == 2 and "error:" in err and "margin" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("check", "sign", "--spec", "D:5", "--centers", "auto:0"), "no centers"),
+    (("check", "sign", "--spec", "D:5", "--centers", "auto:-3"), "no centers"),
+    (("check", "sign", "--spec", "D:5", "--centers", ";"), "no centers"),
+    (("check", "y-neg", "--rank", "5", "--max-degree", "10"), "below the lowest nonzero degree 20"),
+    (("check", "t-pos", "--max-degree", "4"), "below the first degree 6"),
+], ids=["sign-auto0", "sign-auto-negative", "sign-empty-list", "y-neg-below-base", "t-pos-below-6"])
+def test_check_without_anything_to_probe_is_a_usage_error(capsys, argv, message):
+    # a check that probes nothing must not report "consistent"
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "error:" in err and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "sign", "--spec", "A:2", "--centers", "0.1,0.2,0.3"),
+    ("check", "sign", "--spec", "A:2", "--centers", "0.1,0.2,-0.3;0.1,0.2,0.3", "--samples", "1000"),
+    ("oracle", "--spec", "A:2", "--center", "0.1,0.2,0.3", "--method", "sum2s"),
+    ("oracle", "--spec", "A:2", "--center", "0.1,0.2,0.3", "--method", "mc", "--samples", "1000"),
+], ids=["sign", "sign-mc", "oracle-sum2s", "oracle-mc"])
+def test_type_a_center_off_the_hyperplane_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "error: type A centers must satisfy sum(a) = 0" in err
+
+
+def test_check_sign_refuses_negative_samples(capsys):
+    code, out, err = run_cli(capsys, "check", "sign", "--spec", "A:2", "--centers",
+                             "0.1,0.2,-0.3", "--samples", "-1")
+    assert code == 2 and out == "" and "error: samples must be >= 0, got -1" in err
 
 
 def test_readme_cli_examples_parse():

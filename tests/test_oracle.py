@@ -7,7 +7,7 @@ from coxpizza import matchings as mt
 from coxpizza.matchings import enumerate_matchings, form_values
 from coxpizza.oracle import (BallSpec, DivergentRegion, McEstimate, _c_sequence,
                              _require_decaying, a1k_pizza_quadrature, a1k_pizza_series, auto_degree_cap,
-                             ball_volume, exact_sign_fold, mc_pizza,
+                             ball_volume, exact_sign_fold, fold_at, mc_pizza,
                              random_interior_centers, sum_over_2structures)
 from coxpizza.rootsys import make_spec
 from coxpizza.taylor import c_coefficient, fold_parameters, quotient, z_poly
@@ -291,6 +291,47 @@ def test_exact_sign_fold_matches_reference(family, rank, center_kind):
         if abs(value) > bound:
             break
     assert abs(value) > bound and escalations > 0
+
+
+@pytest.mark.parametrize("family,rank,cap", [("A", 2, 9), ("A", 3, 12), ("D", 3, 12), ("D", 5, 22)])
+def test_fold_at_matches_the_expanded_fold(family, rank, cap):
+    # every degree k, k+2, .. <= cap, at an exact point off the type A
+    # hyperplane and outside the unit ball: fold_at evaluates the polynomial
+    spec = make_spec(family, rank)
+    k = fold_parameters(spec).k
+    point = [Fraction(7 - 3 * i, 5 + i) for i in range(spec.ambient_dim)]
+    values = fold_at(spec, point, cap)
+    assert sorted(values) == list(range(k, cap + 1, 2))
+    for d, value in values.items():
+        z = z_poly(spec, d)
+        expected = sum((c * math.prod(x**e for x, e in zip(point, mono))
+                        for mono, c in z.terms.items()), Fraction(0))
+        assert value == expected, (family, rank, d)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("A", 6), ("D", 5)])
+def test_exact_sign_fold_is_the_normalized_sum_of_fold_at(family, rank):
+    # both read _signed_sums: W = sum_m 2^-m Z_(2m+k) at the center
+    spec = make_spec(family, rank)
+    k = fold_parameters(spec).k
+    center = random_interior_centers(spec, 1, SEED, radius=0.4, margin=0.01)[0]
+    value, _ = exact_sign_fold(spec, center, k + 12)
+    folds = fold_at(spec, center, k + 12)
+    assert value == sum(Fraction(z, 1 << ((d - k) // 2)) for d, z in folds.items())
+
+
+def test_fold_at_shares_the_exact_fold_checks():
+    with pytest.raises(ValueError, match="families A and D, not I2"):
+        fold_at(make_spec("I2", 5), (1, 2), 9)
+    with pytest.raises(ValueError, match="center has dimension 4, expected 3"):
+        fold_at(make_spec("D", 3), (1, 2, 3, 4), 9)
+    with pytest.raises(ValueError, match="degree_cap below the lowest block degree"):
+        fold_at(make_spec("D", 5), (1, 2, 3, 4, 5), 3)
+
+
+def test_sum2s_refuses_type_a_center_off_the_hyperplane():
+    with pytest.raises(ValueError, match=r"type A centers must satisfy sum\(a\) = 0"):
+        sum_over_2structures(make_spec("A", 2), BallSpec((0.1, 0.2, 0.3), 1.0), 21)
 
 
 def test_exact_sign_fold_outside_unit_ball():
