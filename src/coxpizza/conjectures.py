@@ -23,7 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .matchings import enumerate_matchings, fold_parameters, form_values
 from .oracle import BallSpec, auto_degree_cap, exact_sign_fold, mc_pizza, require_sum_zero
-from .polyring import Poly, alternant, exact_divide_linear, mul, partitions
+from .polyring import NonDivisible, Poly, alternant, partitions
 from .rootsys import ArrangementSpec, chamber_sign, make_spec
 from .taylor import (ParityRegimeError, _edge_table, c_coefficient, dominant_coefficients,
                      z_poly)
@@ -287,28 +287,31 @@ def schur_reconstruct(n: int, d: int) -> ConjectureReport:
 # ---------------------------------------------------------------------------
 
 
-def _rewrite_even_symmetric(p: Poly) -> Dict[Tuple[int, int], Fraction]:
-    """Write a symmetric polynomial with all-even exponents in two variables
-    in the basis u = x^2 + y^2, v = x^2 y^2; raises RewriteFailed otherwise."""
-    if p.arity != 2:
-        raise ValueError("rewrite expects a two-variable polynomial")
-    if any(e % 2 for mono in p.terms for e in mono):
+def _u_v_basis(coeffs: Sequence[int]) -> Dict[Tuple[int, int], int]:
+    """The homogeneous sum of coeffs[e] x^e y^(D-e), D = len(coeffs) - 1,
+    divided exactly by x^2 - y^2 and written in u = x^2 + y^2, v = x^2 y^2:
+    the nonzero coefficients of u^i v^j, keyed by (i, j).  Raises NonDivisible
+    on a remainder, and RewriteFailed when the quotient has an odd exponent or
+    is not symmetric."""
+    # synthetic division by t^2 - 1 in t = x/y: h[k-2] = g[k] + h[k]
+    quot = [0] * len(coeffs)
+    for k in range(len(coeffs) - 1, 1, -1):
+        quot[k - 2] = coeffs[k] + quot[k]
+    if coeffs[0] + quot[0] or coeffs[1] + quot[1]:
+        raise NonDivisible("nonzero remainder when dividing by x^2 - y^2")
+    quot = quot[:-2]
+    if any(quot[1::2]) or (len(quot) % 2 == 0 and any(quot)):
         raise RewriteFailed("quotient has an odd exponent; expected even in each variable")
-    halved = Poly(2, {(mono[0] // 2, mono[1] // 2): c for mono, c in p.terms.items()})
-    if halved.permute_variables([1, 0]) != halved:
+    halved = quot[::2]  # coefficient of X^i Y^(top-i), X = x^2, Y = y^2
+    if halved != halved[::-1]:
         raise RewriteFailed("quotient is not symmetric in its variables")
-    u = Poly(2, {(1, 0): Fraction(1), (0, 1): Fraction(1)})
-    v = Poly(2, {(1, 1): Fraction(1)})
-    out: Dict[Tuple[int, int], Fraction] = {}
-    work = halved
-    while not work.is_zero():
-        mono, coeff = work.leading()
-        a, b = mono
-        if a < b:
-            raise RewriteFailed(f"leading monomial {mono} cannot come from a symmetric polynomial")
-        out[(a - b, b)] = coeff
-        work = work - mul(u.pow(a - b), v.pow(b)).scale(coeff)
-    return out
+    # u^(top-2i) v^i has the coefficient C(top-2i, b-i) on X^(top-b) Y^b
+    top = len(halved) - 1
+    solved: List[int] = []
+    for b in range(top // 2 + 1):
+        solved.append(halved[top - b] - sum(c * math.comb(top - 2 * i, b - i)
+                                            for i, c in enumerate(solved)))
+    return {(top - 2 * b, b): c for b, c in enumerate(solved) if c}
 
 
 def _t_block_basis(d: int) -> Dict[Tuple[int, int], Fraction]:
@@ -319,14 +322,13 @@ def _t_block_basis(d: int) -> Dict[Tuple[int, int], Fraction]:
     With m = (d-2)/2 the composed block is c_m m! times the sum over
     r+s=m of (x+y)^(2r+1) (x-y)^(2s+1) / ((2r+1)(2s+1) r! s!); swapping r
     and s makes it the minus/plus pair's edge table at inner degree m, so
-    the block is that table scaled by -c_m m! / (S 2^(d/2))."""
+    the block is that table scaled by -c_m m! / (S 2^(d/2)), a scale applied
+    once to the integer basis coefficients."""
     m = (d - 2) // 2
     table, scalar = _edge_table(True, m)
     scale = -c_coefficient(3, 2, m) * math.factorial(m) / (scalar << (d // 2))
-    block = Poly(2, {mono: scale * c for mono, c in table.items()})
-    quot = exact_divide_linear(block, Poly.linear_form(2, (1, -1)))
-    quot = exact_divide_linear(quot, Poly.linear_form(2, (1, 1)))
-    return _rewrite_even_symmetric(quot)
+    coeffs = [table.get((e, d - e), 0) for e in range(d + 1)]
+    return {key: scale * c for key, c in _u_v_basis(coeffs).items()}
 
 
 def check_t_positivity(d_max: int, d_min: int = 6) -> ConjectureReport:

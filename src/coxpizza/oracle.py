@@ -184,7 +184,10 @@ def random_interior_centers(spec: ArrangementSpec, count: int, seed: int,
     Coordinates are quantized to multiples of 1/256, so they convert to
     small exact rationals for the exact sign fold.  Raises ValueError after
     _MAX_REJECTED_DRAWS consecutive draws fail the tests (at the defaults,
-    D_7 and higher ranks practically never meet the margin)."""
+    D_7 and higher ranks practically never meet the margin), and for a
+    negative count."""
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count} (no centers to draw)")
     rng = np.random.default_rng([seed, 0x5EED])
     roots = np.array(numeric_roots(spec))
     dim, embed = _sampling_frame(spec)

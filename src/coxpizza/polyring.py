@@ -3,7 +3,10 @@
 A polynomial is a mapping from monomials to nonzero rational coefficients.
 Monomials are dense exponent tuples (one entry per variable); the variable
 count (arity) is fixed per polynomial.  Coefficients are ``fractions.Fraction``
-so every operation in this module is exact: no float ever enters.
+in every input and output, so every operation in this module is exact: no
+float ever enters.  The two hot loops, substitute_linear and
+schur_combination, clear their inputs to one integer denominator, run on
+Python ints and build one Fraction per output term.
 
 The monomial order used for division and rendering is graded lexicographic
 (total degree first, then lexicographic on the exponent tuple).
@@ -53,6 +56,15 @@ class Poly:
         self.terms = clean
 
     # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def _canonical(arity: int, terms: Dict[Monomial, Rational]) -> "Poly":
+        """Wrap terms that are already canonical (nonzero Fractions keyed by
+        tuples of length arity), skipping the checks of __init__."""
+        out = Poly.__new__(Poly)
+        out.arity = arity
+        out.terms = terms
+        return out
 
     @staticmethod
     def zero(arity: int) -> "Poly":
@@ -140,10 +152,7 @@ class Poly:
         f = Fraction(factor)
         if f == 0:
             return Poly.zero(self.arity)
-        out = Poly.__new__(Poly)
-        out.arity = self.arity
-        out.terms = {m: c * f for m, c in self.terms.items()}
-        return out
+        return Poly._canonical(self.arity, {m: c * f for m, c in self.terms.items()})
 
     def pow(self, n: int) -> "Poly":
         if n < 0:
@@ -246,10 +255,7 @@ def add(p: Poly, q: Poly) -> Poly:
             out[mono] = s
         else:
             out.pop(mono, None)
-    result = Poly.__new__(Poly)
-    result.arity = p.arity
-    result.terms = out
-    return result
+    return Poly._canonical(p.arity, out)
 
 
 def mul(p: Poly, q: Poly) -> Poly:
@@ -264,32 +270,45 @@ def mul(p: Poly, q: Poly) -> Poly:
                 out[mono] = s
             else:
                 out.pop(mono, None)
-    result = Poly.__new__(Poly)
-    result.arity = p.arity
-    result.terms = out
-    return result
+    return Poly._canonical(p.arity, out)
 
 
 def substitute_linear(p: Poly, var_index: int, form: Poly) -> Poly:
     """Replace variable var_index by a polynomial of degree <= 1, expanded."""
+    from math import lcm
+
     if not 0 <= var_index < p.arity:
         raise IndexError(f"variable index {var_index} out of range")
     _check_same_arity(p, form)
     if form.degree() > 1:
         raise ValueError("substitution form must have degree <= 1")
-    # Horner in the substituted variable: p = sum_e p_e x^e with p_e free of
-    # x, so the result is (..(p_top form + p_(top-1)) form + ..) form + p_0.
-    slices: Dict[int, Dict[Monomial, Rational]] = {}
-    for mono, coeff in p.terms.items():
+    # Over integers p = P / L and form = F / Lf, so with P = sum_e P_e x^e
+    # (P_e free of x) the result is sum_e P_e F^e Lf^(top-e) / (L Lf^top):
+    # Horner in x on ints, (..(P_top F + P_(top-1) Lf) F + ..) F + P_0 Lf^top.
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    form_den = lcm(*(c.denominator for c in form.terms.values()))
+    slices: Dict[int, Dict[Monomial, int]] = {}
+    for mono, c in p.terms.items():
         rest = list(mono)
         rest[var_index] = 0
-        slices.setdefault(mono[var_index], {})[tuple(rest)] = coeff
-    result = Poly.zero(p.arity)
-    for e in range(max(slices, default=0), -1, -1):
-        result = mul(result, form)
-        if e in slices:
-            result = add(result, Poly(p.arity, slices[e]))
-    return result
+        slices.setdefault(mono[var_index], {})[tuple(rest)] = c.numerator * (den // c.denominator)
+    # each form term as (index of its variable, or -1 for the constant, numerator)
+    shifts = [(mono.index(1) if any(mono) else -1, c.numerator * (form_den // c.denominator))
+              for mono, c in form.terms.items()]
+    top = max(slices, default=0)
+    acc: Dict[Monomial, int] = {}
+    for e in range(top, -1, -1):
+        weight = form_den ** (top - e)
+        grown: Dict[Monomial, int] = {}
+        for mono, c in acc.items():
+            for i, f in shifts:
+                key = mono if i < 0 else mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+                grown[key] = grown.get(key, 0) + c * f
+        for mono, c in slices.get(e, {}).items():
+            grown[mono] = grown.get(mono, 0) + c * weight
+        acc = grown
+    den *= form_den**top
+    return Poly._canonical(p.arity, {m: Fraction(c, den) for m, c in acc.items() if c})
 
 
 def exact_divide_linear(p: Poly, form: Poly) -> Poly:
@@ -466,8 +485,8 @@ def schur_bialternant(lam: Iterable[int], nvars: int) -> Poly:
     return divide_by_vandermonde(numerator, range(nvars))
 
 
-def _monomial_coefficients(coeffs: Mapping[Partition, Rational], size: int,
-                           nvars: int) -> Dict[Partition, Rational]:
+def _monomial_coefficients(coeffs: Mapping[Partition, int], size: int,
+                           nvars: int) -> Dict[Partition, int]:
     """Coefficients q_nu on the sorted monomials x^nu of sum c_lambda s_lambda
     over the partitions of ``size``, keyed by nu padded to ``nvars`` parts.
 
@@ -481,12 +500,12 @@ def _monomial_coefficients(coeffs: Mapping[Partition, Rational], size: int,
     first, and each position admits the unused delta values up to its own
     exponent, a set that only grows towards the front, so no branch dies.
     """
-    out: Dict[Partition, Rational] = {}
+    out: Dict[Partition, int] = {}
     alpha = [0] * nvars
     residual = [0] * nvars
     used = [False] * nvars  # delta values 0..nvars-1, each taken once
 
-    def alternating_sum(pos: int, inversions: int) -> Rational:
+    def alternating_sum(pos: int, inversions: int) -> int:
         if pos < 0:
             q = out.get(tuple(sorted(residual, reverse=True)))
             if q is None:  # the identity (lambda itself, not yet solved) or zero
@@ -541,19 +560,25 @@ def schur_combination(coeffs: Mapping[Partition, Rational], nvars: int,
 
     Partitions are keyed as ``partitions`` yields them (no trailing zeros).
     The result is symmetric, so only its sorted-monomial coefficients are
-    solved for (see _monomial_coefficients) and each is then spread over the
-    distinct rearrangements of its exponents; no alternant is expanded and
-    nothing is divided.
+    solved for (see _monomial_coefficients), on the integers coeffs * L for
+    L the lcm of their denominators; each is divided by L once and then
+    spread over the distinct rearrangements of its exponents.  No alternant
+    is expanded and no polynomial is divided.
     """
+    from math import lcm
+
     if nvars < 1:
         raise ValueError("need at least one variable")
     for lam in coeffs:
         if normalize_partition(lam) != tuple(lam) or len(lam) > nvars:
             raise ValueError(f"{lam} is not a partition into at most {nvars} parts")
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    cleared = {lam: c.numerator * (den // c.denominator) for lam, c in coeffs.items()}
     factor = 2 if squared else 1
     terms: Dict[Monomial, Rational] = {}
     for size in sorted({sum(lam) for lam in coeffs}):
-        for nu, q in _monomial_coefficients(coeffs, size, nvars).items():
+        for nu, q in _monomial_coefficients(cleared, size, nvars).items():
+            value = Fraction(q, den)
             for mono in _distinct_permutations(nu):
-                terms[tuple(factor * e for e in mono)] = q
-    return Poly(nvars, terms)
+                terms[tuple(factor * e for e in mono)] = value
+    return Poly._canonical(nvars, terms)

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from coxpizza.conjectures import (ConjectureReport, RewriteFailed, _rewrite_even_symmetric,
-                                  _t_block_basis, check_lemma51, check_sign_A, check_sign_D,
-                                  check_t_positivity, check_y_negativity, schur_reconstruct)
+from coxpizza.conjectures import (ConjectureReport, RewriteFailed, _t_block_basis, _u_v_basis,
+                                  check_lemma51, check_sign_A, check_sign_D, check_t_positivity,
+                                  check_y_negativity, schur_reconstruct)
 from coxpizza.oracle import random_interior_centers
-from coxpizza.polyring import Poly, exact_divide_linear
+from coxpizza.polyring import NonDivisible, Poly, exact_divide_linear
 from coxpizza.rootsys import OnHyperplane, make_spec
 from coxpizza.taylor import ParityRegimeError, compose_block, t_poly
+from reference import rewrite_even_symmetric
 
 SEED = 4711
 
@@ -74,7 +75,39 @@ def test_t_block_basis_matches_the_composed_block():
         composed = compose_block(t_poly(3, 2, d), [x_plus_y, x_minus_y])
         negated = -composed.scale(Fraction(1, 1 << (d // 2)))
         quot = exact_divide_linear(exact_divide_linear(negated, x_minus_y), x_plus_y)
-        assert _t_block_basis(d) == _rewrite_even_symmetric(quot), d
+        assert _t_block_basis(d) == rewrite_even_symmetric(quot), d
+
+
+# homogeneous blocks as their coefficients on x^e y^(degree-e), by e
+UV_BLOCKS = {
+    "u2+v": [-1, 0, -2, 0, 2, 0, 1],  # (x^2-y^2) (x^4 + 3x^2y^2 + y^4)
+    "u": [-1, 0, 0, 0, 1],  # x^4 - y^4
+    "u3-2uv": [-1, 0, 0, 0, 0, 0, 0, 0, 1],  # x^8 - y^8
+    "const": [-3, 0, 3],
+    "zero": [0, 0, 0, 0, 0],
+    "remainder": [1, 0, 1],
+    "odd-exponent": [0, -1, 0, 1, 0],  # x y (x^2 - y^2)
+    "odd-degree": [0, -1, 0, 1],  # x (x^2 - y^2)
+    "asymmetric": [0, 0, -1, 0, 1],  # x^2 (x^2 - y^2)
+}
+
+
+@pytest.mark.parametrize("name", list(UV_BLOCKS))
+def test_u_v_basis_matches_the_reference_rewrite(name):
+    # the same coefficients, and the same errors, as dividing by x-y and
+    # x+y and rewriting the quotient by the reference route
+    coeffs = UV_BLOCKS[name]
+    degree = len(coeffs) - 1
+    block = Poly(2, {(e, degree - e): Fraction(c) for e, c in enumerate(coeffs)})
+    try:
+        quot = exact_divide_linear(exact_divide_linear(block, Poly.linear_form(2, (1, -1))),
+                                   Poly.linear_form(2, (1, 1)))
+        expected = rewrite_even_symmetric(quot)
+    except (NonDivisible, RewriteFailed) as exc:
+        with pytest.raises(type(exc)):
+            _u_v_basis(coeffs)
+        return
+    assert _u_v_basis(coeffs) == expected
 
 
 def test_t_positivity_range_starts_at_six():
@@ -86,18 +119,18 @@ def test_rewrite_even_symmetric_basis():
     # (x^2+y^2)^2 + 3 x^2 y^2 -> u^2 + 3v
     u2 = Poly(2, {(4, 0): Fraction(1), (2, 2): Fraction(2), (0, 4): Fraction(1)})
     p = u2 + Poly(2, {(2, 2): Fraction(3)})
-    coeffs = _rewrite_even_symmetric(p)
+    coeffs = rewrite_even_symmetric(p)
     assert coeffs == {(2, 0): Fraction(1), (0, 1): Fraction(3)}
 
 
 def test_rewrite_rejects_odd_exponents():
     with pytest.raises(RewriteFailed):
-        _rewrite_even_symmetric(Poly(2, {(1, 1): Fraction(1)}))
+        rewrite_even_symmetric(Poly(2, {(1, 1): Fraction(1)}))
 
 
 def test_rewrite_rejects_asymmetric():
     with pytest.raises(RewriteFailed):
-        _rewrite_even_symmetric(Poly(2, {(2, 0): Fraction(1)}))
+        rewrite_even_symmetric(Poly(2, {(2, 0): Fraction(1)}))
 
 
 def test_sign_checks_consistent_small():

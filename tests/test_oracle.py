@@ -450,3 +450,10 @@ def test_centers_generator_gives_up_when_no_draw_meets_the_margin():
     # at the defaults no D_7 draw in practice keeps every pairing >= 0.03
     with pytest.raises(ValueError, match=r"D:7.*radius 0\.4.*margin 0\.03"):
         random_interior_centers(make_spec("D", 7), 3, SEED)
+
+
+def test_centers_generator_rejects_a_negative_count():
+    spec = make_spec("A", 3)
+    assert random_interior_centers(spec, 0, SEED) == []
+    with pytest.raises(ValueError, match="count must be non-negative, got -3"):
+        random_interior_centers(spec, -3, SEED)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -103,9 +104,17 @@ def test_substitute_identity():
             assert substitute_linear(p, i, x(3, i)) == p
 
 
+def expand_substitution(p, i, form):
+    # term by term: coeff * (monomial without x_i) * form^e
+    direct = Poly.zero(p.arity)
+    for mono, coeff in p.terms.items():
+        rest = tuple(0 if j == i else e for j, e in enumerate(mono))
+        direct = direct + mul(Poly(p.arity, {rest: coeff}), form.pow(mono[i]))
+    return direct
+
+
 def test_substitute_matches_direct_expansion():
-    # term by term: coeff * (monomial without x_i) * form^e, with forms that
-    # carry a constant term, fractional coefficients and x_i itself
+    # forms that carry a constant term, fractional coefficients and x_i itself
     rng = random.Random(29)
     forms = [P(3, {(0, 0, 0): (2, 3), (1, 0, 0): (-1, 2), (0, 0, 1): 3}),
              P(3, {(0, 0, 0): -1, (0, 1, 0): (5, 7)}),
@@ -114,11 +123,36 @@ def test_substitute_matches_direct_expansion():
         p = random_poly(rng, 3, max_degree=6, max_terms=8)
         for i in range(3):
             for form in forms:
-                direct = Poly.zero(3)
-                for mono, coeff in p.terms.items():
-                    rest = tuple(0 if j == i else e for j, e in enumerate(mono))
-                    direct = direct + mul(Poly(3, {rest: coeff}), form.pow(mono[i]))
-                assert substitute_linear(p, i, form) == direct
+                assert substitute_linear(p, i, form) == expand_substitution(p, i, form)
+
+
+def assert_canonical(poly):
+    # the integer kernels hand back Fractions: never an int, a zero or an
+    # unreduced numerator/denominator pair
+    for mono, c in poly.terms.items():
+        assert type(c) is Fraction and c != 0, (mono, c)
+        assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1, (mono, c)
+
+
+COPRIME_DENS = (10007, 10009, 2**31 - 1, 3**20, 1)
+
+
+def test_substitute_with_large_coprime_denominators():
+    # p's coefficients over large coprime denominators, forms over their own
+    # denominators (and with a constant term)
+    rng = random.Random(53)
+    forms = [P(3, {(1, 0, 0): (-1, 3), (0, 1, 0): (2, 5), (0, 0, 0): (7, 11)}),
+             P(3, {(1, 0, 0): -1, (0, 1, 0): -1}),
+             P(3, {(0, 0, 1): (1, 9973)})]
+    for dens in [COPRIME_DENS] * 5 + [(1,)]:
+        p = Poly(3, {tuple(rng.randint(0, 7) for _ in range(3)):
+                     Fraction(rng.randint(-10**6, 10**6) or 1, rng.choice(dens))
+                     for _ in range(10)})
+        for i in range(3):
+            for form in forms:
+                got = substitute_linear(p, i, form)
+                assert got == expand_substitution(p, i, form)
+                assert_canonical(got)
 
 
 def test_substitute_rejects_quadratic_form():
@@ -272,6 +306,26 @@ def test_schur_combination_is_linear():
         schur_combination({(1, 2): Fraction(1)}, 3)
     with pytest.raises(ValueError):
         schur_combination({(1, 1, 1): Fraction(1)}, 2)
+
+
+@pytest.mark.parametrize("squared", [False, True], ids=["plain", "squared"])
+def test_schur_combination_with_coprime_denominators(squared):
+    # random c_lambda over coprime denominators against sum c_lambda s_lambda
+    rng = random.Random(61)
+    factor = 2 if squared else 1
+    for nvars in range(1, 6):
+        shapes = [lam for size in range(6) for lam in partitions(size, nvars)]
+        for dens in (COPRIME_DENS, COPRIME_DENS, (1,)):
+            coeffs = {lam: Fraction(rng.randint(-99, 99) or 1, rng.choice(dens))
+                      for lam in rng.sample(shapes, min(len(shapes), 6))}
+            expected = Poly.zero(nvars)
+            for lam, c in coeffs.items():
+                expected = expected + schur_bialternant(lam, nvars).scale(c)
+            expected = Poly(nvars, {tuple(factor * e for e in mono): c
+                                    for mono, c in expected.terms.items()})
+            got = schur_combination(coeffs, nvars, squared=squared)
+            assert got == expected, (nvars, coeffs)
+            assert_canonical(got)
 
 
 def test_schur_rejects_too_many_parts():
