@@ -24,10 +24,9 @@ from .conjectures import (check_lemma51, check_sign_A, check_sign_D,
 from .matchings import count_matchings, enumerate_matchings, sign, sign_sum
 from .oracle import (BallSpec, a1k_pizza_series, mc_pizza, random_interior_centers,
                      sum_over_2structures)
-from .polyring import Poly
 from .rootsys import ArrangementSpec, parse_spec
-from .taylor import (ReportEntry, ResourceCapExceeded, expansion_report, fold_parameters,
-                     power_sum_multiple, reduce_mod_relation, serialize_terms)
+from .taylor import (ResourceCapExceeded, dominant_coefficients, expansion_report, fold_parameters,
+                     serialize_terms)
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
@@ -50,23 +49,6 @@ GOLDEN_ROWS = {
 DEFAULT_A_RANKS = (2, 3, 6, 7)
 DEFAULT_D_RANKS = (3, 5)
 EXTENDED_D_RANKS = (3, 5, 7)
-
-
-def _threads_from(args) -> int:
-    """The worker thread count from --threads or PIZZA_THREADS (default 1);
-    0 means one per CPU, and a negative value is a usage error."""
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("PIZZA_THREADS")
-        if not env:
-            return 1
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ValueError(f"PIZZA_THREADS must be an integer, got {env!r}") from None
-    if threads < 0:
-        raise ValueError(f"threads must be >= 0, got {threads}")
-    return threads or os.cpu_count() or 1
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -101,21 +83,6 @@ def _fold_is_long(spec: ArrangementSpec) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _p2_coefficient(entry: ReportEntry, spec: ArrangementSpec) -> Optional[Fraction]:
-    """Coefficient c with the entry's quotient == c * (a_1^2 + ... ) exactly
-    (type D) or modulo the sum relation (type A, read off the reduced
-    quotient); None if the quotient is not of that shape."""
-    if spec.family == "D":
-        return power_sum_multiple(entry.quotient)
-    arity = spec.ambient_dim
-    p2 = reduce_mod_relation(Poly(arity, {tuple(2 if i == j else 0 for i in range(arity)): Fraction(1)
-                                          for j in range(arity)}), spec)
-    square = (2,) + (0,) * (arity - 1)
-    # modulo the relation, p2 has a_1^2 coefficient 2 (a_1^2 plus one from a_(n+1)^2)
-    c = entry.reduced_quotient.coefficient(square) / p2.coefficient(square)
-    return c if entry.reduced_quotient == p2.scale(c) else None
-
-
 def cmd_tables(args) -> int:
     which = args.which
     rows = []
@@ -124,53 +91,45 @@ def cmd_tables(args) -> int:
     if which in ("D", "all"):
         rows += [("D", r) for r in (EXTENDED_D_RANKS if args.extended else DEFAULT_D_RANKS)]
 
+    header = f"{'type':<6}{'n':>3}{'k':>3}{'|roots|':>9}  {'lead quotient':<22}{'next quotient':<34}{'status'}"
+    lines = [header, "-" * len(header)]
     results = []
-    all_match = True
     for family, rank in rows:
         spec = parse_spec(f"{family}:{rank}")
-        phi = spec.positive_root_count
-        report = expansion_report(spec, [phi, phi + 2])
-        lead = report.entries[0].quotient
-        lead_const = lead.coefficient((0,) * lead.arity) if lead.degree() <= 0 else None
-        second_coeff = _p2_coefficient(report.entries[1], spec)
+        phi, k = spec.positive_root_count, fold_parameters(spec).k
+        # the quotients are c_() at degree |roots| and, at |roots| + 2, c_(1) p2
+        # (type D) or c_(2) h2 + c_(1,1) e2 = (c_(2) - c_(1,1))/2 p2 modulo e1 = 0
+        lead = dominant_coefficients(spec, phi).get((), Fraction(0))
+        second = dominant_coefficients(spec, phi + 2)
+        if family == "A":
+            second_coeff = (second.get((2,), Fraction(0)) - second.get((1, 1), Fraction(0))) / 2
+        else:
+            second_coeff = second.get((1,), Fraction(0))
         gold_lead, gold_second = GOLDEN_ROWS[(family, rank)]
-        match = lead_const == gold_lead and second_coeff == gold_second
-        all_match = all_match and match
+        match = lead == gold_lead and second_coeff == gold_second
         results.append({
             "family": family,
             "rank": rank,
-            "k": report.k,
+            "k": k,
             "phi_plus": phi,
             "lead_degree": phi,
             "lead": {"num": gold_lead.numerator, "den": gold_lead.denominator},
-            "computed_lead": None if lead_const is None else
-                {"num": lead_const.numerator, "den": lead_const.denominator},
+            "computed_lead": {"num": lead.numerator, "den": lead.denominator},
             "second_degree": phi + 2,
             "second_coeff": {"num": gold_second.numerator, "den": gold_second.denominator},
-            "computed_second_coeff": None if second_coeff is None else
-                {"num": second_coeff.numerator, "den": second_coeff.denominator},
+            "computed_second_coeff": {"num": second_coeff.numerator,
+                                      "den": second_coeff.denominator},
             "match": match,
         })
+        status = "ok" if match else f"MISMATCH (expected {gold_lead} and {gold_second} * p2)"
+        second_text = f"{second_coeff} * (a1^2+...+a{spec.ambient_dim}^2)"
+        lines.append(f"{family + '_' + str(rank):<6}{rank:>3}{k:>3}{phi:>9}  "
+                     f"{str(lead):<22}{second_text:<34}{status}")
 
+    all_match = all(row["match"] for row in results)
     if args.format == "json":
         text = json.dumps({"schema_version": 1, "rows": results, "all_match": all_match}, indent=2)
     else:
-        header = f"{'type':<6}{'n':>3}{'k':>3}{'|roots|':>9}  {'lead quotient':<22}{'next quotient':<34}{'status'}"
-        lines = [header, "-" * len(header)]
-        for row in results:
-            lead = Fraction(row["computed_lead"]["num"], row["computed_lead"]["den"]) \
-                if row["computed_lead"] else None
-            sec = row["computed_second_coeff"]
-            sec_txt = (f"{Fraction(sec['num'], sec['den'])} * (a1^2+...+a{row['rank'] + (1 if row['family'] == 'A' else 0)}^2)"
-                       if sec else "(not a power-sum multiple)")
-            status = "ok" if row["match"] else "MISMATCH"
-            if not row["match"]:
-                status += (f" (expected {Fraction(row['lead']['num'], row['lead']['den'])} and "
-                           f"{Fraction(row['second_coeff']['num'], row['second_coeff']['den'])} * p2)")
-            lines.append(
-                f"{row['family'] + '_' + str(row['rank']):<6}{row['rank']:>3}{row['k']:>3}"
-                f"{row['phi_plus']:>9}  {str(lead):<22}{sec_txt:<34}{status}"
-            )
         text = "\n".join(lines)
     _emit(text, args.out)
     return EXIT_OK if all_match else EXIT_VERIFICATION_FAILURE
@@ -239,7 +198,10 @@ def cmd_oracle(args) -> int:
     payload = {"schema_version": 1, "spec": str(spec), "center": list(center),
                "radius": args.radius, "method": args.method}
     if args.method == "mc":
-        est = mc_pizza(spec, ball, args.samples, args.seed, threads=_threads_from(args))
+        if args.threads < 0:
+            raise ValueError(f"threads must be >= 0, got {args.threads}")
+        threads = args.threads or os.cpu_count() or 1
+        est = mc_pizza(spec, ball, args.samples, args.seed, threads=threads)
         payload.update({"value": est.value, "std_error": est.std_error,
                         "samples": est.samples, "seed": est.seed})
     elif args.method == "series":
@@ -383,9 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=20240)
     p.add_argument("--degree-cap", dest="degree_cap", type=int, default=61)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for --method mc (0 = one per CPU; default 1 or "
-                        "PIZZA_THREADS); the estimate is the same for any value")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for --method mc (0 = one per CPU); the estimate "
+                        "is the same for any value")
     common(p)
     p.set_defaults(func=cmd_oracle)
 

@@ -11,19 +11,26 @@ means a bug, beyond them it is a reportable finding, so violations are
 data (reports), not exceptions.  Exceptions are reserved for internal
 contradictions (e.g. the two numeric oracles disagreeing with both error
 bands excluding zero).
+
+The exact audits read what the pipeline computes: the dominant
+coefficients (check y-neg, and check schur, which tests them against
+oracle.fold_at at seeded points) and the edge tables (check t-pos).  Only
+check lemma51 expands the fold.  Degrees where the fold vanishes are refused.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .matchings import enumerate_matchings, fold_parameters, form_values
-from .oracle import BallSpec, auto_degree_cap, exact_sign_fold, mc_pizza, require_sum_zero
-from .polyring import NonDivisible, Poly, alternant, partitions
+from .oracle import (BallSpec, auto_degree_cap, exact_sign_fold, fold_at, mc_pizza,
+                     require_sum_zero)
+from .polyring import NonDivisible, partitions, schur_combination
 from .rootsys import ArrangementSpec, chamber_sign, make_spec
 from .taylor import (ParityRegimeError, _edge_table, c_coefficient, dominant_coefficients,
                      z_poly)
@@ -193,10 +200,18 @@ def check_sign_D(n: int, centers: Sequence[Sequence[float]], samples: int = 0,
 # ---------------------------------------------------------------------------
 
 
+def _require_nonzero_degree(n: int, d: int) -> None:
+    """Refuse the degrees where the rank-n type D fold vanishes identically."""
+    base = n * (n - 1)
+    if d < base or (d - base) % 2:
+        raise ValueError(f"degree {d} below the lowest nonzero degree {base} or wrong parity")
+
+
 def check_lemma51(n: int, d: int) -> ConjectureReport:
     """Monomial audit of the type D fold: (a) every exponent even,
     (b) at least one zero exponent per monomial, (c) no two equal exponents."""
     started = time.perf_counter()
+    _require_nonzero_degree(n, d)
     z = z_poly(make_spec("D", n), d)
     witnesses: List[dict] = []
     for mono, coeff in z.sorted_terms():
@@ -246,34 +261,33 @@ def check_y_negativity(n: int, d_max: int) -> ConjectureReport:
 
 
 def schur_reconstruct(n: int, d: int) -> ConjectureReport:
-    """Rebuild the full type D fold from its dominant coefficients c_lambda
-    (lambda with at most n-1 parts; the others vanish by Lemma 5.1(b)): the
-    sum over partitions of c_lambda times the alternant a_(2(lambda+delta)),
-    which is the squared Vandermonde times the Schur polynomial in the
-    squared variables, must equal the fold exactly.  A mismatch raises
+    """Rebuild the type D fold from its dominant coefficients c_lambda
+    (lambda with at most n-1 parts; the others vanish by Lemma 5.1(b)):
+    Z_d = 2^shift sum c_lambda s_lambda(a^2) prod_(i<j) (a_i^2 - a_j^2),
+    checked exactly at three seeded 32-bit integer points (a wrong identity
+    passes one with probability at most d / 2^32, by Schwartz-Zippel).  A
+    mismatch, or a nonzero c_lambda with n parts, raises
     ReconstructionMismatch."""
     started = time.perf_counter()
     spec = make_spec("D", n)
-    base = n * (n - 1)
-    if d < base or (d - base) % 2:
-        raise ValueError(f"degree {d} below the lowest nonzero degree {base} or wrong parity")
+    _require_nonzero_degree(n, d)
     coeffs = dominant_coefficients(spec, d)
-    shift = (d - base) // 2
-    target = z_poly(spec, d).scale(Fraction(1, 1 << shift))
-
-    lambda_coeffs: Dict[Tuple[int, ...], Fraction] = {}
-    reconstruction = Poly.zero(n)
-    for lam in partitions(shift, n - 1):
-        c = coeffs.get(lam, 0)
-        lambda_coeffs[lam] = c
-        if c:
-            padded = lam + (0,) * (n - len(lam))
-            exponents = [2 * (part + n - 1 - i) for i, part in enumerate(padded)]
-            reconstruction = reconstruction + alternant(exponents, n).scale(c)
-    if reconstruction != target:
+    shift = (d - n * (n - 1)) // 2
+    full = [lam for lam in coeffs if len(lam) == n]
+    if full:
         raise ReconstructionMismatch(
-            f"rank {n} degree {d}: alternant reconstruction does not match the fold"
+            f"rank {n} degree {d}: c_lambda nonzero on {full}, partitions with {n} parts"
         )
+    lambda_coeffs = {lam: coeffs.get(lam, 0) for lam in partitions(shift, n - 1)}
+    schur = schur_combination(coeffs, n, squared=True)
+    rng = random.Random(f"schurRecon D{n} d{d}")
+    for _ in range(3):
+        point = [rng.randrange(-2**31, 2**31) for _ in range(n)]
+        vandermonde = math.prod(x * x - y * y for i, x in enumerate(point) for y in point[i + 1:])
+        if fold_at(spec, point, d)[d] != (schur.evaluate(point) * vandermonde) * (1 << shift):
+            raise ReconstructionMismatch(
+                f"rank {n} degree {d}: alternant reconstruction does not match the fold at {point}"
+            )
     params = {
         "rank": n,
         "degree": d,

@@ -1,5 +1,5 @@
-"""Maximal matchings on {1..r} with crossing-number signs, and the
-orthogonal root subsystems they index for types A and D.
+"""Maximal matchings on {1..r} with crossing-number signs, and the fold
+geometry of types A and D: the orthogonal forms each matching indexes.
 
 Matchings are streamed in a fixed deterministic order (smallest unused
 vertex pairs with each larger unused vertex in increasing order, then the
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .rootsys import ArrangementSpec, Root
+from .rootsys import ArrangementSpec
 
 
 @dataclass(frozen=True)
@@ -42,15 +42,6 @@ class Matching:
         if self.isolated is not None:
             body += f";iso={self.isolated}"
         return body
-
-
-@dataclass(frozen=True)
-class TwoStructure:
-    """Pairwise orthogonal positive roots attached to a matching: one root
-    per edge for type A, the minus and plus forms per edge for type D."""
-
-    source: Matching
-    positive_roots: Tuple[Root, ...]
 
 
 def enumerate_matchings(r: int) -> Iterator[Matching]:
@@ -148,23 +139,3 @@ def form_values(geometry: FoldGeometry, m: Matching, point: Sequence) -> Iterato
         if geometry.pair_forms:
             yield point[i - 1] + point[j - 1]
 
-
-def two_structure(spec: ArrangementSpec, m: Matching) -> TwoStructure:
-    """Positive roots per edge: e_i - e_j for type A; for type D the pair
-    e_i - e_j then e_i + e_j.  Coordinates are unnormalized integers."""
-    if spec.family not in ("A", "D"):
-        raise ValueError(f"two-structures by matchings exist for families A and D, not {spec.family}")
-    geometry = fold_parameters(spec)
-    if m.ground_size != geometry.ground:
-        raise ValueError(f"matching ground size {m.ground_size} does not match {spec} (expected {geometry.ground})")
-    dim = spec.ambient_dim
-    roots: List[Root] = []
-    for i, j in m.edges:
-        minus = [0] * dim
-        minus[i - 1], minus[j - 1] = 1, -1
-        roots.append(Root(tuple(minus), 2))
-        if geometry.pair_forms:
-            plus = [0] * dim
-            plus[i - 1], plus[j - 1] = 1, 1
-            roots.append(Root(tuple(plus), 2))
-    return TwoStructure(m, tuple(roots))

@@ -1,14 +1,12 @@
 """Numeric evaluation of pizza quantities.
 
-Three independent routes:
+Two independent routes:
 
   * mc_pizza           -- Monte Carlo over a ball: sample uniformly, weight
                           by the chamber sign, scale by the ball volume.
   * a1k_pizza_series   -- for k orthogonal coordinate hyperplanes, the
                           convergent series sum of the Taylor blocks, with a
                           rigorous geometric tail bound.
-  * a1k_pizza_quadrature -- the same value by nested adaptive quadrature of
-                          2^k * beta_(n-k) * int_0^x1 .. int_0^xk (1 - sum t^2)^((n-k)/2).
 
 sum_over_2structures folds the series evaluator over all matching-indexed
 orthogonal subsystems with their signs, giving a semi-exact evaluator for
@@ -24,10 +22,9 @@ matchings' integer series with their signs into one sum per degree:
                         denominators are applied once at the end.
   * fold_at          -- the exact values Z_d(point) of the symbolic fold
                         (z_poly's convention) at any exact point, degree by
-                        degree; the tests check the quotients with it at
-                        seeded integer points (Z_d = 2^shift Q J, and Z_d
-                        alternates under transpositions) without expanding
-                        the fold.
+                        degree; check schur and the tests check the
+                        dominant coefficients and the quotients with it at
+                        seeded integer points without expanding the fold.
 
 Type A lives on the hyperplane sum(a) = 0 inside R^(n+1); sampling happens
 in an explicit orthonormal basis of that subspace, so volumes are the
@@ -42,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,10 +55,6 @@ _MAX_REJECTED_DRAWS = 20_000
 
 class DivergentRegion(ValueError):
     """Series evaluation requested outside its open disk of convergence."""
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
 
 
 def ball_volume(dim: int) -> float:
@@ -388,7 +381,8 @@ def fold_at(spec: ArrangementSpec, point: Sequence, degree_cap: int) -> Dict[int
 
     Z_d is a polynomial, so any exact point is admitted (no unit-ball or
     sum-zero condition); this is the point-evaluation route that checks the
-    quotients (Z_d = 2^shift Q J) without expanding the fold."""
+    dominant coefficients and the quotients (Z_d = 2^shift Q J) without
+    expanding the fold."""
     geometry, exact_point, m_top = _exact_frame(spec, point, degree_cap)
     k = geometry.k
     matchings = [(mt.sign(matching), matching.edges,
@@ -460,69 +454,6 @@ def _require_decaying(n: int, k: int, m_top: int, what: str) -> None:
     m = m_top + 2
     if 4 * m < n - k + 2:
         raise ValueError(f"{what} still growing at m={m}")
-
-
-# ---------------------------------------------------------------------------
-# nested adaptive quadrature
-# ---------------------------------------------------------------------------
-
-
-def _adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                      tol: float, depth: int = 48) -> float:
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth)
-
-
-def _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth) -> float:
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise QuadratureError("adaptive quadrature did not reach the requested tolerance")
-    half = 0.5 * tol
-    return _simpson_step(f, a, m, fa, flm, fm, left, half, depth - 1) + _simpson_step(
-        f, m, b, fm, frm, fb, right, half, depth - 1
-    )
-
-
-def a1k_pizza_quadrature(n: int, k: int, coords: Sequence[float],
-                         tol: float = 1e-10) -> float:
-    """Quadrature value of the same quantity as a1k_pizza_series:
-
-        2^k * beta_(n-k) * int_0^x1 ... int_0^xk (1 - t1^2 - .. - tk^2)^((n-k)/2)
-
-    Nested adaptive Simpson, absolute tolerance; practical for k <= 3.
-    """
-    if len(coords) != k:
-        raise ValueError(f"need {k} coordinates, got {len(coords)}")
-    if k > 3:
-        raise ValueError("quadrature path supports k <= 3")
-    if sum(x * x for x in coords) > 1.0 + 1e-14:
-        raise ValueError("coordinates must lie within the unit ball")
-    exponent = 0.5 * (n - k)
-
-    def integrand_last(square_sum: float) -> float:
-        return max(1.0 - square_sum, 0.0) ** exponent
-
-    def nest(level: int, square_sum: float, level_tol: float) -> float:
-        upper = float(coords[level])
-        if upper == 0.0:
-            return 0.0
-        if level == k - 1:
-            f = lambda t: integrand_last(square_sum + t * t)
-        else:
-            f = lambda t: nest(level + 1, square_sum + t * t, level_tol * 0.1)
-        if upper < 0.0:
-            return -_adaptive_simpson(lambda t: f(-t), 0.0, -upper, level_tol)
-        return _adaptive_simpson(f, 0.0, upper, level_tol)
-
-    return 2**k * ball_volume(n - k) * nest(0, 0.0, tol)
 
 
 # ---------------------------------------------------------------------------

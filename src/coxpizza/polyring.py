@@ -75,14 +75,6 @@ class Poly:
         return Poly(arity, {(0,) * arity: Fraction(value)})
 
     @staticmethod
-    def variable(arity: int, index: int, exponent: int = 1) -> "Poly":
-        if not 0 <= index < arity:
-            raise IndexError(f"variable index {index} out of range for arity {arity}")
-        exps = [0] * arity
-        exps[index] = exponent
-        return Poly(arity, {tuple(exps): Fraction(1)})
-
-    @staticmethod
     def linear_form(arity: int, coeffs: Sequence) -> "Poly":
         """Polynomial c_0*x_0 + ... + c_{arity-1}*x_{arity-1}."""
         if len(coeffs) != arity:
@@ -187,13 +179,15 @@ class Poly:
             out[mono] = -coeff if mono[index] % 2 else coeff
         return Poly(self.arity, out)
 
-    def evaluate(self, point: Sequence[float]) -> float:
-        """Float evaluation, for numeric cross-checks only."""
+    def evaluate(self, point: Sequence) -> Rational | float:
+        """The value at a point: an exact Fraction when every coordinate is
+        an int or a Fraction, else a float, for numeric cross-checks."""
         if len(point) != self.arity:
             raise ValueError("point length must equal arity")
-        total = 0.0
+        exact = all(isinstance(x, (int, Fraction)) for x in point)
+        total = Fraction(0) if exact else 0.0
         for mono, coeff in self.terms.items():
-            v = float(coeff)
+            v = coeff if exact else float(coeff)
             for x, e in zip(point, mono):
                 if e:
                     v *= x**e
@@ -376,32 +370,6 @@ def divide_by_vandermonde(p: Poly, var_indices: Sequence[int], squared: bool = F
     return result
 
 
-def vandermonde(arity: int, var_indices: Sequence[int] | None = None, squared: bool = False) -> Poly:
-    """prod_{i<j} (x_i - x_j), or prod (x_i^2 - x_j^2) when squared."""
-    idx = list(var_indices) if var_indices is not None else list(range(arity))
-    result = Poly.constant(arity, 1)
-    for s, i in enumerate(idx):
-        for j in idx[s + 1 :]:
-            coeffs = [0] * arity
-            coeffs[i] = 1
-            coeffs[j] = -1
-            factor = Poly.linear_form(arity, coeffs)
-            if squared:
-                coeffs[j] = 1
-                factor = mul(factor, Poly.linear_form(arity, coeffs))
-            result = mul(result, factor)
-    return result
-
-
-def is_skew_under_transposition(p: Poly, i: int, j: int) -> bool:
-    """True iff swapping variables i and j negates p exactly."""
-    if i == j:
-        raise ValueError("need two distinct variable indices")
-    perm = list(range(p.arity))
-    perm[i], perm[j] = perm[j], perm[i]
-    return p.permute_variables(perm) == p.scale(-1)
-
-
 # ---------------------------------------------------------------------------
 # partitions and Schur polynomials
 # ---------------------------------------------------------------------------
@@ -434,55 +402,6 @@ def partitions(total: int, max_parts: int, max_part: int | None = None) -> Itera
             yield from rec(remaining - part, slots - 1, part, prefix + (part,))
 
     yield from rec(total, max_parts, max_part, ())
-
-
-def alternant(exponents: Sequence[int], nvars: int) -> Poly:
-    """det of the matrix (x_i ^ exponents[j]) via signed permutation expansion.
-
-    Entries are single monomials, so cofactor expansion reduces to the sum
-    over permutations; nvars stays small (<= 8) in every use here.
-    """
-    import itertools
-
-    terms: Dict[Monomial, Rational] = {}
-
-    def perm_sign(perm: Sequence[int]) -> int:
-        sign = 1
-        seen = [False] * len(perm)
-        for start in range(len(perm)):
-            if seen[start]:
-                continue
-            length = 0
-            v = start
-            while not seen[v]:
-                seen[v] = True
-                v = perm[v]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
-
-    for perm in itertools.permutations(range(nvars)):
-        mono = tuple(exponents[perm[i]] for i in range(nvars))
-        coeff = terms.get(mono, 0) + perm_sign(perm)
-        if coeff:
-            terms[mono] = coeff
-        else:
-            terms.pop(mono, None)
-    return Poly(nvars, {m: Fraction(c) for m, c in terms.items()})
-
-
-def schur_bialternant(lam: Iterable[int], nvars: int) -> Poly:
-    """Schur polynomial s_lambda(x_1..x_nvars) as alternant / Vandermonde."""
-    lam = normalize_partition(lam)
-    if len(lam) > nvars:
-        raise ValueError("partition has more parts than variables")
-    if nvars < 1:
-        raise ValueError("need at least one variable")
-    padded = list(lam) + [0] * (nvars - len(lam))
-    exponents = [padded[j] + (nvars - 1 - j) for j in range(nvars)]
-    numerator = alternant(exponents, nvars)
-    return divide_by_vandermonde(numerator, range(nvars))
 
 
 def _monomial_coefficients(coeffs: Mapping[Partition, int], size: int,

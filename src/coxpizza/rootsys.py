@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .polyring import Poly, mul
-
 FAMILIES = ("A", "D", "A1k", "I2")
 
 
@@ -121,20 +119,6 @@ def positive_roots(spec: ArrangementSpec) -> List[Root]:
     return roots
 
 
-def jacobian_unnormalized(spec: ArrangementSpec) -> Poly:
-    """Product of the integer linear forms <coords, a> over the positive roots.
-
-    Degree equals the positive root count.  Relative to the unit-root
-    Jacobian this carries an extra factor 2^(|roots|/2) for types A and D.
-    """
-    if spec.family not in ("A", "D"):
-        raise ValueError(f"Jacobian only defined for families A and D, not {spec.family}")
-    result = Poly.constant(spec.ambient_dim, 1)
-    for root in positive_roots(spec):
-        result = mul(result, Poly.linear_form(spec.ambient_dim, root.coords))
-    return result
-
-
 def numeric_roots(spec: ArrangementSpec) -> List[Tuple[float, ...]]:
     """Unit pseudo-roots as float vectors; for I2(m) the m directions j*pi/m."""
     if spec.family == "I2":
@@ -172,9 +156,3 @@ def chamber_sign(spec: ArrangementSpec, point: Sequence) -> int:
             negatives += 1
     return -1 if negatives % 2 else 1
 
-
-def reflect(vector: Sequence[int], root: Root) -> Tuple[Fraction, ...]:
-    """Orthogonal reflection of an integer vector in the root's hyperplane."""
-    num = sum(c * x for c, x in zip(root.coords, vector))
-    factor = Fraction(2 * num, root.norm_squared)
-    return tuple(Fraction(x) - factor * c for x, c in zip(vector, root.coords))

@@ -15,21 +15,22 @@ dominant_coefficients reads them off, and polyring.schur_combination then
 expands the Schur combination.  The type D audits in conjectures read the
 same c_lambda.
 
-The full fold z_poly stays as the independent route that does not assume
-the alternation: the structural audits and the tests check the quotients
-against it (quotient_from_fold divides it by the Vandermonde).  It runs
-serially, matching by matching, and multiplies each matching's per-edge
-term lists one edge at a time, keeping only the degree-d total at the last
-edge.  Both routes read the same per-edge tables, cleared once per degree
-to one common denominator that is divided back out at the end, so the
-matching loops are pure integer arithmetic.
+The full fold z_poly expands Z_d without assuming the alternation.  In
+the library only check lemma51, which audits the fold's monomials, reads
+it; the tests check the quotients against it (quotient_from_fold divides
+it by the Vandermonde).  It runs serially, matching by matching, and
+multiplies each matching's per-edge term lists one edge at a time, keeping
+only the degree-d total at the last edge.  Both routes read the same
+per-edge tables, cleared once per degree to one common denominator that is
+divided back out at the end, so the matching loops are pure integer
+arithmetic.
 
 An edge's share of a composed block at one inner degree is one integer
 table (_edge_table), built once per edge layout and degree; it
 is also the two-variable block that check t-pos in conjectures probes.
-t_poly and compose_block build the blocks by direct composition instead;
-they stay as the reference route (t_eval_on_structure, z_poly_reference)
-that the tests compare the tables and the folds against.
+The reference route that builds the blocks by direct composition (t_poly,
+compose_block, z_poly_reference) lives in tests/reference.py; the tests
+compare the tables and the folds against it.
 
 All algebra runs on unnormalized integer root coordinates, which keeps
 every coefficient rational.  Because the supported degrees always have the
@@ -47,10 +48,8 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import matchings as mt
-from .matchings import (FoldGeometry, TwoStructure, count_matchings, enumerate_matchings,
-                        fold_parameters)
-from .polyring import (Poly, divide_by_vandermonde, mul, partitions, schur_combination,
-                       substitute_linear)
+from .matchings import FoldGeometry, count_matchings, enumerate_matchings, fold_parameters
+from .polyring import Poly, divide_by_vandermonde, partitions, schur_combination, substitute_linear
 from .rootsys import ArrangementSpec
 
 MAX_DEGREE = 60
@@ -87,19 +86,6 @@ def c_coefficient(n: int, k: int, m: int) -> Fraction:
     return -value if m % 2 else value
 
 
-@dataclass(frozen=True)
-class TPoly:
-    """Degree-d Taylor block in k variables, for ambient dimension n.
-
-    Zero when d < k or d has opposite parity to k; otherwise symmetric in
-    its k variables, odd in each, homogeneous of degree d."""
-
-    n: int
-    k: int
-    d: int
-    body: Poly
-
-
 def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
     """Ordered compositions of total into `parts` non-negative parts,
     first coordinate descending (fixed, reproducible order)."""
@@ -109,60 +95,6 @@ def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
     for first in range(total, -1, -1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def t_poly(n: int, k: int, d: int) -> TPoly:
-    """The degree-d block: c_m * sum over r_1+..+r_k = m of the multinomial
-    times prod x_i^(2 r_i + 1)/(2 r_i + 1), with m = (d - k)/2."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if d < k or (d - k) % 2:
-        return TPoly(n, k, d, Poly.zero(k))
-    m = (d - k) // 2
-    c = c_coefficient(n, k, m)
-    m_fact = math.factorial(m)
-    terms: Dict[Tuple[int, ...], Fraction] = {}
-    for comp in _compositions(m, k):
-        coeff = c * m_fact
-        for r in comp:
-            coeff /= math.factorial(r) * (2 * r + 1)
-        if coeff:
-            terms[tuple(2 * r + 1 for r in comp)] = coeff
-    return TPoly(n, k, d, Poly(k, terms))
-
-
-def compose_block(t: TPoly, forms: Sequence[Poly]) -> Poly:
-    """Substitute the block's variables by the given polynomials, expanded
-    (form powers memoized)."""
-    if len(forms) != t.k:
-        raise ValueError(f"got {len(forms)} forms, block expects {t.k}")
-    arity = forms[0].arity
-    powers: Dict[Tuple[int, int], Poly] = {}
-
-    def form_power(i: int, e: int) -> Poly:
-        key = (i, e)
-        if key not in powers:
-            powers[key] = forms[i].pow(e)
-        return powers[key]
-
-    result = Poly.zero(arity)
-    for mono, coeff in t.body.terms.items():
-        piece = Poly.constant(arity, coeff)
-        for i, e in enumerate(mono):
-            if e:
-                piece = mul(piece, form_power(i, e))
-        result = result + piece
-    return result
-
-
-def t_eval_on_structure(t: TPoly, phi: TwoStructure, ambient: int) -> Poly:
-    """Compose a Taylor block with the integer linear forms of an orthogonal
-    subsystem, expanded in the ambient variables.
-
-    Straightforward reference path; z_poly multiplies the per-edge tables
-    instead and is tested against this.
-    """
-    return compose_block(t, [Poly.linear_form(ambient, r.coords) for r in phi.positive_roots])
 
 
 # ---------------------------------------------------------------------------
@@ -343,23 +275,6 @@ def z_poly(spec: ArrangementSpec, d: int, threads: int = 1,
     ground = geometry.ground
     return Poly(ground, {tuple((key >> 8 * i) & 0xFF for i in range(ground)): scale * val
                          for key, val in acc.items() if val})
-
-
-def z_poly_reference(spec: ArrangementSpec, d: int) -> Poly:
-    """Same value as z_poly via the direct per-structure composition
-    (t_poly composed with each subsystem's forms), without the per-edge
-    tables; for cross-checking."""
-    _require_symbolic_regime(spec)
-    geometry = fold_parameters(spec)
-    if d < geometry.k or (d - geometry.k) % 2:
-        return Poly.zero(spec.ambient_dim)
-    block = t_poly(spec.rank, geometry.k, d)
-    total = Poly.zero(spec.ambient_dim)
-    for matching in enumerate_matchings(geometry.ground):
-        phi = mt.two_structure(spec, matching)
-        piece = t_eval_on_structure(block, phi, spec.ambient_dim)
-        total = total + piece.scale(mt.sign(matching))
-    return total
 
 
 def quotient_from_fold(spec: ArrangementSpec, d: int, z: Poly) -> Poly:

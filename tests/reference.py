@@ -1,11 +1,355 @@
 """Reference routes that only the tests use: slower, direct computations
-that the library's results are compared against."""
+that the library's results are compared against.  Among them: Vandermonde
+products, alternants and Schur bialternants; the expanded Jacobian; the
+fold by direct composition of Taylor blocks (z_poly_reference); nested
+quadrature; and check schur and the table cells on the expanded fold and
+quotients."""
 
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from coxpizza.conjectures import RewriteFailed
-from coxpizza.polyring import Poly, mul
+from coxpizza import matchings as mt
+from coxpizza.conjectures import ReconstructionMismatch, RewriteFailed
+from coxpizza.matchings import Matching, enumerate_matchings, fold_parameters
+from coxpizza.oracle import ball_volume
+from coxpizza.polyring import (Monomial, Poly, Rational, divide_by_vandermonde, mul,
+                               normalize_partition, partitions)
+from coxpizza.rootsys import ArrangementSpec, Root, make_spec, positive_roots
+from coxpizza.taylor import (ReportEntry, _compositions, _require_symbolic_regime, c_coefficient,
+                             dominant_coefficients, expansion_report, power_sum_multiple,
+                             reduce_mod_relation, z_poly)
+
+
+def vandermonde(arity: int, var_indices: Sequence[int] | None = None, squared: bool = False) -> Poly:
+    """prod_{i<j} (x_i - x_j), or prod (x_i^2 - x_j^2) when squared."""
+    idx = list(var_indices) if var_indices is not None else list(range(arity))
+    result = Poly.constant(arity, 1)
+    for s, i in enumerate(idx):
+        for j in idx[s + 1 :]:
+            coeffs = [0] * arity
+            coeffs[i] = 1
+            coeffs[j] = -1
+            factor = Poly.linear_form(arity, coeffs)
+            if squared:
+                coeffs[j] = 1
+                factor = mul(factor, Poly.linear_form(arity, coeffs))
+            result = mul(result, factor)
+    return result
+
+
+def is_skew_under_transposition(p: Poly, i: int, j: int) -> bool:
+    """True iff swapping variables i and j negates p exactly."""
+    if i == j:
+        raise ValueError("need two distinct variable indices")
+    perm = list(range(p.arity))
+    perm[i], perm[j] = perm[j], perm[i]
+    return p.permute_variables(perm) == p.scale(-1)
+
+
+def alternant(exponents: Sequence[int], nvars: int) -> Poly:
+    """det of the matrix (x_i ^ exponents[j]) via signed permutation expansion.
+
+    Entries are single monomials, so cofactor expansion reduces to the sum
+    over permutations; nvars stays small (<= 8) in every use here.
+    """
+    terms: Dict[Monomial, Rational] = {}
+
+    def perm_sign(perm: Sequence[int]) -> int:
+        sign = 1
+        seen = [False] * len(perm)
+        for start in range(len(perm)):
+            if seen[start]:
+                continue
+            length = 0
+            v = start
+            while not seen[v]:
+                seen[v] = True
+                v = perm[v]
+                length += 1
+            if length % 2 == 0:
+                sign = -sign
+        return sign
+
+    for perm in itertools.permutations(range(nvars)):
+        mono = tuple(exponents[perm[i]] for i in range(nvars))
+        coeff = terms.get(mono, 0) + perm_sign(perm)
+        if coeff:
+            terms[mono] = coeff
+        else:
+            terms.pop(mono, None)
+    return Poly(nvars, {m: Fraction(c) for m, c in terms.items()})
+
+
+def schur_bialternant(lam: Iterable[int], nvars: int) -> Poly:
+    """Schur polynomial s_lambda(x_1..x_nvars) as alternant / Vandermonde."""
+    lam = normalize_partition(lam)
+    if len(lam) > nvars:
+        raise ValueError("partition has more parts than variables")
+    if nvars < 1:
+        raise ValueError("need at least one variable")
+    padded = list(lam) + [0] * (nvars - len(lam))
+    exponents = [padded[j] + (nvars - 1 - j) for j in range(nvars)]
+    numerator = alternant(exponents, nvars)
+    return divide_by_vandermonde(numerator, range(nvars))
+
+
+def jacobian_unnormalized(spec: ArrangementSpec) -> Poly:
+    """Product of the integer linear forms <coords, a> over the positive roots.
+
+    Degree equals the positive root count.  Relative to the unit-root
+    Jacobian this carries an extra factor 2^(|roots|/2) for types A and D.
+    """
+    if spec.family not in ("A", "D"):
+        raise ValueError(f"Jacobian only defined for families A and D, not {spec.family}")
+    result = Poly.constant(spec.ambient_dim, 1)
+    for root in positive_roots(spec):
+        result = mul(result, Poly.linear_form(spec.ambient_dim, root.coords))
+    return result
+
+
+def reflect(vector: Sequence[int], root: Root) -> Tuple[Fraction, ...]:
+    """Orthogonal reflection of an integer vector in the root's hyperplane."""
+    num = sum(c * x for c, x in zip(root.coords, vector))
+    factor = Fraction(2 * num, root.norm_squared)
+    return tuple(Fraction(x) - factor * c for x, c in zip(vector, root.coords))
+
+
+@dataclass(frozen=True)
+class TwoStructure:
+    """Pairwise orthogonal positive roots attached to a matching: one root
+    per edge for type A, the minus and plus forms per edge for type D."""
+
+    source: Matching
+    positive_roots: Tuple[Root, ...]
+
+
+def two_structure(spec: ArrangementSpec, m: Matching) -> TwoStructure:
+    """Positive roots per edge: e_i - e_j for type A; for type D the pair
+    e_i - e_j then e_i + e_j.  Coordinates are unnormalized integers."""
+    if spec.family not in ("A", "D"):
+        raise ValueError(f"two-structures by matchings exist for families A and D, not {spec.family}")
+    geometry = fold_parameters(spec)
+    if m.ground_size != geometry.ground:
+        raise ValueError(f"matching ground size {m.ground_size} does not match {spec} (expected {geometry.ground})")
+    dim = spec.ambient_dim
+    roots: List[Root] = []
+    for i, j in m.edges:
+        minus = [0] * dim
+        minus[i - 1], minus[j - 1] = 1, -1
+        roots.append(Root(tuple(minus), 2))
+        if geometry.pair_forms:
+            plus = [0] * dim
+            plus[i - 1], plus[j - 1] = 1, 1
+            roots.append(Root(tuple(plus), 2))
+    return TwoStructure(m, tuple(roots))
+
+
+@dataclass(frozen=True)
+class TPoly:
+    """Degree-d Taylor block in k variables, for ambient dimension n.
+
+    Zero when d < k or d has opposite parity to k; otherwise symmetric in
+    its k variables, odd in each, homogeneous of degree d."""
+
+    n: int
+    k: int
+    d: int
+    body: Poly
+
+
+def t_poly(n: int, k: int, d: int) -> TPoly:
+    """The degree-d block: c_m * sum over r_1+..+r_k = m of the multinomial
+    times prod x_i^(2 r_i + 1)/(2 r_i + 1), with m = (d - k)/2."""
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if d < k or (d - k) % 2:
+        return TPoly(n, k, d, Poly.zero(k))
+    m = (d - k) // 2
+    c = c_coefficient(n, k, m)
+    m_fact = math.factorial(m)
+    terms: Dict[Tuple[int, ...], Fraction] = {}
+    for comp in _compositions(m, k):
+        coeff = c * m_fact
+        for r in comp:
+            coeff /= math.factorial(r) * (2 * r + 1)
+        if coeff:
+            terms[tuple(2 * r + 1 for r in comp)] = coeff
+    return TPoly(n, k, d, Poly(k, terms))
+
+
+def compose_block(t: TPoly, forms: Sequence[Poly]) -> Poly:
+    """Substitute the block's variables by the given polynomials, expanded
+    (form powers memoized)."""
+    if len(forms) != t.k:
+        raise ValueError(f"got {len(forms)} forms, block expects {t.k}")
+    arity = forms[0].arity
+    powers: Dict[Tuple[int, int], Poly] = {}
+
+    def form_power(i: int, e: int) -> Poly:
+        key = (i, e)
+        if key not in powers:
+            powers[key] = forms[i].pow(e)
+        return powers[key]
+
+    result = Poly.zero(arity)
+    for mono, coeff in t.body.terms.items():
+        piece = Poly.constant(arity, coeff)
+        for i, e in enumerate(mono):
+            if e:
+                piece = mul(piece, form_power(i, e))
+        result = result + piece
+    return result
+
+
+def t_eval_on_structure(t: TPoly, phi: TwoStructure, ambient: int) -> Poly:
+    """Compose a Taylor block with the integer linear forms of an orthogonal
+    subsystem, expanded in the ambient variables.
+
+    Straightforward reference path; z_poly multiplies the per-edge tables
+    instead and is tested against this.
+    """
+    return compose_block(t, [Poly.linear_form(ambient, r.coords) for r in phi.positive_roots])
+
+
+def z_poly_reference(spec: ArrangementSpec, d: int) -> Poly:
+    """Same value as z_poly via the direct per-structure composition
+    (t_poly composed with each subsystem's forms), without the per-edge
+    tables; for cross-checking."""
+    _require_symbolic_regime(spec)
+    geometry = fold_parameters(spec)
+    if d < geometry.k or (d - geometry.k) % 2:
+        return Poly.zero(spec.ambient_dim)
+    block = t_poly(spec.rank, geometry.k, d)
+    total = Poly.zero(spec.ambient_dim)
+    for matching in enumerate_matchings(geometry.ground):
+        phi = two_structure(spec, matching)
+        piece = t_eval_on_structure(block, phi, spec.ambient_dim)
+        total = total + piece.scale(mt.sign(matching))
+    return total
+
+
+class QuadratureError(RuntimeError):
+    """Adaptive quadrature failed to reach the requested tolerance."""
+
+
+def _adaptive_simpson(f: Callable[[float], float], a: float, b: float,
+                      tol: float, depth: int = 48) -> float:
+    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth)
+
+
+def _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth) -> float:
+    m = 0.5 * (a + b)
+    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+    flm, frm = f(lm), f(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    delta = left + right - whole
+    if abs(delta) <= 15.0 * tol:
+        return left + right + delta / 15.0
+    if depth <= 0:
+        raise QuadratureError("adaptive quadrature did not reach the requested tolerance")
+    half = 0.5 * tol
+    return _simpson_step(f, a, m, fa, flm, fm, left, half, depth - 1) + _simpson_step(
+        f, m, b, fm, frm, fb, right, half, depth - 1
+    )
+
+
+def a1k_pizza_quadrature(n: int, k: int, coords: Sequence[float],
+                         tol: float = 1e-10) -> float:
+    """Quadrature value of the same quantity as a1k_pizza_series:
+
+        2^k * beta_(n-k) * int_0^x1 ... int_0^xk (1 - t1^2 - .. - tk^2)^((n-k)/2)
+
+    Nested adaptive Simpson, absolute tolerance; practical for k <= 3.
+    """
+    if len(coords) != k:
+        raise ValueError(f"need {k} coordinates, got {len(coords)}")
+    if k > 3:
+        raise ValueError("quadrature path supports k <= 3")
+    if sum(x * x for x in coords) > 1.0 + 1e-14:
+        raise ValueError("coordinates must lie within the unit ball")
+    exponent = 0.5 * (n - k)
+
+    def integrand_last(square_sum: float) -> float:
+        return max(1.0 - square_sum, 0.0) ** exponent
+
+    def nest(level: int, square_sum: float, level_tol: float) -> float:
+        upper = float(coords[level])
+        if upper == 0.0:
+            return 0.0
+        if level == k - 1:
+            f = lambda t: integrand_last(square_sum + t * t)
+        else:
+            f = lambda t: nest(level + 1, square_sum + t * t, level_tol * 0.1)
+        if upper < 0.0:
+            return -_adaptive_simpson(lambda t: f(-t), 0.0, -upper, level_tol)
+        return _adaptive_simpson(f, 0.0, upper, level_tol)
+
+    return 2**k * ball_volume(n - k) * nest(0, 0.0, tol)
+
+
+def schur_lambda_coefficients(n: int, d: int) -> Dict[str, str]:
+    """check schur's lambda_coefficients by the expanded route: the sum of
+    c_lambda times the alternant a_(2(lambda+delta)) over the partitions
+    with at most n-1 parts must equal the full type D fold divided by
+    2^shift, monomial by monomial; raises ReconstructionMismatch otherwise."""
+    spec = make_spec("D", n)
+    base = n * (n - 1)
+    if d < base or (d - base) % 2:
+        raise ValueError(f"degree {d} below the lowest nonzero degree {base} or wrong parity")
+    coeffs = dominant_coefficients(spec, d)
+    shift = (d - base) // 2
+    target = z_poly(spec, d).scale(Fraction(1, 1 << shift))
+
+    lambda_coeffs: Dict[Tuple[int, ...], Fraction] = {}
+    reconstruction = Poly.zero(n)
+    for lam in partitions(shift, n - 1):
+        c = coeffs.get(lam, 0)
+        lambda_coeffs[lam] = c
+        if c:
+            padded = lam + (0,) * (n - len(lam))
+            exponents = [2 * (part + n - 1 - i) for i, part in enumerate(padded)]
+            reconstruction = reconstruction + alternant(exponents, n).scale(c)
+    if reconstruction != target:
+        raise ReconstructionMismatch(
+            f"rank {n} degree {d}: alternant reconstruction does not match the fold"
+        )
+    return {str(list(k)): str(v) for k, v in lambda_coeffs.items()}
+
+
+def _p2_coefficient(entry: ReportEntry, spec: ArrangementSpec) -> Optional[Fraction]:
+    """Coefficient c with the entry's quotient == c * (a_1^2 + ... ) exactly
+    (type D) or modulo the sum relation (type A, read off the reduced
+    quotient); None if the quotient is not of that shape."""
+    if spec.family == "D":
+        return power_sum_multiple(entry.quotient)
+    arity = spec.ambient_dim
+    p2 = reduce_mod_relation(Poly(arity, {tuple(2 if i == j else 0 for i in range(arity)): Fraction(1)
+                                          for j in range(arity)}), spec)
+    square = (2,) + (0,) * (arity - 1)
+    # modulo the relation, p2 has a_1^2 coefficient 2 (a_1^2 plus one from a_(n+1)^2)
+    c = entry.reduced_quotient.coefficient(square) / p2.coefficient(square)
+    return c if entry.reduced_quotient == p2.scale(c) else None
+
+
+def table_cells(family: str, rank: int) -> Tuple[Optional[Fraction], Optional[Fraction]]:
+    """The two table cells of a row read off the expanded quotients: the
+    constant quotient at degree |roots|, and the coefficient c of
+    c * (a_1^2 + ...) at degree |roots| + 2 (type A modulo the sum
+    relation); None where the quotient does not have that shape."""
+    spec = make_spec(family, rank)
+    phi = spec.positive_root_count
+    report = expansion_report(spec, [phi, phi + 2])
+    lead = report.entries[0].quotient
+    lead_const = lead.coefficient((0,) * lead.arity) if lead.degree() <= 0 else None
+    return lead_const, _p2_coefficient(report.entries[1], spec)
 
 
 def rewrite_even_symmetric(p: Poly) -> Dict[Tuple[int, int], Fraction]:

@@ -10,6 +10,7 @@ import pytest
 
 from coxpizza import cli
 from coxpizza.cli import build_parser, main
+from reference import table_cells
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +62,20 @@ def test_tables_type_a_json(capsys):
     assert [row["computed_second_coeff"] for row in doc["rows"]] == [
         {"num": 3, "den": 32}, {"num": -1, "den": 10},
         {"num": -315315, "den": 8192}, {"num": 323323, "den": 128}]
+
+
+@pytest.mark.parametrize("argv", [("--which", "all"), ("--which", "D", "--extended")],
+                         ids=["all", "D-extended"])
+def test_tables_cells_match_the_quotient_route(capsys, argv):
+    # tables reads c_() and (c_(2) - c_(1,1))/2 or c_(1); the reference reads
+    # the constant and the power-sum multiple off the expanded, reduced quotients
+    code, out, _ = run_cli(capsys, "tables", *argv, "--format", "json")
+    assert code == 0
+    for row in json.loads(out)["rows"]:
+        lead, second = table_cells(row["family"], row["rank"])
+        assert row["computed_lead"] == {"num": lead.numerator, "den": lead.denominator}, row
+        assert row["computed_second_coeff"] == {"num": second.numerator,
+                                                "den": second.denominator}, row
 
 
 def test_expand_text_json_csv(capsys, tmp_path):
@@ -152,25 +167,6 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "expand", "--spec", "A:4", "--degrees", "10")[0] == 2  # same parity
 
 
-def test_pizza_threads_env_fallback(monkeypatch, capsys):
-    seen = []
-    real_mc = cli.mc_pizza
-
-    def capture(*args, threads):
-        seen.append(threads)
-        return real_mc(*args, threads=threads)
-
-    monkeypatch.setattr(cli, "mc_pizza", capture)
-    argv = ("oracle", "--spec", "A1k:1@1", "--center", "0.37", "--samples", "1000",
-            "--format", "json")
-    monkeypatch.setenv("PIZZA_THREADS", "2")
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0 and json.loads(out)["samples"] == 1000 and seen == [2]
-    monkeypatch.setenv("PIZZA_THREADS", "many")
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 2 and "PIZZA_THREADS" in err
-
-
 def test_exit_code_contract_for_violations():
     from coxpizza.cli import (EXIT_EXPLORE_VIOLATION, EXIT_OK,
                               EXIT_VERIFICATION_FAILURE, _report_exit)
@@ -246,7 +242,11 @@ def test_check_sign_without_interior_centers_is_a_usage_error(capsys):
     (("check", "sign", "--spec", "D:5", "--centers", ";"), "no centers"),
     (("check", "y-neg", "--rank", "5", "--max-degree", "10"), "below the lowest nonzero degree 20"),
     (("check", "t-pos", "--max-degree", "4"), "below the first degree 6"),
-], ids=["sign-auto0", "sign-auto-negative", "sign-empty-list", "y-neg-below-base", "t-pos-below-6"])
+    (("check", "lemma51", "--rank", "5", "--degree", "19"), "below the lowest nonzero degree 20"),
+    (("check", "lemma51", "--rank", "5", "--degree", "10"), "below the lowest nonzero degree 20"),
+    (("check", "lemma51", "--rank", "3", "--degree", "4"), "below the lowest nonzero degree 6"),
+], ids=["sign-auto0", "sign-auto-negative", "sign-empty-list", "y-neg-below-base", "t-pos-below-6",
+        "lemma51-odd-below-base", "lemma51-below-base", "lemma51-d3-below-base"])
 def test_check_without_anything_to_probe_is_a_usage_error(capsys, argv, message):
     # a check that probes nothing must not report "consistent"
     code, out, err = run_cli(capsys, *argv)

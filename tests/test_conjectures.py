@@ -2,14 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from coxpizza.conjectures import (ConjectureReport, RewriteFailed, _t_block_basis, _u_v_basis,
-                                  check_lemma51, check_sign_A, check_sign_D, check_t_positivity,
+from coxpizza import conjectures
+from coxpizza.conjectures import (ConjectureReport, ReconstructionMismatch, RewriteFailed,
+                                  _t_block_basis, _u_v_basis, check_lemma51, check_sign_A, check_sign_D, check_t_positivity,
                                   check_y_negativity, schur_reconstruct)
 from coxpizza.oracle import random_interior_centers
 from coxpizza.polyring import NonDivisible, Poly, exact_divide_linear
 from coxpizza.rootsys import OnHyperplane, make_spec
-from coxpizza.taylor import ParityRegimeError, compose_block, t_poly
-from reference import rewrite_even_symmetric
+from coxpizza.taylor import ParityRegimeError
+from reference import compose_block, rewrite_even_symmetric, schur_lambda_coefficients, t_poly
 
 SEED = 4711
 
@@ -22,10 +23,12 @@ def test_lemma51_audits_pass():
         assert report.parameters["monomials"] > 0
 
 
-def test_lemma51_vacuous_on_zero_fold():
-    report = check_lemma51(3, 7)  # wrong parity, fold is zero
-    assert report.verdict == "consistent"
-    assert report.parameters["monomials"] == 0
+@pytest.mark.parametrize("n,d", [(3, 7), (3, 4), (5, 19), (5, 10)])
+def test_lemma51_refuses_degrees_where_the_fold_vanishes(n, d):
+    # below n(n-1) or at the other parity the fold is zero: nothing to audit
+    with pytest.raises(ValueError, match=f"^degree {d} below the lowest nonzero degree "
+                                         f"{n * (n - 1)} or wrong parity$"):
+        check_lemma51(n, d)
 
 
 def test_y_negativity_small_ranges():
@@ -59,6 +62,52 @@ def test_schur_reconstruction_d3():
 def test_schur_reconstruction_rejects_low_degree():
     with pytest.raises(ValueError):
         schur_reconstruct(3, 4)
+
+
+SCHUR_CELLS = [(3, d) for d in range(6, 21, 2)] + [(5, d) for d in range(20, 33, 2)]
+
+
+@pytest.mark.parametrize("n,d", SCHUR_CELLS, ids=[f"D{n}_d{d}" for n, d in SCHUR_CELLS])
+def test_schur_reconstruction_matches_the_expanded_route(n, d):
+    # the point identity reports the c_lambda whose alternants rebuild the
+    # expanded fold monomial by monomial
+    report = schur_reconstruct(n, d)
+    assert report.verdict == "consistent"
+    assert report.parameters["lambda_coefficients"] == schur_lambda_coefficients(n, d)
+
+
+def _patch_dominant_coefficients(monkeypatch, change):
+    real = conjectures.dominant_coefficients
+
+    def patched(spec, d):
+        coeffs = dict(real(spec, d))
+        change(coeffs)
+        return coeffs
+
+    monkeypatch.setattr(conjectures, "dominant_coefficients", patched)
+
+
+@pytest.mark.parametrize("n,d", [(3, 12), (5, 24), (5, 30)])
+def test_schur_reconstruction_catches_a_coefficient_off_by_one_unit(monkeypatch, n, d):
+    def nudge(coeffs):
+        lam, c = next(iter(coeffs.items()))
+        coeffs[lam] = c + Fraction(1, c.denominator)
+
+    _patch_dominant_coefficients(monkeypatch, nudge)
+    with pytest.raises(ReconstructionMismatch, match="does not match the fold"):
+        schur_reconstruct(n, d)
+
+
+@pytest.mark.parametrize("n,d", [(3, 12), (5, 30)])
+def test_schur_reconstruction_catches_a_coefficient_with_n_parts(monkeypatch, n, d):
+    # Lemma 5.1(b): c_lambda vanishes for every lambda with n parts
+    def add_full_partition(coeffs):
+        lam = ((d - n * (n - 1)) // 2 - n + 1,) + (1,) * (n - 1)
+        coeffs[lam] = Fraction(-1, 7)
+
+    _patch_dominant_coefficients(monkeypatch, add_full_partition)
+    with pytest.raises(ReconstructionMismatch, match=f"partitions with {n} parts"):
+        schur_reconstruct(n, d)
 
 
 def test_t_positivity_leading_cases():

@@ -1,8 +1,9 @@
 import pytest
 
 from coxpizza.matchings import (Matching, count_matchings, crossings,
-                                enumerate_matchings, sign, sign_sum, two_structure)
+                                enumerate_matchings, sign, sign_sum)
 from coxpizza.rootsys import Root, make_spec
+from reference import two_structure
 
 
 def test_count_small():

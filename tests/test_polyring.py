@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from coxpizza.polyring import (NonDivisible, Poly, add, divide_by_vandermonde,
-                               exact_divide_linear, is_skew_under_transposition, mul,
-                               normalize_partition, partitions, schur_bialternant,
-                               schur_combination, substitute_linear, vandermonde)
+                               exact_divide_linear, mul, normalize_partition, partitions,
+                               schur_combination, substitute_linear)
+from reference import is_skew_under_transposition, schur_bialternant, vandermonde
 
 
 def P(arity, terms):
@@ -17,7 +17,7 @@ def P(arity, terms):
 
 
 def x(arity, i):
-    return Poly.variable(arity, i)
+    return Poly.linear_form(arity, [int(j == i) for j in range(arity)])
 
 
 def random_poly(rng, arity, max_degree=3, max_terms=5):
@@ -62,6 +62,18 @@ def test_mul_square_binomial():
 def test_arity_mismatch_rejected():
     with pytest.raises(ValueError):
         add(Poly.zero(2), Poly.zero(3))
+
+
+def test_evaluate_exact_at_exact_points_float_elsewhere():
+    p = Poly(2, {(2, 0): Fraction(1, 3), (0, 2): Fraction(-1, 3), (1, 0): Fraction(2)})
+    # at 2^53 + 1 a float evaluation rounds; an exact one keeps every unit
+    x, y = 2**53 + 1, Fraction(2**53, 3)
+    value = p.evaluate([x, y])
+    assert isinstance(value, Fraction)
+    assert value == Fraction(x * x, 3) - y * y / 3 + 2 * x
+    floats = p.evaluate([0.5, 0.25])
+    assert isinstance(floats, float)
+    assert floats == float(Fraction(1, 3)) * 0.5**2 + float(Fraction(-1, 3)) * 0.25**2 + 2.0 * 0.5
 
 
 def test_ring_laws_on_random_triples():

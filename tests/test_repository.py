@@ -1,3 +1,4 @@
+import ast
 import shutil
 import subprocess
 from pathlib import Path
@@ -15,3 +16,27 @@ def test_no_tracked_file_is_ignored():
     if run.returncode:
         pytest.skip(f"git cannot read this checkout: {run.stderr.strip()}")
     assert run.stdout == ""
+
+
+def _names(node):
+    """The identifiers a statement names: variables and attributes it reads."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_library_definition_has_a_caller():
+    # a top-level function or class of the package that no other top-level
+    # statement of the package or of the benchmark names is test-only code:
+    # it belongs in tests/reference.py
+    library = sorted((ROOT / "src" / "coxpizza").glob("*.py"))
+    statements = [(path, node) for path in library + sorted((ROOT / "perfbench").glob("*.py"))
+                  for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    uncalled = []
+    for path, node in statements:
+        if path in library and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not any(node.name in _names(other) for _, other in statements if other is not node):
+                uncalled.append(f"{path.name}:{node.name}")
+    assert uncalled == []
