@@ -2,15 +2,20 @@
 
 Each checker returns a ConjectureReport.  Verdicts: "consistent" when every
 probe supports the statement, "violated" when a witness contradicts it
-(witnesses carry the full offending instance), "inconclusive" when a
-statistical error band straddles zero.  Exact checkers never return
-inconclusive.
+(witnesses carry the full offending instance), "inconclusive" when an
+error band still straddles zero (for a sign check, the tail band at cap
+400).  The exact audits never return inconclusive.
 
 Checkers are probes of open statements: in verified ranges a violation
 means a bug, beyond them it is a reportable finding, so violations are
 data (reports), not exceptions.  Exceptions are reserved for internal
 contradictions (e.g. the two numeric oracles disagreeing with both error
 bands excluding zero).
+
+The sign checks decide each center with oracle.exact_sign_fold, an exact
+rational fold with a rigorous tail band: one probe at degree |Phi+|, where
+the fold first can be nonzero, then one fold at the lowest cap whose tail
+bound, known without folding, is well below the probe's value.
 
 The exact audits read what the pipeline computes: the dominant
 coefficients (check y-neg, and check schur, which tests them against
@@ -27,9 +32,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .matchings import enumerate_matchings, fold_parameters, form_values
-from .oracle import (BallSpec, auto_degree_cap, exact_sign_fold, fold_at, mc_pizza,
-                     require_sum_zero)
+from .oracle import (BallSpec, exact_sign_fold, fold_at, mc_pizza, require_sum_zero,
+                     sign_fold_tails)
 from .polyring import NonDivisible, partitions, schur_combination
 from .rootsys import ArrangementSpec, chamber_sign, make_spec
 from .taylor import (ParityRegimeError, _edge_table, c_coefficient, dominant_coefficients,
@@ -88,30 +92,33 @@ def _finish(conjecture_id: str, params: dict, witnesses: List[dict], notes: List
 # ---------------------------------------------------------------------------
 
 
-def _max_structure_square(spec: ArrangementSpec, center: Sequence[float]) -> float:
-    """Largest sum of squared unit-form pairings over the matching-indexed
-    subsystems; controls the series tail at this center."""
-    geometry = fold_parameters(spec)
-    worst = 0.0
-    for matching in enumerate_matchings(geometry.ground):
-        s = 0.0
-        for u in form_values(geometry, matching, center):
-            unit = u / math.sqrt(2)
-            s += unit * unit
-        worst = max(worst, s)
-    return worst
+_MAX_SIGN_CAP = 400
 
 
 def _signed_estimate(spec: ArrangementSpec, center: Sequence[float]) -> Tuple[Fraction, Fraction, int]:
-    """(value, tail, degree_cap) from the exact rational fold, the cap grown
-    until the band excludes zero or the cap limit is reached.  The value is
-    the quantity up to a positive prefactor, so its sign is decisive."""
-    k = fold_parameters(spec).k
-    smax = _max_structure_square(spec, center)
-    cap = auto_degree_cap(spec.rank, k, smax, 1e-12)
+    """(value, tail, degree_cap) from the exact rational fold.  The value is
+    the quantity up to a positive prefactor, so its sign is decisive once
+    |value| > tail.
+
+    The first fold probes at cap |Phi+|, the lowest degree at which the
+    anti-symmetric fold can be nonzero, so its value is the leading-order
+    term of the quantity.  The tail bound needs no fold
+    (oracle.sign_fold_tails), so the next fold runs at the smallest cap whose
+    bound is below a quarter of that value; near the origin the leading
+    term is close to the whole, and that fold decides.  While the band still
+    straddles zero the cap is chosen again from the new value; a value of
+    exactly 0 steps the cap by 40.  The cap never exceeds 400."""
+    cap = spec.positive_root_count
     value, tail = exact_sign_fold(spec, center, cap)
-    while tail >= abs(value) and cap < 400:
-        cap = min(400, cap + 40)
+    tail_at = None
+    while tail >= abs(value) and cap < _MAX_SIGN_CAP:
+        if value == 0:
+            cap = min(_MAX_SIGN_CAP, cap + 40)
+        else:
+            if tail_at is None:
+                tail_at = sign_fold_tails(spec, center)
+            cap = next((c for c in range(cap + 2, _MAX_SIGN_CAP, 2)
+                        if tail_at(c) < abs(value) / 4), _MAX_SIGN_CAP)
         value, tail = exact_sign_fold(spec, center, cap)
     return value, tail, cap
 

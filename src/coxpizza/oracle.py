@@ -19,7 +19,10 @@ matchings' integer series with their signs into one sum per degree:
   * exact_sign_fold  -- the same fold as sum_over_2structures in exact
                         arithmetic, with a rational tail bound, for sign
                         verdicts; the series coefficients and the
-                        denominators are applied once at the end.
+                        denominators are applied once at the end.  Its
+                        tail bound depends only on the matchings' squared
+                        radii, so sign_fold_tails gives it for every cap
+                        without folding.
   * fold_at          -- the exact values Z_d(point) of the symbolic fold
                         (z_poly's convention) at any exact point, degree by
                         degree; check schur and the tests check the
@@ -39,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,9 +75,6 @@ class BallSpec:
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("radius must be positive")
-
-    def contains_origin(self) -> bool:
-        return self.radius >= math.sqrt(sum(x * x for x in self.center))
 
 
 @dataclass(frozen=True)
@@ -143,11 +143,12 @@ def mc_pizza(spec: ArrangementSpec, ball: BallSpec, samples: int, seed: int,
             local = direction * radii[:, None]
             points = center + (local @ embed.T if embed is not None else local)
             pairings = points @ roots.T
-            on_wall = np.any(np.abs(pairings) <= _HYPERPLANE_TOL, axis=1)
-            good = pairings[~on_wall]
-            negatives = np.count_nonzero(good < 0, axis=1)
-            total += int(np.sum(1 - 2 * (negatives & 1)))
-            remaining -= good.shape[0]
+            if np.abs(pairings).min() <= _HYPERPLANE_TOL:  # rare: select rows only then
+                pairings = pairings[np.all(np.abs(pairings) > _HYPERPLANE_TOL, axis=1)]
+            kept = pairings.shape[0]
+            odd = int(np.count_nonzero(np.count_nonzero(pairings < 0, axis=1) & 1))
+            total += kept - 2 * odd  # sum of the chamber signs (-1)^negatives
+            remaining -= kept
         return total
 
     if threads > 1:
@@ -292,20 +293,6 @@ def a1k_pizza_series(n: int, k: int, coords: Sequence[float],
     return prefactor * value, prefactor * tail
 
 
-def auto_degree_cap(n: int, k: int, s: float, target_tail: float,
-                    max_cap: int = 400) -> int:
-    """Smallest degree cap whose tail bound is below target (pre-prefactor
-    s = sum of squared coordinates)."""
-    if s >= 1.0:
-        raise DivergentRegion("no finite cap converges at s >= 1")
-    prefactor = 2**k * ball_volume(n - k)
-    for m_top in range(max_cap):
-        c_next = abs(c_coefficient(n, k, m_top + 1))
-        if prefactor * float(c_next) * s ** (m_top + 1) / (1.0 - s) < target_tail:
-            return k + 2 * m_top
-    raise ValueError(f"tail target {target_tail} unreachable below degree {k + 2 * max_cap}")
-
-
 # ---------------------------------------------------------------------------
 # exact sign fold (rational arithmetic, for sign verdicts)
 # ---------------------------------------------------------------------------
@@ -414,13 +401,13 @@ def exact_sign_fold(spec: ArrangementSpec, center: Sequence, degree_cap: int) ->
 
     combined once at the end.  B sums the matching tail bounds
     2^ceil(k/2) |c_(m_top+1)| s^(m_top+1) / (1 - s), with s = sum(u^2)/2 < 1
-    the matching's squared radius; the bound is valid once the coefficients
-    |c_m| stop growing, which is checked.
+    the matching's squared radius (_tail_bounds); the bound is valid once the
+    coefficients |c_m| stop growing, which is checked.
     """
     geometry, exact_center, m_top = _exact_frame(spec, center, degree_cap)
     n, k = spec.rank, geometry.k
     size = m_top + 1
-    c = [c_coefficient(n, k, m) for m in range(size + 1)]
+    c = [c_coefficient(n, k, m) for m in range(size)]
 
     matchings = []
     for matching in enumerate_matchings(geometry.ground):
@@ -432,17 +419,51 @@ def exact_sign_fold(spec: ArrangementSpec, center: Sequence, degree_cap: int) ->
         matchings.append((mt.sign(matching), matching.edges, pairings))
     signed, denominator, odd, squares = _signed_sums(geometry, matchings, m_top)
     radius_square = 2 * denominator * denominator  # s = 1 in the units of sum(U^2)
-    tails = sum((Fraction(q ** (m_top + 1), radius_square - q) for q in squares), Fraction(0))
 
     # W = sum_m c_m S[m] (2 D^2)^(m_top - m) / ((2 D^2)^m_top D^k O^k)
     total = sum(c[m] * (signed[m] * radius_square ** (m_top - m)) for m in range(size))
     value = Fraction(total) / (radius_square ** m_top * (denominator * odd) ** k)
+    return value, _tail_bounds(n, k, squares, radius_square)(m_top)
 
-    # per matching, with q = sum(U^2) = 2 D^2 s:
-    # lift |c_next| s^(m_top+1) / (1 - s) = lift |c_next| q^(m_top+1) / ((2 D^2)^m_top (2 D^2 - q))
-    lift = 1 << ((k + 1) // 2)  # tail bounds are stated for unit pairings; 2^ceil(k/2) >= 2^(k/2)
-    bound = lift * abs(c[size]) * tails / radius_square ** m_top
-    return value, bound
+
+def _tail_bounds(n: int, k: int, squares: Sequence[int], radius_square: int
+                 ) -> Callable[[int], Fraction]:
+    """The tail bound of exact_sign_fold as a function of m_top:
+
+        B(m_top) = 2^ceil(k/2) |c_(m_top+1)| sum_M s_M^(m_top+1) / (1 - s_M)
+
+    with s_M = squares[M] / radius_square the matchings' squared radii, all
+    below 1.  Each term is the geometric tail of one matching's series,
+    stated for unit pairings; 2^ceil(k/2) >= 2^(k/2) lifts it to the
+    unnormalized ones.  B needs no fold, so a cap can be chosen from it.
+
+    With q = squares[M] and R = radius_square the sum is
+    sum_M q^(m_top+1) / (R^m_top (R - q)); the 1/(R - q) are put over one
+    common denominator once, so each B is one integer sum."""
+    common = math.lcm(*(radius_square - q for q in squares))
+    weights = [common // (radius_square - q) for q in squares]
+    lift = 1 << ((k + 1) // 2)
+
+    def bound(m_top: int) -> Fraction:
+        tails = sum(w * q ** (m_top + 1) for w, q in zip(weights, squares))
+        return (lift * abs(c_coefficient(n, k, m_top + 1))
+                * Fraction(tails, common * radius_square ** m_top))
+    return bound
+
+
+def sign_fold_tails(spec: ArrangementSpec, center: Sequence) -> Callable[[int], Fraction]:
+    """The bound B of exact_sign_fold(spec, center, degree_cap) as a function
+    of degree_cap, without folding: B depends only on the matchings' squared
+    radii s_M = sum(u^2)/2.  For a center that exact_sign_fold accepts."""
+    geometry = fold_parameters(spec)
+    exact_center = [Fraction(x) for x in center]
+    radii = [sum(u * u for u in form_values(geometry, matching, exact_center)) / 2
+             for matching in enumerate_matchings(geometry.ground)]
+    radius_square = math.lcm(*(s.denominator for s in radii))
+    bounds = _tail_bounds(spec.rank, geometry.k,
+                          [s.numerator * (radius_square // s.denominator) for s in radii],
+                          radius_square)
+    return lambda degree_cap: bounds((degree_cap - geometry.k) // 2)
 
 
 def _require_decaying(n: int, k: int, m_top: int, what: str) -> None:

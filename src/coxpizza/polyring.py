@@ -71,10 +71,6 @@ class Poly:
         return Poly(arity, {})
 
     @staticmethod
-    def constant(arity: int, value) -> "Poly":
-        return Poly(arity, {(0,) * arity: Fraction(value)})
-
-    @staticmethod
     def linear_form(arity: int, coeffs: Sequence) -> "Poly":
         """Polynomial c_0*x_0 + ... + c_{arity-1}*x_{arity-1}."""
         if len(coeffs) != arity:
@@ -101,9 +97,6 @@ class Poly:
     def is_homogeneous(self) -> bool:
         degs = {sum(m) for m in self.terms}
         return len(degs) <= 1
-
-    def coefficient(self, mono: Sequence[int]) -> Rational:
-        return self.terms.get(tuple(mono), Fraction(0))
 
     def leading(self) -> Tuple[Monomial, Rational]:
         """Graded-lex leading term."""
@@ -145,39 +138,6 @@ class Poly:
         if f == 0:
             return Poly.zero(self.arity)
         return Poly._canonical(self.arity, {m: c * f for m, c in self.terms.items()})
-
-    def pow(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = Poly.constant(self.arity, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = mul(result, base)
-            base = mul(base, base) if n > 1 else base
-            n >>= 1
-        return result
-
-    # -- variable actions ----------------------------------------------
-
-    def permute_variables(self, perm: Sequence[int]) -> "Poly":
-        """Relabel variables: variable i becomes variable perm[i]."""
-        if sorted(perm) != list(range(self.arity)):
-            raise ValueError("perm must be a permutation of the variable indices")
-        out: Dict[Monomial, Rational] = {}
-        for mono, coeff in self.terms.items():
-            new = [0] * self.arity
-            for i, e in enumerate(mono):
-                new[perm[i]] = e
-            out[tuple(new)] = coeff
-        return Poly(self.arity, out)
-
-    def flip_variable_sign(self, index: int) -> "Poly":
-        """Substitute x_index -> -x_index."""
-        out: Dict[Monomial, Rational] = {}
-        for mono, coeff in self.terms.items():
-            out[mono] = -coeff if mono[index] % 2 else coeff
-        return Poly(self.arity, out)
 
     def evaluate(self, point: Sequence) -> Rational | float:
         """The value at a point: an exact Fraction when every coordinate is

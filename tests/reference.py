@@ -2,8 +2,10 @@
 that the library's results are compared against.  Among them: Vandermonde
 products, alternants and Schur bialternants; the expanded Jacobian; the
 fold by direct composition of Taylor blocks (z_poly_reference); nested
-quadrature; and check schur and the table cells on the expanded fold and
-quotients."""
+quadrature; check schur and the table cells on the expanded fold and
+quotients; and the sign checks' earlier fixed-step escalation.  The
+polynomial helpers at the top (constant, coefficient, power, variable
+permutations and sign flips) are the ones only tests need."""
 
 from __future__ import annotations
 
@@ -15,8 +17,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from coxpizza import matchings as mt
 from coxpizza.conjectures import ReconstructionMismatch, RewriteFailed
-from coxpizza.matchings import Matching, enumerate_matchings, fold_parameters
-from coxpizza.oracle import ball_volume
+from coxpizza.matchings import Matching, enumerate_matchings, fold_parameters, form_values
+from coxpizza.oracle import BallSpec, DivergentRegion, ball_volume, exact_sign_fold
 from coxpizza.polyring import (Monomial, Poly, Rational, divide_by_vandermonde, mul,
                                normalize_partition, partitions)
 from coxpizza.rootsys import ArrangementSpec, Root, make_spec, positive_roots
@@ -25,10 +27,92 @@ from coxpizza.taylor import (ReportEntry, _compositions, _require_symbolic_regim
                              reduce_mod_relation, z_poly)
 
 
+def constant(arity: int, value) -> Poly:
+    return Poly(arity, {(0,) * arity: Fraction(value)})
+
+
+def coefficient(p: Poly, mono: Sequence[int]) -> Rational:
+    return p.terms.get(tuple(mono), Fraction(0))
+
+
+def power(p: Poly, n: int) -> Poly:
+    if n < 0:
+        raise ValueError("negative power")
+    result = constant(p.arity, 1)
+    base = p
+    while n:
+        if n & 1:
+            result = mul(result, base)
+        base = mul(base, base) if n > 1 else base
+        n >>= 1
+    return result
+
+
+def permute_variables(p: Poly, perm: Sequence[int]) -> Poly:
+    """Relabel variables: variable i becomes variable perm[i]."""
+    if sorted(perm) != list(range(p.arity)):
+        raise ValueError("perm must be a permutation of the variable indices")
+    out: Dict[Monomial, Rational] = {}
+    for mono, coeff in p.terms.items():
+        new = [0] * p.arity
+        for i, e in enumerate(mono):
+            new[perm[i]] = e
+        out[tuple(new)] = coeff
+    return Poly(p.arity, out)
+
+
+def flip_variable_sign(p: Poly, index: int) -> Poly:
+    """Substitute x_index -> -x_index."""
+    out: Dict[Monomial, Rational] = {}
+    for mono, coeff in p.terms.items():
+        out[mono] = -coeff if mono[index] % 2 else coeff
+    return Poly(p.arity, out)
+
+
+def contains_origin(ball: BallSpec) -> bool:
+    return ball.radius >= math.sqrt(sum(x * x for x in ball.center))
+
+
+def auto_degree_cap(n: int, k: int, s: float, target_tail: float,
+                    max_cap: int = 400) -> int:
+    """Smallest degree cap whose tail bound is below target (pre-prefactor
+    s = sum of squared coordinates)."""
+    if s >= 1.0:
+        raise DivergentRegion("no finite cap converges at s >= 1")
+    prefactor = 2**k * ball_volume(n - k)
+    for m_top in range(max_cap):
+        c_next = abs(c_coefficient(n, k, m_top + 1))
+        if prefactor * float(c_next) * s ** (m_top + 1) / (1.0 - s) < target_tail:
+            return k + 2 * m_top
+    raise ValueError(f"tail target {target_tail} unreachable below degree {k + 2 * max_cap}")
+
+
+def signed_estimate_fixed_step(spec: ArrangementSpec, center: Sequence[float]
+                               ) -> Tuple[Fraction, Fraction, int]:
+    """The sign checks' earlier escalation, as (value, tail, degree_cap): a
+    first cap from auto_degree_cap at an absolute tail of 1e-12 for the
+    largest squared radius over the matchings, then 40 degrees more per fold
+    until the band excludes zero or the cap reaches 400."""
+    geometry = fold_parameters(spec)
+    smax = 0.0
+    for matching in enumerate_matchings(geometry.ground):
+        s = 0.0
+        for u in form_values(geometry, matching, center):
+            unit = u / math.sqrt(2)
+            s += unit * unit
+        smax = max(smax, s)
+    cap = auto_degree_cap(spec.rank, geometry.k, smax, 1e-12)
+    value, tail = exact_sign_fold(spec, center, cap)
+    while tail >= abs(value) and cap < 400:
+        cap = min(400, cap + 40)
+        value, tail = exact_sign_fold(spec, center, cap)
+    return value, tail, cap
+
+
 def vandermonde(arity: int, var_indices: Sequence[int] | None = None, squared: bool = False) -> Poly:
     """prod_{i<j} (x_i - x_j), or prod (x_i^2 - x_j^2) when squared."""
     idx = list(var_indices) if var_indices is not None else list(range(arity))
-    result = Poly.constant(arity, 1)
+    result = constant(arity, 1)
     for s, i in enumerate(idx):
         for j in idx[s + 1 :]:
             coeffs = [0] * arity
@@ -48,7 +132,7 @@ def is_skew_under_transposition(p: Poly, i: int, j: int) -> bool:
         raise ValueError("need two distinct variable indices")
     perm = list(range(p.arity))
     perm[i], perm[j] = perm[j], perm[i]
-    return p.permute_variables(perm) == p.scale(-1)
+    return permute_variables(p, perm) == p.scale(-1)
 
 
 def alternant(exponents: Sequence[int], nvars: int) -> Poly:
@@ -106,7 +190,7 @@ def jacobian_unnormalized(spec: ArrangementSpec) -> Poly:
     """
     if spec.family not in ("A", "D"):
         raise ValueError(f"Jacobian only defined for families A and D, not {spec.family}")
-    result = Poly.constant(spec.ambient_dim, 1)
+    result = constant(spec.ambient_dim, 1)
     for root in positive_roots(spec):
         result = mul(result, Poly.linear_form(spec.ambient_dim, root.coords))
     return result
@@ -193,12 +277,12 @@ def compose_block(t: TPoly, forms: Sequence[Poly]) -> Poly:
     def form_power(i: int, e: int) -> Poly:
         key = (i, e)
         if key not in powers:
-            powers[key] = forms[i].pow(e)
+            powers[key] = power(forms[i], e)
         return powers[key]
 
     result = Poly.zero(arity)
     for mono, coeff in t.body.terms.items():
-        piece = Poly.constant(arity, coeff)
+        piece = constant(arity, coeff)
         for i, e in enumerate(mono):
             if e:
                 piece = mul(piece, form_power(i, e))
@@ -335,7 +419,7 @@ def _p2_coefficient(entry: ReportEntry, spec: ArrangementSpec) -> Optional[Fract
                                           for j in range(arity)}), spec)
     square = (2,) + (0,) * (arity - 1)
     # modulo the relation, p2 has a_1^2 coefficient 2 (a_1^2 plus one from a_(n+1)^2)
-    c = entry.reduced_quotient.coefficient(square) / p2.coefficient(square)
+    c = coefficient(entry.reduced_quotient, square) / coefficient(p2, square)
     return c if entry.reduced_quotient == p2.scale(c) else None
 
 
@@ -348,7 +432,7 @@ def table_cells(family: str, rank: int) -> Tuple[Optional[Fraction], Optional[Fr
     phi = spec.positive_root_count
     report = expansion_report(spec, [phi, phi + 2])
     lead = report.entries[0].quotient
-    lead_const = lead.coefficient((0,) * lead.arity) if lead.degree() <= 0 else None
+    lead_const = coefficient(lead, (0,) * lead.arity) if lead.degree() <= 0 else None
     return lead_const, _p2_coefficient(report.entries[1], spec)
 
 
@@ -361,7 +445,7 @@ def rewrite_even_symmetric(p: Poly) -> Dict[Tuple[int, int], Fraction]:
     if any(e % 2 for mono in p.terms for e in mono):
         raise RewriteFailed("quotient has an odd exponent; expected even in each variable")
     halved = Poly(2, {(mono[0] // 2, mono[1] // 2): c for mono, c in p.terms.items()})
-    if halved.permute_variables([1, 0]) != halved:
+    if permute_variables(halved, [1, 0]) != halved:
         raise RewriteFailed("quotient is not symmetric in its variables")
     u = Poly(2, {(1, 0): Fraction(1), (0, 1): Fraction(1)})
     v = Poly(2, {(1, 1): Fraction(1)})
@@ -373,5 +457,5 @@ def rewrite_even_symmetric(p: Poly) -> Dict[Tuple[int, int], Fraction]:
         if a < b:
             raise RewriteFailed(f"leading monomial {mono} cannot come from a symmetric polynomial")
         out[(a - b, b)] = coeff
-        work = work - mul(u.pow(a - b), v.pow(b)).scale(coeff)
+        work = work - mul(power(u, a - b), power(v, b)).scale(coeff)
     return out

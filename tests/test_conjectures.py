@@ -10,7 +10,8 @@ from coxpizza.oracle import random_interior_centers
 from coxpizza.polyring import NonDivisible, Poly, exact_divide_linear
 from coxpizza.rootsys import OnHyperplane, make_spec
 from coxpizza.taylor import ParityRegimeError
-from reference import compose_block, rewrite_even_symmetric, schur_lambda_coefficients, t_poly
+from reference import (compose_block, rewrite_even_symmetric, schur_lambda_coefficients,
+                       signed_estimate_fixed_step, t_poly)
 
 SEED = 4711
 
@@ -191,12 +192,80 @@ def test_sign_checks_consistent_small():
     assert d3.verdict == "consistent"
 
 
+def _recorded_folds(monkeypatch, fold=None):
+    """Route the sign checks' folds through `fold` (the real one by default)
+    and return the list of (center, cap) they are called with."""
+    calls = []
+    inner = fold or conjectures.exact_sign_fold
+
+    def recorded(spec, center, degree_cap):
+        calls.append((tuple(center), degree_cap))
+        return inner(spec, center, degree_cap)
+    monkeypatch.setattr(conjectures, "exact_sign_fold", recorded)
+    return calls
+
+
 @pytest.mark.parametrize("family,check", [("D", check_sign_D), ("A", check_sign_A)])
-def test_sign_checks_consistent_rank_seven(family, check):
+def test_sign_checks_consistent_rank_seven(monkeypatch, family, check):
+    calls = _recorded_folds(monkeypatch)
     centers = random_interior_centers(make_spec(family, 7), 3, 5, radius=0.4, margin=0.01)
     report = check(7, centers)
     assert report.verdict == "consistent"
     assert report.notes == []
+    # a probe below |Phi+| folds to exactly 0; stepping from there sent every
+    # D_7 center to cap 400
+    assert max(cap for _, cap in calls) < 100
+
+
+@pytest.mark.parametrize("family,rank", [("D", 5), ("A", 6)])
+def test_sign_escalation_decides_no_later_than_the_fixed_step_route(monkeypatch, family, rank):
+    spec = make_spec(family, rank)
+    calls = _recorded_folds(monkeypatch)
+    for center in random_interior_centers(spec, 3, SEED, radius=0.3):
+        calls.clear()
+        value, tail, cap = conjectures._signed_estimate(spec, center)
+        # a probe at |Phi+|, then one fold at the cap its value asks for
+        assert [c for _, c in calls] == [spec.positive_root_count, cap]
+        old_value, old_tail, old_cap = signed_estimate_fixed_step(spec, center)
+        assert abs(value) > tail and abs(old_value) > old_tail
+        assert (value > 0) == (old_value > 0)
+        assert cap <= min(old_cap, 40)
+
+
+@pytest.mark.parametrize("band", [(Fraction(0), Fraction(1)), (Fraction(1, 10**9), Fraction(1, 10**9))],
+                         ids=["zero", "straddling"])
+def test_sign_escalation_stops_at_cap_400(monkeypatch, band):
+    calls = _recorded_folds(monkeypatch, lambda spec, center, degree_cap: band)
+    spec = make_spec("D", 5)
+    center = random_interior_centers(spec, 1, SEED, radius=0.3)[0]
+    report = check_sign_D(5, [center])
+    assert report.verdict == "inconclusive"
+    assert report.witnesses == []
+    assert len(report.notes) == 1 and report.notes[0].endswith("cap 400)")
+    caps = [cap for _, cap in calls]
+    assert caps[0] == spec.positive_root_count and caps[-1] == 400
+    assert caps == sorted(set(caps))  # every fold runs higher than the last
+    # a zero value steps by 40; a nonzero one is re-chosen at least 2 higher
+    assert len(caps) <= (2 + 380 // 40 if band[0] == 0 else 1 + 380 // 2)
+
+
+def test_sign_escalation_witness_carries_the_deciding_cap(monkeypatch):
+    real = conjectures.exact_sign_fold
+
+    def flipped(spec, center, degree_cap):
+        value, tail = real(spec, center, degree_cap)
+        return -value, tail
+    calls = _recorded_folds(monkeypatch, flipped)
+    spec = make_spec("A", 6)
+    center = random_interior_centers(spec, 1, SEED, radius=0.3)[0]
+    report = check_sign_A(6, [center])
+    assert report.verdict == "violated"
+    (witness,) = report.witnesses
+    assert witness["center"] == list(center)
+    assert witness["degree_cap"] == calls[-1][1] == max(cap for _, cap in calls)
+    value, tail = flipped(spec, center, witness["degree_cap"])
+    assert witness["estimate_exact"] == str(value)
+    assert witness["tail_bound"] == float(tail) < abs(float(value))
 
 
 def test_sign_check_with_mc_cross_validation():

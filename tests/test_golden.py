@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from coxpizza.cli import main
 from coxpizza.rootsys import make_spec
 from coxpizza.taylor import expansion_report
 
@@ -43,3 +44,22 @@ def test_deep_expansion_report_digest(family, rank, degrees):
     report = expansion_report(make_spec(family, rank), degrees)
     text = json.dumps(report.to_json_dict(), indent=2)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DEEP_DIGESTS[family, rank, degrees]
+
+
+# sha256 of `check sign --format json` for the two README commands, with the
+# run time removed: the centers, verdict and notes as printed, taken before
+# the sign checks chose their degree caps from the tail bound.
+SIGN_DIGESTS = {
+    "D:5": "23669984aeb8c073804eb0a89a264ef84a3311e55fa323e0e544ee72c4ed37d2",
+    "A:7": "ec406d458567de05a3cfaa3711ada1735ddfe4426a09368470a17370b89c5b96",
+}
+
+
+@pytest.mark.parametrize("spec", list(SIGN_DIGESTS))
+def test_readme_sign_check_report_digest(capsys, spec):
+    argv = ["check", "sign", "--spec", spec, "--centers", "auto:10", "--seed", "11", "--format", "json"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc.pop("runtime_ms")
+    text = json.dumps(doc, indent=2)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SIGN_DIGESTS[spec]

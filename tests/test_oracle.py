@@ -6,12 +6,13 @@ import pytest
 from coxpizza import matchings as mt
 from coxpizza.matchings import enumerate_matchings, form_values
 from coxpizza.oracle import (BallSpec, DivergentRegion, McEstimate, _c_sequence,
-                             _require_decaying, a1k_pizza_series, auto_degree_cap,
-                             ball_volume, exact_sign_fold, fold_at, mc_pizza,
-                             random_interior_centers, sum_over_2structures)
+                             _require_decaying, a1k_pizza_series, ball_volume,
+                             exact_sign_fold, fold_at, mc_pizza, random_interior_centers,
+                             sign_fold_tails, sum_over_2structures)
 from coxpizza.rootsys import make_spec
 from coxpizza.taylor import c_coefficient, fold_parameters, quotient, z_poly
-from reference import a1k_pizza_quadrature, vandermonde
+from reference import (a1k_pizza_quadrature, auto_degree_cap, coefficient, contains_origin,
+                       vandermonde)
 
 SEED = 90210
 
@@ -26,8 +27,8 @@ def test_ball_volumes():
 def test_ball_spec_validation():
     with pytest.raises(ValueError):
         BallSpec((0.0,), 0.0)
-    assert BallSpec((0.3, 0.0), 1.0).contains_origin()
-    assert not BallSpec((2.0, 0.0), 1.0).contains_origin()
+    assert contains_origin(BallSpec((0.3, 0.0), 1.0))
+    assert not contains_origin(BallSpec((2.0, 0.0), 1.0))
 
 
 # -- Monte Carlo -------------------------------------------------------------
@@ -53,6 +54,17 @@ def test_mc_independent_of_thread_count():
     spec = make_spec("A", 2)
     ball = BallSpec((0.2, -0.05, -0.15), 1.0)
     assert mc_pizza(spec, ball, 200_000, SEED) == mc_pizza(spec, ball, 200_000, SEED, threads=4)
+
+
+def test_mc_resamples_points_on_a_wall():
+    # a ball of radius 1e-11 centred on the wall a_1 = a_2 puts many draws
+    # within 1e-12 of it, so the redraw path runs in both chunks; the value
+    # was pinned when every chunk still selected its rows draw by draw
+    spec = make_spec("A", 2)
+    ball = BallSpec((0.1, 0.1, -0.2), 1e-11)
+    expected = McEstimate(2.1003790884000326e-24, 1.1873923549357048e-24, 70_000, 5)
+    assert mc_pizza(spec, ball, 70_000, 5) == expected
+    assert mc_pizza(spec, ball, 70_000, 5, threads=2) == expected
 
 
 def test_mc_same_parity_vanishes():
@@ -317,6 +329,17 @@ def test_exact_sign_fold_is_the_normalized_sum_of_fold_at(family, rank):
     assert value == sum(Fraction(z, 1 << ((d - k) // 2)) for d, z in folds.items())
 
 
+@pytest.mark.parametrize("family,rank", [("A", 3), ("A", 6), ("D", 5)])
+def test_sign_fold_tails_is_the_fold_bound_without_folding(family, rank):
+    # the sign checks choose their caps from it, and decide on the fold's own
+    spec = make_spec(family, rank)
+    k = fold_parameters(spec).k
+    center = random_interior_centers(spec, 1, SEED, radius=0.4, margin=0.01)[0]
+    tail_at = sign_fold_tails(spec, center)
+    for cap in (k, k + 1, k + 8, spec.positive_root_count + 5):
+        assert tail_at(cap) == exact_sign_fold(spec, center, cap)[1]
+
+
 def test_fold_at_shares_the_exact_fold_checks():
     with pytest.raises(ValueError, match="families A and D, not I2"):
         fold_at(make_spec("I2", 5), (1, 2), 9)
@@ -421,7 +444,7 @@ def test_degree_cap_below_block_degree_rejected(family, rank, cap):
 def test_exact_sign_fold_sign_matches_leading_term():
     # near the origin the sign is the sign of (lead quotient) x (Jacobian)
     spec = make_spec("D", 5)
-    lead = quotient(spec, 20).coefficient((0,) * 5)
+    lead = coefficient(quotient(spec, 20), (0,) * 5)
     vand = vandermonde(5, squared=True)
     for center in random_interior_centers(spec, 3, SEED, radius=0.3):
         value, bound = exact_sign_fold(spec, center, auto_degree_cap(5, 4, 0.5, 1e-12))

@@ -1,6 +1,7 @@
 import ast
 import shutil
 import subprocess
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,4 +40,22 @@ def test_every_library_definition_has_a_caller():
         if path in library and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             if not any(node.name in _names(other) for _, other in statements if other is not node):
                 uncalled.append(f"{path.name}:{node.name}")
+    assert uncalled == []
+
+
+def test_every_public_library_method_has_a_caller():
+    # a public method of a package class that nothing in the package or the
+    # benchmark names, outside its own body, as an attribute or a name is
+    # test-only code: it belongs in tests/reference.py as a function
+    library = sorted((ROOT / "src" / "coxpizza").glob("*.py"))
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in library + sorted((ROOT / "perfbench").glob("*.py"))]
+    named = Counter(name for tree in trees for name in _names(tree))
+    uncalled = []
+    for path, tree in zip(library, trees):
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for method in cls.body:
+                if (isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
+                        and named[method.name] == Counter(_names(method))[method.name]):
+                    uncalled.append(f"{path.name}:{cls.name}.{method.name}")
     assert uncalled == []
