@@ -5,8 +5,8 @@ expand (quotient reports at chosen degrees), matchings (enumeration and the
 sign-sum identity), oracle (numeric evaluators), check (conjecture probes).
 
 Exit codes: 0 success/consistent, 1 verification failure, 2 usage error,
-3 conjecture violation in explore mode.  Results go to stdout; progress for
-long folds goes to stderr.
+3 conjecture violation in explore mode.  Results go to stdout; refusals and
+errors go to stderr.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from typing import List, Optional, Sequence
 from . import KERNEL_IMPLEMENTATION, __version__
 from .conjectures import (check_lemma51, check_sign_A, check_sign_D,
                           check_t_positivity, check_y_negativity, schur_reconstruct)
-from .matchings import count_matchings, enumerate_matchings, sign, sign_sum
+from .matchings import enumerate_matchings, sign, sign_sum
 from .oracle import (BallSpec, a1k_pizza_series, mc_pizza, random_interior_centers,
-                     sum_over_2structures)
+                     require_dimension, sum_over_2structures)
 from .rootsys import ArrangementSpec, parse_spec
 from .taylor import (ResourceCapExceeded, dominant_coefficients, expansion_report, fold_parameters,
                      serialize_terms)
@@ -57,25 +57,6 @@ def _emit(text: str, out_path: Optional[str]) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
-
-
-def _progress_printer(label: str, enabled: bool):
-    if not enabled:
-        return None
-    state = {"last": None}
-
-    def report(done: int, total: int):
-        pct = (100 * done) // total
-        if state["last"] is None or pct >= state["last"] + 5 or done == total:
-            state["last"] = pct
-            print(f"{label}: {done}/{total} matchings ({pct}%)", file=sys.stderr, flush=True)
-
-    return report
-
-
-def _fold_is_long(spec: ArrangementSpec) -> bool:
-    geometry = fold_parameters(spec)
-    return count_matchings(geometry.ground) * (2**geometry.nslots) > 10**5
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +124,8 @@ def cmd_tables(args) -> int:
 def cmd_expand(args) -> int:
     spec = parse_spec(args.spec)
     degrees = [int(x) for x in args.degrees.split(",")]
-    progress = _progress_printer(f"{spec}", _fold_is_long(spec))
     try:
-        report = expansion_report(spec, degrees, progress=progress)
+        report = expansion_report(spec, degrees)
     except ResourceCapExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -194,6 +174,7 @@ def cmd_matchings(args) -> int:
 def cmd_oracle(args) -> int:
     spec = parse_spec(args.spec)
     center = tuple(float(x) for x in args.center.split(","))
+    require_dimension(spec, center)
     ball = BallSpec(center, args.radius)
     payload = {"schema_version": 1, "spec": str(spec), "center": list(center),
                "radius": args.radius, "method": args.method}

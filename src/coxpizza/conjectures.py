@@ -30,10 +30,10 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .oracle import (BallSpec, exact_sign_fold, fold_at, mc_pizza, require_sum_zero,
-                     sign_fold_tails)
+from .oracle import (BallSpec, exact_sign_fold, fold_at, mc_pizza, require_dimension,
+                     require_sum_zero, sign_fold_tails)
 from .polyring import NonDivisible, partitions, schur_combination
 from .rootsys import ArrangementSpec, chamber_sign, make_spec
 from .taylor import (ParityRegimeError, _edge_table, c_coefficient, dominant_coefficients,
@@ -131,8 +131,7 @@ def _check_sign(conjecture_id: str, spec: ArrangementSpec, predicted_of_t,
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
     for center in centers:
-        if len(center) != spec.ambient_dim:
-            raise ValueError(f"center {center} has wrong dimension for {spec}")
+        require_dimension(spec, center)
         require_sum_zero(spec, center)
     witnesses: List[dict] = []
     notes: List[str] = []
@@ -207,19 +206,22 @@ def check_sign_D(n: int, centers: Sequence[Sequence[float]], samples: int = 0,
 # ---------------------------------------------------------------------------
 
 
-def _require_nonzero_degree(n: int, d: int) -> None:
-    """Refuse the degrees where the rank-n type D fold vanishes identically."""
-    base = n * (n - 1)
-    if d < base or (d - base) % 2:
+def _type_d(n: int, d: Optional[int] = None) -> Tuple[ArrangementSpec, int]:
+    """The rank-n type D spec and |Phi+|, the lowest degree at which its fold
+    can be nonzero; refuses a degree d where the fold vanishes identically."""
+    spec = make_spec("D", n)
+    base = spec.positive_root_count
+    if d is not None and (d < base or (d - base) % 2):
         raise ValueError(f"degree {d} below the lowest nonzero degree {base} or wrong parity")
+    return spec, base
 
 
 def check_lemma51(n: int, d: int) -> ConjectureReport:
     """Monomial audit of the type D fold: (a) every exponent even,
     (b) at least one zero exponent per monomial, (c) no two equal exponents."""
     started = time.perf_counter()
-    _require_nonzero_degree(n, d)
-    z = z_poly(make_spec("D", n), d)
+    spec, _ = _type_d(n, d)
+    z = z_poly(spec, d)
     witnesses: List[dict] = []
     for mono, coeff in z.sorted_terms():
         claims = []
@@ -244,8 +246,7 @@ def check_y_negativity(n: int, d_max: int) -> ConjectureReport:
     started = time.perf_counter()
     if n < 3 or n % 2 == 0:
         raise ParityRegimeError("y-negativity applies to odd rank >= 3")
-    spec = make_spec("D", n)
-    base = n * (n - 1)
+    spec, base = _type_d(n)
     if d_max < base:
         raise ValueError(f"max degree {d_max} is below the lowest nonzero degree {base}")
     witnesses: List[dict] = []
@@ -276,10 +277,9 @@ def schur_reconstruct(n: int, d: int) -> ConjectureReport:
     mismatch, or a nonzero c_lambda with n parts, raises
     ReconstructionMismatch."""
     started = time.perf_counter()
-    spec = make_spec("D", n)
-    _require_nonzero_degree(n, d)
+    spec, base = _type_d(n, d)
+    shift = (d - base) // 2
     coeffs = dominant_coefficients(spec, d)
-    shift = (d - n * (n - 1)) // 2
     full = [lam for lam in coeffs if len(lam) == n]
     if full:
         raise ReconstructionMismatch(

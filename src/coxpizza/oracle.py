@@ -103,6 +103,12 @@ def _sampling_frame(spec: ArrangementSpec) -> Tuple[int, Optional[np.ndarray]]:
     return spec.ambient_dim, None
 
 
+def require_dimension(spec: ArrangementSpec, center: Sequence) -> None:
+    """Refuse a center whose dimension is not the spec's ambient dimension."""
+    if len(center) != spec.ambient_dim:
+        raise ValueError(f"center has dimension {len(center)}, expected {spec.ambient_dim}")
+
+
 def require_sum_zero(spec: ArrangementSpec, center: Sequence[float], radius: float = 1.0) -> None:
     """Type A lives on the hyperplane sum(a) = 0: refuse a center off it
     (up to 1e-9 relative to the radius, at least 1)."""
@@ -120,8 +126,7 @@ def mc_pizza(spec: ArrangementSpec, ball: BallSpec, samples: int, seed: int,
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    if len(ball.center) != spec.ambient_dim:
-        raise ValueError(f"center has dimension {len(ball.center)}, expected {spec.ambient_dim}")
+    require_dimension(spec, ball.center)
     dim, embed = _sampling_frame(spec)
     require_sum_zero(spec, ball.center, ball.radius)
     roots = np.array(numeric_roots(spec))  # rows are unit roots in ambient coords
@@ -310,8 +315,7 @@ def _exact_frame(spec: ArrangementSpec, point: Sequence, degree_cap: int
     they share: family A or D, the point's dimension, a cap of at least k."""
     if spec.family not in ("A", "D"):
         raise ValueError(f"exact fold applies to families A and D, not {spec.family}")
-    if len(point) != spec.ambient_dim:
-        raise ValueError(f"center has dimension {len(point)}, expected {spec.ambient_dim}")
+    require_dimension(spec, point)
     geometry = fold_parameters(spec)
     if degree_cap < geometry.k:
         raise ValueError("degree_cap below the lowest block degree")
@@ -492,8 +496,7 @@ def sum_over_2structures(spec: ArrangementSpec, ball: BallSpec,
     """
     if spec.family not in ("A", "D"):
         raise ValueError(f"2-structure fold applies to families A and D, not {spec.family}")
-    if len(ball.center) != spec.ambient_dim:
-        raise ValueError(f"center has dimension {len(ball.center)}, expected {spec.ambient_dim}")
+    require_dimension(spec, ball.center)
     n = spec.rank
     geometry = fold_parameters(spec)
     k = geometry.k

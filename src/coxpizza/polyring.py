@@ -355,11 +355,10 @@ def partitions(total: int, max_parts: int, max_part: int | None = None) -> Itera
     def rec(remaining: int, slots: int, bound: int, prefix: Tuple[int, ...]):
         if remaining == 0:
             yield prefix
-            return
-        if slots == 0:
-            return
-        for part in range(min(bound, remaining), 0, -1):
-            yield from rec(remaining - part, slots - 1, part, prefix + (part,))
+        elif slots:
+            # a part below remaining / slots leaves more than the other slots can hold
+            for part in range(min(bound, remaining), (remaining - 1) // slots, -1):
+                yield from rec(remaining - part, slots - 1, part, prefix + (part,))
 
     yield from rec(total, max_parts, max_part, ())
 

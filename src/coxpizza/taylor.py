@@ -10,10 +10,11 @@ The quotient is computed without expanding Z_d.  Z_d is alternating (in
 the squared variables for type D), so Z_d = sum c_lambda a_(lambda+delta)
 and the quotient is sum c_lambda s_lambda by the bialternant formula.  Each
 edge of a matching touches two variables only, so a matching's share of one
-dominant coefficient c_lambda is a single product of per-edge coefficients;
-dominant_coefficients reads them off, and polyring.schur_combination then
-expands the Schur combination.  The type D audits in conjectures read the
-same c_lambda.
+dominant coefficient c_lambda is a single product of per-edge coefficients,
+and the signed sum over the matchings is a Pfaffian (Stembridge, Adv. Math.
+83, 1990): dominant_coefficients takes one per target, visiting no matching,
+and polyring.schur_combination expands the Schur combination.  The type D
+audits in conjectures read the same c_lambda.
 
 The full fold z_poly expands Z_d without assuming the alternation.  In
 the library only check lemma51, which audits the fold's monomials, reads
@@ -22,8 +23,8 @@ it by the Vandermonde).  It runs serially, matching by matching, and
 multiplies each matching's per-edge term lists one edge at a time, keeping
 only the degree-d total at the last edge.  Both routes read the same
 per-edge tables, cleared once per degree to one common denominator that is
-divided back out at the end, so the matching loops are pure integer
-arithmetic.
+divided back out at the end, so the fold's loop and the Pfaffians are pure
+integer arithmetic.
 
 An edge's share of a composed block at one inner degree is one integer
 table (_edge_table), built once per edge layout and degree; it
@@ -52,8 +53,9 @@ from .matchings import FoldGeometry, count_matchings, enumerate_matchings, fold_
 from .polyring import Poly, divide_by_vandermonde, partitions, schur_combination, substitute_linear
 from .rootsys import ArrangementSpec
 
-MAX_DEGREE = 60
+MAX_DEGREE = 60  # z_poly's guards: 8-bit exponent packing, and the matchings it visits
 MAX_MONOMIAL_INSTANCES = 10**8
+MAX_QUOTIENT_WORK = 5 * 10**7  # dominant_coefficients' steps: a few s at 1e7 to 2.5e7 a second
 
 
 class ParityRegimeError(ValueError):
@@ -102,8 +104,8 @@ def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-# One cache entry per (layout, q) asked for.  The folds ask for q <= MAX_DEGREE / 2;
-# check t-pos asks for q up to (max_degree - 2) / 2, and its --max-degree is user-set.
+# One cache entry per (layout, q) asked for: q <= MAX_DEGREE / 2 (folds), 83 or 367 (quotients,
+# by MAX_QUOTIENT_WORK) and (max_degree - 2) / 2 (check t-pos, whose --max-degree is user-set).
 @lru_cache(maxsize=None)
 def _edge_table(pair_forms: bool, q: int) -> Tuple[Dict[Tuple[int, int], int], int]:
     """One edge's share of a composed block at inner degree q, on integers:
@@ -140,7 +142,8 @@ def _edge_table(pair_forms: bool, q: int) -> Tuple[Dict[Tuple[int, int], int], i
     return {(e, degree - e): c // g for e, c in reversed(list(enumerate(acc))) if c}, scalar // g
 
 
-@lru_cache(maxsize=None)  # bounded: m <= MAX_DEGREE / 2, two edge layouts
+# Few entries: one at the largest admitted m holds 56 MB, rebuilt from the edge tables in 1 s.
+@lru_cache(maxsize=4)
 def _cleared_tables(pair_forms: bool, m: int) -> Tuple[Tuple[Dict[Tuple[int, int], int], ...], int]:
     """The edge tables for inner degrees q = 0..m over one denominator
     L = lcm(cleared[0..m]): table q is _edge_table(q) times L // cleared[q].
@@ -202,16 +205,15 @@ def _guard_resources(ground: int, nslots: int, d: int) -> None:
 
 
 def _admitted_geometry(spec: ArrangementSpec, d: int) -> Optional[FoldGeometry]:
-    """The fold geometry when the degree-d fold is admitted and not zero by
-    parity (d < k or d - k odd gives None); raises for arrangements outside
-    the symbolic regime, negative degrees and oversize jobs."""
+    """The fold geometry when the degree-d fold is not zero by parity
+    (d < k or d - k odd gives None); raises for arrangements outside the
+    symbolic regime and negative degrees."""
     _require_symbolic_regime(spec)
     geometry = fold_parameters(spec)
     if d < 0:
         raise ValueError("degree must be non-negative")
     if d < geometry.k or (d - geometry.k) % 2:
         return None
-    _guard_resources(geometry.ground, geometry.nslots, d)
     return geometry
 
 
@@ -232,6 +234,7 @@ def z_poly(spec: ArrangementSpec, d: int, threads: int = 1,
     geometry = _admitted_geometry(spec, d)
     if geometry is None:
         return Poly.zero(spec.ambient_dim)
+    _guard_resources(geometry.ground, geometry.nslots, d)
     m = (d - geometry.k) // 2
     tables, lcm = _cleared_tables(geometry.pair_forms, m)
     edge_terms: Dict[Tuple[int, int], List[Tuple[List[int], List[int]]]] = {}
@@ -290,25 +293,50 @@ def quotient_from_fold(spec: ArrangementSpec, d: int, z: Poly) -> Poly:
     return q.scale(Fraction(1, 1 << half)) if half >= 0 else q.scale(1 << (-half))
 
 
-def dominant_coefficients(spec: ArrangementSpec, d: int,
-                          progress: Optional[Callable[[int, int], None]] = None
-                          ) -> Dict[Tuple[int, ...], Fraction]:
+def _pfaffian(w: List[List[int]]) -> int:
+    """Pf(w) of a skew-symmetric integer matrix (its rows, overwritten); 0
+    for an odd size.  Each step pivots on the first vertex r left and the
+    first s after it with w_rs != 0 (moving s next to r past k vertices
+    multiplies Pf by (-1)^k; no such s means Pf = 0), drops both and sets
+    each w_ij left to (w_rs w_ij - w_ri w_sj + w_rj w_si) / p, p the previous
+    pivot (1 at first).  Each division is exact: w_ij becomes Pf of w on the
+    pivots S so far and i, j, by Knuth's overlapping-Pfaffian identity
+    Pf(S) Pf(S+rsij) = Pf(S+rs) Pf(S+ij) - Pf(S+ri) Pf(S+sj) + Pf(S+rj) Pf(S+si),
+    an integer.  The last pivot, signed by the moves, is Pf(w)."""
+    sign, prev, rest = 1, 1, list(range(len(w)))
+    while rest:
+        r = rest.pop(0)
+        k = next((k for k, j in enumerate(rest) if w[r][j]), None)
+        if k is None:
+            return 0
+        s = rest.pop(k)
+        sign, pivot, row_r, row_s = sign * (-1) ** k, w[r][s], w[r], w[s]
+        for a, i in enumerate(rest):
+            row_i = w[i]
+            for j in rest[a + 1:]:
+                row_i[j] = (pivot * row_i[j] - row_r[i] * row_s[j] + row_r[j] * row_s[i]) // prev
+                w[j][i] = -row_i[j]
+        prev = pivot
+    return sign * prev
+
+
+def dominant_coefficients(spec: ArrangementSpec, d: int) -> Dict[Tuple[int, ...], Fraction]:
     """The nonzero c_lambda of the degree-d fold, keyed by partitions as
     `partitions` yields them: the coefficient on a^(lambda+delta) (type A)
     or a^(2(lambda+delta)) (type D), delta = (ground-1, ..., 0), normalized
     by 2^-((d - |roots|)/2) as in quotient.  |lambda| is d - |roots| (type
     A) or half of it (type D); empty below the root count or when the fold
-    is zero by parity.  `progress(done, total)` counts the matchings visited.
+    is zero by parity.
 
-    Edge (i, j) of a matching touches only a_i and a_j, so a matching
-    contributes to a target monomial mu through one composition only: edge
-    t takes inner degree q_t = (mu_i + mu_j - 1)/2 (single form) or
-    (mu_i + mu_j - 2)/2 (minus/plus pair), and an isolated vertex needs
-    exponent 0.  The contribution is the product of the edges' entries of
-    _cleared_tables on (mu_i, mu_j); the signed integer products are summed
-    per target and scaled once at the end.  The exponents of mu are
-    distinct, so mu_i + mu_j >= 1 (>= 2 for pairs) and every q_t lies in
-    0..m; a q_t of the wrong parity finds no table entry.
+    A matching reaches a target monomial mu through one composition only:
+    edge (i, j) takes inner degree q = (mu_i + mu_j - forms)/2, with one or
+    two forms per edge, and contributes the entry w_ij of _cleared_tables on
+    (mu_i, mu_j), or 0 (absent, or q of the wrong parity; the exponents of
+    mu are distinct, so q lies in 0..m).  With the matching signs
+    (-1)^crossings, the sum over the matchings is the Pfaffian of W_mu.  An
+    odd ground set gets a vertex g+1 joined by w = 1 to the vertex of
+    exponent 0, the one that may be isolated: the edge (p, g+1) crosses
+    g - p = p - 1 (mod 2) edges, the extra sign of matchings.sign.
     """
     geometry = _admitted_geometry(spec, d)
     shift = d - spec.positive_root_count
@@ -320,53 +348,41 @@ def dominant_coefficients(spec: ArrangementSpec, d: int,
     m = (d - geometry.k) // 2
     # targets are stretched by the forms per edge, and so are an edge's table degrees 2q + forms
     stretch = 2 if geometry.pair_forms else 1
+    # work in steps of about one of _pfaffian's: the edge tables, the Schur expansion that
+    # quotient and check schur run on the result (100 a monomial), a Pfaffian per target
+    work = (m + 1) ** (2 + stretch) + 100 * math.comb(size + ground - 1, ground - 1)
+    lams = list(partitions(size, ground)) if work <= MAX_QUOTIENT_WORK else []
+    work += len(lams) * (ground + 1) ** 3
+    if work > MAX_QUOTIENT_WORK:
+        raise ResourceCapExceeded(f"degree {d}: about {work} steps for the edge tables, Pfaffians "
+                                  f"and Schur expansion exceed the cap of {MAX_QUOTIENT_WORK}")
     tables, lcm = _cleared_tables(geometry.pair_forms, m)
-    lams = list(partitions(size, ground))
-    targets = []
+    scale = _fold_scale(spec, geometry, m, lcm) / (1 << (shift // 2))
+    order = ground + ground % 2
+    pfaffians = []
     for lam in lams:
         padded = lam + (0,) * (ground - len(lam))
-        targets.append(tuple(stretch * (part + ground - 1 - i) for i, part in enumerate(padded)))
-    sums = [0] * len(targets)
-
-    total = count_matchings(ground)
-    if progress is not None:
-        progress(0, total)
-    for visited, matching in enumerate(enumerate_matchings(ground), start=1):
-        sgn = mt.sign(matching)
-        edges = [(i - 1, j - 1) for i, j in matching.edges]
-        isolated = None if matching.isolated is None else matching.isolated - 1
-        for t, mu in enumerate(targets):
-            if isolated is not None and mu[isolated]:
-                continue
-            prod = sgn
-            for i, j in edges:
-                c = tables[(mu[i] + mu[j] - stretch) >> 1].get((mu[i], mu[j]))
-                if c is None:
-                    break
-                prod *= c
-            else:
-                sums[t] += prod
-        if progress is not None:
-            progress(visited, total)
-
-    scale = _fold_scale(spec, geometry, m, lcm) / (1 << (shift // 2))
-    return {lam: scale * value for lam, value in zip(lams, sums) if value}
+        mu = [stretch * (part + ground - 1 - i) for i, part in enumerate(padded)]
+        w = [[0] * order for _ in range(order)]
+        for i in range(ground):
+            for j in range(i + 1, ground):
+                w[i][j] = tables[(mu[i] + mu[j] - stretch) >> 1].get((mu[i], mu[j]), 0)
+                w[j][i] = -w[i][j]
+            if ground % 2 and not mu[i]:
+                w[i][ground], w[ground][i] = 1, -1
+        pfaffians.append(_pfaffian(w))
+    return {lam: scale * value for lam, value in zip(lams, pfaffians) if value}
 
 
-def quotient(spec: ArrangementSpec, d: int, threads: int = 1,
-             progress: Optional[Callable[[int, int], None]] = None) -> Poly:
+def quotient(spec: ArrangementSpec, d: int, threads: int = 1) -> Poly:
     """Exact quotient of the degree-d fold by the Jacobian, normalized so the
-    result matches the unit-root convention (the factor 2^-((d - |roots|)/2)).
-
-    The fold is alternating (in the squared variables for type D), so it is
-    sum c_lambda a_(lambda+delta) and the quotient is sum c_lambda s_lambda
-    by the bialternant formula; only the dominant coefficients c_lambda are
-    extracted from the matchings, and neither the full fold nor a division
-    is computed.  Equal to quotient_from_fold(spec, d, z_poly(spec, d)).
-    `threads` is validated but unused: the extraction runs in this process,
-    and `progress(done, total)` counts the matchings visited."""
+    result matches the unit-root convention (the factor 2^-((d - |roots|)/2)):
+    sum c_lambda s_lambda by the bialternant formula, from the dominant
+    coefficients alone, with neither the full fold nor a division computed.
+    Equal to quotient_from_fold(spec, d, z_poly(spec, d)).  `threads` is
+    validated but unused: everything runs in this process."""
     _check_threads(threads)
-    coeffs = dominant_coefficients(spec, d, progress)
+    coeffs = dominant_coefficients(spec, d)
     geometry = fold_parameters(spec)
     return schur_combination(coeffs, geometry.ground, squared=geometry.pair_forms)
 
@@ -468,14 +484,14 @@ def render_quotient(poly: Poly) -> str:
     return poly.to_text()
 
 
-def expansion_report(spec: ArrangementSpec, degrees: Sequence[int], threads: int = 1,
-                     progress: Optional[Callable[[int, int], None]] = None) -> ExpansionReport:
+def expansion_report(spec: ArrangementSpec, degrees: Sequence[int],
+                     threads: int = 1) -> ExpansionReport:
     """Quotients (and, for type A, representatives modulo the sum relation)
     at each requested degree."""
     k = fold_parameters(spec).k
     entries = []
     for d in degrees:
-        q = quotient(spec, d, threads, progress)
+        q = quotient(spec, d, threads)
         reduced = reduce_mod_relation(q, spec) if spec.family == "A" else None
         entries.append(ReportEntry(d, q, reduced))
     return ExpansionReport(spec, k, spec.positive_root_count, entries)

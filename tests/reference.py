@@ -1,7 +1,9 @@
 """Reference routes that only the tests use: slower, direct computations
 that the library's results are compared against.  Among them: Vandermonde
 products, alternants and Schur bialternants; the expanded Jacobian; the
-fold by direct composition of Taylor blocks (z_poly_reference); nested
+fold by direct composition of Taylor blocks (z_poly_reference); the
+dominant coefficients and the Pfaffian as signed sums over the matchings;
+nested
 quadrature; check schur and the table cells on the expanded fold and
 quotients; and the sign checks' earlier fixed-step escalation.  The
 polynomial helpers at the top (constant, coefficient, power, variable
@@ -22,7 +24,8 @@ from coxpizza.oracle import BallSpec, DivergentRegion, ball_volume, exact_sign_f
 from coxpizza.polyring import (Monomial, Poly, Rational, divide_by_vandermonde, mul,
                                normalize_partition, partitions)
 from coxpizza.rootsys import ArrangementSpec, Root, make_spec, positive_roots
-from coxpizza.taylor import (ReportEntry, _compositions, _require_symbolic_regime, c_coefficient,
+from coxpizza.taylor import (ReportEntry, _admitted_geometry, _cleared_tables, _compositions,
+                             _fold_scale, _require_symbolic_regime, c_coefficient,
                              dominant_coefficients, expansion_report, power_sum_multiple,
                              reduce_mod_relation, z_poly)
 
@@ -315,6 +318,63 @@ def z_poly_reference(spec: ArrangementSpec, d: int) -> Poly:
         piece = t_eval_on_structure(block, phi, spec.ambient_dim)
         total = total + piece.scale(mt.sign(matching))
     return total
+
+
+def dominant_coefficients_by_matchings(spec: ArrangementSpec, d: int
+                                       ) -> Dict[Tuple[int, ...], Fraction]:
+    """Same value as dominant_coefficients, by the loop over all maximal
+    matchings: for each matching and target mu, the product of the edges'
+    entries of _cleared_tables on (mu_i, mu_j) with the matching's sign,
+    skipped when the isolated vertex has a nonzero exponent."""
+    geometry = _admitted_geometry(spec, d)
+    shift = d - spec.positive_root_count
+    if geometry is None or shift < 0:
+        return {}
+    assert shift % 2 == 0, "supported degrees share parity with the root count"
+    size = shift // 2 if geometry.pair_forms else shift
+    ground = geometry.ground
+    m = (d - geometry.k) // 2
+    # targets are stretched by the forms per edge, and so are an edge's table degrees 2q + forms
+    stretch = 2 if geometry.pair_forms else 1
+    tables, lcm = _cleared_tables(geometry.pair_forms, m)
+    lams = list(partitions(size, ground))
+    targets = []
+    for lam in lams:
+        padded = lam + (0,) * (ground - len(lam))
+        targets.append(tuple(stretch * (part + ground - 1 - i) for i, part in enumerate(padded)))
+    sums = [0] * len(targets)
+
+    for matching in enumerate_matchings(ground):
+        sgn = mt.sign(matching)
+        edges = [(i - 1, j - 1) for i, j in matching.edges]
+        isolated = None if matching.isolated is None else matching.isolated - 1
+        for t, mu in enumerate(targets):
+            if isolated is not None and mu[isolated]:
+                continue
+            prod = sgn
+            for i, j in edges:
+                c = tables[(mu[i] + mu[j] - stretch) >> 1].get((mu[i], mu[j]))
+                if c is None:
+                    break
+                prod *= c
+            else:
+                sums[t] += prod
+
+    scale = _fold_scale(spec, geometry, m, lcm) / (1 << (shift // 2))
+    return {lam: scale * value for lam, value in zip(lams, sums) if value}
+
+
+def pfaffian_by_matchings(w: Sequence[Sequence[int]]) -> int:
+    """Pf(w) as the signed sum over the perfect matchings of the vertices:
+    sign (-1)^crossings times the product of w_ij (i < j) over the edges;
+    0 for an odd size."""
+    size = len(w)
+    if size % 2:
+        return 0
+    if size == 0:
+        return 1
+    return sum(mt.sign(matching) * math.prod(w[i - 1][j - 1] for i, j in matching.edges)
+               for matching in enumerate_matchings(size))
 
 
 class QuadratureError(RuntimeError):

@@ -97,21 +97,37 @@ def test_expand_text_json_csv(capsys, tmp_path):
 
 
 def test_expand_refuses_over_cap(capsys):
-    code, _, err = run_cli(capsys, "expand", "--spec", "A:2", "--degrees", "61")
-    assert code == 2 and "refused" in err
+    # the degree-61 quotient of A_6 expands over C(46, 6) monomials
+    code, out, err = run_cli(capsys, "expand", "--spec", "A:6", "--degrees", "61")
+    assert code == 2 and out == "" and "refused" in err and "exceed the cap" in err
 
 
 def test_expand_accepts_frontier_job_with_progress():
-    # the next open type A case runs to completion, and its last progress
-    # line counts every matching visited
+    # the next open type A case runs to completion
     proc = subprocess.run(
         [sys.executable, "-m", "coxpizza.cli", "expand", "--spec", "A:10", "--degrees", "55"],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    progress = [line for line in proc.stderr.splitlines() if "matchings" in line]
-    assert progress and progress[-1].endswith("10395/10395 matchings (100%)"), proc.stderr
     assert "degree 55: " in proc.stdout
+
+
+@pytest.mark.parametrize("spec,degrees", [
+    ("A:10", "55,57"), ("A:11", "66,68"), ("A:14", "105,107"), ("A:15", "120,122"),
+    ("D:9", "72,74"), ("D:11", "110,112")])
+def test_expand_admits_the_frontier_table_cells(capsys, spec, degrees):
+    # the lead and second cells past the matchings' reach: one Pfaffian each
+    code, out, err = run_cli(capsys, "expand", "--spec", spec, "--degrees", degrees)
+    assert code == 0 and err == ""
+    assert [f"degree {d}: " in out for d in degrees.split(",")] == [True, True]
+
+
+@pytest.mark.parametrize("method", ["series", "mc"])
+def test_oracle_refuses_a_center_of_the_wrong_dimension(capsys, method):
+    code, out, err = run_cli(capsys, "oracle", "--spec", "A1k:2@3", "--center",
+                             "0.1,0.2,0.3,0.4,0.5", "--method", method, "--samples", "1000")
+    assert code == 2 and out == ""
+    assert "error: center has dimension 5, expected 3" in err
 
 
 def test_oracle_mc_json(capsys):

@@ -5,14 +5,17 @@ from fractions import Fraction
 
 import pytest
 
+from coxpizza import matchings, taylor
+from coxpizza.cli import main
 from coxpizza.matchings import Matching
 from coxpizza.polyring import Poly, partitions
 from coxpizza.rootsys import make_spec
-from coxpizza.taylor import (ParityRegimeError, ResourceCapExceeded, _edge_table,
+from coxpizza.taylor import (ParityRegimeError, ResourceCapExceeded, _edge_table, _pfaffian,
                              c_coefficient, dominant_coefficients, expansion_report,
                              fold_parameters, power_sum_multiple, quotient,
                              reduce_mod_relation, z_poly)
-from reference import (coefficient, constant, flip_variable_sign, permute_variables, power,
+from reference import (coefficient, constant, dominant_coefficients_by_matchings,
+                       flip_variable_sign, permute_variables, pfaffian_by_matchings, power,
                        t_eval_on_structure, t_poly, two_structure, vandermonde, z_poly_reference)
 
 
@@ -235,11 +238,16 @@ def test_fold_same_for_any_thread_count():
 
 
 def test_resource_guards():
-    for route in (z_poly, quotient):
-        with pytest.raises(ResourceCapExceeded):
-            route(make_spec("A", 2), 61)
-        with pytest.raises(ResourceCapExceeded):
-            route(make_spec("A", 14), 29)  # 15!! matchings x 2^7 forms over the cap
+    # z_poly packs exponents into 8 bits and visits every matching
+    with pytest.raises(ResourceCapExceeded):
+        z_poly(make_spec("A", 2), 61)
+    with pytest.raises(ResourceCapExceeded):
+        z_poly(make_spec("A", 14), 29)  # 15!! matchings x 2^7 forms over the cap
+    # the quotient's cost: edge tables to inner degree 98 (D_15), a Schur
+    # expansion over C(46, 6) monomials (A_6 d61), edge tables to 500 (A_2)
+    for family, rank, d in (("D", 15, 210), ("A", 6, 61), ("A", 2, 1001)):
+        with pytest.raises(ResourceCapExceeded, match="exceed the cap"):
+            quotient(make_spec(family, rank), d)
 
 
 def test_frontier_size_is_accepted():
@@ -280,13 +288,6 @@ def test_quotient_matches_division_of_full_fold(cache, family, rank, d):
 def test_quotient_validates_threads():
     with pytest.raises(ValueError):
         quotient(make_spec("D", 3), 6, threads=-1)
-
-
-def test_quotient_progress_counts_every_matching():
-    calls = []
-    q = quotient(make_spec("A", 10), 55, progress=lambda done, total: calls.append((done, total)))
-    assert calls == [(done, 10395) for done in range(10396)]
-    assert q.degree() == 0 and not q.is_zero()
 
 
 def test_quotient_table_values_small():
@@ -370,6 +371,73 @@ def test_dominant_coefficients_agree_with_fold(cache, family, rank, d):
         padded = lam + (0,) * (geometry.ground - len(lam))
         mono = tuple(stretch * (part + geometry.ground - 1 - i) for i, part in enumerate(padded))
         assert coefficient(z, mono) == coeffs.get(lam, 0), lam
+
+
+# past DOMINANT_CASES, where the full fold is slow or out of reach; odd and even ground sets
+MATCHINGS_CASES = [("A", 6, 21), ("A", 6, 23), ("A", 6, 25), ("A", 7, 28), ("A", 7, 30),
+                   ("D", 7, 42), ("D", 7, 44), ("A", 10, 55), ("A", 10, 57)]
+
+
+@pytest.mark.parametrize("family,rank,d", MATCHINGS_CASES,
+                         ids=[f"{f}{r}_d{d}" for f, r, d in MATCHINGS_CASES])
+def test_dominant_coefficients_equal_the_matchings_loop(family, rank, d):
+    # one Pfaffian per target against the signed sum over every matching
+    spec = make_spec(family, rank)
+    assert dominant_coefficients(spec, d) == dominant_coefficients_by_matchings(spec, d)
+
+
+def test_pfaffian_matches_the_matching_expansion():
+    rng = random.Random("pfaffian")
+    for trial in range(600):
+        size = 1 + trial % 10
+        w = [[0] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i + 1, size):
+                sign = rng.choice((-1, 1))
+                w[i][j] = rng.choice((0, sign, rng.randrange(-10**12, 10**12),
+                                      sign * (10**12 - rng.randrange(5))))
+                w[j][i] = -w[i][j]
+        if trial % 3 == 0:  # a zero pivot: the leading pair's entry vanishes
+            w[0][1 % size] = w[1 % size][0] = 0
+        if trial % 7 == 0:  # an all-zero row and column
+            zero = rng.randrange(size)
+            for k in range(size):
+                w[zero][k] = w[k][zero] = 0
+        assert _pfaffian([row[:] for row in w]) == pfaffian_by_matchings(w), w
+
+
+def test_quotient_path_visits_no_matching(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the quotient path enumerated matchings")
+
+    monkeypatch.setattr(taylor, "enumerate_matchings", refuse)
+    monkeypatch.setattr(matchings, "enumerate_matchings", refuse)
+    assert quotient(make_spec("A", 10), 57).degree() == 2
+    assert quotient(make_spec("D", 5), 22).degree() == 2
+    assert main(["tables", "--which", "all"]) == 0
+    assert main(["tables", "--which", "D", "--extended"]) == 0
+    assert "D_7" in capsys.readouterr().out
+
+
+LAPLACIAN_ROWS = ([("A", n) for n in (2, 3, 6, 7, 10, 11, 14, 15)]
+                  + [("D", n) for n in range(3, 12, 2)])
+
+
+@pytest.mark.parametrize("family,rank", LAPLACIAN_ROWS, ids=[f"{f}{r}" for f, r in LAPLACIAN_ROWS])
+def test_table_cells_follow_the_laplacian_recursion(family, rank):
+    # the Laplacian recursion turns the lead cell c_1 into the second cell,
+    # c_2 = N (N - n) / (2 (n + 2N)) c_1 with N = |Phi+| and n the rank; the
+    # cells are read as `tables` reads them
+    spec = make_spec(family, rank)
+    big_n = spec.positive_root_count
+    lead = dominant_coefficients(spec, big_n)
+    second = dominant_coefficients(spec, big_n + 2)
+    if family == "A":
+        c2 = (second.get((2,), 0) - second.get((1, 1), 0)) / 2
+    else:
+        c2 = second.get((1,), 0)
+    assert set(lead) == {()} and lead[()] != 0
+    assert c2 == Fraction(big_n * (big_n - rank), 2 * (rank + 2 * big_n)) * lead[()]
 
 
 # -- reports -----------------------------------------------------------------
