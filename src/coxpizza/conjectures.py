@@ -36,8 +36,8 @@ from .oracle import (BallSpec, exact_sign_fold, fold_at, mc_pizza, require_dimen
                      require_sum_zero, sign_fold_tails)
 from .polyring import NonDivisible, partitions, schur_combination
 from .rootsys import ArrangementSpec, chamber_sign, make_spec
-from .taylor import (ParityRegimeError, _edge_table, c_coefficient, dominant_coefficients,
-                     z_poly)
+from .taylor import (MAX_QUOTIENT_WORK, ParityRegimeError, ResourceCapExceeded, _edge_table,
+                     c_coefficient, dominant_coefficients, z_poly)
 
 CONJECTURE_IDS = ("signA", "signD", "lemma51", "yNeg", "schurRecon", "tPos")
 
@@ -357,12 +357,19 @@ def check_t_positivity(d_max: int, d_min: int = 6) -> ConjectureReport:
     with (x+y, x-y) and normalized to unit forms, divided exactly by
     x^2 - y^2, must have non-negative coefficients in the basis
     u = x^2 + y^2, v = x^2 y^2.  The block is read off the minus/plus
-    edge table of the type D folds (see _t_block_basis)."""
+    edge table of the type D folds (see _t_block_basis).  The tables up to
+    inner degree m = (d_max - 2) / 2 cost about (m+1)^4 steps, the term
+    dominant_coefficients counts for them; past MAX_QUOTIENT_WORK the check
+    is refused before any is built."""
     started = time.perf_counter()
     if d_min < 6:
         raise ValueError("the positivity range starts at degree 6")
     if d_max < d_min:
         raise ValueError(f"max degree {d_max} is below the first degree {d_min}")
+    work = ((d_max - 2) // 2 + 1) ** 4
+    if work > MAX_QUOTIENT_WORK:
+        raise ResourceCapExceeded(f"max degree {d_max}: about {work} steps for the edge tables "
+                                  f"exceed the cap of {MAX_QUOTIENT_WORK}")
     witnesses: List[dict] = []
     degrees = [d for d in range(d_min, d_max + 1) if d % 2 == 0]
     for d in degrees:

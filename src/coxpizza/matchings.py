@@ -131,11 +131,16 @@ def fold_parameters(spec: ArrangementSpec) -> FoldGeometry:
     raise ValueError(f"no matching fold for family {spec.family}")
 
 
+def edge_forms(geometry: FoldGeometry, i: int, j: int, point: Sequence) -> tuple:
+    """The unnormalized forms of the edge (i, j) at a point: a_i - a_j, then
+    a_i + a_j when the edge carries a pair."""
+    minus = point[i - 1] - point[j - 1]
+    return (minus, point[i - 1] + point[j - 1]) if geometry.pair_forms else (minus,)
+
+
 def form_values(geometry: FoldGeometry, m: Matching, point: Sequence) -> Iterator:
     """The unnormalized forms of the subsystem indexed by m at a point, edge
-    by edge: a_i - a_j, then a_i + a_j when the edge carries a pair."""
+    by edge (edge_forms)."""
     for i, j in m.edges:
-        yield point[i - 1] - point[j - 1]
-        if geometry.pair_forms:
-            yield point[i - 1] + point[j - 1]
+        yield from edge_forms(geometry, i, j, point)
 

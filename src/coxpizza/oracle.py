@@ -13,8 +13,10 @@ orthogonal subsystems with their signs, giving a semi-exact evaluator for
 types A and D that the symbolic pipeline is validated against.
 
 One exact point evaluator, _signed_sums, serves two callers.  It clears the
-pairings at a point to integers by one common denominator and adds the
-matchings' integer series with their signs into one sum per degree:
+forms at a point to integers by one common denominator, gives every edge
+its integer series, and evaluates the signed sum over the matchings of
+their edges' products as one Pfaffian over the ring of binomial-convolution
+series, memoized on vertex subsets, into one sum per degree:
 
   * exact_sign_fold  -- the same fold as sum_over_2structures in exact
                         arithmetic, with a rational tail bound, for sign
@@ -42,16 +44,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import matchings as mt
-from .matchings import FoldGeometry, enumerate_matchings, fold_parameters, form_values
+from .matchings import (FoldGeometry, edge_forms, enumerate_matchings, fold_parameters,
+                        form_values)
 from .rootsys import ArrangementSpec, numeric_roots
 from .taylor import c_coefficient
 
 _CHUNK = 1 << 16
+_BLOCK = 2048  # Monte Carlo rows per pass: a block's temporaries stay in cache
 _HYPERPLANE_TOL = 1e-12
 _MAX_REJECTED_DRAWS = 20_000
 
@@ -122,7 +126,10 @@ def mc_pizza(spec: ArrangementSpec, ball: BallSpec, samples: int, seed: int,
     uniform samples.  Points within 1e-12 of a hyperplane are resampled.
 
     Chunked with counter-derived sub-seeds, so the estimate depends only on
-    (seed, samples), not on threading or chunk boundaries.
+    (seed, samples) and the chunk size _CHUNK, not on threading.  A chunk
+    is drawn at once and then worked through in blocks of _BLOCK rows that
+    stay in cache; every row takes the same float operations in any block,
+    so the block size does not change the estimate either.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -131,6 +138,7 @@ def mc_pizza(spec: ArrangementSpec, ball: BallSpec, samples: int, seed: int,
     require_sum_zero(spec, ball.center, ball.radius)
     roots = np.array(numeric_roots(spec))  # rows are unit roots in ambient coords
     center = np.array(ball.center, dtype=float)
+    embed_t = None if embed is None else np.ascontiguousarray(embed.T)
     volume = ball_volume(dim) * ball.radius**dim
 
     sign_sum = 0
@@ -142,17 +150,21 @@ def mc_pizza(spec: ArrangementSpec, ball: BallSpec, samples: int, seed: int,
         total = 0
         remaining = count
         while remaining:
-            direction = rng.normal(size=(remaining, dim))
-            direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+            directions = rng.standard_normal((remaining, dim))
             radii = ball.radius * rng.random(remaining) ** (1.0 / dim)
-            local = direction * radii[:, None]
-            points = center + (local @ embed.T if embed is not None else local)
-            pairings = points @ roots.T
-            if np.abs(pairings).min() <= _HYPERPLANE_TOL:  # rare: select rows only then
-                pairings = pairings[np.all(np.abs(pairings) > _HYPERPLANE_TOL, axis=1)]
-            kept = pairings.shape[0]
-            odd = int(np.count_nonzero(np.count_nonzero(pairings < 0, axis=1) & 1))
-            total += kept - 2 * odd  # sum of the chamber signs (-1)^negatives
+            kept = 0
+            for start in range(0, remaining, _BLOCK):
+                direction = directions[start : start + _BLOCK]
+                direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+                local = direction * radii[start : start + _BLOCK, None]
+                points = center + (local @ embed_t if embed is not None else local)
+                pairings = roots @ points.T  # a column per point: the sums below run along rows
+                if np.abs(pairings).min() <= _HYPERPLANE_TOL:  # rare: select points only then
+                    pairings = pairings[:, np.all(np.abs(pairings) > _HYPERPLANE_TOL, axis=0)]
+                negatives = np.add.reduce(np.signbit(pairings), axis=0, dtype=np.uint8)
+                odd = int(np.count_nonzero(negatives & 1))
+                kept += pairings.shape[1]
+                total += pairings.shape[1] - 2 * odd  # sum of the chamber signs (-1)^negatives
             remaining -= kept
         return total
 
@@ -322,53 +334,101 @@ def _exact_frame(spec: ArrangementSpec, point: Sequence, degree_cap: int
     return geometry, [Fraction(x) for x in point], (degree_cap - geometry.k) // 2
 
 
-def _signed_sums(geometry: FoldGeometry, matchings: Sequence[Tuple[int, tuple, List[Fraction]]],
-                 m_top: int) -> Tuple[List[int], int, int, List[int]]:
-    """The integer core of the exact folds: (S, D, O, squares) from the
-    (sign, edges, pairings) of every matching at one point.
+def _edge_forms(geometry: FoldGeometry, point: Sequence[Fraction]
+                ) -> Tuple[Dict[Tuple[int, int], Tuple[int, ...]], int]:
+    """(forms, D) at an exact point: every edge (i, j), 1 <= i < j <= ground,
+    keyed to its forms U = u D (matchings.edge_forms), with D the lcm of all
+    the forms' denominators, so that every U is an integer.  D is also the
+    lcm over the forms of every matching, since every edge lies in one."""
+    exact = {(i, j): edge_forms(geometry, i, j, point)
+             for i in range(1, geometry.ground + 1) for j in range(i + 1, geometry.ground + 1)}
+    denominator = math.lcm(*(u.denominator for us in exact.values() for u in us))
+    return {edge: tuple(u.numerator * (denominator // u.denominator) for u in us)
+            for edge, us in exact.items()}, denominator
 
-    D is the lcm of the pairing denominators over all matchings and
-    O = lcm(1, 3, .., 2 m_top + 1).  Each form contributes the series
-    U^(2r+1) (O/(2r+1)), r = 0..m_top, with U = u D; the forms' series are
-    binomially convolved across the matching (the edge series, one form or
-    the convolved minus/plus pair, are built once per edge), and the
-    convolutions are summed with the matching signs into S[m], so that
+
+def _matching_squares(geometry: FoldGeometry, forms: Dict[Tuple[int, int], Tuple[int, ...]]
+                      ) -> Iterator[int]:
+    """sum(U^2) over the forms of each maximal matching, in enumeration
+    order, from the edges' integer forms (_edge_forms): the matchings'
+    squared radii s_M = sum(U^2) / (2 D^2) in units of 1 / (2 D^2)."""
+    edge_squares = {edge: sum(v * v for v in values) for edge, values in forms.items()}
+    for matching in enumerate_matchings(geometry.ground):
+        yield sum(edge_squares[edge] for edge in matching.edges)
+
+
+def _signed_sums(geometry: FoldGeometry, forms: Dict[Tuple[int, int], Tuple[int, ...]],
+                 m_top: int) -> Tuple[List[int], int]:
+    """The integer core of the exact folds: (S, O) from the edges' integer
+    forms U at one point (_edge_forms), with O = lcm(1, 3, .., 2 m_top + 1).
+
+    Each form contributes the series U^(2r+1) (O/(2r+1)), r = 0..m_top, and
+    an edge the series of its form or the binomial convolution of its pair.
+    S[m] is the signed sum over the maximal matchings of the convolution of
+    their edges' series, so that, with D from _edge_forms,
 
         Z_(2m+k)(point) = c_m S[m] / (D^(2m+k) O^k)
 
-    on the unnormalized forms.  squares[i] is sum(U^2) of matching i."""
+    on the unnormalized forms.  That signed sum is the Pfaffian of the edge
+    series over the ring of binomial-convolution series (the crossing signs
+    are the Pfaffian's; Stembridge 1990).  It is expanded by minors along
+    the lowest vertex, Pf(V) = sum_j (-1)^(j-1) E_(v0,vj) * Pf(V - v0 - vj),
+    memoized on vertex bitmasks: 33 states at g = 8 vertices, 1,596 at 16,
+    against (g-1)!! matchings.  An odd ground set gets one more vertex,
+    joined to every vertex by the unit series; its edge's crossings give the
+    isolated vertex p its sign (-1)^(p-1)."""
     size = m_top + 1
-    forms_per_edge = 2 if geometry.pair_forms else 1
-    denominator = math.lcm(*(u.denominator for _, _, us in matchings for u in us))
     odd = math.lcm(*range(1, 2 * m_top + 2, 2))
+    weights = [odd // (2 * r + 1) for r in range(size)]
     comb = [[math.comb(m, j) for j in range(m + 1)] for m in range(size)]
-    edge_series = {}
-    signed = [0] * size
-    squares = []
-    for sign, edges, pairings in matchings:
-        scaled = [int(u * denominator) for u in pairings]
-        squares.append(sum(v * v for v in scaled))
-        conv = None
-        for slot, edge in enumerate(edges):
-            series = edge_series.get(edge)
-            if series is None:
-                for v in scaled[slot * forms_per_edge : (slot + 1) * forms_per_edge]:
-                    g, power, vv = [], v, v * v
-                    for r in range(size):
-                        g.append(power * (odd // (2 * r + 1)))
-                        power *= vv
-                    series = g if series is None else _int_binomial_convolve(series, g, comb)
-                edge_series[edge] = series
-            conv = series if conv is None else _int_binomial_convolve(conv, series, comb)
-        for m in range(size):
-            signed[m] += sign * conv[m]
-    return signed, denominator, odd, squares
+    edges = {}
+    for (i, j), values in forms.items():
+        series = None
+        for v in values:
+            g, power, vv = [], v, v * v
+            for w in weights:
+                g.append(power * w)
+                power *= vv
+            series = g if series is None else _int_binomial_convolve(series, g, comb)
+        edges[i - 1, j - 1] = series
+    ground = geometry.ground
+    extra = 1 << ground if ground % 2 else 0  # the odd ground set's added vertex
+    memo: Dict[int, Optional[List[int]]] = {0: None}  # None is the unit series
+
+    def pfaffian(mask: int) -> Optional[List[int]]:
+        if mask in memo:
+            return memo[mask]
+        low = mask & -mask
+        first = low.bit_length() - 1
+        rest = mask ^ low
+        if extra and rest == extra:  # a lone edge to the added vertex
+            return None
+        total = [0] * size
+        sign = 1
+        partners = rest
+        while partners:
+            bit = partners & -partners
+            partners ^= bit
+            minor = pfaffian(rest ^ bit)
+            series = edges.get((first, bit.bit_length() - 1))  # None: the added vertex
+            if series is None or minor is None:  # one of them, as the lone edge returns early
+                term = minor if series is None else series
+            else:
+                term = _int_binomial_convolve(series, minor, comb)
+            for m, t in enumerate(term):
+                total[m] += sign * t
+            sign = -sign
+        memo[mask] = total
+        return total
+
+    return pfaffian((1 << ground) - 1 | extra), odd  # ground >= 2: never the unit series
 
 
 def fold_at(spec: ArrangementSpec, point: Sequence, degree_cap: int) -> Dict[int, Fraction]:
     """The exact values Z_d(point) of the signed fold for d = k, k+2, ..,
     <= degree_cap, keyed by d, in z_poly's convention (unnormalized integer
-    forms): Z_(2m+k)(point) = c_m S[m] / (D^(2m+k) O^k) from _signed_sums.
+    forms): Z_(2m+k)(point) = c_m S[m] / (D^(2m+k) O^k) from _signed_sums,
+    which visits no matching.
 
     Z_d is a polynomial, so any exact point is admitted (no unit-ball or
     sum-zero condition); this is the point-evaluation route that checks the
@@ -376,10 +436,8 @@ def fold_at(spec: ArrangementSpec, point: Sequence, degree_cap: int) -> Dict[int
     expanding the fold."""
     geometry, exact_point, m_top = _exact_frame(spec, point, degree_cap)
     k = geometry.k
-    matchings = [(mt.sign(matching), matching.edges,
-                  list(form_values(geometry, matching, exact_point)))
-                 for matching in enumerate_matchings(geometry.ground)]
-    signed, denominator, odd, _ = _signed_sums(geometry, matchings, m_top)
+    forms, denominator = _edge_forms(geometry, exact_point)
+    signed, odd = _signed_sums(geometry, forms, m_top)
     return {2 * m + k: c_coefficient(spec.rank, k, m) * Fraction(s, denominator ** (2 * m + k))
             / odd**k for m, s in enumerate(signed)}
 
@@ -397,15 +455,17 @@ def exact_sign_fold(spec: ArrangementSpec, center: Sequence, degree_cap: int) ->
 
     Per matching, the unnormalized pairings u (the unit-form values scaled
     by sqrt(2)^k) give W_M = sum_m 2^-m c_m conv[m], where conv is the
-    binomial convolution across the k forms of u^(2r+1)/(2r+1).  All of it
-    runs on integers in _signed_sums, which returns the signed sums S[m]
-    under the common denominators D and O, so that
+    binomial convolution across the k forms of u^(2r+1)/(2r+1).  Their
+    signed sum over the matchings runs on integers in _signed_sums, one
+    Pfaffian of the edges' series, which returns the sums S[m] under the
+    common denominators D and O, so that
 
         W = sum_m c_m 2^-m S[m] / (D^(2m+k) O^k),
 
     combined once at the end.  B sums the matching tail bounds
     2^ceil(k/2) |c_(m_top+1)| s^(m_top+1) / (1 - s), with s = sum(u^2)/2 < 1
-    the matching's squared radius (_tail_bounds); the bound is valid once the
+    the matching's squared radius (_tail_bounds); this is the one loop over
+    the matchings left, and it folds nothing.  The bound is valid once the
     coefficients |c_m| stop growing, which is checked.
     """
     geometry, exact_center, m_top = _exact_frame(spec, center, degree_cap)
@@ -413,16 +473,16 @@ def exact_sign_fold(spec: ArrangementSpec, center: Sequence, degree_cap: int) ->
     size = m_top + 1
     c = [c_coefficient(n, k, m) for m in range(size)]
 
-    matchings = []
-    for matching in enumerate_matchings(geometry.ground):
-        pairings = list(form_values(geometry, matching, exact_center))
-        if sum(u * u for u in pairings) >= 2:
-            raise DivergentRegion("exact fold needs the center strictly inside the unit ball")
-        if not matchings:  # the cap is checked after the first matching's radius
-            _require_decaying(n, k, m_top, "cap too small: coefficients")
-        matchings.append((mt.sign(matching), matching.edges, pairings))
-    signed, denominator, odd, squares = _signed_sums(geometry, matchings, m_top)
+    forms, denominator = _edge_forms(geometry, exact_center)
     radius_square = 2 * denominator * denominator  # s = 1 in the units of sum(U^2)
+    squares = []
+    for square in _matching_squares(geometry, forms):
+        if square >= radius_square:
+            raise DivergentRegion("exact fold needs the center strictly inside the unit ball")
+        if not squares:  # the cap is checked after the first matching's radius
+            _require_decaying(n, k, m_top, "cap too small: coefficients")
+        squares.append(square)
+    signed, odd = _signed_sums(geometry, forms, m_top)
 
     # W = sum_m c_m S[m] (2 D^2)^(m_top - m) / ((2 D^2)^m_top D^k O^k)
     total = sum(c[m] * (signed[m] * radius_square ** (m_top - m)) for m in range(size))
@@ -460,13 +520,9 @@ def sign_fold_tails(spec: ArrangementSpec, center: Sequence) -> Callable[[int], 
     of degree_cap, without folding: B depends only on the matchings' squared
     radii s_M = sum(u^2)/2.  For a center that exact_sign_fold accepts."""
     geometry = fold_parameters(spec)
-    exact_center = [Fraction(x) for x in center]
-    radii = [sum(u * u for u in form_values(geometry, matching, exact_center)) / 2
-             for matching in enumerate_matchings(geometry.ground)]
-    radius_square = math.lcm(*(s.denominator for s in radii))
-    bounds = _tail_bounds(spec.rank, geometry.k,
-                          [s.numerator * (radius_square // s.denominator) for s in radii],
-                          radius_square)
+    forms, denominator = _edge_forms(geometry, [Fraction(x) for x in center])
+    bounds = _tail_bounds(spec.rank, geometry.k, list(_matching_squares(geometry, forms)),
+                          2 * denominator * denominator)
     return lambda degree_cap: bounds((degree_cap - geometry.k) // 2)
 
 

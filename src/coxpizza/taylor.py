@@ -104,8 +104,8 @@ def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-# One cache entry per (layout, q) asked for: q <= MAX_DEGREE / 2 (folds), 83 or 367 (quotients,
-# by MAX_QUOTIENT_WORK) and (max_degree - 2) / 2 (check t-pos, whose --max-degree is user-set).
+# One cache entry per (layout, q) asked for: q <= MAX_DEGREE / 2 (folds), and 83 or 367 by
+# MAX_QUOTIENT_WORK (quotients; check t-pos, whose --max-degree stops at 169).
 @lru_cache(maxsize=None)
 def _edge_table(pair_forms: bool, q: int) -> Tuple[Dict[Tuple[int, int], int], int]:
     """One edge's share of a composed block at inner degree q, on integers:

@@ -2,12 +2,12 @@
 that the library's results are compared against.  Among them: Vandermonde
 products, alternants and Schur bialternants; the expanded Jacobian; the
 fold by direct composition of Taylor blocks (z_poly_reference); the
-dominant coefficients and the Pfaffian as signed sums over the matchings;
-nested
-quadrature; check schur and the table cells on the expanded fold and
-quotients; and the sign checks' earlier fixed-step escalation.  The
-polynomial helpers at the top (constant, coefficient, power, variable
-permutations and sign flips) are the ones only tests need."""
+dominant coefficients, the Pfaffian and the exact folds' integer sums as
+signed sums over the matchings; nested quadrature; check schur and the
+table cells on the expanded fold and quotients; and the sign checks'
+earlier fixed-step escalation.  The polynomial helpers at the top
+(constant, coefficient, power, variable permutations and sign flips) are
+the ones only tests need."""
 
 from __future__ import annotations
 
@@ -19,8 +19,10 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from coxpizza import matchings as mt
 from coxpizza.conjectures import ReconstructionMismatch, RewriteFailed
-from coxpizza.matchings import Matching, enumerate_matchings, fold_parameters, form_values
-from coxpizza.oracle import BallSpec, DivergentRegion, ball_volume, exact_sign_fold
+from coxpizza.matchings import (FoldGeometry, Matching, enumerate_matchings, fold_parameters,
+                                form_values)
+from coxpizza.oracle import (BallSpec, DivergentRegion, _int_binomial_convolve, ball_volume,
+                             exact_sign_fold)
 from coxpizza.polyring import (Monomial, Poly, Rational, divide_by_vandermonde, mul,
                                normalize_partition, partitions)
 from coxpizza.rootsys import ArrangementSpec, Root, make_spec, positive_roots
@@ -375,6 +377,70 @@ def pfaffian_by_matchings(w: Sequence[Sequence[int]]) -> int:
         return 1
     return sum(mt.sign(matching) * math.prod(w[i - 1][j - 1] for i, j in matching.edges)
                for matching in enumerate_matchings(size))
+
+
+def signed_sums_by_matchings(geometry: FoldGeometry,
+                             matchings: Sequence[Tuple[int, tuple, List[Fraction]]],
+                             m_top: int) -> Tuple[List[int], int, int, List[int]]:
+    """Same S, D and O as oracle._signed_sums and oracle._edge_forms, by
+    the loop over the matchings: (S, D, O, squares) from the (sign, edges,
+    pairings) of every matching at one point.
+
+    D is the lcm of the pairing denominators over all matchings and
+    O = lcm(1, 3, .., 2 m_top + 1).  Each form contributes the series
+    U^(2r+1) (O/(2r+1)), r = 0..m_top, with U = u D; the forms' series are
+    binomially convolved across the matching (the edge series, one form or
+    the convolved minus/plus pair, are built once per edge), and the
+    convolutions are summed with the matching signs into S[m], so that
+
+        Z_(2m+k)(point) = c_m S[m] / (D^(2m+k) O^k)
+
+    on the unnormalized forms.  squares[i] is sum(U^2) of matching i."""
+    size = m_top + 1
+    forms_per_edge = 2 if geometry.pair_forms else 1
+    denominator = math.lcm(*(u.denominator for _, _, us in matchings for u in us))
+    odd = math.lcm(*range(1, 2 * m_top + 2, 2))
+    comb = [[math.comb(m, j) for j in range(m + 1)] for m in range(size)]
+    edge_series = {}
+    signed = [0] * size
+    squares = []
+    for sign, edges, pairings in matchings:
+        scaled = [int(u * denominator) for u in pairings]
+        squares.append(sum(v * v for v in scaled))
+        conv = None
+        for slot, edge in enumerate(edges):
+            series = edge_series.get(edge)
+            if series is None:
+                for v in scaled[slot * forms_per_edge : (slot + 1) * forms_per_edge]:
+                    g, power, vv = [], v, v * v
+                    for r in range(size):
+                        g.append(power * (odd // (2 * r + 1)))
+                        power *= vv
+                    series = g if series is None else _int_binomial_convolve(series, g, comb)
+                edge_series[edge] = series
+            conv = series if conv is None else _int_binomial_convolve(conv, series, comb)
+        for m in range(size):
+            signed[m] += sign * conv[m]
+    return signed, denominator, odd, squares
+
+
+def fold_at(spec: ArrangementSpec, point: Sequence, degree_cap: int) -> Dict[int, Fraction]:
+    """The exact values Z_d(point) of the signed fold for d = k, k+2, ..,
+    <= degree_cap, keyed by d, in z_poly's convention (unnormalized integer
+    forms): Z_(2m+k)(point) = c_m S[m] / (D^(2m+k) O^k) from _signed_sums.
+
+    Z_d is a polynomial, so any exact point is admitted (no unit-ball or
+    sum-zero condition); this is the point-evaluation route that checks the
+    dominant coefficients and the quotients (Z_d = 2^shift Q J) without
+    expanding the fold."""
+    geometry, exact_point, m_top = _exact_frame(spec, point, degree_cap)
+    k = geometry.k
+    matchings = [(mt.sign(matching), matching.edges,
+                  list(form_values(geometry, matching, exact_point)))
+                 for matching in enumerate_matchings(geometry.ground)]
+    signed, denominator, odd, _ = _signed_sums(geometry, matchings, m_top)
+    return {2 * m + k: c_coefficient(spec.rank, k, m) * Fraction(s, denominator ** (2 * m + k))
+            / odd**k for m, s in enumerate(signed)}
 
 
 class QuadratureError(RuntimeError):

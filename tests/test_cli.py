@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from coxpizza import cli
+from coxpizza import cli, conjectures
 from coxpizza.cli import build_parser, main
 from reference import table_cells
 
@@ -167,6 +167,22 @@ def test_check_commands_exit_zero(capsys):
     assert run_cli(capsys, "check", "y-neg", "--rank", "3", "--max-degree", "10")[0] == 0
     code, out, _ = run_cli(capsys, "check", "sign", "--spec", "A:2", "--centers", "auto:3",
                            "--seed", "5")
+    assert code == 0 and "consistent" in out
+
+
+def test_check_tpos_refuses_a_max_degree_past_the_work_cap(capsys, monkeypatch):
+    # m = 100: (m+1)^4 edge-table steps exceed MAX_QUOTIENT_WORK, so no table is built
+    def refuse(pair_forms, q):
+        raise AssertionError("an edge table was built")
+    monkeypatch.setattr(conjectures, "_edge_table", refuse)
+    code, out, err = run_cli(capsys, "check", "t-pos", "--max-degree", "202")
+    assert code == 2 and out == ""
+    assert "error: max degree 202: about 104060401 steps for the edge tables exceed the cap" in err
+
+
+@pytest.mark.parametrize("max_degree", ["40", "60"])
+def test_check_tpos_admits_the_readme_degrees(capsys, max_degree):
+    code, out, _ = run_cli(capsys, "check", "t-pos", "--max-degree", max_degree)
     assert code == 0 and "consistent" in out
 
 

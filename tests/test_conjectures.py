@@ -217,6 +217,16 @@ def test_sign_checks_consistent_rank_seven(monkeypatch, family, check):
     assert max(cap for _, cap in calls) < 100
 
 
+def test_sign_check_d9_at_two_dyadic_centers():
+    # the frontier of the exact fold in Tier-1: 945 matchings, decided at
+    # caps 150 and 146, about 2 s; the verdict is what the code returns
+    centers = [tuple(x / 64 for x in (13, -7, 3, 10, -1, 5, -12, 8, 2)),
+               tuple(x / 64 for x in (-2, 11, 6, -9, 4, 14, -3, 1, -7))]
+    report = check_sign_D(9, centers)
+    assert report.verdict == "consistent"
+    assert report.notes == [] and report.witnesses == []
+
+
 @pytest.mark.parametrize("family,rank", [("D", 5), ("A", 6)])
 def test_sign_escalation_decides_no_later_than_the_fixed_step_route(monkeypatch, family, rank):
     spec = make_spec(family, rank)

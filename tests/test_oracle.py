@@ -1,18 +1,20 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from coxpizza import matchings as mt
+from coxpizza import oracle
 from coxpizza.matchings import enumerate_matchings, form_values
-from coxpizza.oracle import (BallSpec, DivergentRegion, McEstimate, _c_sequence,
-                             _require_decaying, a1k_pizza_series, ball_volume,
+from coxpizza.oracle import (BallSpec, DivergentRegion, McEstimate, _c_sequence, _edge_forms,
+                             _require_decaying, _signed_sums, a1k_pizza_series, ball_volume,
                              exact_sign_fold, fold_at, mc_pizza, random_interior_centers,
                              sign_fold_tails, sum_over_2structures)
 from coxpizza.rootsys import make_spec
 from coxpizza.taylor import c_coefficient, fold_parameters, quotient, z_poly
 from reference import (a1k_pizza_quadrature, auto_degree_cap, coefficient, contains_origin,
-                       vandermonde)
+                       signed_sums_by_matchings, vandermonde)
 
 SEED = 90210
 
@@ -65,6 +67,74 @@ def test_mc_resamples_points_on_a_wall():
     expected = McEstimate(2.1003790884000326e-24, 1.1873923549357048e-24, 70_000, 5)
     assert mc_pizza(spec, ball, 70_000, 5) == expected
     assert mc_pizza(spec, ball, 70_000, 5, threads=2) == expected
+
+
+# repr((value, std_error)) at seed 7, recorded before the chunks were worked
+# through in blocks; the sample counts end inside a block, inside a chunk and
+# on several chunks, and the radius-1e-11 ball on the wall a_1 = a_2 redraws
+_MC_BALLS = {
+    "A2": (("A", 2), (0.2, -0.05, -0.15), 1.0),
+    "A3": (("A", 3), (0.25, -0.0625, 0.125, -0.3125), 1.0),
+    "A6": (("A", 6), tuple(x / 64 for x in (6, -5, 9, -3, 1, 7, -15)), 1.0),
+    "D3": (("D", 3), (0.25, 0.1, 0.03), 1.0),
+    "D5": (("D", 5), (0.2, -0.1, 0.15, 0.05, -0.12), 1.0),
+    "D7": (("D", 7), (0.1, -0.07, 0.13, -0.05, 0.02, 0.11, -0.09), 1.0),
+    "I2:5": (("I2", 5), (0.3, 0.1), 1.0),
+    "A2-wall": (("A", 2), (0.1, 0.1, -0.2), 1e-11),
+}
+_MC_PINNED = {
+    ("A2", 1): "(3.141592653589793, 3.141592653589793)",
+    ("A2", 999): "(-0.022013161736865416, 0.09944293648637782)",
+    ("A2", 20000): "(0.008168140899333461, 0.022214894985260244)",
+    ("A2", 70000): "(-0.008796459430051421, 0.011874142386263562)",
+    ("A2", 200000): "(-0.006251769380643688, 0.007024818383610458)",
+    ("A3", 1): "(4.18879020478639, 4.18879020478639)",
+    ("A3", 999): "(0.09643861332341037, 0.13255869110227422)",
+    ("A3", 20000): "(-0.000418879020478639, 0.029619959947881504)",
+    ("A3", 70000): "(0.008856299290119796, 0.01583221652416244)",
+    ("A3", 200000): "(-0.01043008760991811, 0.00936641402103774)",
+    ("A6", 1): "(-5.167712780049969, 5.167712780049969)",
+    ("A6", 999): "(-0.06724751365430391, 0.16356723887216418)",
+    ("A6", 20000): "(0.02893919156827983, 0.03654158807984578)",
+    ("A6", 70000): "(0.03691223414321407, 0.019531759614131748)",
+    ("A6", 200000): "(0.006046223952658464, 0.01155537804380052)",
+    ("D3", 1): "(4.18879020478639, 4.18879020478639)",
+    ("D3", 999): "(0.06289474781961546, 0.1325788895500326)",
+    ("D3", 20000): "(0.014660765716752363, 0.029619778673170106)",
+    ("D3", 70000): "(0.010053096491487334, 0.015832206313949382)",
+    ("D3", 200000): "(-0.0038117990863556148, 0.009366439179347994)",
+    ("D5", 1): "(5.263789013914326, 5.263789013914326)",
+    ("D5", 999): "(0.25818384552732926, 0.16642177832698732)",
+    ("D5", 20000): "(-0.04421582771688033, 0.03722022641578024)",
+    ("D5", 70000): "(-0.024213429464005898, 0.019895184022839744)",
+    ("D5", 200000): "(-0.011106594819359227, 0.011770193278788265)",
+    ("D7", 1): "(-4.724765970331397, 4.724765970331397)",
+    ("D7", 999): "(-0.1560733503713074, 0.14947823275594727)",
+    ("D7", 20000): "(0.042995370330015714, 0.03340859246255527)",
+    ("D7", 70000): "(0.024298796418847184, 0.017857828193389012)",
+    ("D7", 200000): "(0.0034963268180452337, 0.010564921407105854)",
+    ("I2:5", 1): "(3.141592653589793, 3.141592653589793)",
+    ("I2:5", 999): "(0.166671081721981, 0.09930532839733823)",
+    ("I2:5", 20000): "(0.05969026041820607, 0.022210959907938012)",
+    ("I2:5", 70000): "(0.022529707315743944, 0.01187388358811597)",
+    ("I2:5", 200000): "(-0.00942477796076938, 0.007024800681326966)",
+    ("A2-wall", 1): "(-3.1415926535897927e-22, 3.1415926535897927e-22)",
+    ("A2-wall", 999): "(3.459211130078851e-24, 9.943934912918314e-24)",
+    ("A2-wall", 20000): "(-2.3876104167282426e-24, 2.2214328494385786e-24)",
+    ("A2-wall", 70000): "(-2.692793703076965e-26, 1.1874188889555941e-24)",
+    ("A2-wall", 200000): "(-3.832743037379547e-25, 7.024827065261273e-25)",
+}
+
+
+@pytest.mark.parametrize("label", list(_MC_BALLS))
+def test_mc_reproduces_the_pinned_estimates(label):
+    (family, rank), center, radius = _MC_BALLS[label]
+    spec = make_spec(family, rank)
+    for (case, samples), expected in _MC_PINNED.items():
+        if case == label:
+            for threads in (1, 2, 4):
+                est = mc_pizza(spec, BallSpec(center, radius), samples, 7, threads=threads)
+                assert repr((est.value, est.std_error)) == expected, (samples, threads)
 
 
 def test_mc_same_parity_vanishes():
@@ -316,6 +386,41 @@ def test_fold_at_matches_the_expanded_fold(family, rank, cap):
     assert sorted(values) == list(range(k, cap + 1, 2))
     for d, value in values.items():
         assert value == z_poly(spec, d).evaluate(point), (family, rank, d)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("A", 6), ("A", 7), ("D", 3),
+                                         ("D", 5), ("D", 7)])
+def test_signed_sums_equal_the_matchings_loop(family, rank):
+    # the Pfaffian against the signed loop over every matching, at a seeded
+    # dyadic center and a seeded 32-bit integer point, from |Phi+| up
+    spec = make_spec(family, rank)
+    geometry = fold_parameters(spec)
+    phi = spec.positive_root_count
+    rng = random.Random(f"{family}{rank}")
+    dyadic = random_interior_centers(spec, 1, SEED, radius=0.4, margin=0.01)[0]
+    integers = [rng.randrange(-2**31, 2**31) for _ in range(spec.ambient_dim)]
+    for point in (dyadic, integers):
+        exact = [Fraction(x) for x in point]
+        matchings = [(mt.sign(matching), matching.edges, list(form_values(geometry, matching, exact)))
+                     for matching in enumerate_matchings(geometry.ground)]
+        forms, denominator = _edge_forms(geometry, exact)
+        for cap in (phi, phi + 1, phi + 17, phi + 40):
+            m_top = (cap - geometry.k) // 2
+            signed, odd = _signed_sums(geometry, forms, m_top)
+            expected = signed_sums_by_matchings(geometry, matchings, m_top)[:3]
+            assert (signed, denominator, odd) == expected, (point, cap)
+
+
+def test_fold_at_visits_no_matching(monkeypatch):
+    spec = make_spec("A", 6)
+    point = [Fraction(7 - 3 * i, 5 + i) for i in range(spec.ambient_dim)]
+    expected = fold_at(spec, point, 31)
+
+    def refuse(ground):
+        raise AssertionError("fold_at enumerated the matchings")
+    monkeypatch.setattr(oracle, "enumerate_matchings", refuse)
+    monkeypatch.setattr(mt, "enumerate_matchings", refuse)
+    assert fold_at(spec, point, 31) == expected
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("A", 6), ("D", 5)])
