@@ -357,10 +357,11 @@ def check_t_positivity(d_max: int, d_min: int = 6) -> ConjectureReport:
     with (x+y, x-y) and normalized to unit forms, divided exactly by
     x^2 - y^2, must have non-negative coefficients in the basis
     u = x^2 + y^2, v = x^2 y^2.  The block is read off the minus/plus
-    edge table of the type D folds (see _t_block_basis).  The tables up to
-    inner degree m = (d_max - 2) / 2 cost about (m+1)^4 steps, the term
-    dominant_coefficients counts for them; past MAX_QUOTIENT_WORK the check
-    is refused before any is built."""
+    edge table of the type D folds (see _t_block_basis), built by its
+    two-term recurrence in O(m) steps per table.  The check is refused
+    before any table is built when (m+1)^4, m = (d_max - 2) / 2, exceeds
+    MAX_QUOTIENT_WORK: the term dominant_coefficients counts for the pair's
+    tables, which caps m, not their cost."""
     started = time.perf_counter()
     if d_min < 6:
         raise ValueError("the positivity range starts at degree 6")

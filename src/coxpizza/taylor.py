@@ -27,11 +27,10 @@ divided back out at the end, so the fold's loop and the Pfaffians are pure
 integer arithmetic.
 
 An edge's share of a composed block at one inner degree is one integer
-table (_edge_table), built once per edge layout and degree; it
-is also the two-variable block that check t-pos in conjectures probes.
-The reference route that builds the blocks by direct composition (t_poly,
-compose_block, z_poly_reference) lives in tests/reference.py; the tests
-compare the tables and the folds against it.
+table (_edge_table) from a closed form, built once per edge layout and
+degree; it is also the two-variable block that check t-pos probes.  The
+reference routes by direct composition (edge_table_by_composition, t_poly,
+compose_block, z_poly_reference) live in tests/reference.py.
 
 All algebra runs on unnormalized integer root coordinates, which keeps
 every coefficient rational.  Because the supported degrees always have the
@@ -46,7 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import matchings as mt
 from .matchings import FoldGeometry, count_matchings, enumerate_matchings, fold_parameters
@@ -88,17 +87,6 @@ def c_coefficient(n: int, k: int, m: int) -> Fraction:
     return -value if m % 2 else value
 
 
-def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
-    """Ordered compositions of total into `parts` non-negative parts,
-    first coordinate descending (fixed, reproducible order)."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 # ---------------------------------------------------------------------------
 # per-edge tables: one edge's share of a composed block, by inner degree
 # ---------------------------------------------------------------------------
@@ -112,37 +100,45 @@ def _edge_table(pair_forms: bool, q: int) -> Tuple[Dict[Tuple[int, int], int], i
     the coefficients keyed by the exponent pair (e_i, e_j), in descending
     key order without zeros, and the scalar S they are divided by.
 
-    A single form (x - y) gives (x - y)^(2q+1) / ((2q+1) q!).  The
-    minus/plus pair (x - y, x + y) gives
+    A single form (x - y) gives (x - y)^a / (a q!), a = 2q+1: the binomial
+    row C(a, e) (-1)^(a-e) on x^e y^(a-e), over S = a q!.  The minus/plus
+    pair (u, v) = (x - y, x + y) gives, of degree D = 2q+2,
 
-        sum over r+s=q of (x-y)^a (x+y)^b / (a b r! s!),  a = 2r+1, b = 2s+1,
+        P_q = sum over r+s=q of u^a v^b / (a b r! s!),  a = 2r+1, b = 2s+1.
 
-    which is even in x and in y, so it has at most q+2 terms.  Over
-    O = lcm(1, 3, .., 2q+1) every term is an integer: C(q, r) (O/a) (O/b)
-    (x-y)^a (x+y)^b over O^2 q! (one form: (O/a) (x-y)^a over O q!).  The
-    sum is reduced once, by the gcd of its coefficients and that scalar.
+    Its d_u d_v is (u^2 + v^2)^q / q! = 2^q (x^2 + y^2)^q / q!, and
+    d_u d_v = (d_x^2 - d_y^2) / 4, so the coefficients p_e of x^e y^(D-e)
+    (e even: P_q is even in x and in y) satisfy
+
+        e (e-1) p_e = (D-e+2) (D-e+1) p_(e-2) + 4 2^q C(q, e/2 - 1) / q!
+
+    from p_0 = P_q(0, 1) = -sum over r of 1 / (a b r! s!).  Over
+    S = O^2 q!, O = lcm(1, 3, .., 2q+1), each term C(q, r) (O/a) (O/b) u^a v^b
+    of S P_q is an integer, so every S p_e is, and each step's division by
+    e (e-1) is exact.  The table is reduced once, by the gcd with S.
     """
-    signs = (-1, 1) if pair_forms else (-1,)
-    odd = math.lcm(*range(1, 2 * q + 2, 2))
-    acc = [0] * (2 * q + len(signs) + 1)  # coefficient of x^e_i y^(degree - e_i), by e_i
-    for comp in _compositions(q, len(signs)):
-        term = [math.factorial(q) // math.prod(map(math.factorial, comp))]
-        for r, sign in zip(comp, signs):
-            a = 2 * r + 1
-            power = [odd // a * math.comb(a, s) * sign ** (a - s) for s in range(a + 1)]
-            grown = [0] * (len(term) + a)
-            for i, c in enumerate(term):
-                for j, p in enumerate(power):
-                    grown[i + j] += c * p
-            term = grown
-        acc = [x + y for x, y in zip(acc, term)]
-    scalar = odd ** len(signs) * math.factorial(q)
-    g = math.gcd(scalar, *acc)
-    degree = len(acc) - 1
-    return {(e, degree - e): c // g for e, c in reversed(list(enumerate(acc))) if c}, scalar // g
+    if pair_forms:
+        degree, odd = 2 * q + 2, math.lcm(*range(1, 2 * q + 2, 2))
+        scalar, step = odd * odd * math.factorial(q), 2
+        rhs = 4 * 2**q * odd * odd  # S 4 2^q / q!
+        row = [-sum(math.comb(q, r) * (odd // (2 * r + 1)) * (odd // (2 * (q - r) + 1))
+                    for r in range(q + 1))]
+        for e in range(2, degree + 1, 2):
+            row.append(((degree - e + 2) * (degree - e + 1) * row[-1]
+                        + rhs * math.comb(q, e // 2 - 1)) // (e * (e - 1)))
+    else:
+        degree = 2 * q + 1
+        scalar, step = degree * math.factorial(q), 1
+        row = [-1]  # C(a, e+1) = C(a, e) (a-e) / (e+1), one exact division a step
+        for e in range(degree):
+            row.append(-row[-1] * (degree - e) // (e + 1))
+    g = math.gcd(scalar, *row)
+    return {(step * i, degree - step * i): c // g
+            for i, c in reversed(list(enumerate(row))) if c}, scalar // g
 
 
-# Few entries: one at the largest admitted m holds 56 MB, rebuilt from the edge tables in 1 s.
+# Few entries: one at the largest admitted m (one form, m = 306 for A_2 d613) holds 27 MB and
+# takes 0.5 s to rebuild from the cached edge tables, nearly all of it the scaling to L.
 @lru_cache(maxsize=4)
 def _cleared_tables(pair_forms: bool, m: int) -> Tuple[Tuple[Dict[Tuple[int, int], int], ...], int]:
     """The edge tables for inner degrees q = 0..m over one denominator
@@ -348,8 +344,8 @@ def dominant_coefficients(spec: ArrangementSpec, d: int) -> Dict[Tuple[int, ...]
     m = (d - geometry.k) // 2
     # targets are stretched by the forms per edge, and so are an edge's table degrees 2q + forms
     stretch = 2 if geometry.pair_forms else 1
-    # work in steps of about one of _pfaffian's: the edge tables, the Schur expansion that
-    # quotient and check schur run on the result (100 a monomial), a Pfaffian per target
+    # work in steps of about one of _pfaffian's: (m+1)^(2+stretch), which caps m (for the pair
+    # it is far above the tables' cost), the Schur expansion of the result, a Pfaffian per target
     work = (m + 1) ** (2 + stretch) + 100 * math.comb(size + ground - 1, ground - 1)
     lams = list(partitions(size, ground)) if work <= MAX_QUOTIENT_WORK else []
     work += len(lams) * (ground + 1) ** 3

@@ -1,6 +1,7 @@
 """Reference routes that only the tests use: slower, direct computations
 that the library's results are compared against.  Among them: Vandermonde
 products, alternants and Schur bialternants; the expanded Jacobian; the
+per-edge tables as sums of binomial-row products over compositions; the
 fold by direct composition of Taylor blocks (z_poly_reference); the
 dominant coefficients, the Pfaffian and the exact folds' integer sums as
 signed sums over the matchings; nested quadrature; check schur and the
@@ -15,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from coxpizza import matchings as mt
 from coxpizza.conjectures import ReconstructionMismatch, RewriteFailed
@@ -26,10 +27,9 @@ from coxpizza.oracle import (BallSpec, DivergentRegion, _int_binomial_convolve, 
 from coxpizza.polyring import (Monomial, Poly, Rational, divide_by_vandermonde, mul,
                                normalize_partition, partitions)
 from coxpizza.rootsys import ArrangementSpec, Root, make_spec, positive_roots
-from coxpizza.taylor import (ReportEntry, _admitted_geometry, _cleared_tables, _compositions,
-                             _fold_scale, _require_symbolic_regime, c_coefficient,
-                             dominant_coefficients, expansion_report, power_sum_multiple,
-                             reduce_mod_relation, z_poly)
+from coxpizza.taylor import (ReportEntry, _admitted_geometry, _cleared_tables, _fold_scale,
+                             _require_symbolic_regime, c_coefficient, dominant_coefficients,
+                             expansion_report, power_sum_multiple, reduce_mod_relation, z_poly)
 
 
 def constant(arity: int, value) -> Poly:
@@ -236,6 +236,43 @@ def two_structure(spec: ArrangementSpec, m: Matching) -> TwoStructure:
             plus[i - 1], plus[j - 1] = 1, 1
             roots.append(Root(tuple(plus), 2))
     return TwoStructure(m, tuple(roots))
+
+
+def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
+    """Ordered compositions of total into `parts` non-negative parts,
+    first coordinate descending (fixed, reproducible order)."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def edge_table_by_composition(pair_forms: bool, q: int) -> Tuple[Dict[Tuple[int, int], int], int]:
+    """taylor._edge_table by expanding its defining sum: for every
+    composition r+s=q (one part for a single form) the product of the dense
+    binomial rows C(q, r) (O/a) (x-y)^a and (O/b) (x+y)^b, a = 2r+1,
+    b = 2s+1, O = lcm(1, 3, .., 2q+1), summed and reduced once by the gcd
+    with O^forms q!."""
+    signs = (-1, 1) if pair_forms else (-1,)
+    odd = math.lcm(*range(1, 2 * q + 2, 2))
+    acc = [0] * (2 * q + len(signs) + 1)  # coefficient of x^e_i y^(degree - e_i), by e_i
+    for comp in _compositions(q, len(signs)):
+        term = [math.factorial(q) // math.prod(map(math.factorial, comp))]
+        for r, sign in zip(comp, signs):
+            a = 2 * r + 1
+            power = [odd // a * math.comb(a, s) * sign ** (a - s) for s in range(a + 1)]
+            grown = [0] * (len(term) + a)
+            for i, c in enumerate(term):
+                for j, p in enumerate(power):
+                    grown[i + j] += c * p
+            term = grown
+        acc = [x + y for x, y in zip(acc, term)]
+    scalar = odd ** len(signs) * math.factorial(q)
+    g = math.gcd(scalar, *acc)
+    degree = len(acc) - 1
+    return {(e, degree - e): c // g for e, c in reversed(list(enumerate(acc))) if c}, scalar // g
 
 
 @dataclass(frozen=True)

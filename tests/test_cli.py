@@ -180,7 +180,7 @@ def test_check_tpos_refuses_a_max_degree_past_the_work_cap(capsys, monkeypatch):
     assert "error: max degree 202: about 104060401 steps for the edge tables exceed the cap" in err
 
 
-@pytest.mark.parametrize("max_degree", ["40", "60"])
+@pytest.mark.parametrize("max_degree", ["40", "60", "168"])
 def test_check_tpos_admits_the_readme_degrees(capsys, max_degree):
     code, out, _ = run_cli(capsys, "check", "t-pos", "--max-degree", max_degree)
     assert code == 0 and "consistent" in out

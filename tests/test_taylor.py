@@ -15,8 +15,9 @@ from coxpizza.taylor import (ParityRegimeError, ResourceCapExceeded, _edge_table
                              fold_parameters, power_sum_multiple, quotient,
                              reduce_mod_relation, z_poly)
 from reference import (coefficient, constant, dominant_coefficients_by_matchings,
-                       flip_variable_sign, permute_variables, pfaffian_by_matchings, power,
-                       t_eval_on_structure, t_poly, two_structure, vandermonde, z_poly_reference)
+                       edge_table_by_composition, flip_variable_sign, permute_variables,
+                       pfaffian_by_matchings, power, t_eval_on_structure, t_poly, two_structure,
+                       vandermonde, z_poly_reference)
 
 
 def p2(arity, c=1):
@@ -147,6 +148,16 @@ def test_edge_table_small_cases():
     assert _edge_table(True, 0) == ({(2, 0): 1, (0, 2): -1}, 1)
     # ((x-y)^3 (x+y) + (x-y)(x+y)^3) / 3 = 2 (x^4 - y^4) / 3
     assert _edge_table(True, 1) == ({(4, 0): 2, (0, 4): -2}, 3)
+
+
+@pytest.mark.parametrize("pair_forms", [False, True])
+def test_edge_table_equals_the_composition_products(pair_forms):
+    # the closed forms (binomial row, two-term recurrence) against the sum of
+    # binomial-row products over compositions, key order included
+    for q in range(61):
+        table, scalar = _edge_table(pair_forms, q)
+        expected, expected_scalar = edge_table_by_composition(pair_forms, q)
+        assert scalar == expected_scalar and list(table.items()) == list(expected.items()), q
 
 
 # -- the signed fold ---------------------------------------------------------
@@ -420,7 +431,7 @@ def test_quotient_path_visits_no_matching(monkeypatch, capsys):
 
 
 LAPLACIAN_ROWS = ([("A", n) for n in (2, 3, 6, 7, 10, 11, 14, 15)]
-                  + [("D", n) for n in range(3, 12, 2)])
+                  + [("D", n) for n in range(3, 14, 2)])
 
 
 @pytest.mark.parametrize("family,rank", LAPLACIAN_ROWS, ids=[f"{f}{r}" for f, r in LAPLACIAN_ROWS])
