@@ -18,18 +18,20 @@ its integer series, and evaluates the signed sum over the matchings of
 their edges' products as one Pfaffian over the ring of binomial-convolution
 series, memoized on vertex subsets, into one sum per degree:
 
-  * exact_sign_fold  -- the same fold as sum_over_2structures in exact
-                        arithmetic, with a rational tail bound, for sign
-                        verdicts; the series coefficients and the
-                        denominators are applied once at the end.  Its
-                        tail bound depends only on the matchings' squared
-                        radii, so sign_fold_tails gives it for every cap
-                        without folding.
   * fold_at          -- the exact values Z_d(point) of the symbolic fold
                         (z_poly's convention) at any exact point, degree by
                         degree; check schur and the tests check the
                         dominant coefficients and the quotients with it at
                         seeded integer points without expanding the fold.
+  * exact_sign_fold  -- the same fold as sum_over_2structures in exact
+                        arithmetic, for sign verdicts: the 2^-m-weighted
+                        sum of fold_at's values at the center, with the
+                        rational tail bound of sign_fold_tails.
+
+sign_fold_tails owns that bound.  It depends only on the matchings'
+squared radii, so it is known for every cap without folding; the
+matchings are enumerated once per center (the last center's bound is
+cached), and equal radii are counted once.
 
 Type A lives on the hyperplane sum(a) = 0 inside R^(n+1); sampling happens
 in an explicit orthonormal basis of that subspace, so volumes are the
@@ -42,9 +44,11 @@ still defined.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -347,16 +351,6 @@ def _edge_forms(geometry: FoldGeometry, point: Sequence[Fraction]
             for edge, us in exact.items()}, denominator
 
 
-def _matching_squares(geometry: FoldGeometry, forms: Dict[Tuple[int, int], Tuple[int, ...]]
-                      ) -> Iterator[int]:
-    """sum(U^2) over the forms of each maximal matching, in enumeration
-    order, from the edges' integer forms (_edge_forms): the matchings'
-    squared radii s_M = sum(U^2) / (2 D^2) in units of 1 / (2 D^2)."""
-    edge_squares = {edge: sum(v * v for v in values) for edge, values in forms.items()}
-    for matching in enumerate_matchings(geometry.ground):
-        yield sum(edge_squares[edge] for edge in matching.edges)
-
-
 def _signed_sums(geometry: FoldGeometry, forms: Dict[Tuple[int, int], Tuple[int, ...]],
                  m_top: int) -> Tuple[List[int], int]:
     """The integer core of the exact folds: (S, O) from the edges' integer
@@ -453,77 +447,80 @@ def exact_sign_fold(spec: ArrangementSpec, center: Sequence, degree_cap: int) ->
     individual terms near the origin.  Float centers convert exactly (they
     are dyadic rationals), so the verdict applies to the center as given.
 
-    Per matching, the unnormalized pairings u (the unit-form values scaled
-    by sqrt(2)^k) give W_M = sum_m 2^-m c_m conv[m], where conv is the
-    binomial convolution across the k forms of u^(2r+1)/(2r+1).  Their
-    signed sum over the matchings runs on integers in _signed_sums, one
-    Pfaffian of the edges' series, which returns the sums S[m] under the
-    common denominators D and O, so that
+    Per matching, the unnormalized pairings u are the unit-form values
+    scaled by sqrt(2)^k, and the block of degree 2m+k scales by 2^m more
+    than the unit-form block of the quantity, so
 
-        W = sum_m c_m 2^-m S[m] / (D^(2m+k) O^k),
+        W = sum_m 2^-m Z_(2m+k)(center),  2m+k <= degree_cap,
 
-    combined once at the end.  B sums the matching tail bounds
-    2^ceil(k/2) |c_(m_top+1)| s^(m_top+1) / (1 - s), with s = sum(u^2)/2 < 1
-    the matching's squared radius (_tail_bounds); this is the one loop over
-    the matchings left, and it folds nothing.  The bound is valid once the
-    coefficients |c_m| stop growing, which is checked.
+    with Z_d from fold_at.  B is sign_fold_tails(spec, center)(degree_cap),
+    whose checks (the center inside the unit ball, coefficients no longer
+    growing past the cap) run before the fold.
     """
-    geometry, exact_center, m_top = _exact_frame(spec, center, degree_cap)
-    n, k = spec.rank, geometry.k
-    size = m_top + 1
-    c = [c_coefficient(n, k, m) for m in range(size)]
-
-    forms, denominator = _edge_forms(geometry, exact_center)
-    radius_square = 2 * denominator * denominator  # s = 1 in the units of sum(U^2)
-    squares = []
-    for square in _matching_squares(geometry, forms):
-        if square >= radius_square:
-            raise DivergentRegion("exact fold needs the center strictly inside the unit ball")
-        if not squares:  # the cap is checked after the first matching's radius
-            _require_decaying(n, k, m_top, "cap too small: coefficients")
-        squares.append(square)
-    signed, odd = _signed_sums(geometry, forms, m_top)
-
-    # W = sum_m c_m S[m] (2 D^2)^(m_top - m) / ((2 D^2)^m_top D^k O^k)
-    total = sum(c[m] * (signed[m] * radius_square ** (m_top - m)) for m in range(size))
-    value = Fraction(total) / (radius_square ** m_top * (denominator * odd) ** k)
-    return value, _tail_bounds(n, k, squares, radius_square)(m_top)
-
-
-def _tail_bounds(n: int, k: int, squares: Sequence[int], radius_square: int
-                 ) -> Callable[[int], Fraction]:
-    """The tail bound of exact_sign_fold as a function of m_top:
-
-        B(m_top) = 2^ceil(k/2) |c_(m_top+1)| sum_M s_M^(m_top+1) / (1 - s_M)
-
-    with s_M = squares[M] / radius_square the matchings' squared radii, all
-    below 1.  Each term is the geometric tail of one matching's series,
-    stated for unit pairings; 2^ceil(k/2) >= 2^(k/2) lifts it to the
-    unnormalized ones.  B needs no fold, so a cap can be chosen from it.
-
-    With q = squares[M] and R = radius_square the sum is
-    sum_M q^(m_top+1) / (R^m_top (R - q)); the 1/(R - q) are put over one
-    common denominator once, so each B is one integer sum."""
-    common = math.lcm(*(radius_square - q for q in squares))
-    weights = [common // (radius_square - q) for q in squares]
-    lift = 1 << ((k + 1) // 2)
-
-    def bound(m_top: int) -> Fraction:
-        tails = sum(w * q ** (m_top + 1) for w, q in zip(weights, squares))
-        return (lift * abs(c_coefficient(n, k, m_top + 1))
-                * Fraction(tails, common * radius_square ** m_top))
-    return bound
+    geometry, _, _ = _exact_frame(spec, center, degree_cap)
+    bound = sign_fold_tails(spec, center)(degree_cap)
+    folds = fold_at(spec, center, degree_cap)
+    return sum(z / (1 << ((d - geometry.k) // 2)) for d, z in folds.items()), bound
 
 
 def sign_fold_tails(spec: ArrangementSpec, center: Sequence) -> Callable[[int], Fraction]:
     """The bound B of exact_sign_fold(spec, center, degree_cap) as a function
-    of degree_cap, without folding: B depends only on the matchings' squared
-    radii s_M = sum(u^2)/2.  For a center that exact_sign_fold accepts."""
+    of degree_cap, without folding.  With m_top = (degree_cap - k) // 2,
+
+        B = 2^ceil(k/2) |c_(m_top+1)| sum_M s_M^(m_top+1) / (1 - s_M),
+
+    s_M = sum(u^2)/2 < 1 the squared radius of matching M.  Each term is the
+    geometric tail of one matching's series, stated for unit pairings;
+    2^ceil(k/2) >= 2^(k/2) lifts it to the unnormalized ones.  It is valid
+    once the coefficients |c_m| stop growing past m_top + 1, which is
+    checked for every cap (_require_decaying).
+
+    On the integer forms U = u D of _edge_forms, q_M = sum(U^2) and
+    R = 2 D^2 give s_M = q_M / R, so the sum is
+    sum_M q_M^(m_top+1) / (R^m_top (R - q_M)).  Equal radii are counted
+    once, with their multiplicity, and the 1/(R - q) are put over one
+    common denominator, so each B is one integer sum.  The matchings are
+    enumerated and that denominator is built once per center: the last
+    center's bound is cached.  A center outside the unit ball raises
+    DivergentRegion, checked on the first matching before any cap and on
+    the others at the first cap that passes."""
+    return _center_tails(spec, tuple(Fraction(x) for x in center))
+
+
+@lru_cache(maxsize=1)
+def _center_tails(spec: ArrangementSpec, center: Tuple[Fraction, ...]) -> Callable[[int], Fraction]:
     geometry = fold_parameters(spec)
-    forms, denominator = _edge_forms(geometry, [Fraction(x) for x in center])
-    bounds = _tail_bounds(spec.rank, geometry.k, list(_matching_squares(geometry, forms)),
-                          2 * denominator * denominator)
-    return lambda degree_cap: bounds((degree_cap - geometry.k) // 2)
+    n, k, ground = spec.rank, geometry.k, geometry.ground
+    forms, denominator = _edge_forms(geometry, center)
+    radius_square = 2 * denominator * denominator  # s = 1 in the units of sum(U^2)
+    edge_squares = {edge: sum(v * v for v in values) for edge, values in forms.items()}
+
+    def inside(edges: Iterable[Tuple[int, int]]) -> int:
+        square = sum(edge_squares[edge] for edge in edges)
+        if square >= radius_square:
+            raise DivergentRegion("exact fold needs the center strictly inside the unit ball")
+        return square
+
+    # enumerate_matchings' first matching, (1, 2), (3, 4), .., is checked before any cap
+    inside(zip(range(1, ground, 2), range(2, ground + 1, 2)))
+
+    @lru_cache(maxsize=None)
+    def weighted() -> Tuple[List[Tuple[int, int]], int]:
+        """(q, multiplicity * common / (R - q)) per distinct q, and common."""
+        counts = Counter(inside(matching.edges) for matching in enumerate_matchings(ground))
+        common = math.lcm(*(radius_square - q for q in counts))
+        return [(q, count * (common // (radius_square - q))) for q, count in counts.items()], common
+
+    lift = 1 << ((k + 1) // 2)
+
+    def bound(degree_cap: int) -> Fraction:
+        m_top = (degree_cap - k) // 2
+        _require_decaying(n, k, m_top, "cap too small: coefficients")
+        terms, common = weighted()
+        tails = sum(w * q ** (m_top + 1) for q, w in terms)
+        return (lift * abs(c_coefficient(n, k, m_top + 1))
+                * Fraction(tails, common * radius_square ** m_top))
+    return bound
 
 
 def _require_decaying(n: int, k: int, m_top: int, what: str) -> None:

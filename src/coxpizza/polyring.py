@@ -161,7 +161,7 @@ class Poly:
         for mono in sorted(self.terms, key=_grlex_key, reverse=True):
             yield mono, self.terms[mono]
 
-    def to_text(self, varname: str = "a") -> str:
+    def to_text(self) -> str:
         """Canonical text form: sorted graded-lex, coefficients as num/den."""
         if not self.terms:
             return "0"
@@ -170,9 +170,9 @@ class Poly:
             factors = []
             for i, e in enumerate(mono):
                 if e == 1:
-                    factors.append(f"{varname}{i + 1}")
+                    factors.append(f"a{i + 1}")
                 elif e > 1:
-                    factors.append(f"{varname}{i + 1}^{e}")
+                    factors.append(f"a{i + 1}^{e}")
             mag = abs(coeff)
             body = "*".join(factors)
             if not factors:
@@ -347,10 +347,8 @@ def normalize_partition(parts: Iterable[int]) -> Partition:
     return tuple(seq)
 
 
-def partitions(total: int, max_parts: int, max_part: int | None = None) -> Iterator[Partition]:
+def partitions(total: int, max_parts: int) -> Iterator[Partition]:
     """All partitions of ``total`` into at most ``max_parts`` parts."""
-    if max_part is None:
-        max_part = total
 
     def rec(remaining: int, slots: int, bound: int, prefix: Tuple[int, ...]):
         if remaining == 0:
@@ -360,7 +358,7 @@ def partitions(total: int, max_parts: int, max_part: int | None = None) -> Itera
             for part in range(min(bound, remaining), (remaining - 1) // slots, -1):
                 yield from rec(remaining - part, slots - 1, part, prefix + (part,))
 
-    yield from rec(total, max_parts, max_part, ())
+    yield from rec(total, max_parts, total, ())
 
 
 def _monomial_coefficients(coeffs: Mapping[Partition, int], size: int,

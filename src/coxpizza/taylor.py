@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import matchings as mt
 from .matchings import FoldGeometry, count_matchings, enumerate_matchings, fold_parameters
@@ -71,20 +71,26 @@ class ResourceCapExceeded(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+_C_SEQUENCES: Dict[Tuple[int, int], Tuple[Fraction, ...]] = {}
+
+
 def c_coefficient(n: int, k: int, m: int) -> Fraction:
     """Binomial-series coefficient (-1)^m * C((n-k)/2, m), exact.
 
     C(alpha, m) is the falling-factorial product alpha(alpha-1)...(alpha-m+1)/m!,
-    so the value is rational even for half-integer alpha.
+    so the value is rational even for half-integer alpha.  The sequence is
+    kept per (n, k) and extended in a loop by c_m = c_(m-1) (m-1-alpha) / m,
+    on a copy that replaces the kept one, so no caller sees a partial one.
     """
     if m < 0:
         raise ValueError("m must be non-negative")
-    alpha = Fraction(n - k, 2)
-    prod = Fraction(1)
-    for i in range(m):
-        prod *= alpha - i
-    value = prod / math.factorial(m)
-    return -value if m % 2 else value
+    seq = _C_SEQUENCES.get((n, k), (Fraction(1),))
+    if len(seq) <= m:
+        alpha, grown = Fraction(n - k, 2), list(seq)
+        for i in range(len(seq), m + 1):
+            grown.append(grown[-1] * (i - 1 - alpha) / i)
+        seq = _C_SEQUENCES[n, k] = tuple(grown)
+    return seq[m]
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +98,8 @@ def c_coefficient(n: int, k: int, m: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-# One cache entry per (layout, q) asked for: q <= MAX_DEGREE / 2 (folds), and 83 or 367 by
-# MAX_QUOTIENT_WORK (quotients; check t-pos, whose --max-degree stops at 169).
+# One cache entry per (layout, q) asked for: q <= MAX_DEGREE / 2 (folds), and q <= 367 in
+# either layout by MAX_QUOTIENT_WORK (quotients; check t-pos, whose --max-degree stops at 737).
 @lru_cache(maxsize=None)
 def _edge_table(pair_forms: bool, q: int) -> Tuple[Dict[Tuple[int, int], int], int]:
     """One edge's share of a composed block at inner degree q, on integers:
@@ -138,7 +144,8 @@ def _edge_table(pair_forms: bool, q: int) -> Tuple[Dict[Tuple[int, int], int], i
 
 
 # Few entries: one at the largest admitted m (one form, m = 306 for A_2 d613) holds 27 MB and
-# takes 0.5 s to rebuild from the cached edge tables, nearly all of it the scaling to L.
+# takes 0.5 s to rebuild from the cached edge tables, nearly all of it the scaling to L; the
+# pair's largest (m = 349 for D_3 d700) holds 18 MB and takes 0.4 s.
 @lru_cache(maxsize=4)
 def _cleared_tables(pair_forms: bool, m: int) -> Tuple[Tuple[Dict[Tuple[int, int], int], ...], int]:
     """The edge tables for inner degrees q = 0..m over one denominator
@@ -213,13 +220,11 @@ def _admitted_geometry(spec: ArrangementSpec, d: int) -> Optional[FoldGeometry]:
     return geometry
 
 
-def z_poly(spec: ArrangementSpec, d: int, threads: int = 1,
-           progress: Optional[Callable[[int, int], None]] = None) -> Poly:
+def z_poly(spec: ArrangementSpec, d: int, threads: int = 1) -> Poly:
     """The signed fold over all maximal matchings of the composed degree-d
     blocks, on unnormalized integer forms (carries 2^(d/2) relative to
     unit forms).  Zero when d < k or d has the wrong parity.  `threads` is
-    validated but unused: the fold runs in this process, and
-    `progress(done, total)` counts the matchings visited.
+    validated but unused: the fold runs in this process.
 
     Each matching's product is built edge by edge over _cleared_tables: the
     partial products are kept by their running inner degree, and at the last
@@ -236,10 +241,7 @@ def z_poly(spec: ArrangementSpec, d: int, threads: int = 1,
     edge_terms: Dict[Tuple[int, int], List[Tuple[List[int], List[int]]]] = {}
     acc: Dict[int, int] = {}
     get = acc.get
-    total = count_matchings(geometry.ground)
-    for idx, matching in enumerate(enumerate_matchings(geometry.ground)):
-        if progress is not None:
-            progress(idx, total)
+    for matching in enumerate_matchings(geometry.ground):
         for edge in matching.edges:
             if edge not in edge_terms:
                 i, j = edge[0] - 1, edge[1] - 1
@@ -268,8 +270,6 @@ def z_poly(spec: ArrangementSpec, d: int, threads: int = 1,
                 for k1, c1 in zip(pk, pc):
                     key = k1 + k2
                     acc[key] = get(key, 0) + c1 * c2
-    if progress is not None:
-        progress(total, total)
     scale = _fold_scale(spec, geometry, m, lcm)
     ground = geometry.ground
     return Poly(ground, {tuple((key >> 8 * i) & 0xFF for i in range(ground)): scale * val
@@ -342,11 +342,10 @@ def dominant_coefficients(spec: ArrangementSpec, d: int) -> Dict[Tuple[int, ...]
     size = shift // 2 if geometry.pair_forms else shift
     ground = geometry.ground
     m = (d - geometry.k) // 2
-    # targets are stretched by the forms per edge, and so are an edge's table degrees 2q + forms
-    stretch = 2 if geometry.pair_forms else 1
-    # work in steps of about one of _pfaffian's: (m+1)^(2+stretch), which caps m (for the pair
-    # it is far above the tables' cost), the Schur expansion of the result, a Pfaffian per target
-    work = (m + 1) ** (2 + stretch) + 100 * math.comb(size + ground - 1, ground - 1)
+    # work in steps of about one of _pfaffian's: (m+1)^3 for the edge tables of either layout
+    # (cold _cleared_tables at m = 367: 1.1 s for one form, 1.3 s for the pair), the Schur
+    # expansion of the result, a Pfaffian per target
+    work = (m + 1) ** 3 + 100 * math.comb(size + ground - 1, ground - 1)
     lams = list(partitions(size, ground)) if work <= MAX_QUOTIENT_WORK else []
     work += len(lams) * (ground + 1) ** 3
     if work > MAX_QUOTIENT_WORK:
@@ -355,6 +354,8 @@ def dominant_coefficients(spec: ArrangementSpec, d: int) -> Dict[Tuple[int, ...]
     tables, lcm = _cleared_tables(geometry.pair_forms, m)
     scale = _fold_scale(spec, geometry, m, lcm) / (1 << (shift // 2))
     order = ground + ground % 2
+    # targets are stretched by the forms per edge, and so are an edge's table degrees 2q + forms
+    stretch = 2 if geometry.pair_forms else 1
     pfaffians = []
     for lam in lams:
         padded = lam + (0,) * (ground - len(lam))
@@ -370,14 +371,12 @@ def dominant_coefficients(spec: ArrangementSpec, d: int) -> Dict[Tuple[int, ...]
     return {lam: scale * value for lam, value in zip(lams, pfaffians) if value}
 
 
-def quotient(spec: ArrangementSpec, d: int, threads: int = 1) -> Poly:
+def quotient(spec: ArrangementSpec, d: int) -> Poly:
     """Exact quotient of the degree-d fold by the Jacobian, normalized so the
     result matches the unit-root convention (the factor 2^-((d - |roots|)/2)):
     sum c_lambda s_lambda by the bialternant formula, from the dominant
     coefficients alone, with neither the full fold nor a division computed.
-    Equal to quotient_from_fold(spec, d, z_poly(spec, d)).  `threads` is
-    validated but unused: everything runs in this process."""
-    _check_threads(threads)
+    Equal to quotient_from_fold(spec, d, z_poly(spec, d))."""
     coeffs = dominant_coefficients(spec, d)
     geometry = fold_parameters(spec)
     return schur_combination(coeffs, geometry.ground, squared=geometry.pair_forms)
@@ -483,11 +482,13 @@ def render_quotient(poly: Poly) -> str:
 def expansion_report(spec: ArrangementSpec, degrees: Sequence[int],
                      threads: int = 1) -> ExpansionReport:
     """Quotients (and, for type A, representatives modulo the sum relation)
-    at each requested degree."""
+    at each requested degree.  `threads` is validated but unused: everything
+    runs in this process."""
+    _check_threads(threads)
     k = fold_parameters(spec).k
     entries = []
     for d in degrees:
-        q = quotient(spec, d, threads)
+        q = quotient(spec, d)
         reduced = reduce_mod_relation(q, spec) if spec.family == "A" else None
         entries.append(ReportEntry(d, q, reduced))
     return ExpansionReport(spec, k, spec.positive_root_count, entries)

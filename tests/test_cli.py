@@ -171,13 +171,25 @@ def test_check_commands_exit_zero(capsys):
 
 
 def test_check_tpos_refuses_a_max_degree_past_the_work_cap(capsys, monkeypatch):
-    # m = 100: (m+1)^4 edge-table steps exceed MAX_QUOTIENT_WORK, so no table is built
+    # m = 368: (m+1)^3 edge-table steps exceed MAX_QUOTIENT_WORK, so no table is built
     def refuse(pair_forms, q):
         raise AssertionError("an edge table was built")
     monkeypatch.setattr(conjectures, "_edge_table", refuse)
-    code, out, err = run_cli(capsys, "check", "t-pos", "--max-degree", "202")
+    code, out, err = run_cli(capsys, "check", "t-pos", "--max-degree", "738")
     assert code == 2 and out == ""
-    assert "error: max degree 202: about 104060401 steps for the edge tables exceed the cap" in err
+    assert "error: max degree 738: about 50243409 steps for the edge tables exceed the cap" in err
+
+
+def test_check_tpos_admits_the_last_degree_under_the_work_cap(monkeypatch):
+    # m = 367: 368^3 steps are within MAX_QUOTIENT_WORK; stop at the first table
+    class Stop(Exception):
+        pass
+
+    def stop(pair_forms, q):
+        raise Stop
+    monkeypatch.setattr(conjectures, "_edge_table", stop)
+    with pytest.raises(Stop):
+        main(["check", "t-pos", "--max-degree", "736"])
 
 
 @pytest.mark.parametrize("max_degree", ["40", "60", "168"])

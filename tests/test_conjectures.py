@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from coxpizza import conjectures
+from coxpizza import conjectures, oracle
 from coxpizza.conjectures import (ConjectureReport, ReconstructionMismatch, RewriteFailed,
                                   _t_block_basis, _u_v_basis, check_lemma51, check_sign_A, check_sign_D, check_t_positivity,
                                   check_y_negativity, schur_reconstruct)
+from coxpizza.matchings import fold_parameters
 from coxpizza.oracle import random_interior_centers
 from coxpizza.polyring import NonDivisible, Poly, exact_divide_linear
 from coxpizza.rootsys import OnHyperplane, make_spec
@@ -160,11 +161,6 @@ def test_u_v_basis_matches_the_reference_rewrite(name):
     assert _u_v_basis(coeffs) == expected
 
 
-def test_t_positivity_range_starts_at_six():
-    with pytest.raises(ValueError):
-        check_t_positivity(12, d_min=4)
-
-
 def test_rewrite_even_symmetric_basis():
     # (x^2+y^2)^2 + 3 x^2 y^2 -> u^2 + 3v
     u2 = Poly(2, {(4, 0): Fraction(1), (2, 2): Fraction(2), (0, 4): Fraction(1)})
@@ -240,6 +236,26 @@ def test_sign_escalation_decides_no_later_than_the_fixed_step_route(monkeypatch,
         assert abs(value) > tail and abs(old_value) > old_tail
         assert (value > 0) == (old_value > 0)
         assert cap <= min(old_cap, 40)
+
+
+@pytest.mark.parametrize("family,rank", [("D", 5), ("A", 6)])
+def test_sign_estimate_enumerates_each_center_once(monkeypatch, family, rank):
+    # the probe fold, the cap search and the deciding fold share one tail
+    # bound per center, and with it one enumeration of the squared radii
+    spec = make_spec(family, rank)
+    center = random_interior_centers(spec, 1, SEED, radius=0.3)[0]
+    enumerated = []
+    real = oracle.enumerate_matchings
+
+    def counted(ground):
+        enumerated.append(ground)
+        return real(ground)
+    monkeypatch.setattr(oracle, "enumerate_matchings", counted)
+    oracle._center_tails.cache_clear()  # a center an earlier test left cached enumerates nothing
+    calls = _recorded_folds(monkeypatch)
+    conjectures._signed_estimate(spec, center)
+    assert len(calls) == 2  # the probe, then the fold at the cap the tail bound chose
+    assert enumerated == [fold_parameters(spec).ground]
 
 
 @pytest.mark.parametrize("band", [(Fraction(0), Fraction(1)), (Fraction(1, 10**9), Fraction(1, 10**9))],
