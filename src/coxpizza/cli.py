@@ -240,14 +240,12 @@ def _emit_report(report, args) -> None:
 
 def cmd_check_sign(args) -> int:
     spec = parse_spec(args.spec)
-    centers = _parse_centers(args.centers, spec, args.seed)
-    if spec.family == "A":
-        report = check_sign_A(spec.rank, centers, args.samples, args.seed)
-    elif spec.family == "D":
-        report = check_sign_D(spec.rank, centers, args.samples, args.seed)
-    else:
+    if spec.family not in ("A", "D"):
         print("sign checks apply to A and D arrangements", file=sys.stderr)
         return EXIT_USAGE
+    centers = _parse_centers(args.centers, spec, args.seed)
+    check = check_sign_A if spec.family == "A" else check_sign_D
+    report = check(spec.rank, centers, args.samples, args.seed)
     mode = args.mode if args.mode != "auto" else ("test" if spec.rank <= 7 else "explore")
     _emit_report(report, args)
     return _report_exit(report, mode)
@@ -294,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"coxpizza {__version__} (kernel: {KERNEL_IMPLEMENTATION})")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    def common(p, formats=("text", "json")):
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", default=None, help="write results to a file instead of stdout")
 
     p = sub.add_parser("tables", help="recompute the reference quotient tables and compare exactly")
@@ -307,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="quotient report at chosen degrees")
     p.add_argument("--spec", required=True, help="arrangement, e.g. A:3 or D:5")
     p.add_argument("--degrees", required=True, help="comma-separated degrees")
-    common(p)
+    common(p, ("text", "json", "csv"))
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("matchings", help="enumerate maximal matchings with signs")

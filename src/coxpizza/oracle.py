@@ -12,6 +12,12 @@ sum_over_2structures folds the series evaluator over all matching-indexed
 orthogonal subsystems with their signs, giving a semi-exact evaluator for
 types A and D that the symbolic pipeline is validated against.
 
+Only the float routes use numpy, and each imports it itself: mc_pizza
+and random_interior_centers (with _subspace_basis), and the float series
+behind a1k_pizza_series and sum_over_2structures (_series_core).  The
+exact routes below never load it, so a command that does not sample
+starts without it.
+
 One exact point evaluator, _signed_sums, serves two callers.  It clears the
 forms at a point to integers by one common denominator, gives every edge
 its integer series, and evaluates the signed sum over the matchings of
@@ -49,8 +55,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from . import matchings as mt
 from .matchings import (FoldGeometry, edge_forms, enumerate_matchings, fold_parameters,
@@ -96,6 +100,8 @@ class McEstimate:
 def _subspace_basis(dim: int) -> np.ndarray:
     """Orthonormal basis (columns) of the sum-zero hyperplane in R^dim,
     deterministic (Helmert construction)."""
+    import numpy as np
+
     basis = np.zeros((dim, dim - 1))
     for j in range(1, dim):
         basis[:j, j - 1] = 1.0
@@ -135,6 +141,8 @@ def mc_pizza(spec: ArrangementSpec, ball: BallSpec, samples: int, seed: int,
     stay in cache; every row takes the same float operations in any block,
     so the block size does not change the estimate either.
     """
+    import numpy as np
+
     if samples < 1:
         raise ValueError("need at least one sample")
     require_dimension(spec, ball.center)
@@ -201,6 +209,8 @@ def random_interior_centers(spec: ArrangementSpec, count: int, seed: int,
     _MAX_REJECTED_DRAWS consecutive draws fail the tests (at the defaults,
     D_7 and higher ranks practically never meet the margin), and for a
     negative count."""
+    import numpy as np
+
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count} (no centers to draw)")
     rng = np.random.default_rng([seed, 0x5EED])
@@ -237,6 +247,8 @@ def random_interior_centers(spec: ArrangementSpec, count: int, seed: int,
 def _c_sequence(n: int, k: int, m_top: int) -> np.ndarray:
     """Float values of the series coefficients c_0..c_(m_top), by the stable
     ratio recurrence c_m = c_(m-1) * (m - 1 - (n-k)/2) / m."""
+    import numpy as np
+
     alpha = 0.5 * (n - k)
     out = np.empty(m_top + 1)
     out[0] = 1.0
@@ -247,6 +259,8 @@ def _c_sequence(n: int, k: int, m_top: int) -> np.ndarray:
 
 def _binomial_convolve(a: np.ndarray, b: np.ndarray, comb: np.ndarray) -> np.ndarray:
     """c[m] = sum_j C(m, j) a[j] b[m-j], truncated to the common length."""
+    import numpy as np
+
     size = len(a)
     out = np.empty(size)
     for m in range(size):
@@ -268,6 +282,8 @@ def _series_core(n: int, k: int, coords: Sequence[float], degree_cap: int) -> Tu
     geometric bound |c_(M+1)| s^(M+1) / (1 - s); the ratio condition is
     checked explicitly.
     """
+    import numpy as np
+
     s = float(sum(x * x for x in coords))
     if s >= 1.0:
         raise DivergentRegion(f"sum of squared coordinates {s} >= 1: outside the open convergence region")

@@ -112,6 +112,36 @@ def test_expand_accepts_frontier_job_with_progress():
     assert "degree 55: " in proc.stdout
 
 
+EXACT_COMMANDS = [
+    ["tables", "--which", "A"],
+    ["expand", "--spec", "D:5", "--degrees", "20,22"],
+    ["check", "t-pos", "--max-degree", "40"],
+    ["check", "y-neg", "--rank", "5", "--max-degree", "24"],
+    ["check", "schur", "--rank", "3", "--degree", "8"],
+    ["check", "lemma51", "--rank", "5", "--degree", "20"],
+    ["check", "sign", "--spec", "D:3", "--centers", "0.1,0.2,0.05"],
+    ["matchings", "--size", "4", "--sign-sum"],
+]
+IMPORT_PATH_PROBE = """
+import json, sys
+from coxpizza.cli import main
+assert "numpy" not in sys.modules, "import coxpizza.cli"
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+assert main(["oracle", "--spec", "A:2", "--center", "0,0,0", "--samples", "1000"]) == 0
+assert "numpy" in sys.modules, "oracle --method mc"
+"""
+
+
+def test_exact_commands_do_not_load_numpy():
+    # only the float routes import numpy; a fresh interpreter shows what a
+    # command loads, and the closing Monte Carlo run shows the probe can fail
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PATH_PROBE, json.dumps(EXACT_COMMANDS)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("spec,degrees", [
     ("A:10", "55,57"), ("A:11", "66,68"), ("A:14", "105,107"), ("A:15", "120,122"),
     ("D:9", "72,74"), ("D:11", "110,112")])
@@ -273,6 +303,20 @@ def test_version_names_the_fold_engine(capsys):
     assert coxpizza.KERNEL_IMPLEMENTATION == "pure"
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0 and out.strip() == f"coxpizza {coxpizza.__version__} (kernel: pure)"
+
+
+def test_check_sign_refuses_other_families_before_drawing_centers(monkeypatch, capsys):
+    def draw(*args, **kwargs):
+        raise AssertionError("centers drawn for a refused spec")
+
+    monkeypatch.setattr(cli, "random_interior_centers", draw)
+    code, out, err = run_cli(capsys, "check", "sign", "--spec", "I2:5", "--centers", "auto:2")
+    assert code == 2 and out == "" and "sign checks apply to A and D arrangements" in err
+
+
+def test_csv_only_on_expand(capsys):
+    code, out, err = run_cli(capsys, "tables", "--which", "A", "--format", "csv")
+    assert code == 2 and out == "" and "invalid choice: 'csv'" in err
 
 
 def test_check_sign_without_interior_centers_is_a_usage_error(capsys):
