@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import KERNEL_IMPLEMENTATION, __version__
-from .conjectures import (check_lemma51, check_sign_A, check_sign_D,
-                          check_t_positivity, check_y_negativity, schur_reconstruct)
+from .conjectures import (OracleDisagreement, ReconstructionMismatch, check_lemma51, check_sign_A,
+                          check_sign_D, check_t_positivity, check_y_negativity, schur_reconstruct)
 from .matchings import enumerate_matchings, sign, sign_sum
 from .oracle import (BallSpec, a1k_pizza_series, mc_pizza, random_interior_centers,
                      require_dimension, sum_over_2structures)
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--list", action="store_true")
     group.add_argument("--sign-sum", dest="sign_sum", action="store_true")
-    common(p)
+    common(p, ("text",))
     p.set_defaults(func=cmd_matchings)
 
     p = sub.add_parser("oracle", help="numeric pizza-quantity evaluation")
@@ -384,6 +384,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, ResourceCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (ReconstructionMismatch, OracleDisagreement) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION_FAILURE
 
 
 if __name__ == "__main__":

@@ -18,13 +18,14 @@ the fold first can be nonzero, then one fold at the lowest cap whose tail
 bound, known without folding, is well below the probe's value.
 
 The exact audits read what the pipeline computes: the dominant
-coefficients (check y-neg, and check schur, which tests them against
-oracle.fold_at at seeded points) and the edge tables (check t-pos).  Only
-check lemma51 expands the fold.  Degrees where the fold vanishes are refused.
+coefficients (check y-neg; check schur and check lemma51, which test them
+against oracle.fold_at at seeded points) and the edge tables (check t-pos).
+No audit expands the fold.  Degrees where the fold vanishes are refused.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -37,7 +38,7 @@ from .oracle import (BallSpec, exact_sign_fold, fold_at, mc_pizza, require_dimen
 from .polyring import NonDivisible, partitions, schur_combination
 from .rootsys import ArrangementSpec, chamber_sign, make_spec
 from .taylor import (MAX_QUOTIENT_WORK, ParityRegimeError, ResourceCapExceeded, _edge_table,
-                     c_coefficient, dominant_coefficients, z_poly)
+                     c_coefficient, dominant_coefficients)
 
 CONJECTURE_IDS = ("signA", "signD", "lemma51", "yNeg", "schurRecon", "tPos")
 
@@ -216,24 +217,42 @@ def _type_d(n: int, d: Optional[int] = None) -> Tuple[ArrangementSpec, int]:
     return spec, base
 
 
+def _checked_coefficients(n: int, d: int) -> Tuple[int, Dict[Tuple[int, ...], Fraction]]:
+    """(shift, c_lambda) of the type D fold, once Z_d = 2^shift sum c_lambda
+    s_lambda(a^2) prod_(i<j) (a_i^2 - a_j^2) holds exactly at three seeded 32-bit
+    integer points (a wrong identity passes one with probability at most
+    d / 2^32, by Schwartz-Zippel); raises ReconstructionMismatch otherwise."""
+    spec, base = _type_d(n, d)
+    shift = (d - base) // 2
+    coeffs = dominant_coefficients(spec, d)
+    schur = schur_combination(coeffs, n, squared=True)
+    rng = random.Random(f"schurRecon D{n} d{d}")
+    for _ in range(3):
+        point = [rng.randrange(-2**31, 2**31) for _ in range(n)]
+        vandermonde = math.prod(x * x - y * y for i, x in enumerate(point) for y in point[i + 1:])
+        if fold_at(spec, point, d)[d] != (schur.evaluate(point) * vandermonde) * (1 << shift):
+            raise ReconstructionMismatch(f"rank {n} degree {d}: alternant reconstruction "
+                                         f"does not match the fold at {point}")
+    return shift, coeffs
+
+
 def check_lemma51(n: int, d: int) -> ConjectureReport:
     """Monomial audit of the type D fold: (a) every exponent even,
-    (b) at least one zero exponent per monomial, (c) no two equal exponents."""
+    (b) at least one zero exponent per monomial, (c) no two equal exponents.
+    Past _checked_coefficients the monomials are the n! rearrangements
+    sigma(2(lambda+delta)) per c_lambda, with coefficient sgn(sigma) 2^shift
+    c_lambda: (a) and (c) hold, and (b) fails on those of a lambda with n parts."""
     started = time.perf_counter()
-    spec, _ = _type_d(n, d)
-    z = z_poly(spec, d)
-    witnesses: List[dict] = []
-    for mono, coeff in z.sorted_terms():
-        claims = []
-        if any(e % 2 for e in mono):
-            claims.append("odd_exponent")
-        if all(e > 0 for e in mono):
-            claims.append("no_zero_exponent")
-        if len(set(mono)) != len(mono):
-            claims.append("repeated_exponent")
-        for claim in claims:
-            witnesses.append({"claim": claim, "monomial": list(mono), "coefficient": str(coeff)})
-    params = {"family": "D", "rank": n, "degree": d, "monomials": len(z)}
+    shift, coeffs = _checked_coefficients(n, d)
+    terms = []
+    for lam, c in coeffs.items():
+        if len(lam) == n:
+            for mono in itertools.permutations(2 * (part + n - 1 - i) for i, part in enumerate(lam)):
+                inversions = sum(x < y for i, x in enumerate(mono) for y in mono[i + 1:])
+                terms.append((mono, (-1) ** inversions * c * (1 << shift)))
+    witnesses = [{"claim": "no_zero_exponent", "monomial": list(mono), "coefficient": str(coeff)}
+                 for mono, coeff in sorted(terms, reverse=True)]
+    params = {"family": "D", "rank": n, "degree": d, "monomials": math.factorial(n) * len(coeffs)}
     return _finish("lemma51", params, witnesses, [], False, started)
 
 
@@ -270,36 +289,17 @@ def check_y_negativity(n: int, d_max: int) -> ConjectureReport:
 
 def schur_reconstruct(n: int, d: int) -> ConjectureReport:
     """Rebuild the type D fold from its dominant coefficients c_lambda
-    (lambda with at most n-1 parts; the others vanish by Lemma 5.1(b)):
-    Z_d = 2^shift sum c_lambda s_lambda(a^2) prod_(i<j) (a_i^2 - a_j^2),
-    checked exactly at three seeded 32-bit integer points (a wrong identity
-    passes one with probability at most d / 2^32, by Schwartz-Zippel).  A
-    mismatch, or a nonzero c_lambda with n parts, raises
-    ReconstructionMismatch."""
+    (lambda with at most n-1 parts; the others vanish by Lemma 5.1(b)),
+    checked by _checked_coefficients.  A mismatch, or a nonzero c_lambda
+    with n parts, raises ReconstructionMismatch."""
     started = time.perf_counter()
-    spec, base = _type_d(n, d)
-    shift = (d - base) // 2
-    coeffs = dominant_coefficients(spec, d)
+    shift, coeffs = _checked_coefficients(n, d)
     full = [lam for lam in coeffs if len(lam) == n]
     if full:
-        raise ReconstructionMismatch(
-            f"rank {n} degree {d}: c_lambda nonzero on {full}, partitions with {n} parts"
-        )
-    lambda_coeffs = {lam: coeffs.get(lam, 0) for lam in partitions(shift, n - 1)}
-    schur = schur_combination(coeffs, n, squared=True)
-    rng = random.Random(f"schurRecon D{n} d{d}")
-    for _ in range(3):
-        point = [rng.randrange(-2**31, 2**31) for _ in range(n)]
-        vandermonde = math.prod(x * x - y * y for i, x in enumerate(point) for y in point[i + 1:])
-        if fold_at(spec, point, d)[d] != (schur.evaluate(point) * vandermonde) * (1 << shift):
-            raise ReconstructionMismatch(
-                f"rank {n} degree {d}: alternant reconstruction does not match the fold at {point}"
-            )
-    params = {
-        "rank": n,
-        "degree": d,
-        "lambda_coefficients": {str(list(k)): str(v) for k, v in lambda_coeffs.items()},
-    }
+        raise ReconstructionMismatch(f"rank {n} degree {d}: c_lambda nonzero on {full}, "
+                                     f"partitions with {n} parts")
+    params = {"rank": n, "degree": d, "lambda_coefficients": {
+        str(list(lam)): str(coeffs.get(lam, 0)) for lam in partitions(shift, n - 1)}}
     return _finish("schurRecon", params, [], [], False, started)
 
 

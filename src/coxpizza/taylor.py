@@ -16,15 +16,15 @@ and the signed sum over the matchings is a Pfaffian (Stembridge, Adv. Math.
 and polyring.schur_combination expands the Schur combination.  The type D
 audits in conjectures read the same c_lambda.
 
-The full fold z_poly expands Z_d without assuming the alternation.  In
-the library only check lemma51, which audits the fold's monomials, reads
-it; the tests check the quotients against it (quotient_from_fold divides
-it by the Vandermonde).  It runs serially, matching by matching, and
-multiplies each matching's per-edge term lists one edge at a time, keeping
-only the degree-d total at the last edge.  Both routes read the same
-per-edge tables, cleared once per degree to one common denominator that is
-divided back out at the end, so the fold's loop and the Pfaffians are pure
-integer arithmetic.
+The full fold z_poly expands Z_d without assuming the alternation.  No
+command reads it: it is the reference route of the tests, which check the
+quotients against it (quotient_from_fold divides it by the Vandermonde),
+and of the benchmark's deep-expand gates.  It runs serially, matching by
+matching, and multiplies each matching's per-edge term lists one edge at a
+time, keeping only the degree-d total at the last edge.  Both routes read
+the same per-edge tables, cleared once per degree to one common denominator
+that is divided back out at the end, so the fold's loop and the Pfaffians
+are pure integer arithmetic.
 
 An edge's share of a composed block at one inner degree is one integer
 table (_edge_table) from a closed form, built once per edge layout and

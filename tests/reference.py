@@ -4,22 +4,24 @@ products, alternants and Schur bialternants; the expanded Jacobian; the
 per-edge tables as sums of binomial-row products over compositions; the
 fold by direct composition of Taylor blocks (z_poly_reference); the
 dominant coefficients, the Pfaffian and the exact folds' integer sums as
-signed sums over the matchings; nested quadrature; check schur and the
-table cells on the expanded fold and quotients; and the sign checks'
-earlier fixed-step escalation.  The polynomial helpers at the top
-(constant, coefficient, power, variable permutations and sign flips) are
-the ones only tests need."""
+signed sums over the matchings; nested quadrature; check schur, check
+lemma51 and the table cells on the expanded fold and quotients; and the
+sign checks' earlier fixed-step escalation.  The polynomial helpers at the
+top (constant, coefficient, power, variable permutations and sign flips)
+are the ones only tests need."""
 
 from __future__ import annotations
 
 import itertools
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from coxpizza import matchings as mt
-from coxpizza.conjectures import ReconstructionMismatch, RewriteFailed
+from coxpizza.conjectures import (ConjectureReport, ReconstructionMismatch, RewriteFailed, _finish,
+                                  _type_d)
 from coxpizza.matchings import (FoldGeometry, Matching, enumerate_matchings, fold_parameters,
                                 form_values)
 from coxpizza.oracle import (BallSpec, DivergentRegion, _int_binomial_convolve, ball_volume,
@@ -540,6 +542,28 @@ def a1k_pizza_quadrature(n: int, k: int, coords: Sequence[float],
         return _adaptive_simpson(f, 0.0, upper, level_tol)
 
     return 2**k * ball_volume(n - k) * nest(0, 0.0, tol)
+
+
+def lemma51_by_fold(n: int, d: int) -> ConjectureReport:
+    """check lemma51 on the expanded fold: every monomial of z_poly is
+    tested for (a) an odd exponent, (b) no zero exponent and (c) a repeated
+    exponent, in descending monomial order."""
+    started = time.perf_counter()
+    spec, _ = _type_d(n, d)
+    z = z_poly(spec, d)
+    witnesses: List[dict] = []
+    for mono, coeff in z.sorted_terms():
+        claims = []
+        if any(e % 2 for e in mono):
+            claims.append("odd_exponent")
+        if all(e > 0 for e in mono):
+            claims.append("no_zero_exponent")
+        if len(set(mono)) != len(mono):
+            claims.append("repeated_exponent")
+        for claim in claims:
+            witnesses.append({"claim": claim, "monomial": list(mono), "coefficient": str(coeff)})
+    params = {"family": "D", "rank": n, "degree": d, "monomials": len(z)}
+    return _finish("lemma51", params, witnesses, [], False, started)
 
 
 def schur_lambda_coefficients(n: int, d: int) -> Dict[str, str]:

@@ -10,6 +10,8 @@ import pytest
 
 from coxpizza import cli, conjectures
 from coxpizza.cli import build_parser, main
+from coxpizza.oracle import McEstimate
+from coxpizza.rootsys import chamber_sign, make_spec
 from reference import table_cells
 
 
@@ -27,6 +29,12 @@ def test_matchings_list(capsys):
         "(1,3)(2,4);sign=-1",
         "(1,4)(2,3);sign=+1",
     ]
+
+
+def test_matchings_offers_text_output_only(capsys):
+    # the enumeration has no JSON form: asking for one is a usage error, not ignored
+    code, out, err = run_cli(capsys, "matchings", "--size", "4", "--list", "--format", "json")
+    assert code == 2 and out == "" and "invalid choice: 'json'" in err
 
 
 def test_matchings_sign_sum(capsys):
@@ -277,6 +285,29 @@ def test_negative_threads_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "oracle", "--spec", "A1k:1@1", "--center", "0.37",
                            "--samples", "1000", "--threads", "-1")
     assert code == 2 and "error:" in err and "threads" in err
+
+
+def test_reconstruction_mismatch_exits_one_without_a_traceback(capsys, monkeypatch):
+    real = conjectures.fold_at
+    monkeypatch.setattr(conjectures, "fold_at", lambda spec, point, degree_cap: {
+        k: v + 1 for k, v in real(spec, point, degree_cap).items()})
+    code, out, err = run_cli(capsys, "check", "schur", "--rank", "3", "--degree", "8")
+    assert code == 1 and out == ""
+    assert err.startswith("error: rank 3 degree 8: alternant reconstruction does not match the fold")
+    assert "Traceback" not in err
+
+
+def test_oracle_disagreement_exits_one_without_a_traceback(capsys, monkeypatch):
+    # a type D fold has the sign opposite to the chamber sign; Monte Carlo is
+    # planted with the chamber sign and no error
+    center = (0.3, 0.2, 0.05)
+    planted = McEstimate(chamber_sign(make_spec("D", 3), center), 0.0, 20000, 0)
+    monkeypatch.setattr(conjectures, "mc_pizza", lambda *args: planted)
+    code, out, err = run_cli(capsys, "check", "sign", "--spec", "D:3", "--centers",
+                             "0.3,0.2,0.05", "--samples", "20000")
+    assert code == 1 and out == ""
+    assert err.startswith("error: center (0.3, 0.2, 0.05): series fold gives")
+    assert "Traceback" not in err
 
 
 def test_threads_only_on_commands_that_read_it(capsys):

@@ -11,8 +11,9 @@ from coxpizza.oracle import random_interior_centers
 from coxpizza.polyring import NonDivisible, Poly, exact_divide_linear
 from coxpizza.rootsys import OnHyperplane, make_spec
 from coxpizza.taylor import ParityRegimeError
-from reference import (compose_block, rewrite_even_symmetric, schur_lambda_coefficients,
-                       signed_estimate_fixed_step, t_poly)
+import reference
+from reference import (alternant, compose_block, lemma51_by_fold, rewrite_even_symmetric,
+                       schur_lambda_coefficients, signed_estimate_fixed_step, t_poly)
 
 SEED = 4711
 
@@ -23,6 +24,34 @@ def test_lemma51_audits_pass():
         assert report.verdict == "consistent"
         assert report.witnesses == []
         assert report.parameters["monomials"] > 0
+
+
+# past rank 5 the monomial loop over the expanded fold takes seconds (D_7) or
+# is refused (D_9 and up); at d = n(n-1) only c_() is nonzero: n! monomials
+LEMMA51_FRONTIER = [(7, 42, 5040), (7, 46, 10080), (9, 72, 362880),
+                    pytest.param(11, 110, 39916800, marks=pytest.mark.extended)]
+
+
+@pytest.mark.parametrize("n,d,monomials", LEMMA51_FRONTIER,
+                         ids=["D7_d42", "D7_d46", "D9_d72", "D11_d110"])
+def test_lemma51_past_rank_five(n, d, monomials):
+    report = check_lemma51(n, d)
+    assert report.verdict == "consistent"
+    assert report.witnesses == []
+    assert report.parameters["monomials"] == monomials
+
+
+def _json_without_runtime(report: ConjectureReport) -> dict:
+    return {k: v for k, v in report.to_json_dict().items() if k != "runtime_ms"}
+
+
+LEMMA51_CELLS = [(3, d) for d in range(6, 31, 2)] + [(5, d) for d in range(20, 35, 2)]
+
+
+@pytest.mark.parametrize("n,d", LEMMA51_CELLS, ids=[f"D{n}_d{d}" for n, d in LEMMA51_CELLS])
+def test_lemma51_matches_the_monomial_loop(n, d):
+    # the n! rearrangements per dominant coefficient are the expanded fold's monomials
+    assert _json_without_runtime(check_lemma51(n, d)) == _json_without_runtime(lemma51_by_fold(n, d))
 
 
 @pytest.mark.parametrize("n,d", [(3, 7), (3, 4), (5, 19), (5, 10)])
@@ -45,6 +74,13 @@ def test_y_negativity_rank_seven():
     report = check_y_negativity(7, 50)
     assert report.verdict == "consistent"
     assert report.parameters["degrees"] == [42, 44, 46, 48, 50]
+
+
+@pytest.mark.parametrize("n,d_max", [(9, 84), (11, 118)])
+def test_y_negativity_past_rank_seven(n, d_max):
+    report = check_y_negativity(n, d_max)
+    assert report.verdict == "consistent"
+    assert report.parameters["degrees"] == list(range(n * (n - 1), d_max + 1, 2))
 
 
 def test_y_negativity_rejects_even_rank():
@@ -100,16 +136,55 @@ def test_schur_reconstruction_catches_a_coefficient_off_by_one_unit(monkeypatch,
         schur_reconstruct(n, d)
 
 
+def _plant_full_partition(monkeypatch, n, d):
+    """Add c_lambda = -1/7 on a lambda with n parts to the dominant
+    coefficients and, as 2^shift c_lambda a_(2(lambda+delta)), to the fold
+    values, so the alternant identity still holds; returns the planted term."""
+    shift = (d - n * (n - 1)) // 2
+    lam = (shift - n + 1,) + (1,) * (n - 1)
+    c = Fraction(-1, 7)
+    exponents = [2 * (part + n - 1 - i) for i, part in enumerate(lam)]
+    planted = alternant(exponents, n).scale(c * (1 << shift))
+    _patch_dominant_coefficients(monkeypatch, lambda coeffs: coeffs.__setitem__(lam, c))
+    real = conjectures.fold_at
+
+    def fold_at(spec, point, degree_cap):
+        values = dict(real(spec, point, degree_cap))
+        values[d] += planted.evaluate(point)
+        return values
+
+    monkeypatch.setattr(conjectures, "fold_at", fold_at)
+    return planted
+
+
 @pytest.mark.parametrize("n,d", [(3, 12), (5, 30)])
 def test_schur_reconstruction_catches_a_coefficient_with_n_parts(monkeypatch, n, d):
-    # Lemma 5.1(b): c_lambda vanishes for every lambda with n parts
-    def add_full_partition(coeffs):
-        lam = ((d - n * (n - 1)) // 2 - n + 1,) + (1,) * (n - 1)
-        coeffs[lam] = Fraction(-1, 7)
-
-    _patch_dominant_coefficients(monkeypatch, add_full_partition)
+    # Lemma 5.1(b): c_lambda vanishes for every lambda with n parts, also when
+    # the fold values agree with it
+    _plant_full_partition(monkeypatch, n, d)
     with pytest.raises(ReconstructionMismatch, match=f"partitions with {n} parts"):
         schur_reconstruct(n, d)
+
+
+@pytest.mark.parametrize("n,d", [(3, 12), (5, 30)])
+def test_lemma51_lists_the_rearrangements_of_a_coefficient_with_n_parts(monkeypatch, n, d):
+    planted = _plant_full_partition(monkeypatch, n, d)
+    real_z_poly = reference.z_poly
+    monkeypatch.setattr(reference, "z_poly", lambda spec, deg: real_z_poly(spec, deg) + planted)
+    report = check_lemma51(n, d)
+    assert report.verdict == "violated"
+    assert len(report.witnesses) == len(planted.terms)
+    assert {w["claim"] for w in report.witnesses} == {"no_zero_exponent"}
+    assert _json_without_runtime(report) == _json_without_runtime(lemma51_by_fold(n, d))
+
+
+def test_lemma51_raises_when_the_fold_disagrees(monkeypatch):
+    # a fold off the alternant identity is an internal contradiction, not a witness
+    real = conjectures.fold_at
+    monkeypatch.setattr(conjectures, "fold_at", lambda spec, point, degree_cap: {
+        k: v + 1 for k, v in real(spec, point, degree_cap).items()})
+    with pytest.raises(ReconstructionMismatch, match="does not match the fold"):
+        check_lemma51(5, 24)
 
 
 def test_t_positivity_leading_cases():
