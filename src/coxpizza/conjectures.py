@@ -19,7 +19,9 @@ bound, known without folding, is well below the probe's value.
 
 The exact audits read what the pipeline computes: the dominant
 coefficients (check y-neg; check schur and check lemma51, which test them
-against oracle.fold_at at seeded points) and the edge tables (check t-pos).
+against oracle.fold_mod, the fold modulo 2^61 - 1, at three seeded points
+of [0, 2^61 - 1), so a wrong identity of degree d passes one point with
+probability at most d / (2^61 - 1)) and the edge tables (check t-pos).
 No audit expands the fold.  Degrees where the fold vanishes are refused.
 """
 
@@ -33,12 +35,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .oracle import (BallSpec, exact_sign_fold, fold_at, mc_pizza, require_dimension,
-                     require_sum_zero, sign_fold_tails)
-from .polyring import NonDivisible, partitions, schur_combination
+from .oracle import (MAX_FOLD_MOD_WORK, MODULUS, BallSpec, exact_sign_fold, fold_mod, fold_mod_work,
+                     mc_pizza, require_dimension, require_sum_zero, sign_fold_tails)
+from .polyring import NonDivisible, partitions
 from .rootsys import ArrangementSpec, chamber_sign, make_spec
 from .taylor import (MAX_QUOTIENT_WORK, ParityRegimeError, ResourceCapExceeded, _edge_table,
-                     c_coefficient, dominant_coefficients)
+                     _require_symbolic_regime, c_coefficient, dominant_coefficients)
 
 CONJECTURE_IDS = ("signA", "signD", "lemma51", "yNeg", "schurRecon", "tPos")
 
@@ -48,7 +50,8 @@ class OracleDisagreement(RuntimeError):
 
 
 class ReconstructionMismatch(RuntimeError):
-    """The alternant reconstruction does not reproduce the fold exactly."""
+    """The alternant reconstruction does not reproduce the fold modulo
+    2^61 - 1 at a seeded point, or cannot be checked modulo it."""
 
 
 class RewriteFailed(RuntimeError):
@@ -219,21 +222,64 @@ def _type_d(n: int, d: Optional[int] = None) -> Tuple[ArrangementSpec, int]:
 
 def _checked_coefficients(n: int, d: int) -> Tuple[int, Dict[Tuple[int, ...], Fraction]]:
     """(shift, c_lambda) of the type D fold, once Z_d = 2^shift sum c_lambda
-    s_lambda(a^2) prod_(i<j) (a_i^2 - a_j^2) holds exactly at three seeded 32-bit
-    integer points (a wrong identity passes one with probability at most
-    d / 2^32, by Schwartz-Zippel); raises ReconstructionMismatch otherwise."""
+    s_lambda(a^2) prod_(i<j) (a_i^2 - a_j^2) holds modulo p = 2^61 - 1 at
+    three seeded points of [0, p)^n (a wrong identity passes one with
+    probability at most d / p, by Schwartz-Zippel); raises
+    ReconstructionMismatch otherwise.  The fold is oracle.fold_mod's; the
+    right side is 2^shift sum c_lambda det(x_i^(lambda_j + n - j)), x = a^2,
+    by the bialternant formula, over one common denominator of the c_lambda,
+    which must be prime to p.  Refused with ResourceCapExceeded before any
+    coefficient or point when fold_mod_work exceeds MAX_FOLD_MOD_WORK."""
     spec, base = _type_d(n, d)
+    _require_symbolic_regime(spec)  # even ranks: dominant_coefficients' refusal, before the estimate
+    work = fold_mod_work(spec, d)
+    if work > MAX_FOLD_MOD_WORK:
+        raise ResourceCapExceeded(f"rank {n} degree {d}: about {work} steps for each point of the "
+                                  f"fold modulo 2^61 - 1 exceed the cap of {MAX_FOLD_MOD_WORK}")
     shift = (d - base) // 2
     coeffs = dominant_coefficients(spec, d)
-    schur = schur_combination(coeffs, n, squared=True)
+    common = math.lcm(*(c.denominator for c in coeffs.values()))
+    if common % MODULUS == 0:
+        raise ReconstructionMismatch(f"rank {n} degree {d}: a c_lambda denominator is divisible by "
+                                     f"2^61 - 1, so the identity cannot be checked modulo it")
+    scale = pow(common, -1, MODULUS) << shift
+    alternants = [(c.numerator * (common // c.denominator),
+                   [part + n - 1 - j for j, part in enumerate(lam + (0,) * (n - len(lam)))])
+                  for lam, c in coeffs.items()]
     rng = random.Random(f"schurRecon D{n} d{d}")
     for _ in range(3):
-        point = [rng.randrange(-2**31, 2**31) for _ in range(n)]
-        vandermonde = math.prod(x * x - y * y for i, x in enumerate(point) for y in point[i + 1:])
-        if fold_at(spec, point, d)[d] != (schur.evaluate(point) * vandermonde) * (1 << shift):
+        point = [rng.randrange(MODULUS) for _ in range(n)]
+        powers = []
+        for a in point:
+            square, row = a * a % MODULUS, [1]
+            for _ in range(shift + n - 1):
+                row.append(row[-1] * square % MODULUS)
+            powers.append(row)
+        total = sum(c * _determinant_mod([[row[e] for e in exponents] for row in powers])
+                    for c, exponents in alternants)
+        if fold_mod(spec, point, d) != total * scale % MODULUS:
             raise ReconstructionMismatch(f"rank {n} degree {d}: alternant reconstruction "
                                          f"does not match the fold at {point}")
     return shift, coeffs
+
+
+def _determinant_mod(rows: List[List[int]]) -> int:
+    """The determinant modulo MODULUS of a square matrix of residues, by
+    Gaussian elimination without division: eliminating below a pivot p
+    scales each remaining row by p, and the determinant is divided by those
+    factors once at the end."""
+    rows, value, scale = list(rows), 1, 1
+    while len(rows) > 1:
+        index = next((i for i, row in enumerate(rows) if row[0]), None)
+        if index is None:
+            return 0
+        head = rows.pop(index)  # moving it to the top permutes `index` rows past it
+        lead = head[0]
+        value = (-value if index % 2 else value) * lead % MODULUS
+        scale = scale * pow(lead, len(rows), MODULUS) % MODULUS
+        rows = [[(lead * x - row[0] * y) % MODULUS for x, y in zip(row[1:], head[1:])]
+                for row in rows]
+    return value * rows[0][0] * pow(scale, -1, MODULUS) % MODULUS
 
 
 def check_lemma51(n: int, d: int) -> ConjectureReport:

@@ -26,9 +26,9 @@ series, memoized on vertex subsets, into one sum per degree:
 
   * fold_at          -- the exact values Z_d(point) of the symbolic fold
                         (z_poly's convention) at any exact point, degree by
-                        degree; check schur and the tests check the
-                        dominant coefficients and the quotients with it at
-                        seeded integer points without expanding the fold.
+                        degree; the tests check the dominant coefficients
+                        and the quotients with it at seeded integer points
+                        without expanding the fold.
   * exact_sign_fold  -- the same fold as sum_over_2structures in exact
                         arithmetic, for sign verdicts: the 2^-m-weighted
                         sum of fold_at's values at the center, with the
@@ -38,6 +38,15 @@ sign_fold_tails owns that bound.  It depends only on the matchings'
 squared radii, so it is known for every cap without folding; the
 matchings are enumerated once per center (the last center's bound is
 cached), and equal radii are counted once.
+
+fold_mod runs _signed_sums' memo on residues modulo the prime 2^61 - 1,
+on series packed into single integers, for Z_d at one degree and one integer
+point.  check schur and check lemma51 test the identity Z_d = 2^shift Q J
+with it at three seeded points of [0, 2^61 - 1): a wrong identity of
+degree d passes one with probability at most d / (2^61 - 1)
+(Schwartz-Zippel).  Exact values at such points run to thousands of bits;
+residues fit a machine word.  fold_mod_work estimates its cost without
+folding.
 
 Type A lives on the hyperplane sum(a) = 0 inside R^(n+1); sampling happens
 in an explicit orthonormal basis of that subspace, so volumes are the
@@ -50,6 +59,7 @@ still defined.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -450,6 +460,138 @@ def fold_at(spec: ArrangementSpec, point: Sequence, degree_cap: int) -> Dict[int
     signed, odd = _signed_sums(geometry, forms, m_top)
     return {2 * m + k: c_coefficient(spec.rank, k, m) * Fraction(s, denominator ** (2 * m + k))
             / odd**k for m, s in enumerate(signed)}
+
+
+MODULUS = (1 << 61) - 1  # a Mersenne prime: x = (x & MODULUS) + (x >> 61) modulo it
+# fold_mod_work's steps for one point: 1 to 1.5 s a million on one core (D_13 d156 takes
+# 2.5e5, D_15 d210 1.0e6, D_17 d272 3.9e6; D_19 d342, 1.5e7, is refused)
+MAX_FOLD_MOD_WORK = 5 * 10**6
+
+
+@lru_cache(maxsize=None)
+def _pfaffian_plan(ground: int) -> Tuple[Tuple[int, Tuple, Tuple], ...]:
+    """_signed_sums' expansion by minors along the lowest vertex as a list:
+    every vertex subset it memoizes, after its minors, as (mask, plus,
+    minus), with the terms (edge, minor) of the positive and negative signs.
+    An odd ground set gets the added vertex; its edges are None, the unit
+    series.  The last entry is the whole set."""
+    extra = 1 << ground if ground % 2 else 0
+    plan: List[Tuple[int, Tuple, Tuple]] = []
+    seen = {0}
+
+    def visit(mask: int) -> None:
+        seen.add(mask)
+        low = mask & -mask
+        first, rest = low.bit_length() - 1, mask ^ low
+        terms = []
+        partners = rest
+        while partners:
+            bit = partners & -partners
+            partners ^= bit
+            if rest ^ bit not in seen:
+                visit(rest ^ bit)
+            terms.append((None if bit == extra else (first, bit.bit_length() - 1), rest ^ bit))
+        plan.append((mask, tuple(terms[::2]), tuple(terms[1::2])))
+
+    visit((1 << ground) - 1 | extra)
+    return tuple(plan)
+
+
+def _mod_frame(spec: ArrangementSpec, degree: int) -> Tuple[FoldGeometry, int, int]:
+    """(geometry, m, vertices) of fold_mod at one degree: m = (degree - k) / 2,
+    and the memo's vertices, one more than the ground set when it is odd."""
+    geometry = fold_parameters(spec)
+    if degree < geometry.k or (degree - geometry.k) % 2:
+        raise ValueError(f"degree {degree}: the fold vanishes below {geometry.k} "
+                         f"and at the other parity")
+    return geometry, (degree - geometry.k) // 2, geometry.ground + geometry.ground % 2
+
+
+def fold_mod_work(spec: ArrangementSpec, degree: int) -> int:
+    """fold_mod's work at one degree, without folding: the terms of its memo
+    (each a series product, but the few with the unit series) times the
+    slots of a packed series, (degree - k) / 2 + 1.  On N vertices the memo
+    holds the set less its lowest c vertices and j others, j <= c and
+    j = c mod 2 (each step removes the lowest vertex and one more), and such
+    a state has N - c - j - 1 terms."""
+    _, m, order = _mod_frame(spec, degree)
+    terms = sum(math.comb(order - 1 - c, j) * (order - 1 - c - j) for c in range(order - 1)
+                for j in range(c % 2, min(c, order - 1 - c) + 1, 2))
+    return terms * (m + 1)
+
+
+def fold_mod(spec: ArrangementSpec, point: Sequence[int], degree: int) -> int:
+    """Z_degree(point) modulo MODULUS at an integer point: fold_at's value
+    there, reduced (its denominator is a power of 2 times factors up to
+    degree, all invertible).
+
+    It runs _signed_sums' memo on residues.  With the forms' series stored
+    in exponential form, a_r / r!, the binomial convolution is the ordinary
+    product of power series: a form u gives u^(2r+1) / ((2r+1) r!), an edge
+    of type D the product of its two forms' series, and the Pfaffian's value
+    at r = m, times m! c_m, is Z_(2m+k).  A series of m+1 residues is packed
+    into one integer, one coefficient per slot of W bits (Kronecker
+    substitution), so a memo product is one integer product.  Its inputs'
+    coefficients are kept below 2^62, so a coefficient of a memo state's sum
+    of positive (or negative) terms stays below 2^b, b = 124 +
+    bitlen(m+1) + bitlen(g), g the vertices.  A state adds the positive
+    terms, adds a multiple of MODULUS above 2^b in every slot, subtracts
+    the negative terms and truncates to m+1 slots: with W >= b + 2 no slot
+    borrows or carries.  Two Mersenne folds over all slots at once,
+    (x & MODULUS) + (x >> 61), bring each coefficient below 2^62 again
+    (two suffice while W < 183).  W is rounded up to whole bytes, so a
+    series is packed from bytes.  The weights 1/((2r+1) r!) take one
+    inversion."""
+    geometry, m, order = _mod_frame(spec, degree)
+    require_dimension(spec, point)
+    point = [operator.index(x) for x in point]
+    bits = 124 + (m + 1).bit_length() + order.bit_length()  # b above
+    size, slot = m + 1, (bits + 2 + 7) // 8
+    width = 8 * slot
+    ones = ((1 << width * size) - 1) // ((1 << width) - 1)  # 1 in every slot
+    truncate, low, high = (1 << width * size) - 1, MODULUS * ones, ((1 << width - 61) - 1) * ones
+    offset = (MODULUS << bits - 60) * ones  # MODULUS * 2^(b-60) >= 2^b
+
+    def reduced(x: int) -> int:
+        x = (x & low) + ((x >> 61) & high)
+        return (x & low) + ((x >> 61) & high)
+
+    denominators, prefix = [], [1]
+    factorial = 1
+    for r in range(size):
+        denominators.append((2 * r + 1) * factorial % MODULUS)
+        prefix.append(prefix[-1] * denominators[-1] % MODULUS)
+        factorial = factorial * (r + 1) % MODULUS
+    inverse, weights = pow(prefix[-1], -1, MODULUS), [0] * size
+    for r in range(m, -1, -1):
+        weights[r] = inverse * prefix[r] % MODULUS
+        inverse = inverse * denominators[r] % MODULUS
+
+    def series(u: int) -> int:
+        values, square, power = [], u * u % MODULUS, u % MODULUS
+        for w in weights:
+            values.append((power * w % MODULUS).to_bytes(slot, "little"))
+            power = power * square % MODULUS
+        return int.from_bytes(b"".join(values), "little")
+
+    edges = {}
+    for i in range(geometry.ground):
+        for j in range(i + 1, geometry.ground):
+            forms = [series(u) for u in edge_forms(geometry, i + 1, j + 1, point)]
+            edges[i, j] = forms[0] if len(forms) == 1 else reduced(forms[0] * forms[1] & truncate)
+    plan = _pfaffian_plan(geometry.ground)
+    memo = {0: 1}  # the empty set: the unit series
+    for mask, plus, minus in plan:
+        sums = []
+        for terms in (plus, minus):
+            total = 0
+            for edge, minor in terms:
+                total += memo[minor] if edge is None else edges[edge] * memo[minor]
+            sums.append(total & truncate)
+        memo[mask] = reduced(sums[0] + offset - sums[1])
+    top = memo[plan[-1][0]] >> width * m & (1 << width) - 1
+    c = c_coefficient(spec.rank, geometry.k, m) * math.factorial(m)
+    return top * c.numerator * pow(c.denominator, -1, MODULUS) % MODULUS
 
 
 def exact_sign_fold(spec: ArrangementSpec, center: Sequence, degree_cap: int) -> Tuple[Fraction, Fraction]:

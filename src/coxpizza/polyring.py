@@ -139,21 +139,6 @@ class Poly:
             return Poly.zero(self.arity)
         return Poly._canonical(self.arity, {m: c * f for m, c in self.terms.items()})
 
-    def evaluate(self, point: Sequence) -> Rational | float:
-        """The value at a point: an exact Fraction when every coordinate is
-        an int or a Fraction, else a float, for numeric cross-checks."""
-        if len(point) != self.arity:
-            raise ValueError("point length must equal arity")
-        exact = all(isinstance(x, (int, Fraction)) for x in point)
-        total = Fraction(0) if exact else 0.0
-        for mono, coeff in self.terms.items():
-            v = coeff if exact else float(coeff)
-            for x, e in zip(point, mono):
-                if e:
-                    v *= x**e
-            total += v
-        return total
-
     # -- rendering -------------------------------------------------------
 
     def sorted_terms(self) -> Iterator[Tuple[Monomial, Rational]]:

@@ -42,6 +42,22 @@ def coefficient(p: Poly, mono: Sequence[int]) -> Rational:
     return p.terms.get(tuple(mono), Fraction(0))
 
 
+def evaluate(p: Poly, point: Sequence) -> Rational | float:
+    """The value at a point: an exact Fraction when every coordinate is
+    an int or a Fraction, else a float, for numeric cross-checks."""
+    if len(point) != p.arity:
+        raise ValueError("point length must equal arity")
+    exact = all(isinstance(x, (int, Fraction)) for x in point)
+    total = Fraction(0) if exact else 0.0
+    for mono, coeff in p.terms.items():
+        v = coeff if exact else float(coeff)
+        for x, e in zip(point, mono):
+            if e:
+                v *= x**e
+        total += v
+    return total
+
+
 def power(p: Poly, n: int) -> Poly:
     if n < 0:
         raise ValueError("negative power")

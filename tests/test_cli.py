@@ -288,9 +288,9 @@ def test_negative_threads_is_a_usage_error(capsys):
 
 
 def test_reconstruction_mismatch_exits_one_without_a_traceback(capsys, monkeypatch):
-    real = conjectures.fold_at
-    monkeypatch.setattr(conjectures, "fold_at", lambda spec, point, degree_cap: {
-        k: v + 1 for k, v in real(spec, point, degree_cap).items()})
+    real = conjectures.fold_mod
+    monkeypatch.setattr(conjectures, "fold_mod", lambda spec, point, degree: (
+        real(spec, point, degree) + 1) % conjectures.MODULUS)
     code, out, err = run_cli(capsys, "check", "schur", "--rank", "3", "--degree", "8")
     assert code == 1 and out == ""
     assert err.startswith("error: rank 3 degree 8: alternant reconstruction does not match the fold")

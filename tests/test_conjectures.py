@@ -1,18 +1,22 @@
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from coxpizza import conjectures, oracle
 from coxpizza.conjectures import (ConjectureReport, ReconstructionMismatch, RewriteFailed,
-                                  _t_block_basis, _u_v_basis, check_lemma51, check_sign_A, check_sign_D, check_t_positivity,
+                                  _determinant_mod, _t_block_basis, _u_v_basis, check_lemma51,
+                                  check_sign_A, check_sign_D, check_t_positivity,
                                   check_y_negativity, schur_reconstruct)
 from coxpizza.matchings import fold_parameters
 from coxpizza.oracle import random_interior_centers
 from coxpizza.polyring import NonDivisible, Poly, exact_divide_linear
 from coxpizza.rootsys import OnHyperplane, make_spec
-from coxpizza.taylor import ParityRegimeError
+from coxpizza.taylor import ParityRegimeError, ResourceCapExceeded
 import reference
-from reference import (alternant, compose_block, lemma51_by_fold, rewrite_even_symmetric,
+from reference import (alternant, compose_block, evaluate, lemma51_by_fold, rewrite_even_symmetric,
                        schur_lambda_coefficients, signed_estimate_fixed_step, t_poly)
 
 SEED = 4711
@@ -28,12 +32,12 @@ def test_lemma51_audits_pass():
 
 # past rank 5 the monomial loop over the expanded fold takes seconds (D_7) or
 # is refused (D_9 and up); at d = n(n-1) only c_() is nonzero: n! monomials
-LEMMA51_FRONTIER = [(7, 42, 5040), (7, 46, 10080), (9, 72, 362880),
-                    pytest.param(11, 110, 39916800, marks=pytest.mark.extended)]
+LEMMA51_FRONTIER = [(7, 42, 5040), (7, 46, 10080), (9, 72, 362880), (11, 110, 39916800),
+                    (13, 156, 6227020800)]
 
 
 @pytest.mark.parametrize("n,d,monomials", LEMMA51_FRONTIER,
-                         ids=["D7_d42", "D7_d46", "D9_d72", "D11_d110"])
+                         ids=["D7_d42", "D7_d46", "D9_d72", "D11_d110", "D13_d156"])
 def test_lemma51_past_rank_five(n, d, monomials):
     report = check_lemma51(n, d)
     assert report.verdict == "consistent"
@@ -60,6 +64,12 @@ def test_lemma51_refuses_degrees_where_the_fold_vanishes(n, d):
     with pytest.raises(ValueError, match=f"^degree {d} below the lowest nonzero degree "
                                          f"{n * (n - 1)} or wrong parity$"):
         check_lemma51(n, d)
+
+
+@pytest.mark.parametrize("check", [check_lemma51, schur_reconstruct])
+def test_type_d_audits_refuse_even_ranks_before_any_estimate(check):
+    with pytest.raises(ParityRegimeError, match="^type D rank 4: even rank is outside the expansion"):
+        check(4, 12)
 
 
 def test_y_negativity_small_ranges():
@@ -95,6 +105,15 @@ def test_schur_reconstruction_d3():
     report8 = schur_reconstruct(3, 8)
     assert report8.verdict == "consistent"
     assert report8.parameters["lambda_coefficients"] == {"[1]": "-1/10"}
+
+
+@pytest.mark.parametrize("n,d", [(13, 156), pytest.param(15, 210, marks=pytest.mark.extended)],
+                         ids=["D13_d156", "D15_d210"])
+def test_schur_reconstruction_past_rank_eleven(n, d):
+    # at d = n(n-1) the fold is c_() times the Vandermonde in the squares
+    report = schur_reconstruct(n, d)
+    assert report.verdict == "consistent"
+    assert list(report.parameters["lambda_coefficients"]) == ["[]"]
 
 
 def test_schur_reconstruction_rejects_low_degree():
@@ -136,24 +155,75 @@ def test_schur_reconstruction_catches_a_coefficient_off_by_one_unit(monkeypatch,
         schur_reconstruct(n, d)
 
 
+def test_schur_reconstruction_catches_a_seventh_on_one_coefficient(monkeypatch):
+    def nudge(coeffs):
+        lam = next(iter(coeffs))
+        coeffs[lam] += Fraction(1, 7)
+
+    _patch_dominant_coefficients(monkeypatch, nudge)
+    with pytest.raises(ReconstructionMismatch, match="^rank 7 degree 46: alternant reconstruction "
+                                                     "does not match the fold"):
+        schur_reconstruct(7, 46)
+
+
+def test_a_denominator_divisible_by_the_modulus_is_refused(monkeypatch):
+    # the right side is reduced modulo p = 2^61 - 1 over one common denominator
+    def plant(coeffs):
+        lam = next(iter(coeffs))
+        coeffs[lam] += Fraction(1, 3 * oracle.MODULUS)
+
+    _patch_dominant_coefficients(monkeypatch, plant)
+    with pytest.raises(ReconstructionMismatch, match=r"^rank 5 degree 24: a c_lambda denominator "
+                                                     r"is divisible by 2\^61 - 1"):
+        schur_reconstruct(5, 24)
+
+
+def test_a_fold_over_the_work_cap_is_refused_before_any_fold(monkeypatch):
+    def fail(*args):
+        raise AssertionError("computed before the refusal")
+
+    monkeypatch.setattr(conjectures, "fold_mod", fail)
+    monkeypatch.setattr(conjectures, "dominant_coefficients", fail)
+    for check in (schur_reconstruct, check_lemma51):
+        with pytest.raises(ResourceCapExceeded, match="^rank 19 degree 342: about 14615395 steps"):
+            check(19, 342)
+
+
+def test_determinant_mod_equals_the_exact_determinant():
+    # seeded matrices with many zeros, so pivots must be searched for; a
+    # repeated row makes some of them singular
+    rng = random.Random(SEED)
+    for size in range(1, 7):
+        for _ in range(30):
+            rows = [[rng.choice((0, 0, rng.randrange(-9, 10), rng.randrange(oracle.MODULUS)))
+                     for _ in range(size)] for _ in range(size)]
+            if size > 1 and rng.random() < 0.2:
+                rows[-1] = list(rows[0])
+            exact = sum(math.prod(rows[i][j] for i, j in enumerate(perm))
+                        * (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+                        for perm in itertools.permutations(range(size)))
+            residues = [[x % oracle.MODULUS for x in row] for row in rows]
+            assert _determinant_mod(residues) == exact % oracle.MODULUS, rows
+
+
+def _mod(value: Fraction) -> int:
+    return value.numerator * pow(value.denominator, -1, oracle.MODULUS) % oracle.MODULUS
+
+
 def _plant_full_partition(monkeypatch, n, d):
     """Add c_lambda = -1/7 on a lambda with n parts to the dominant
     coefficients and, as 2^shift c_lambda a_(2(lambda+delta)), to the fold
-    values, so the alternant identity still holds; returns the planted term."""
+    values modulo 2^61 - 1, so the alternant identity still holds; returns
+    the planted term."""
     shift = (d - n * (n - 1)) // 2
     lam = (shift - n + 1,) + (1,) * (n - 1)
     c = Fraction(-1, 7)
     exponents = [2 * (part + n - 1 - i) for i, part in enumerate(lam)]
     planted = alternant(exponents, n).scale(c * (1 << shift))
     _patch_dominant_coefficients(monkeypatch, lambda coeffs: coeffs.__setitem__(lam, c))
-    real = conjectures.fold_at
-
-    def fold_at(spec, point, degree_cap):
-        values = dict(real(spec, point, degree_cap))
-        values[d] += planted.evaluate(point)
-        return values
-
-    monkeypatch.setattr(conjectures, "fold_at", fold_at)
+    real = conjectures.fold_mod
+    monkeypatch.setattr(conjectures, "fold_mod", lambda spec, point, degree: (
+        real(spec, point, degree) + _mod(evaluate(planted, point))) % oracle.MODULUS)
     return planted
 
 
@@ -180,9 +250,9 @@ def test_lemma51_lists_the_rearrangements_of_a_coefficient_with_n_parts(monkeypa
 
 def test_lemma51_raises_when_the_fold_disagrees(monkeypatch):
     # a fold off the alternant identity is an internal contradiction, not a witness
-    real = conjectures.fold_at
-    monkeypatch.setattr(conjectures, "fold_at", lambda spec, point, degree_cap: {
-        k: v + 1 for k, v in real(spec, point, degree_cap).items()})
+    real = conjectures.fold_mod
+    monkeypatch.setattr(conjectures, "fold_mod", lambda spec, point, degree: (
+        real(spec, point, degree) + 1) % oracle.MODULUS)
     with pytest.raises(ReconstructionMismatch, match="does not match the fold"):
         check_lemma51(5, 24)
 

@@ -7,14 +7,15 @@ import pytest
 from coxpizza import matchings as mt
 from coxpizza import oracle
 from coxpizza.matchings import enumerate_matchings, form_values
-from coxpizza.oracle import (BallSpec, DivergentRegion, McEstimate, _c_sequence, _edge_forms,
-                             _require_decaying, _signed_sums, a1k_pizza_series, ball_volume,
-                             exact_sign_fold, fold_at, mc_pizza, random_interior_centers,
-                             sign_fold_tails, sum_over_2structures)
+from coxpizza.oracle import (MODULUS, BallSpec, DivergentRegion, McEstimate, _c_sequence,
+                             _edge_forms, _pfaffian_plan, _require_decaying, _signed_sums,
+                             a1k_pizza_series, ball_volume, exact_sign_fold, fold_at, fold_mod,
+                             fold_mod_work, mc_pizza, random_interior_centers, sign_fold_tails,
+                             sum_over_2structures)
 from coxpizza.rootsys import make_spec
 from coxpizza.taylor import c_coefficient, fold_parameters, quotient, z_poly
 from reference import (a1k_pizza_quadrature, auto_degree_cap, coefficient, contains_origin,
-                       signed_sums_by_matchings, vandermonde)
+                       evaluate, signed_sums_by_matchings, vandermonde)
 
 SEED = 90210
 
@@ -283,7 +284,7 @@ def test_sum2s_truncation_matches_symbolic_partial_sum():
             for d in range(1, cap + 1):
                 z = z_poly(spec, d)
                 if not z.is_zero():
-                    symbolic += z.evaluate(list(center)) * 2.0 ** (-d / 2.0)
+                    symbolic += evaluate(z, list(center)) * 2.0 ** (-d / 2.0)
             symbolic *= prefactor
             scale = max(abs(direct), abs(symbolic), 1e-30)
             assert abs(direct - symbolic) <= 1e-9 * scale + 1e-18, (spec, center)
@@ -385,7 +386,7 @@ def test_fold_at_matches_the_expanded_fold(family, rank, cap):
     values = fold_at(spec, point, cap)
     assert sorted(values) == list(range(k, cap + 1, 2))
     for d, value in values.items():
-        assert value == z_poly(spec, d).evaluate(point), (family, rank, d)
+        assert value == evaluate(z_poly(spec, d), point), (family, rank, d)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("A", 6), ("A", 7), ("D", 3),
@@ -452,6 +453,45 @@ def test_fold_at_shares_the_exact_fold_checks():
         fold_at(make_spec("D", 3), (1, 2, 3, 4), 9)
     with pytest.raises(ValueError, match="degree_cap below the lowest block degree"):
         fold_at(make_spec("D", 5), (1, 2, 3, 4, 5), 3)
+
+
+MOD_CELLS = [("D", 3), ("D", 5), ("D", 7), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6)]
+
+
+@pytest.mark.parametrize("family,rank", MOD_CELLS, ids=[f"{f}{n}" for f, n in MOD_CELLS])
+def test_fold_mod_is_fold_at_modulo_the_prime(family, rank):
+    # two routes at seeded 32-bit integer points: the exact fold reduced
+    # modulo 2^61 - 1, and the fold run on residues
+    spec = make_spec(family, rank)
+    k = fold_parameters(spec).k
+    phi = spec.positive_root_count
+    rng = random.Random(f"fold_mod {family}{rank}")
+    for _ in range(2):
+        point = [rng.randrange(-2**31, 2**31) for _ in range(spec.ambient_dim)]
+        exact = fold_at(spec, point, phi + 8)
+        for d in (k, phi, phi + 2, phi + 8):
+            reduced = exact[d].numerator * pow(exact[d].denominator, -1, MODULUS) % MODULUS
+            assert fold_mod(spec, point, d) == reduced, (point, d)
+
+
+def test_fold_mod_work_counts_the_memo_terms():
+    # the closed form against the memo's own plan, times the slots
+    for rank in range(3, 16):
+        spec = make_spec("D", rank)
+        plan = _pfaffian_plan(rank)
+        terms = sum(len(plus) + len(minus) for _, plus, minus in plan)
+        assert fold_mod_work(spec, 2 * rank + rank - 1) == terms * (rank + 1), rank
+
+
+def test_fold_mod_refuses_what_it_cannot_evaluate():
+    with pytest.raises(ValueError, match="no matching fold for family I2"):
+        fold_mod(make_spec("I2", 5), (1, 2), 9)
+    with pytest.raises(ValueError, match="center has dimension 4, expected 3"):
+        fold_mod(make_spec("D", 3), (1, 2, 3, 4), 6)
+    with pytest.raises(ValueError, match="degree 7: the fold vanishes below 2 and at the other parity"):
+        fold_mod(make_spec("D", 3), (1, 2, 3), 7)
+    with pytest.raises(TypeError):
+        fold_mod(make_spec("D", 3), (1, Fraction(1, 2), 3), 6)
 
 
 def test_sum2s_refuses_type_a_center_off_the_hyperplane():
@@ -556,7 +596,7 @@ def test_exact_sign_fold_sign_matches_leading_term():
         if abs(value) <= bound:
             value, bound = exact_sign_fold(spec, center, 240)
         assert abs(value) > bound
-        jac = vand.evaluate(list(center))
+        jac = evaluate(vand, list(center))
         assert (value > 0) == (float(lead) * jac > 0)
 
 
