@@ -4,9 +4,16 @@ A polynomial is a mapping from monomials to nonzero rational coefficients.
 Monomials are dense exponent tuples (one entry per variable); the variable
 count (arity) is fixed per polynomial.  Coefficients are ``fractions.Fraction``
 in every input and output, so every operation in this module is exact: no
-float ever enters.  The two hot loops, substitute_linear and
-schur_combination, clear their inputs to one integer denominator, run on
-Python ints and build one Fraction per output term.
+float ever enters.
+
+Symmetric polynomials (the quotients sum c_lambda s_lambda) are kept on
+their sorted-monomial coefficients over one integer denominator
+(monomial_coefficients) until spread_monomials expands them, one Fraction
+per coefficient shared by all its rearrangements.  The type A reduction
+modulo x_1 + ... + x_g = 0 runs on that basis too (reduce_symmetric_mod_sum),
+so nothing is expanded before it is reduced.  substitute_linear, the
+reference route of that reduction, substitutes into an expanded polynomial
+on Python ints over one denominator.
 
 The monomial order used for division and rendering is graded lexicographic
 (total degree first, then lexicographic on the exponent tuple).
@@ -14,7 +21,6 @@ The monomial order used for division and rendering is graded lexicographic
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
@@ -141,10 +147,12 @@ class Poly:
 
     # -- rendering -------------------------------------------------------
 
-    def sorted_terms(self) -> Iterator[Tuple[Monomial, Rational]]:
-        """Terms in descending graded-lex order (the canonical order)."""
-        for mono in sorted(self.terms, key=_grlex_key, reverse=True):
-            yield mono, self.terms[mono]
+    def sorted_terms(self) -> List[Tuple[Monomial, Rational]]:
+        """Terms in descending graded-lex order (the canonical order): sorted
+        by the exponent tuple, then stably by total degree."""
+        terms = self.terms
+        return [(mono, terms[mono])
+                for mono in sorted(sorted(terms, reverse=True), key=sum, reverse=True)]
 
     def to_text(self) -> str:
         """Canonical text form: sorted graded-lex, coefficients as num/den."""
@@ -394,38 +402,39 @@ def _monomial_coefficients(coeffs: Mapping[Partition, int], size: int,
     return out
 
 
-def _distinct_permutations(values: Sequence[int]) -> Iterator[Tuple[int, ...]]:
-    """Every distinct rearrangement of a multiset, each exactly once."""
-    counts = Counter(values)
-    distinct = sorted(counts, reverse=True)
-    slots: List[int] = [0] * len(values)
+def _distinct_permutations(values: Sequence[int],
+                           tail: Tuple[int, ...] = ()) -> List[Tuple[int, ...]]:
+    """Every distinct rearrangement of a multiset, each exactly once and
+    followed by ``tail``, in increasing lexicographic order.  From the
+    ascending arrangement, each successor swaps the rightmost entry below
+    its right neighbour with the rightmost larger entry after it, then
+    reverses the (descending) run after its old place."""
+    a = sorted(values)
+    n = len(a)
+    a += tail
+    out = [tuple(a)]
+    i = n - 2
+    while i >= 0:
+        ai = a[i]
+        if ai >= a[i + 1]:
+            i -= 1
+            continue
+        j = n - 1
+        while a[j] <= ai:
+            j -= 1
+        a[i], a[j] = a[j], ai
+        a[i + 1:n] = a[n - 1:i:-1]
+        out.append(tuple(a))
+        i = n - 2
+    return out
 
-    def rec(pos: int) -> Iterator[Tuple[int, ...]]:
-        if pos == len(slots):
-            yield tuple(slots)
-            return
-        for v in distinct:
-            if counts[v]:
-                counts[v] -= 1
-                slots[pos] = v
-                yield from rec(pos + 1)
-                counts[v] += 1
 
-    return rec(0)
-
-
-def schur_combination(coeffs: Mapping[Partition, Rational], nvars: int,
-                      squared: bool = False) -> Poly:
-    """sum of coeffs[lambda] * s_lambda(x_1..x_nvars), expanded, or of
-    s_lambda(x_1^2..x_nvars^2) when squared.
-
-    Partitions are keyed as ``partitions`` yields them (no trailing zeros).
-    The result is symmetric, so only its sorted-monomial coefficients are
-    solved for (see _monomial_coefficients), on the integers coeffs * L for
-    L the lcm of their denominators; each is divided by L once and then
-    spread over the distinct rearrangements of its exponents.  No alternant
-    is expanded and no polynomial is divided.
-    """
+def monomial_coefficients(coeffs: Mapping[Partition, Rational],
+                          nvars: int) -> Tuple[Dict[Partition, int], int]:
+    """(q, L): the sorted-monomial coefficients of sum coeffs[lambda] *
+    s_lambda(x_1..x_nvars) on integers, keyed by partitions padded to nvars
+    parts, and the one denominator L (the lcm of the coefficients') they
+    are over.  Partitions are keyed as ``partitions`` yields them."""
     from math import lcm
 
     if nvars < 1:
@@ -435,11 +444,72 @@ def schur_combination(coeffs: Mapping[Partition, Rational], nvars: int,
             raise ValueError(f"{lam} is not a partition into at most {nvars} parts")
     den = lcm(*(c.denominator for c in coeffs.values()))
     cleared = {lam: c.numerator * (den // c.denominator) for lam, c in coeffs.items()}
-    factor = 2 if squared else 1
-    terms: Dict[Monomial, Rational] = {}
+    q: Dict[Partition, int] = {}
     for size in sorted({sum(lam) for lam in coeffs}):
-        for nu, q in _monomial_coefficients(cleared, size, nvars).items():
-            value = Fraction(q, den)
-            for mono in _distinct_permutations(nu):
-                terms[tuple(factor * e for e in mono)] = value
-    return Poly._canonical(nvars, terms)
+        q.update(_monomial_coefficients(cleared, size, nvars))
+    return q, den
+
+
+def reduce_symmetric_mod_sum(q: Mapping[Partition, int]) -> Dict[Partition, int]:
+    """The symmetric polynomial sum q_nu m_nu(x_1..x_g) modulo the relation
+    x_1 + ... + x_g = 0, with x_g = -p_1(x_1..x_(g-1)) substituted, on the
+    monomial symmetric basis of the first g-1 variables (partitions padded
+    to g-1 parts; g >= 2).
+
+    Splitting by the exponent e of x_g, m_nu = sum over the distinct parts e
+    of nu of m_(nu-e) x_g^e, so the sum is sum_e P_e x_g^e with P_e = sum
+    over nu containing e of q_nu m_(nu-e), and Horner in x_g runs
+    acc <- -p_1 acc + P_e from the top exponent down.  p_1 m_kappa is the sum
+    over the distinct parts u of kappa of mult(u+1 in kappa') m_kappa', for
+    kappa' kappa with one u raised to u+1: x^kappa' is x_i times a
+    rearrangement of kappa for each of the mult positions i holding u+1."""
+    slices: Dict[int, Dict[Partition, int]] = {}
+    for nu, c in q.items():
+        for i, e in enumerate(nu):
+            if not i or nu[i - 1] != e:
+                rest = nu[:i] + nu[i + 1:]
+                part = slices.setdefault(e, {})
+                part[rest] = part.get(rest, 0) + c
+    acc: Dict[Partition, int] = {}
+    for e in range(max(slices, default=0), -1, -1):
+        grown = dict(slices.get(e, {}))
+        for kappa, c in acc.items():
+            for i, u in enumerate(kappa):
+                if i and kappa[i - 1] == u:
+                    continue
+                mult = 1  # the raised part, and the parts u + 1 just before it
+                while i - mult >= 0 and kappa[i - mult] == u + 1:
+                    mult += 1
+                raised = kappa[:i] + (u + 1,) + kappa[i + 1:]
+                grown[raised] = grown.get(raised, 0) - mult * c
+        acc = grown
+    return {kappa: c for kappa, c in acc.items() if c}
+
+
+def spread_monomials(q: Mapping[Partition, int], den: int, arity: int,
+                     factor: int = 1) -> Poly:
+    """sum q_nu / den m_nu, expanded over the distinct rearrangements of
+    each nu (exponents times factor), padded with zero exponents to arity
+    variables."""
+    pad = (0,) * (arity - len(next(iter(q), ())))
+    terms: Dict[Monomial, Rational] = {}
+    for nu, c in q.items():
+        if factor != 1:
+            nu = tuple(factor * e for e in nu)
+        terms.update(dict.fromkeys(_distinct_permutations(nu, pad), Fraction(c, den)))
+    return Poly._canonical(arity, terms)
+
+
+def schur_combination(coeffs: Mapping[Partition, Rational], nvars: int,
+                      squared: bool = False) -> Poly:
+    """sum of coeffs[lambda] * s_lambda(x_1..x_nvars), expanded, or of
+    s_lambda(x_1^2..x_nvars^2) when squared.
+
+    Partitions are keyed as ``partitions`` yields them (no trailing zeros).
+    The result is symmetric, so only its sorted-monomial coefficients are
+    solved for (monomial_coefficients), and each is spread once over the
+    distinct rearrangements of its exponents.  No alternant is expanded and
+    no polynomial is divided.
+    """
+    q, den = monomial_coefficients(coeffs, nvars)
+    return spread_monomials(q, den, nvars, 2 if squared else 1)

@@ -12,9 +12,13 @@ and the quotient is sum c_lambda s_lambda by the bialternant formula.  Each
 edge of a matching touches two variables only, so a matching's share of one
 dominant coefficient c_lambda is a single product of per-edge coefficients,
 and the signed sum over the matchings is a Pfaffian (Stembridge, Adv. Math.
-83, 1990): dominant_coefficients takes one per target, visiting no matching,
-and polyring.schur_combination expands the Schur combination.  The type D
-audits in conjectures read the same c_lambda.
+83, 1990): dominant_coefficients takes one per target, visiting no matching.
+The quotient is symmetric, so expansion_report keeps it on its
+sorted-monomial coefficients, reduces the type A quotient modulo the sum
+relation on them, and spreads each polynomial once.  reduce_mod_relation,
+which substitutes into the expanded quotient, is the reference route of
+that reduction (the tests and the benchmark's relation gate call it).  The
+type D audits in conjectures read the same c_lambda.
 
 The full fold z_poly expands Z_d without assuming the alternation.  No
 command reads it: it is the reference route of the tests, which check the
@@ -49,7 +53,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import matchings as mt
 from .matchings import FoldGeometry, count_matchings, enumerate_matchings, fold_parameters
-from .polyring import Poly, divide_by_vandermonde, partitions, schur_combination, substitute_linear
+from .polyring import (Poly, divide_by_vandermonde, monomial_coefficients, partitions,
+                       reduce_symmetric_mod_sum, schur_combination, spread_monomials,
+                       substitute_linear)
 from .rootsys import ArrangementSpec
 
 MAX_DEGREE = 60  # z_poly's guards: 8-bit exponent packing, and the matchings it visits
@@ -483,12 +489,20 @@ def expansion_report(spec: ArrangementSpec, degrees: Sequence[int],
                      threads: int = 1) -> ExpansionReport:
     """Quotients (and, for type A, representatives modulo the sum relation)
     at each requested degree.  `threads` is validated but unused: everything
-    runs in this process."""
+    runs in this process.
+
+    Each quotient stays on its sorted-monomial coefficients until it is
+    spread, and the type A representative is reduced on them
+    (reduce_symmetric_mod_sum), so each polynomial is expanded once.
+    reduce_mod_relation, which substitutes into the expanded quotient, is
+    the independent route the tests compare it with."""
     _check_threads(threads)
-    k = fold_parameters(spec).k
+    geometry = fold_parameters(spec)
+    ground, factor = geometry.ground, 2 if geometry.pair_forms else 1
     entries = []
     for d in degrees:
-        q = quotient(spec, d)
-        reduced = reduce_mod_relation(q, spec) if spec.family == "A" else None
-        entries.append(ReportEntry(d, q, reduced))
-    return ExpansionReport(spec, k, spec.positive_root_count, entries)
+        q, den = monomial_coefficients(dominant_coefficients(spec, d), ground)
+        reduced = (spread_monomials(reduce_symmetric_mod_sum(q), den, ground)
+                   if spec.family == "A" else None)
+        entries.append(ReportEntry(d, spread_monomials(q, den, ground, factor), reduced))
+    return ExpansionReport(spec, geometry.k, spec.positive_root_count, entries)

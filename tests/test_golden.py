@@ -4,6 +4,7 @@ reproduce them byte-for-byte (up to JSON parsing).  The reports built from
 the full folds are compared with these in the determinism criterion of
 test_acceptance."""
 
+import ast
 import hashlib
 import json
 from pathlib import Path
@@ -15,6 +16,7 @@ from coxpizza.rootsys import make_spec
 from coxpizza.taylor import expansion_report
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+BENCHMARK_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 ROWS = [("A", 2), ("A", 3), ("A", 6), ("A", 7), ("D", 3), ("D", 5)]
 
 
@@ -28,14 +30,22 @@ def test_report_matches_golden_file(family, rank):
     assert got == expected
 
 
+def _benchmark_pins():
+    """DEEP_JOBS and DEEP_DIGESTS as perfbench/workloads.py pins them, read
+    from its source (importing it would need the benchmark's own modules)."""
+    tree = ast.parse(BENCHMARK_WORKLOADS.read_text(encoding="utf-8"))
+    values = {target.id: ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign) for target in node.targets
+              if isinstance(target, ast.Name) and target.id in ("DEEP_JOBS", "DEEP_DIGESTS")}
+    return {(family, rank, degrees): values["DEEP_DIGESTS"][f"{family}:{rank}"]
+            for family, rank, degrees in values["DEEP_JOBS"]}
+
+
 # sha256 of `expand --format json` past the table degrees, where the type A
 # reduction and the Schur expansion see their largest inputs (A:3 d40 has
-# 7,770 quotient terms); the same values as the benchmark's deep-expand pins.
-DEEP_DIGESTS = {
-    ("A", 6, (25,)): "688ff589f906bdd237e5a42a18e6df66ff2e7cb61b50714eefcf5a6fe2254a07",
-    ("A", 3, (36, 40)): "fc84d0685a174d0e2238dbae799bfa09c5a7076e881e2eeff9524062c7a75127",
-    ("D", 5, (28, 30)): "8abca70677e5dd5384c90253799f5e5db3830c44bf38bee9a7d536d0c1974971",
-}
+# 7,770 quotient terms): the benchmark's deep-expand pins, read from its file
+# so that the two cannot drift apart.
+DEEP_DIGESTS = _benchmark_pins()
 
 
 @pytest.mark.parametrize("family,rank,degrees", list(DEEP_DIGESTS),

@@ -1,13 +1,15 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from coxpizza.polyring import (NonDivisible, Poly, add, divide_by_vandermonde,
-                               exact_divide_linear, mul, normalize_partition, partitions,
-                               schur_combination, substitute_linear)
+from coxpizza.polyring import (NonDivisible, Poly, _distinct_permutations, add,
+                               divide_by_vandermonde, exact_divide_linear, mul,
+                               normalize_partition, partitions, reduce_symmetric_mod_sum,
+                               schur_combination, spread_monomials, substitute_linear)
 from reference import (constant, evaluate, is_skew_under_transposition, power, schur_bialternant,
                        vandermonde)
 
@@ -346,6 +348,37 @@ def test_schur_rejects_too_many_parts():
         schur_bialternant((1, 1, 1), 2)
 
 
+@pytest.mark.parametrize("values", [(), (0,), (0, 0, 0), (3, 1, 1, 0), (2, 2, 1, 1, 0, 0)])
+def test_distinct_permutations_lists_each_rearrangement_once(values):
+    perms = _distinct_permutations(values)
+    count = math.factorial(len(values))
+    for mult in Counter(values).values():
+        count //= math.factorial(mult)
+    assert len(perms) == count == len(set(perms))
+    assert set(perms) == set(itertools.permutations(values))
+    assert _distinct_permutations(values, (0, 5)) == [p + (0, 5) for p in perms]
+
+
+def test_symmetric_reduction_matches_the_substitution():
+    # sum q_nu m_nu modulo x_1 + ... + x_g = 0 on the monomial symmetric
+    # basis, against substituting x_g = -(x_1 + ... + x_(g-1)) in the expansion
+    rng = random.Random(23)
+    for nvars in range(2, 6):
+        shapes = [lam + (0,) * (nvars - len(lam)) for size in range(7)
+                  for lam in partitions(size, nvars)]
+        for _ in range(4):
+            q = {nu: rng.randint(-99, 99) or 1 for nu in rng.sample(shapes, min(len(shapes), 8))}
+            den = rng.choice(COPRIME_DENS)
+            form = Poly.linear_form(nvars, [-1] * (nvars - 1) + [0])
+            expected = substitute_linear(spread_monomials(q, den, nvars), nvars - 1, form)
+            got = spread_monomials(reduce_symmetric_mod_sum(q), den, nvars)
+            assert got == expected, (nvars, q)
+            assert_canonical(got)
+    assert reduce_symmetric_mod_sum({}) == {}
+    # x_1 + x_2 + x_3 = m_(1,0,0) is the relation itself
+    assert reduce_symmetric_mod_sum({(1, 0, 0): 3}) == {}
+
+
 # -- misc --------------------------------------------------------------------
 
 
@@ -372,6 +405,14 @@ def test_canonical_text_rendering():
     p = P(2, {(2, 0): (1, 2), (0, 1): -3, (1, 1): 1})
     assert p.to_text() == "1/2*a1^2 + a1*a2 - 3*a2"
     assert Poly.zero(2).to_text() == "0"
+
+
+def test_sorted_terms_descend_in_graded_lex_order():
+    rng = random.Random(5)
+    for arity in range(1, 5):
+        p = random_poly(rng, arity, max_degree=4, max_terms=12)
+        order = sorted(p.terms, key=lambda m: (sum(m), m), reverse=True)
+        assert p.sorted_terms() == [(m, p.terms[m]) for m in order]
 
 
 def test_grlex_leading_term():

@@ -8,7 +8,7 @@ import pytest
 from coxpizza import matchings, taylor
 from coxpizza.cli import main
 from coxpizza.matchings import Matching
-from coxpizza.polyring import Poly, partitions
+from coxpizza.polyring import Poly, partitions, schur_combination
 from coxpizza.rootsys import make_spec
 from coxpizza.taylor import (ParityRegimeError, ResourceCapExceeded, _edge_table, _pfaffian,
                              c_coefficient, dominant_coefficients, expansion_report,
@@ -460,6 +460,32 @@ def test_expansion_report_shapes():
     json.dumps(doc)  # serializable
     text = report.to_text()
     assert "degree 3: 1/2" in text
+
+
+# per type A rank: the lead and second degrees and two deeper ones, and A_6
+# d19, below the root count, where dominant_coefficients is empty; the
+# extended cells take over 2 s each (A_7 d44: 245,157 quotient terms)
+REPORT_ROUTE_CELLS = [("A", rank, d) for rank, degrees in ((2, (3, 5, 21, 41)),
+                                                          (3, (6, 8, 20, 40)),
+                                                          (6, (19, 21, 23, 25, 33)),
+                                                          (7, (28, 30, 34, 40)),
+                                                          (10, (55, 57, 59, 61)))
+                      for d in degrees]
+REPORT_ROUTE_CELLS += [pytest.param("A", 7, 44, marks=pytest.mark.extended),
+                       pytest.param("A", 10, 65, marks=pytest.mark.extended)]
+
+
+@pytest.mark.parametrize("family,rank,d", REPORT_ROUTE_CELLS)
+def test_expansion_report_matches_the_expanded_routes(family, rank, d):
+    # the report reduces the quotient on its sorted-monomial coefficients;
+    # reduce_mod_relation substitutes into the expanded quotient instead
+    spec = make_spec(family, rank)
+    entry = expansion_report(spec, [d]).entries[0]
+    coeffs = dominant_coefficients(spec, d)
+    assert entry.quotient == schur_combination(coeffs, spec.ambient_dim)
+    assert entry.reduced_quotient == reduce_mod_relation(entry.quotient, spec)
+    assert entry.reduced_quotient.arity == spec.ambient_dim
+    assert entry.quotient.is_zero() == (not coeffs)
 
 
 def test_expansion_report_type_d_has_no_reduction():
