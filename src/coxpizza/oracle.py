@@ -13,10 +13,10 @@ orthogonal subsystems with their signs, giving a semi-exact evaluator for
 types A and D that the symbolic pipeline is validated against.
 
 Only the float routes use numpy, and each imports it itself: mc_pizza
-and random_interior_centers (with _subspace_basis), and the float series
-behind a1k_pizza_series and sum_over_2structures (_series_core).  The
-exact routes below never load it, so a command that does not sample
-starts without it.
+(with its chunk kernel _mc_chunk) and random_interior_centers (with
+_subspace_basis), and the float series behind a1k_pizza_series and
+sum_over_2structures (_series_tables, _series_core).  The exact routes
+below never load it, so a command that does not sample starts without it.
 
 One exact point evaluator, _signed_sums, serves two callers.  It clears the
 forms at a point to integers by one common denominator, gives every edge
@@ -143,23 +143,34 @@ def require_sum_zero(spec: ArrangementSpec, center: Sequence[float], radius: flo
 def mc_pizza(spec: ArrangementSpec, ball: BallSpec, samples: int, seed: int,
              threads: int = 1) -> McEstimate:
     """Monte Carlo estimate: Vol(ball) * mean of the chamber sign over
-    uniform samples.  Points within 1e-12 of a hyperplane are resampled.
+    uniform samples.  Points within 1e-12 of a hyperplane are resampled; a
+    ball that lies within that tolerance of one hyperplane, |<r, a>| + R <=
+    1e-12 for a unit root r, is refused, since every draw would be.
 
     Chunked with counter-derived sub-seeds, so the estimate depends only on
-    (seed, samples) and the chunk size _CHUNK, not on threading.  A chunk
-    is drawn at once and then worked through in blocks of _BLOCK rows that
-    stay in cache; every row takes the same float operations in any block,
-    so the block size does not change the estimate either.
+    (seed, samples) and the chunk size _CHUNK, not on threading.  Each chunk
+    is one _mc_chunk call: buffers made once per chunk, one scale per row,
+    and the chamber sign as the sign of the product of the pairings.  It
+    draws the same random stream as the loop it replaced
+    (tests/reference.py) and moves a point in its last bits at most, so a
+    keep or sign decision, and with it the estimate, changes with
+    probability far below 1e-12 per draw; the pinned estimates of the
+    tests are bit-identical.
     """
     import numpy as np
 
     if samples < 1:
         raise ValueError("need at least one sample")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     require_dimension(spec, ball.center)
     dim, embed = _sampling_frame(spec)
     require_sum_zero(spec, ball.center, ball.radius)
     roots = np.array(numeric_roots(spec))  # rows are unit roots in ambient coords
     center = np.array(ball.center, dtype=float)
+    if (np.abs(roots @ center) + ball.radius).min() <= _HYPERPLANE_TOL:
+        raise ValueError(f"the ball lies within {_HYPERPLANE_TOL} of a hyperplane: "
+                         f"every draw would be resampled")
     embed_t = None if embed is None else np.ascontiguousarray(embed.T)
     volume = ball_volume(dim) * ball.radius**dim
 
@@ -169,26 +180,7 @@ def mc_pizza(spec: ArrangementSpec, ball: BallSpec, samples: int, seed: int,
     def run_chunk(ci: int) -> int:
         count = min(_CHUNK, samples - ci * _CHUNK)
         rng = np.random.default_rng([seed, ci])
-        total = 0
-        remaining = count
-        while remaining:
-            directions = rng.standard_normal((remaining, dim))
-            radii = ball.radius * rng.random(remaining) ** (1.0 / dim)
-            kept = 0
-            for start in range(0, remaining, _BLOCK):
-                direction = directions[start : start + _BLOCK]
-                direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-                local = direction * radii[start : start + _BLOCK, None]
-                points = center + (local @ embed_t if embed is not None else local)
-                pairings = roots @ points.T  # a column per point: the sums below run along rows
-                if np.abs(pairings).min() <= _HYPERPLANE_TOL:  # rare: select points only then
-                    pairings = pairings[:, np.all(np.abs(pairings) > _HYPERPLANE_TOL, axis=0)]
-                negatives = np.add.reduce(np.signbit(pairings), axis=0, dtype=np.uint8)
-                odd = int(np.count_nonzero(negatives & 1))
-                kept += pairings.shape[1]
-                total += pairings.shape[1] - 2 * odd  # sum of the chamber signs (-1)^negatives
-            remaining -= kept
-        return total
+        return _mc_chunk(rng, count, dim, ball.radius, center, embed_t, roots)[0]
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -206,6 +198,70 @@ def mc_pizza(spec: ArrangementSpec, ball: BallSpec, samples: int, seed: int,
     else:
         std_error = volume
     return McEstimate(volume * mean, std_error, samples, seed)
+
+
+def _mc_chunk(rng: np.random.Generator, count: int, dim: int, radius: float,
+              center: np.ndarray, embed_t: Optional[np.ndarray],
+              roots: np.ndarray) -> Tuple[int, int]:
+    """(sum of the chamber signs, draws) over `count` kept points of the
+    ball, drawn from `rng`: draws - count were resampled.
+
+    A pass draws the missing points at once, normals (one row of `dim` per
+    point) then uniforms for the radii, into buffers made once per chunk,
+    and works through them in blocks of _BLOCK rows that stay in cache.  A
+    row is scaled to its radius by one factor, radius / sqrt(sum of
+    squares), and embedded by `embed_t` (type A); the block's pairings with
+    the unit roots, a column per point, and their absolute values go to
+    buffers as well.  A point's chamber sign is the sign of the product of
+    its pairings: IEEE multiplication gives the product the XOR of its
+    factors' signs, also when it underflows to +-0, and no factor is 0 or
+    infinite once the points within 1e-12 of a hyperplane are dropped.
+
+    Every row takes the same float operations in any block, so the block
+    size does not change the result.  The random stream and the lines that
+    decide the 1e-12 test, points = center + local and the pairings, are
+    those of the loop this replaced (tests/reference.py); the one scale
+    differs from its norm, divide and multiply in the last bits only.
+    """
+    import numpy as np
+
+    block = min(_BLOCK, count)
+    nroots = roots.shape[0]
+    directions = np.empty((count, dim))
+    radii = np.empty(count)
+    embedded = None if embed_t is None else np.empty((block, embed_t.shape[1]))
+    pairings_buf = np.empty(nroots * block)
+    magnitudes_buf = np.empty(nroots * block)
+    total = draws = 0
+    remaining = count
+    while remaining:
+        rng.standard_normal(out=directions[:remaining])
+        pass_radii = radii[:remaining]
+        rng.random(out=pass_radii)
+        pass_radii **= 1.0 / dim
+        pass_radii *= radius
+        draws += remaining
+        kept = 0
+        for start in range(0, remaining, block):
+            direction = directions[start : min(start + block, remaining)]
+            rows = direction.shape[0]
+            norms = np.sqrt(np.einsum("ij,ij->i", direction, direction))
+            direction *= (pass_radii[start : start + rows] / norms)[:, None]
+            local = direction if embed_t is None else np.matmul(direction, embed_t,
+                                                                 out=embedded[:rows])
+            points = center + local
+            size = nroots * rows  # flat buffers: the views of every block are C-contiguous
+            pairings = np.matmul(roots, points.T, out=pairings_buf[:size].reshape(nroots, rows))
+            magnitudes = np.abs(pairings, out=magnitudes_buf[:size].reshape(nroots, rows))
+            if magnitudes.min() <= _HYPERPLANE_TOL:  # rare: select points only then
+                pairings = pairings[:, np.all(magnitudes > _HYPERPLANE_TOL, axis=0)]
+            # no out= for signbit: into a one-column slice of a wider buffer
+            # it returns wrong bits (seen with numpy 2.4.6)
+            odd = int(np.count_nonzero(np.signbit(np.multiply.reduce(pairings, axis=0))))
+            kept += pairings.shape[1]
+            total += pairings.shape[1] - 2 * odd  # sum of the chamber signs
+        remaining -= kept
+    return total, draws
 
 
 def random_interior_centers(spec: ArrangementSpec, count: int, seed: int,
@@ -278,8 +334,24 @@ def _binomial_convolve(a: np.ndarray, b: np.ndarray, comb: np.ndarray) -> np.nda
     return out
 
 
-def _series_core(n: int, k: int, coords: Sequence[float], degree_cap: int) -> Tuple[float, float]:
-    """(sum of blocks through degree_cap, tail bound on the remainder).
+def _series_tables(n: int, k: int, m_top: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(the binomial table C(m, j) for j <= m <= m_top, c_0..c_(m_top+1))
+    of the float series: they depend on the cap only, so a caller that
+    sums many series at one cap builds them once."""
+    import numpy as np
+
+    size = m_top + 1
+    comb = np.zeros((size, size))
+    comb[:, 0] = 1.0
+    for m in range(1, size):
+        comb[m, 1 : m + 1] = comb[m - 1, : m] + comb[m - 1, 1 : m + 1]
+    return comb, _c_sequence(n, k, m_top + 1)
+
+
+def _series_core(n: int, k: int, coords: Sequence[float], degree_cap: int,
+                 tables: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> Tuple[float, float]:
+    """(sum of blocks through degree_cap, tail bound on the remainder);
+    `tables` are _series_tables at this cap, built here when not given.
 
     The blocks are summed via T_(2m+k) = c_m * sum over |r| = m of the
     multinomial times prod x_i^(2 r_i + 1)/(2 r_i + 1): per variable the
@@ -300,12 +372,8 @@ def _series_core(n: int, k: int, coords: Sequence[float], degree_cap: int) -> Tu
     if degree_cap < k:
         raise ValueError("degree_cap below the lowest block degree")
     m_top = (degree_cap - k) // 2
-
     size = m_top + 1
-    comb = np.zeros((size, size))
-    comb[:, 0] = 1.0
-    for m in range(1, size):
-        comb[m, 1 : m + 1] = comb[m - 1, : m] + comb[m - 1, 1 : m + 1]
+    comb, c_seq = tables or _series_tables(n, k, m_top)
 
     running = None
     for x in coords:
@@ -316,7 +384,6 @@ def _series_core(n: int, k: int, coords: Sequence[float], degree_cap: int) -> Tu
             g[r] = g[r - 1] * xx * (2 * r - 1) / (2 * r + 1)
         running = g if running is None else _binomial_convolve(running, g, comb)
 
-    c_seq = _c_sequence(n, k, m_top + 1)
     value = float(np.dot(c_seq[:size], running))
 
     _require_decaying(n, k, m_top, f"degree_cap {degree_cap} too small: series coefficients")
@@ -722,11 +789,12 @@ def sum_over_2structures(spec: ArrangementSpec, ball: BallSpec,
 
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     prefactor = 2**k * ball_volume(n - k)
+    tables = _series_tables(n, k, (degree_cap - k) // 2)
     value = 0.0
     tail = 0.0
     for matching in enumerate_matchings(geometry.ground):
         coords = [u * inv_sqrt2 for u in form_values(geometry, matching, center)]
-        v, t = _series_core(n, k, coords, degree_cap)
+        v, t = _series_core(n, k, coords, degree_cap, tables)
         value += mt.sign(matching) * v
         tail += t
     return scale * prefactor * value, scale * prefactor * tail

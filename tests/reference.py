@@ -4,9 +4,10 @@ products, alternants and Schur bialternants; the expanded Jacobian; the
 per-edge tables as sums of binomial-row products over compositions; the
 fold by direct composition of Taylor blocks (z_poly_reference); the
 dominant coefficients, the Pfaffian and the exact folds' integer sums as
-signed sums over the matchings; nested quadrature; check schur, check
-lemma51 and the table cells on the expanded fold and quotients; and the
-sign checks' earlier fixed-step escalation.  The polynomial helpers at the
+signed sums over the matchings; the Monte Carlo chunk loop before its
+block kernel; nested quadrature; check schur, check lemma51 and the table
+cells on the expanded fold and quotients; and the sign checks' earlier
+fixed-step escalation.  The polynomial helpers at the
 top (constant, coefficient, power, variable permutations and sign flips)
 are the ones only tests need."""
 
@@ -24,8 +25,8 @@ from coxpizza.conjectures import (ConjectureReport, ReconstructionMismatch, Rewr
                                   _type_d)
 from coxpizza.matchings import (FoldGeometry, Matching, enumerate_matchings, fold_parameters,
                                 form_values)
-from coxpizza.oracle import (BallSpec, DivergentRegion, _int_binomial_convolve, ball_volume,
-                             exact_sign_fold)
+from coxpizza.oracle import (_BLOCK, _HYPERPLANE_TOL, BallSpec, DivergentRegion,
+                             _int_binomial_convolve, ball_volume, exact_sign_fold)
 from coxpizza.polyring import (Monomial, Poly, Rational, divide_by_vandermonde, mul,
                                normalize_partition, partitions)
 from coxpizza.rootsys import ArrangementSpec, Root, make_spec, positive_roots
@@ -94,6 +95,37 @@ def flip_variable_sign(p: Poly, index: int) -> Poly:
 
 def contains_origin(ball: BallSpec) -> bool:
     return ball.radius >= math.sqrt(sum(x * x for x in ball.center))
+
+
+def mc_chunk_by_norms(rng, count: int, dim: int, radius: float, center, embed_t, roots
+                      ) -> Tuple[int, int]:
+    """oracle._mc_chunk as the loop it replaced: (sum of the chamber signs,
+    draws) of one Monte Carlo chunk, with fresh arrays per pass and block,
+    each row divided by its norm and then multiplied by its radius, and the
+    chamber sign as the parity of the count of negative pairings."""
+    import numpy as np
+
+    total = draws = 0
+    remaining = count
+    while remaining:
+        directions = rng.standard_normal((remaining, dim))
+        radii = radius * rng.random(remaining) ** (1.0 / dim)
+        draws += remaining
+        kept = 0
+        for start in range(0, remaining, _BLOCK):
+            direction = directions[start : start + _BLOCK]
+            direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+            local = direction * radii[start : start + _BLOCK, None]
+            points = center + (local @ embed_t if embed_t is not None else local)
+            pairings = roots @ points.T
+            if np.abs(pairings).min() <= _HYPERPLANE_TOL:
+                pairings = pairings[:, np.all(np.abs(pairings) > _HYPERPLANE_TOL, axis=0)]
+            negatives = np.add.reduce(np.signbit(pairings), axis=0, dtype=np.uint8)
+            odd = int(np.count_nonzero(negatives & 1))
+            kept += pairings.shape[1]
+            total += pairings.shape[1] - 2 * odd
+        remaining -= kept
+    return total, draws
 
 
 def auto_degree_cap(n: int, k: int, s: float, target_tail: float,

@@ -168,6 +168,18 @@ def test_oracle_refuses_a_center_of_the_wrong_dimension(capsys, method):
     assert "error: center has dimension 5, expected 3" in err
 
 
+def test_oracle_mc_refuses_a_ball_inside_the_tolerance_slab():
+    # every draw would be resampled: refused before sampling, not a stall
+    proc = subprocess.run(
+        [sys.executable, "-m", "coxpizza.cli", "oracle", "--spec", "A:2", "--center",
+         "0.1,0.1,-0.2", "--radius", "1e-13", "--samples", "10"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: the ball lies within 1e-12 of a hyperplane: every draw would be resampled"]
+
+
 def test_oracle_mc_json(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--spec", "A1k:1@1", "--center", "0.37",
                            "--method", "mc", "--samples", "50000", "--seed", "3",

@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,10 +14,10 @@ from coxpizza.oracle import (MODULUS, BallSpec, DivergentRegion, McEstimate, _c_
                              a1k_pizza_series, ball_volume, exact_sign_fold, fold_at, fold_mod,
                              fold_mod_work, mc_pizza, random_interior_centers, sign_fold_tails,
                              sum_over_2structures)
-from coxpizza.rootsys import make_spec
+from coxpizza.rootsys import make_spec, numeric_roots
 from coxpizza.taylor import c_coefficient, fold_parameters, quotient, z_poly
 from reference import (a1k_pizza_quadrature, auto_degree_cap, coefficient, contains_origin,
-                       evaluate, signed_sums_by_matchings, vandermonde)
+                       evaluate, mc_chunk_by_norms, signed_sums_by_matchings, vandermonde)
 
 SEED = 90210
 
@@ -172,6 +174,82 @@ def test_mc_type_a_requires_sum_zero_center():
 def test_mc_rejects_bad_dimension():
     with pytest.raises(ValueError):
         mc_pizza(make_spec("D", 3), BallSpec((0.1, 0.2), 1.0), 100, SEED)
+
+
+def test_mc_refuses_fewer_than_one_thread():
+    ball = BallSpec((0.25, 0.1, 0.03), 1.0)
+    for threads in (0, -2):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            mc_pizza(make_spec("D", 3), ball, 100, SEED, threads=threads)
+
+
+def test_mc_refuses_a_ball_inside_the_tolerance_slab():
+    # every draw of this ball lies within 1e-12 of the wall a_1 = a_2, so
+    # sampling would never end: the call runs in a child process under a
+    # timeout, and must be refused before it samples
+    code = ("from coxpizza.oracle import BallSpec, mc_pizza\n"
+            "from coxpizza.rootsys import make_spec\n"
+            "try:\n"
+            "    mc_pizza(make_spec('A', 2), BallSpec((0.1, 0.1, -0.2), 1e-13), 10, 5)\n"
+            "except ValueError as exc:\n"
+            "    print('refused:', exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused: the ball lies within 1e-12 of a hyperplane")
+    # |<r, a>| + R just above the tolerance is sampled
+    est = mc_pizza(make_spec("A", 2), BallSpec((0.1, 0.1, -0.2), 2e-12), 10, 5)
+    assert est.samples == 10
+
+
+def _mc_frame(label):
+    """(spec, ball) of a _MC_BALLS entry."""
+    (family, rank), center, radius = _MC_BALLS[label]
+    return make_spec(family, rank), BallSpec(center, radius)
+
+
+def test_mc_block_and_chunk_sizes_keep_the_estimate(monkeypatch):
+    # block size 1 works on one-column views of the pairings
+    for label in ("A6", "D5", "A2-wall"):
+        spec, ball = _mc_frame(label)
+        for chunk in (oracle._CHUNK, 1000):
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
+            estimates = set()
+            for block in (1, 3, 2048):
+                monkeypatch.setattr(oracle, "_BLOCK", block)
+                estimates.add(mc_pizza(spec, ball, 2500, 7))
+            assert len(estimates) == 1, (label, chunk)
+
+
+@pytest.mark.parametrize("label", ["A2", "A6", "D5", "D7", "I2:5", "A2-wall"])
+def test_mc_chunk_matches_the_loop_by_norms(label):
+    # (sum of the chamber signs, draws) of single chunks, ending inside a
+    # block, on one, inside a later block and on a whole chunk
+    import numpy as np
+
+    spec, ball = _mc_frame(label)
+    dim, embed = oracle._sampling_frame(spec)
+    embed_t = None if embed is None else np.ascontiguousarray(embed.T)
+    roots = np.array(numeric_roots(spec))
+    center = np.array(ball.center)
+    for seed in (7, 11, 12345):
+        for ci, count in enumerate((1, 999, 2048, 5000, oracle._CHUNK)):
+            args = (count, dim, ball.radius, center, embed_t, roots)
+            kernel = oracle._mc_chunk(np.random.default_rng([seed, ci]), *args)
+            loop = mc_chunk_by_norms(np.random.default_rng([seed, ci]), *args)
+            assert kernel == loop, (seed, count)
+
+
+def test_product_sign_is_the_parity_of_the_negative_factors():
+    # 42 factors (the positive roots of D_7) small enough that most products
+    # underflow to +-0: the sign bit of the product is still their parity
+    import numpy as np
+
+    rng = np.random.default_rng(SEED)
+    factors = rng.choice([-1.0, 1.0], size=(42, 4000)) * 10.0 ** rng.uniform(-12, -4, (42, 4000))
+    products = np.multiply.reduce(factors, axis=0)
+    assert np.count_nonzero(products == 0.0) > 3000
+    parity = np.add.reduce(np.signbit(factors), axis=0) % 2 == 1
+    assert np.array_equal(np.signbit(products), parity)
 
 
 # -- series and quadrature ---------------------------------------------------
