@@ -42,8 +42,6 @@ from .rootsys import ArrangementSpec, chamber_sign, make_spec
 from .taylor import (MAX_QUOTIENT_WORK, ParityRegimeError, ResourceCapExceeded, _edge_table,
                      _require_symbolic_regime, c_coefficient, dominant_coefficients)
 
-CONJECTURE_IDS = ("signA", "signD", "lemma51", "yNeg", "schurRecon", "tPos")
-
 
 class OracleDisagreement(RuntimeError):
     """The series fold and Monte Carlo disagree with both bands excluding zero."""

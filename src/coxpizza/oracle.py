@@ -22,7 +22,9 @@ One exact point evaluator, _signed_sums, serves two callers.  It clears the
 forms at a point to integers by one common denominator, gives every edge
 its integer series, and evaluates the signed sum over the matchings of
 their edges' products as one Pfaffian over the ring of binomial-convolution
-series, memoized on vertex subsets, into one sum per degree:
+series, into one sum per degree.  The Pfaffian is memoized on vertex
+subsets, and _pfaffian_plan lists the memo's states in the order they are
+computed:
 
   * fold_at          -- the exact values Z_d(point) of the symbolic fold
                         (z_poly's convention) at any exact point, degree by
@@ -39,8 +41,8 @@ squared radii, so it is known for every cap without folding; the
 matchings are enumerated once per center (the last center's bound is
 cached), and equal radii are counted once.
 
-fold_mod runs _signed_sums' memo on residues modulo the prime 2^61 - 1,
-on series packed into single integers, for Z_d at one degree and one integer
+fold_mod walks the same plan on residues modulo the prime 2^61 - 1, on
+series packed into single integers, for Z_d at one degree and one integer
 point.  check schur and check lemma51 test the identity Z_d = 2^shift Q J
 with it at three seeded points of [0, 2^61 - 1): a wrong identity of
 degree d passes one with probability at most d / (2^61 - 1)
@@ -145,7 +147,10 @@ def mc_pizza(spec: ArrangementSpec, ball: BallSpec, samples: int, seed: int,
     """Monte Carlo estimate: Vol(ball) * mean of the chamber sign over
     uniform samples.  Points within 1e-12 of a hyperplane are resampled; a
     ball that lies within that tolerance of one hyperplane, |<r, a>| + R <=
-    1e-12 for a unit root r, is refused, since every draw would be.
+    1e-12 for a unit root r, is refused, since every draw would be.  A ball
+    inside the union of several such slabs but within none alone is refused
+    once _MAX_REJECTED_DRAWS draws in a row are resampled (a ValueError from
+    _mc_chunk); the count changes no draw.
 
     Chunked with counter-derived sub-seeds, so the estimate depends only on
     (seed, samples) and the chunk size _CHUNK, not on threading.  Each chunk
@@ -204,7 +209,9 @@ def _mc_chunk(rng: np.random.Generator, count: int, dim: int, radius: float,
               center: np.ndarray, embed_t: Optional[np.ndarray],
               roots: np.ndarray) -> Tuple[int, int]:
     """(sum of the chamber signs, draws) over `count` kept points of the
-    ball, drawn from `rng`: draws - count were resampled.
+    ball, drawn from `rng`: draws - count were resampled.  Once the passes
+    since the last one that kept a point have resampled _MAX_REJECTED_DRAWS
+    draws, it raises ValueError.
 
     A pass draws the missing points at once, normals (one row of `dim` per
     point) then uniforms for the radii, into buffers made once per chunk,
@@ -232,9 +239,12 @@ def _mc_chunk(rng: np.random.Generator, count: int, dim: int, radius: float,
     embedded = None if embed_t is None else np.empty((block, embed_t.shape[1]))
     pairings_buf = np.empty(nroots * block)
     magnitudes_buf = np.empty(nroots * block)
-    total = draws = 0
+    total = draws = stalled = 0
     remaining = count
     while remaining:
+        if stalled >= _MAX_REJECTED_DRAWS:
+            raise ValueError(f"{stalled} draws in a row were resampled: the ball lies within "
+                             f"{_HYPERPLANE_TOL} of the hyperplanes")
         rng.standard_normal(out=directions[:remaining])
         pass_radii = radii[:remaining]
         rng.random(out=pass_radii)
@@ -260,6 +270,7 @@ def _mc_chunk(rng: np.random.Generator, count: int, dim: int, radius: float,
             odd = int(np.count_nonzero(np.signbit(np.multiply.reduce(pairings, axis=0))))
             kept += pairings.shape[1]
             total += pairings.shape[1] - 2 * odd  # sum of the chamber signs
+        stalled = 0 if kept else stalled + remaining
         remaining -= kept
     return total, draws
 
@@ -458,12 +469,10 @@ def _signed_sums(geometry: FoldGeometry, forms: Dict[Tuple[int, int], Tuple[int,
 
     on the unnormalized forms.  That signed sum is the Pfaffian of the edge
     series over the ring of binomial-convolution series (the crossing signs
-    are the Pfaffian's; Stembridge 1990).  It is expanded by minors along
-    the lowest vertex, Pf(V) = sum_j (-1)^(j-1) E_(v0,vj) * Pf(V - v0 - vj),
-    memoized on vertex bitmasks: 33 states at g = 8 vertices, 1,596 at 16,
-    against (g-1)!! matchings.  An odd ground set gets one more vertex,
-    joined to every vertex by the unit series; its edge's crossings give the
-    isolated vertex p its sign (-1)^(p-1)."""
+    are the Pfaffian's; Stembridge 1990), computed state by state along
+    _pfaffian_plan.  The unit series is one list object: an edge times it
+    is the edge's series, taken unconvolved, and a state whose sum equals
+    it stores it."""
     size = m_top + 1
     odd = math.lcm(*range(1, 2 * m_top + 2, 2))
     weights = [odd // (2 * r + 1) for r in range(size)]
@@ -478,37 +487,20 @@ def _signed_sums(geometry: FoldGeometry, forms: Dict[Tuple[int, int], Tuple[int,
                 power *= vv
             series = g if series is None else _int_binomial_convolve(series, g, comb)
         edges[i - 1, j - 1] = series
-    ground = geometry.ground
-    extra = 1 << ground if ground % 2 else 0  # the odd ground set's added vertex
-    memo: Dict[int, Optional[List[int]]] = {0: None}  # None is the unit series
-
-    def pfaffian(mask: int) -> Optional[List[int]]:
-        if mask in memo:
-            return memo[mask]
-        low = mask & -mask
-        first = low.bit_length() - 1
-        rest = mask ^ low
-        if extra and rest == extra:  # a lone edge to the added vertex
-            return None
+    plan = _pfaffian_plan(geometry.ground)
+    unit = [1] + [0] * m_top
+    memo = {0: unit}  # the empty set
+    for mask, plus, minus in plan:
         total = [0] * size
-        sign = 1
-        partners = rest
-        while partners:
-            bit = partners & -partners
-            partners ^= bit
-            minor = pfaffian(rest ^ bit)
-            series = edges.get((first, bit.bit_length() - 1))  # None: the added vertex
-            if series is None or minor is None:  # one of them, as the lone edge returns early
-                term = minor if series is None else series
-            else:
-                term = _int_binomial_convolve(series, minor, comb)
-            for m, t in enumerate(term):
-                total[m] += sign * t
-            sign = -sign
-        memo[mask] = total
-        return total
-
-    return pfaffian((1 << ground) - 1 | extra), odd  # ground >= 2: never the unit series
+        for sign, terms in ((1, plus), (-1, minus)):
+            for edge, minor in terms:
+                term = memo[minor]
+                if edge is not None:  # None: the added vertex's edge, the unit series
+                    term = edges[edge] if term is unit else _int_binomial_convolve(edges[edge], term, comb)
+                for m, t in enumerate(term):
+                    total[m] += sign * t
+        memo[mask] = unit if total == unit else total
+    return memo[plan[-1][0]], odd
 
 
 def fold_at(spec: ArrangementSpec, point: Sequence, degree_cap: int) -> Dict[int, Fraction]:
@@ -537,11 +529,16 @@ MAX_FOLD_MOD_WORK = 5 * 10**6
 
 @lru_cache(maxsize=None)
 def _pfaffian_plan(ground: int) -> Tuple[Tuple[int, Tuple, Tuple], ...]:
-    """_signed_sums' expansion by minors along the lowest vertex as a list:
-    every vertex subset it memoizes, after its minors, as (mask, plus,
-    minus), with the terms (edge, minor) of the positive and negative signs.
-    An odd ground set gets the added vertex; its edges are None, the unit
-    series.  The last entry is the whole set."""
+    """The memo of the Pfaffian that _signed_sums and fold_mod walk: its
+    expansion by minors along the lowest vertex,
+    Pf(V) = sum_j (-1)^(j-1) E_(v0,vj) * Pf(V - v0 - vj), as a list of every
+    vertex subset it memoizes, after its minors, as (mask, plus, minus),
+    with the terms (edge, minor) of the positive and negative signs.  Leaving
+    out the empty set, that is 33 states at 7-8 vertices, 609 at 13-14 and
+    1,596 at 15-16, against (g-1)!! matchings.  An odd ground set gets one
+    more vertex, joined to every vertex by the unit series: its edges are
+    None, and their crossings give the isolated vertex p its sign
+    (-1)^(p-1).  The last entry is the whole set."""
     extra = 1 << ground if ground % 2 else 0
     plan: List[Tuple[int, Tuple, Tuple]] = []
     seen = {0}
@@ -592,7 +589,7 @@ def fold_mod(spec: ArrangementSpec, point: Sequence[int], degree: int) -> int:
     there, reduced (its denominator is a power of 2 times factors up to
     degree, all invertible).
 
-    It runs _signed_sums' memo on residues.  With the forms' series stored
+    It walks _pfaffian_plan on residues.  With the forms' series stored
     in exponential form, a_r / r!, the binomial convolution is the ordinary
     product of power series: a form u gives u^(2r+1) / ((2r+1) r!), an edge
     of type D the product of its two forms' series, and the Pfaffian's value

@@ -169,15 +169,21 @@ def test_oracle_refuses_a_center_of_the_wrong_dimension(capsys, method):
 
 
 def test_oracle_mc_refuses_a_ball_inside_the_tolerance_slab():
-    # every draw would be resampled: refused before sampling, not a stall
-    proc = subprocess.run(
-        [sys.executable, "-m", "coxpizza.cli", "oracle", "--spec", "A:2", "--center",
-         "0.1,0.1,-0.2", "--radius", "1e-13", "--samples", "10"],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.splitlines() == [
-        "error: the ball lies within 1e-12 of a hyperplane: every draw would be resampled"]
+    # every draw would be resampled: a ball inside one slab is refused
+    # before sampling, a ball inside the union of the three slabs at the
+    # A_2 origin after 20,000 resampled draws, not a stall
+    for center, radius, message in (
+            ("0.1,0.1,-0.2", "1e-13",
+             "the ball lies within 1e-12 of a hyperplane: every draw would be resampled"),
+            ("0,0,0", "1.5e-12",
+             "20000 draws in a row were resampled: the ball lies within 1e-12 of the hyperplanes")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "coxpizza.cli", "oracle", "--spec", "A:2", "--center", center,
+             "--radius", radius, "--samples", "10"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [f"error: {message}"]
 
 
 def test_oracle_mc_json(capsys):

@@ -184,18 +184,24 @@ def test_mc_refuses_fewer_than_one_thread():
 
 
 def test_mc_refuses_a_ball_inside_the_tolerance_slab():
-    # every draw of this ball lies within 1e-12 of the wall a_1 = a_2, so
-    # sampling would never end: the call runs in a child process under a
-    # timeout, and must be refused before it samples
+    # every draw of the first ball lies within 1e-12 of the wall a_1 = a_2,
+    # every draw of the second within 1e-12 of one of the three walls
+    # through the A_2 origin, though within none alone, so sampling would
+    # never end: the calls run in a child process under a timeout, and the
+    # first must be refused before it samples, the second once 20,000 draws
+    # in a row were resampled
     code = ("from coxpizza.oracle import BallSpec, mc_pizza\n"
             "from coxpizza.rootsys import make_spec\n"
-            "try:\n"
-            "    mc_pizza(make_spec('A', 2), BallSpec((0.1, 0.1, -0.2), 1e-13), 10, 5)\n"
-            "except ValueError as exc:\n"
-            "    print('refused:', exc)\n")
+            "for ball in (BallSpec((0.1, 0.1, -0.2), 1e-13), BallSpec((0.0, 0.0, 0.0), 1.5e-12)):\n"
+            "    try:\n"
+            "        mc_pizza(make_spec('A', 2), ball, 10, 5)\n"
+            "    except ValueError as exc:\n"
+            "        print('refused:', exc)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("refused: the ball lies within 1e-12 of a hyperplane")
+    assert proc.stdout.splitlines() == [
+        "refused: the ball lies within 1e-12 of a hyperplane: every draw would be resampled",
+        "refused: 20000 draws in a row were resampled: the ball lies within 1e-12 of the hyperplanes"]
     # |<r, a>| + R just above the tolerance is sampled
     est = mc_pizza(make_spec("A", 2), BallSpec((0.1, 0.1, -0.2), 2e-12), 10, 5)
     assert est.samples == 10
@@ -500,6 +506,22 @@ def test_fold_at_visits_no_matching(monkeypatch):
     monkeypatch.setattr(oracle, "enumerate_matchings", refuse)
     monkeypatch.setattr(mt, "enumerate_matchings", refuse)
     assert fold_at(spec, point, 31) == expected
+
+
+def test_fold_at_and_fold_mod_walk_one_plan(monkeypatch):
+    # the memo's states and their order are written once, in _pfaffian_plan
+    grounds = []
+
+    def recording(ground):
+        grounds.append(ground)
+        return _pfaffian_plan(ground)
+    monkeypatch.setattr(oracle, "_pfaffian_plan", recording)
+    for family, rank in (("A", 6), ("D", 5)):
+        spec = make_spec(family, rank)
+        fold_at(spec, [Fraction(7 - 3 * i, 5 + i) for i in range(spec.ambient_dim)], 31)
+    assert grounds == [7, 5]
+    fold_mod(make_spec("D", 5), (3, -1, 4, 1, -5), 14)
+    assert grounds == [7, 5, 5]
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("A", 6), ("D", 5)])

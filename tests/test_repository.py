@@ -28,18 +28,31 @@ def _names(node):
             yield sub.attr
 
 
+def _defined(node):
+    """The names a top-level statement defines: a function, a class, or the
+    variables of an assignment, dunder names aside."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        yield node.name
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Name) and not (sub.id.startswith("__") and sub.id.endswith("__")):
+                    yield sub.id
+
+
 def test_every_library_definition_has_a_caller():
-    # a top-level function or class of the package that no other top-level
-    # statement of the package or of the benchmark names is test-only code:
-    # it belongs in tests/reference.py
+    # a top-level function, class or variable of the package that no other
+    # top-level statement of the package or of the benchmark names is
+    # test-only code: it belongs in tests/reference.py, or nowhere
     library = sorted((ROOT / "src" / "coxpizza").glob("*.py"))
     statements = [(path, node) for path in library + sorted((ROOT / "perfbench").glob("*.py"))
                   for node in ast.parse(path.read_text(encoding="utf-8")).body]
     uncalled = []
     for path, node in statements:
-        if path in library and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            if not any(node.name in _names(other) for _, other in statements if other is not node):
-                uncalled.append(f"{path.name}:{node.name}")
+        for name in _defined(node) if path in library else ():
+            if not any(name in _names(other) for _, other in statements if other is not node):
+                uncalled.append(f"{path.name}:{name}")
     assert uncalled == []
 
 
