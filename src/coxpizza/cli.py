@@ -4,9 +4,17 @@ Subcommands: tables (reference-table reproduction with exact comparison),
 expand (quotient reports at chosen degrees), matchings (enumeration and the
 sign-sum identity), oracle (numeric evaluators), check (conjecture probes).
 
-Exit codes: 0 success/consistent, 1 verification failure, 2 usage error,
-3 conjecture violation in explore mode.  Results go to stdout; refusals and
+Exit codes: 0 success/consistent, 1 verification failure, 2 usage error
+(also a refused size and an --out path that cannot be written), 3
+conjecture violation in explore mode.  Results go to stdout; refusals and
 errors go to stderr.
+
+Importing this module loads only what parsing the arguments needs; each
+command imports the engine modules it calls in its own body.  Without a
+bytecode cache every process compiles what it imports, so --version,
+--help and usage errors load no engine module, matchings loads matchings
+and rootsys, tables and expand add taylor and polyring, oracle adds oracle
+(not taylor), and only check loads conjectures.
 """
 
 from __future__ import annotations
@@ -16,22 +24,16 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence
 
 from . import KERNEL_IMPLEMENTATION, __version__
-from .conjectures import (OracleDisagreement, ReconstructionMismatch, check_lemma51, check_sign_A,
-                          check_sign_D, check_t_positivity, check_y_negativity, schur_reconstruct)
-from .matchings import enumerate_matchings, sign, sign_sum
-from .oracle import (BallSpec, a1k_pizza_series, mc_pizza, random_interior_centers,
-                     require_dimension, sum_over_2structures)
-from .rootsys import ArrangementSpec, parse_spec
-from .taylor import (ResourceCapExceeded, dominant_coefficients, expansion_report, fold_parameters,
-                     serialize_terms)
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_EXPLORE_VIOLATION = 3
+# matchings --list and --sign-sum visit every matching at about 10 us each: size 14
+# (135,135 matchings) takes 1.3 s; sizes 15 and 16 (2,027,025) would take about 20 s
+MAX_MATCHINGS_WORK = 10**6
 
 # Reference quotient values: leading constant at degree |roots| and the
 # coefficient of a_1^2 + ... at degree |roots| + 2 (type A entries are
@@ -51,7 +53,7 @@ DEFAULT_D_RANKS = (3, 5)
 EXTENDED_D_RANKS = (3, 5, 7)
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
+def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
@@ -65,6 +67,10 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 
 def cmd_tables(args) -> int:
+    from .matchings import fold_parameters
+    from .rootsys import parse_spec
+    from .taylor import dominant_coefficients
+
     which = args.which
     rows = []
     if which in ("A", "all"):
@@ -122,6 +128,9 @@ def cmd_tables(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    from .rootsys import parse_spec
+    from .taylor import ResourceCapExceeded, expansion_report, serialize_terms
+
     spec = parse_spec(args.spec)
     degrees = [int(x) for x in args.degrees.split(",")]
     try:
@@ -154,7 +163,12 @@ def cmd_expand(args) -> int:
 
 
 def cmd_matchings(args) -> int:
+    from .matchings import count_matchings, enumerate_matchings, sign, sign_sum
+
     r = args.size
+    count = count_matchings(r)
+    if count > MAX_MATCHINGS_WORK:
+        raise ValueError(f"size {r}: {count} matchings exceed the cap of {MAX_MATCHINGS_WORK}")
     if args.sign_sum:
         _emit(str(sign_sum(r)), args.out)
         return EXIT_OK
@@ -172,6 +186,10 @@ def cmd_matchings(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import (BallSpec, a1k_pizza_series, mc_pizza, require_dimension,
+                         sum_over_2structures)
+    from .rootsys import parse_spec
+
     spec = parse_spec(args.spec)
     center = tuple(float(x) for x in args.center.split(","))
     require_dimension(spec, center)
@@ -214,8 +232,10 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_centers(text: str, spec: ArrangementSpec, seed: int) -> List[Sequence[float]]:
+def _parse_centers(text: str, spec, seed: int) -> list:
     if text.startswith("auto:"):
+        from .oracle import random_interior_centers
+
         return random_interior_centers(spec, int(text.split(":", 1)[1]), seed)
     return [tuple(float(x) for x in chunk.split(",")) for chunk in text.split(";") if chunk]
 
@@ -239,6 +259,9 @@ def _emit_report(report, args) -> None:
 
 
 def cmd_check_sign(args) -> int:
+    from .conjectures import check_sign_A, check_sign_D
+    from .rootsys import parse_spec
+
     spec = parse_spec(args.spec)
     if spec.family not in ("A", "D"):
         print("sign checks apply to A and D arrangements", file=sys.stderr)
@@ -252,6 +275,8 @@ def cmd_check_sign(args) -> int:
 
 
 def cmd_check_yneg(args) -> int:
+    from .conjectures import check_y_negativity
+
     report = check_y_negativity(args.rank, args.max_degree)
     mode = args.mode if args.mode != "auto" else ("test" if args.rank <= 5 else "explore")
     _emit_report(report, args)
@@ -259,6 +284,8 @@ def cmd_check_yneg(args) -> int:
 
 
 def cmd_check_tpos(args) -> int:
+    from .conjectures import check_t_positivity
+
     report = check_t_positivity(args.max_degree)
     mode = args.mode if args.mode != "auto" else ("test" if args.max_degree <= 40 else "explore")
     _emit_report(report, args)
@@ -266,12 +293,16 @@ def cmd_check_tpos(args) -> int:
 
 
 def cmd_check_lemma51(args) -> int:
+    from .conjectures import check_lemma51
+
     report = check_lemma51(args.rank, args.degree)
     _emit_report(report, args)
     return _report_exit(report, "test")
 
 
 def cmd_check_schur(args) -> int:
+    from .conjectures import schur_reconstruct
+
     report = schur_reconstruct(args.rank, args.degree)
     _emit_report(report, args)
     return _report_exit(report, "test")
@@ -372,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -381,12 +412,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, ResourceCapExceeded) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ReconstructionMismatch, OracleDisagreement) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION_FAILURE
+    except RuntimeError as exc:
+        # the engine's refusals and failed verifications; the command that
+        # raised one has loaded its module already
+        from .taylor import ResourceCapExceeded
+
+        if isinstance(exc, ResourceCapExceeded):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        from .conjectures import OracleDisagreement, ReconstructionMismatch
+
+        if isinstance(exc, (ReconstructionMismatch, OracleDisagreement)):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VERIFICATION_FAILURE
+        raise
 
 
 if __name__ == "__main__":

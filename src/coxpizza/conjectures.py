@@ -35,12 +35,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .matchings import c_coefficient
 from .oracle import (MAX_FOLD_MOD_WORK, MODULUS, BallSpec, exact_sign_fold, fold_mod, fold_mod_work,
                      mc_pizza, require_dimension, require_sum_zero, sign_fold_tails)
 from .polyring import NonDivisible, partitions
 from .rootsys import ArrangementSpec, chamber_sign, make_spec
 from .taylor import (MAX_QUOTIENT_WORK, ParityRegimeError, ResourceCapExceeded, _edge_table,
-                     _require_symbolic_regime, c_coefficient, dominant_coefficients)
+                     _require_symbolic_regime, dominant_coefficients)
 
 
 class OracleDisagreement(RuntimeError):

@@ -1,5 +1,6 @@
 """Maximal matchings on {1..r} with crossing-number signs, and the fold
-geometry of types A and D: the orthogonal forms each matching indexes.
+geometry of types A and D: the orthogonal forms each matching indexes, and
+the binomial-series scale c_coefficient of their Taylor blocks.
 
 Matchings are streamed in a fixed deterministic order (smallest unused
 vertex pairs with each larger unused vertex in increasing order, then the
@@ -10,7 +11,8 @@ over them reproducibly and split work by index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .rootsys import ArrangementSpec
 
@@ -129,6 +131,30 @@ def fold_parameters(spec: ArrangementSpec) -> FoldGeometry:
     if spec.family == "D":
         return FoldGeometry(spec.rank, spec.rank - 1, spec.rank // 2, True)
     raise ValueError(f"no matching fold for family {spec.family}")
+
+
+_C_SEQUENCES: Dict[Tuple[int, int], Tuple[Fraction, ...]] = {}
+
+
+def c_coefficient(n: int, k: int, m: int) -> Fraction:
+    """Binomial-series coefficient (-1)^m * C((n-k)/2, m), exact: the scale
+    of the degree-m Taylor block of a rank-n arrangement folded over
+    subsystems of k forms (k = fold_parameters(spec).k).
+
+    C(alpha, m) is the falling-factorial product alpha(alpha-1)...(alpha-m+1)/m!,
+    so the value is rational even for half-integer alpha.  The sequence is
+    kept per (n, k) and extended in a loop by c_m = c_(m-1) (m-1-alpha) / m,
+    on a copy that replaces the kept one, so no caller sees a partial one.
+    """
+    if m < 0:
+        raise ValueError("m must be non-negative")
+    seq = _C_SEQUENCES.get((n, k), (Fraction(1),))
+    if len(seq) <= m:
+        alpha, grown = Fraction(n - k, 2), list(seq)
+        for i in range(len(seq), m + 1):
+            grown.append(grown[-1] * (i - 1 - alpha) / i)
+        seq = _C_SEQUENCES[n, k] = tuple(grown)
+    return seq[m]
 
 
 def edge_forms(geometry: FoldGeometry, i: int, j: int, point: Sequence) -> tuple:

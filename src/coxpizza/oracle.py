@@ -69,10 +69,9 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import matchings as mt
-from .matchings import (FoldGeometry, edge_forms, enumerate_matchings, fold_parameters,
-                        form_values)
+from .matchings import (FoldGeometry, c_coefficient, edge_forms, enumerate_matchings,
+                        fold_parameters, form_values)
 from .rootsys import ArrangementSpec, numeric_roots
-from .taylor import c_coefficient
 
 _CHUNK = 1 << 16
 _BLOCK = 2048  # Monte Carlo rows per pass: a block's temporaries stay in cache

@@ -52,7 +52,8 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import matchings as mt
-from .matchings import FoldGeometry, count_matchings, enumerate_matchings, fold_parameters
+from .matchings import (FoldGeometry, c_coefficient, count_matchings, enumerate_matchings,
+                        fold_parameters)
 from .polyring import (Poly, divide_by_vandermonde, monomial_coefficients, partitions,
                        reduce_symmetric_mod_sum, schur_combination, spread_monomials,
                        substitute_linear)
@@ -70,33 +71,6 @@ class ParityRegimeError(ValueError):
 
 class ResourceCapExceeded(RuntimeError):
     """Requested computation exceeds the configured size guards."""
-
-
-# ---------------------------------------------------------------------------
-# Taylor blocks
-# ---------------------------------------------------------------------------
-
-
-_C_SEQUENCES: Dict[Tuple[int, int], Tuple[Fraction, ...]] = {}
-
-
-def c_coefficient(n: int, k: int, m: int) -> Fraction:
-    """Binomial-series coefficient (-1)^m * C((n-k)/2, m), exact.
-
-    C(alpha, m) is the falling-factorial product alpha(alpha-1)...(alpha-m+1)/m!,
-    so the value is rational even for half-integer alpha.  The sequence is
-    kept per (n, k) and extended in a loop by c_m = c_(m-1) (m-1-alpha) / m,
-    on a copy that replaces the kept one, so no caller sees a partial one.
-    """
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    seq = _C_SEQUENCES.get((n, k), (Fraction(1),))
-    if len(seq) <= m:
-        alpha, grown = Fraction(n - k, 2), list(seq)
-        for i in range(len(seq), m + 1):
-            grown.append(grown[-1] * (i - 1 - alpha) / i)
-        seq = _C_SEQUENCES[n, k] = tuple(grown)
-    return seq[m]
 
 
 # ---------------------------------------------------------------------------

@@ -23,16 +23,16 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from coxpizza import matchings as mt
 from coxpizza.conjectures import (ConjectureReport, ReconstructionMismatch, RewriteFailed, _finish,
                                   _type_d)
-from coxpizza.matchings import (FoldGeometry, Matching, enumerate_matchings, fold_parameters,
-                                form_values)
+from coxpizza.matchings import (FoldGeometry, Matching, c_coefficient, enumerate_matchings,
+                                fold_parameters, form_values)
 from coxpizza.oracle import (_BLOCK, _HYPERPLANE_TOL, BallSpec, DivergentRegion,
                              _int_binomial_convolve, ball_volume, exact_sign_fold)
 from coxpizza.polyring import (Monomial, Poly, Rational, divide_by_vandermonde, mul,
                                normalize_partition, partitions)
 from coxpizza.rootsys import ArrangementSpec, Root, make_spec, positive_roots
 from coxpizza.taylor import (ReportEntry, _admitted_geometry, _cleared_tables, _fold_scale,
-                             _require_symbolic_regime, c_coefficient, dominant_coefficients,
-                             expansion_report, power_sum_multiple, reduce_mod_relation, z_poly)
+                             _require_symbolic_regime, dominant_coefficients, expansion_report,
+                             power_sum_multiple, reduce_mod_relation, z_poly)
 
 
 def constant(arity: int, value) -> Poly:

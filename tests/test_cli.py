@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from coxpizza import cli, conjectures
+from coxpizza import conjectures, matchings, oracle
 from coxpizza.cli import build_parser, main
 from coxpizza.oracle import McEstimate
 from coxpizza.rootsys import chamber_sign, make_spec
@@ -40,6 +40,24 @@ def test_matchings_offers_text_output_only(capsys):
 def test_matchings_sign_sum(capsys):
     code, out, _ = run_cli(capsys, "matchings", "--size", "11", "--sign-sum")
     assert code == 0 and out.strip() == "1"
+
+
+@pytest.mark.parametrize("mode", ["--list", "--sign-sum"])
+def test_matchings_refuses_a_size_past_the_cap_before_enumerating(capsys, monkeypatch, mode):
+    # 29!! matchings at about 10 us each would run for two thousand years;
+    # sizes 15 and 16 (2,027,025 each) are refused, size 14 (135,135) runs
+    def walk(*args):
+        raise AssertionError("matchings enumerated")
+    monkeypatch.setattr(matchings, "enumerate_matchings", walk)
+    monkeypatch.setattr(matchings, "sign_sum", walk)
+    for size, count in (("30", 6190283353629375), ("16", 2027025), ("15", 2027025)):
+        code, out, err = run_cli(capsys, "matchings", "--size", size, mode)
+        assert code == 2 and out == ""
+        assert err == f"error: size {size}: {count} matchings exceed the cap of 1000000\n"
+    monkeypatch.setattr(matchings, "sign_sum", lambda r: f"walked {r}")
+    monkeypatch.setattr(matchings, "enumerate_matchings", lambda r: iter(()))
+    code, out, _ = run_cli(capsys, "matchings", "--size", "14", mode)
+    assert code == 0 and out == ("walked 14\n" if mode == "--sign-sum" else "\n")
 
 
 def test_tables_type_d_text(capsys):
@@ -130,24 +148,66 @@ EXACT_COMMANDS = [
     ["check", "sign", "--spec", "D:3", "--centers", "0.1,0.2,0.05"],
     ["matchings", "--size", "4", "--sign-sum"],
 ]
+# Runs the commands of argv[1] in turn in one fresh interpreter and prints, as
+# its last line, the exit codes and the package modules (and numpy) loaded
+# after the import of coxpizza.cli and after each command.
 IMPORT_PATH_PROBE = """
 import json, sys
+def loaded():
+    return sorted(name for name in sys.modules if name == "numpy" or name.startswith("coxpizza"))
 from coxpizza.cli import main
-assert "numpy" not in sys.modules, "import coxpizza.cli"
+report = {"import": loaded(), "codes": [], "loaded": []}
 for argv in json.loads(sys.argv[1]):
-    assert main(argv) == 0, argv
-    assert "numpy" not in sys.modules, argv
-assert main(["oracle", "--spec", "A:2", "--center", "0,0,0", "--samples", "1000"]) == 0
-assert "numpy" in sys.modules, "oracle --method mc"
+    report["codes"].append(main(argv))
+    report["loaded"].append(loaded())
+print(json.dumps(report))
 """
+ENUMERATION = ["matchings", "rootsys"]
+QUOTIENTS = ENUMERATION + ["polyring", "taylor"]
+
+
+def probe_imports(commands):
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PATH_PROBE, json.dumps(commands)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_exact_commands_do_not_load_numpy():
     # only the float routes import numpy; a fresh interpreter shows what a
     # command loads, and the closing Monte Carlo run shows the probe can fail
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PATH_PROBE, json.dumps(EXACT_COMMANDS)],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    mc = ["oracle", "--spec", "A:2", "--center", "0,0,0", "--samples", "1000"]
+    report = probe_imports(EXACT_COMMANDS + [mc])
+    assert report["codes"] == [0] * (len(EXACT_COMMANDS) + 1)
+    assert "numpy" not in report["import"]
+    numpy = ["numpy" in names for names in report["loaded"]]
+    assert numpy == [False] * len(EXACT_COMMANDS) + [True]
+
+
+@pytest.mark.parametrize("argv,code,engine", [
+    (["--version"], 0, []),
+    (["--help"], 0, []),
+    (["tables", "--which", "B"], 2, []),
+    (["matchings", "--size", "4", "--list"], 0, ENUMERATION),
+    (["matchings", "--size", "30", "--sign-sum"], 2, ENUMERATION),
+    (["tables", "--which", "D"], 0, QUOTIENTS),
+    (["expand", "--spec", "A:6", "--degrees", "61"], 2, QUOTIENTS),
+    (["oracle", "--spec", "A:2", "--center", "0.1,0.1,-0.2", "--samples", "1000"], 0,
+     ENUMERATION + ["oracle"]),
+    (["oracle", "--spec", "D:3", "--center", "0.25,0.1,0.03", "--method", "sum2s"], 0,
+     ENUMERATION + ["oracle"]),
+    (["check", "y-neg", "--rank", "3", "--max-degree", "8"], 0,
+     QUOTIENTS + ["conjectures", "oracle"]),
+], ids=["version", "help", "usage-error", "matchings", "matchings-refused", "tables",
+        "expand-refused", "oracle-mc", "oracle-sum2s", "check"])
+def test_each_command_loads_only_its_engine(argv, code, engine):
+    # without a bytecode cache a process compiles every module it imports:
+    # importing the CLI loads no engine module, and a command loads the ones it calls
+    report = probe_imports([argv])
+    assert report["import"] == ["coxpizza", "coxpizza.cli"]
+    assert report["codes"] == [code]
+    loaded = [name for name in report["loaded"][0] if name.startswith("coxpizza.")]
+    assert loaded == sorted(["coxpizza.cli"] + [f"coxpizza.{name}" for name in engine])
 
 
 @pytest.mark.parametrize("spec,degrees", [
@@ -281,13 +341,13 @@ def test_exit_code_contract_for_violations():
 
 def test_threads_resolved_once(monkeypatch, capsys):
     seen = []
-    real_mc = cli.mc_pizza
+    real_mc = oracle.mc_pizza
 
     def capture(*args, threads):
         seen.append(threads)
         return real_mc(*args, threads=threads)
 
-    monkeypatch.setattr(cli, "mc_pizza", capture)
+    monkeypatch.setattr(oracle, "mc_pizza", capture)
     outputs = []
     for threads in ("0", "1"):
         code, out, _ = run_cli(capsys, "oracle", "--spec", "A1k:1@1", "--center", "0.37",
@@ -358,9 +418,21 @@ def test_check_sign_refuses_other_families_before_drawing_centers(monkeypatch, c
     def draw(*args, **kwargs):
         raise AssertionError("centers drawn for a refused spec")
 
-    monkeypatch.setattr(cli, "random_interior_centers", draw)
+    monkeypatch.setattr(oracle, "random_interior_centers", draw)
     code, out, err = run_cli(capsys, "check", "sign", "--spec", "I2:5", "--centers", "auto:2")
     assert code == 2 and out == "" and "sign checks apply to A and D arrangements" in err
+
+
+def test_out_path_that_cannot_be_opened_is_a_usage_error(tmp_path):
+    # the command runs, then the report cannot be written: one error line, exit 2
+    path = tmp_path / "missing" / "t.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "coxpizza.cli", "tables", "--which", "D", "--out", str(path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [f"error: [Errno 2] No such file or directory: '{path}'"]
+    assert not path.parent.exists()
 
 
 def test_csv_only_on_expand(capsys):

@@ -8,14 +8,14 @@ import pytest
 
 from coxpizza import matchings as mt
 from coxpizza import oracle
-from coxpizza.matchings import enumerate_matchings, form_values
+from coxpizza.matchings import c_coefficient, enumerate_matchings, fold_parameters, form_values
 from coxpizza.oracle import (MODULUS, BallSpec, DivergentRegion, McEstimate, _c_sequence,
                              _edge_forms, _pfaffian_plan, _require_decaying, _signed_sums,
                              a1k_pizza_series, ball_volume, exact_sign_fold, fold_at, fold_mod,
                              fold_mod_work, mc_pizza, random_interior_centers, sign_fold_tails,
                              sum_over_2structures)
 from coxpizza.rootsys import make_spec, numeric_roots
-from coxpizza.taylor import c_coefficient, fold_parameters, quotient, z_poly
+from coxpizza.taylor import quotient, z_poly
 from reference import (a1k_pizza_quadrature, auto_degree_cap, coefficient, contains_origin,
                        evaluate, mc_chunk_by_norms, signed_sums_by_matchings, vandermonde)
 

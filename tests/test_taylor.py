@@ -7,12 +7,11 @@ import pytest
 
 from coxpizza import matchings, taylor
 from coxpizza.cli import main
-from coxpizza.matchings import Matching
+from coxpizza.matchings import Matching, c_coefficient, fold_parameters
 from coxpizza.polyring import Poly, partitions, schur_combination
 from coxpizza.rootsys import make_spec
 from coxpizza.taylor import (ParityRegimeError, ResourceCapExceeded, _edge_table, _pfaffian,
-                             c_coefficient, dominant_coefficients, expansion_report,
-                             fold_parameters, power_sum_multiple, quotient,
+                             dominant_coefficients, expansion_report, power_sum_multiple, quotient,
                              reduce_mod_relation, z_poly)
 from reference import (coefficient, constant, dominant_coefficients_by_matchings,
                        edge_table_by_composition, flip_variable_sign, permute_variables,
