@@ -36,8 +36,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .matchings import c_coefficient
-from .oracle import (MAX_FOLD_MOD_WORK, MODULUS, BallSpec, exact_sign_fold, fold_mod, fold_mod_work,
-                     mc_pizza, require_dimension, require_sum_zero, sign_fold_tails)
+from .oracle import (MAX_DEGREE_CAP, MAX_FOLD_MOD_WORK, MODULUS, BallSpec, exact_sign_fold, fold_mod,
+                     fold_mod_work, mc_pizza, require_dimension, require_sum_zero, sign_fold_tails)
 from .polyring import NonDivisible, partitions
 from .rootsys import ArrangementSpec, chamber_sign, make_spec
 from .taylor import (MAX_QUOTIENT_WORK, ParityRegimeError, ResourceCapExceeded, _edge_table,
@@ -95,9 +95,6 @@ def _finish(conjecture_id: str, params: dict, witnesses: List[dict], notes: List
 # ---------------------------------------------------------------------------
 
 
-_MAX_SIGN_CAP = 400
-
-
 def _signed_estimate(spec: ArrangementSpec, center: Sequence[float]) -> Tuple[Fraction, Fraction, int]:
     """(value, tail, degree_cap) from the exact rational fold.  The value is
     the quantity up to a positive prefactor, so its sign is decisive once
@@ -114,14 +111,14 @@ def _signed_estimate(spec: ArrangementSpec, center: Sequence[float]) -> Tuple[Fr
     cap = spec.positive_root_count
     value, tail = exact_sign_fold(spec, center, cap)
     tail_at = None
-    while tail >= abs(value) and cap < _MAX_SIGN_CAP:
+    while tail >= abs(value) and cap < MAX_DEGREE_CAP:
         if value == 0:
-            cap = min(_MAX_SIGN_CAP, cap + 40)
+            cap = min(MAX_DEGREE_CAP, cap + 40)
         else:
             if tail_at is None:
                 tail_at = sign_fold_tails(spec, center)
-            cap = next((c for c in range(cap + 2, _MAX_SIGN_CAP, 2)
-                        if tail_at(c) < abs(value) / 4), _MAX_SIGN_CAP)
+            cap = next((c for c in range(cap + 2, MAX_DEGREE_CAP, 2)
+                        if tail_at(c) < abs(value) / 4), MAX_DEGREE_CAP)
         value, tail = exact_sign_fold(spec, center, cap)
     return value, tail, cap
 

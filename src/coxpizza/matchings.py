@@ -162,11 +162,3 @@ def edge_forms(geometry: FoldGeometry, i: int, j: int, point: Sequence) -> tuple
     a_i + a_j when the edge carries a pair."""
     minus = point[i - 1] - point[j - 1]
     return (minus, point[i - 1] + point[j - 1]) if geometry.pair_forms else (minus,)
-
-
-def form_values(geometry: FoldGeometry, m: Matching, point: Sequence) -> Iterator:
-    """The unnormalized forms of the subsystem indexed by m at a point, edge
-    by edge (edge_forms)."""
-    for i, j in m.edges:
-        yield from edge_forms(geometry, i, j, point)
-

@@ -2,26 +2,32 @@
 
 Two independent routes:
 
-  * mc_pizza           -- Monte Carlo over a ball: sample uniformly, weight
-                          by the chamber sign, scale by the ball volume.
-  * a1k_pizza_series   -- for k orthogonal coordinate hyperplanes, the
-                          convergent series sum of the Taylor blocks, with a
-                          rigorous geometric tail bound.
+  * mc_pizza              -- Monte Carlo over a ball: sample uniformly, weight
+                             by the chamber sign, scale by the ball volume.
+  * the exact integer series, with rigorous tail bounds, converted to float
+    once:
+      a1k_pizza_series      -- k orthogonal coordinate hyperplanes: the
+                               binomial convolution of the coordinates'
+                               series, weighted by the c_m;
+      sum_over_2structures  -- types A and D: exact_sign_fold at the center
+                               scaled to radius one, the signed sum over the
+                               matchings that the symbolic pipeline is
+                               validated against.
 
-sum_over_2structures folds the series evaluator over all matching-indexed
-orthogonal subsystems with their signs, giving a semi-exact evaluator for
-types A and D that the symbolic pipeline is validated against.
+Near the center the signed sum cancels down to its first non-zero Taylor
+term, of degree |Phi+|, far below its terms, so it is summed exactly and
+rounded once; a float sum returns rounding noise there from rank 5 on.
 
-Only the float routes use numpy, and each imports it itself: mc_pizza
-(with its chunk kernel _mc_chunk) and random_interior_centers (with
-_subspace_basis), and the float series behind a1k_pizza_series and
-sum_over_2structures (_series_tables, _series_core).  The exact routes
-below never load it, so a command that does not sample starts without it.
+Only the Monte Carlo route uses numpy: mc_pizza (with its chunk kernel
+_mc_chunk) and random_interior_centers (with _subspace_basis) import it
+themselves.  The exact routes never load it, so a command that does not
+sample starts without it.
 
 One exact point evaluator, _signed_sums, serves two callers.  It clears the
 forms at a point to integers by one common denominator, gives every edge
-its integer series, and evaluates the signed sum over the matchings of
-their edges' products as one Pfaffian over the ring of binomial-convolution
+its integer series (_forms_series, which also gives a1k_pizza_series its
+one series), and evaluates the signed sum over the matchings of their
+edges' products as one Pfaffian over the ring of binomial-convolution
 series, into one sum per degree.  The Pfaffian is memoized on vertex
 subsets, and _pfaffian_plan lists the memo's states in the order they are
 computed:
@@ -31,10 +37,10 @@ computed:
                         degree; the tests check the dominant coefficients
                         and the quotients with it at seeded integer points
                         without expanding the fold.
-  * exact_sign_fold  -- the same fold as sum_over_2structures in exact
-                        arithmetic, for sign verdicts: the 2^-m-weighted
-                        sum of fold_at's values at the center, with the
-                        rational tail bound of sign_fold_tails.
+  * exact_sign_fold  -- the 2^-m-weighted sum of fold_at's values at the
+                        center, with the rational tail bound of
+                        sign_fold_tails: the sign verdicts read it, and
+                        sum_over_2structures scales it.
 
 sign_fold_tails owns that bound.  It depends only on the matchings'
 squared radii, so it is known for every cap without folding; the
@@ -68,15 +74,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from . import matchings as mt
-from .matchings import (FoldGeometry, c_coefficient, edge_forms, enumerate_matchings,
-                        fold_parameters, form_values)
+from .matchings import FoldGeometry, c_coefficient, edge_forms, enumerate_matchings, fold_parameters
 from .rootsys import ArrangementSpec, numeric_roots
 
 _CHUNK = 1 << 16
 _BLOCK = 2048  # Monte Carlo rows per pass: a block's temporaries stay in cache
 _HYPERPLANE_TOL = 1e-12
 _MAX_REJECTED_DRAWS = 20_000
+# the largest degree cap of the series oracles and of the sign checks' escalation
+MAX_DEGREE_CAP = 400
 
 
 class DivergentRegion(ValueError):
@@ -316,108 +322,6 @@ def random_interior_centers(spec: ArrangementSpec, count: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# series evaluation with tail bound
-# ---------------------------------------------------------------------------
-
-
-def _c_sequence(n: int, k: int, m_top: int) -> np.ndarray:
-    """Float values of the series coefficients c_0..c_(m_top), by the stable
-    ratio recurrence c_m = c_(m-1) * (m - 1 - (n-k)/2) / m."""
-    import numpy as np
-
-    alpha = 0.5 * (n - k)
-    out = np.empty(m_top + 1)
-    out[0] = 1.0
-    for m in range(1, m_top + 1):
-        out[m] = out[m - 1] * (m - 1 - alpha) / m
-    return out
-
-
-def _binomial_convolve(a: np.ndarray, b: np.ndarray, comb: np.ndarray) -> np.ndarray:
-    """c[m] = sum_j C(m, j) a[j] b[m-j], truncated to the common length."""
-    import numpy as np
-
-    size = len(a)
-    out = np.empty(size)
-    for m in range(size):
-        out[m] = np.dot(comb[m, : m + 1] * a[: m + 1], b[m::-1])
-    return out
-
-
-def _series_tables(n: int, k: int, m_top: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(the binomial table C(m, j) for j <= m <= m_top, c_0..c_(m_top+1))
-    of the float series: they depend on the cap only, so a caller that
-    sums many series at one cap builds them once."""
-    import numpy as np
-
-    size = m_top + 1
-    comb = np.zeros((size, size))
-    comb[:, 0] = 1.0
-    for m in range(1, size):
-        comb[m, 1 : m + 1] = comb[m - 1, : m] + comb[m - 1, 1 : m + 1]
-    return comb, _c_sequence(n, k, m_top + 1)
-
-
-def _series_core(n: int, k: int, coords: Sequence[float], degree_cap: int,
-                 tables: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> Tuple[float, float]:
-    """(sum of blocks through degree_cap, tail bound on the remainder);
-    `tables` are _series_tables at this cap, built here when not given.
-
-    The blocks are summed via T_(2m+k) = c_m * sum over |r| = m of the
-    multinomial times prod x_i^(2 r_i + 1)/(2 r_i + 1): per variable the
-    sequence G_i[r] = x_i^(2r+1)/(2r+1) is binomially convolved across
-    variables, then weighted by c_m.
-
-    Tail: |block_(2m+k)(x)| <= |c_m| s^m with s = sum x_i^2 < 1, since the
-    inner multinomial sum is bounded by s^m and each |x_i| < 1.  Once the
-    ratios |c_(m+1)/c_m| stay <= 1 the remainder is dominated by the
-    geometric bound |c_(M+1)| s^(M+1) / (1 - s); the ratio condition is
-    checked explicitly.
-    """
-    import numpy as np
-
-    s = float(sum(x * x for x in coords))
-    if s >= 1.0:
-        raise DivergentRegion(f"sum of squared coordinates {s} >= 1: outside the open convergence region")
-    if degree_cap < k:
-        raise ValueError("degree_cap below the lowest block degree")
-    m_top = (degree_cap - k) // 2
-    size = m_top + 1
-    comb, c_seq = tables or _series_tables(n, k, m_top)
-
-    running = None
-    for x in coords:
-        g = np.empty(size)
-        g[0] = x
-        xx = x * x
-        for r in range(1, size):
-            g[r] = g[r - 1] * xx * (2 * r - 1) / (2 * r + 1)
-        running = g if running is None else _binomial_convolve(running, g, comb)
-
-    value = float(np.dot(c_seq[:size], running))
-
-    _require_decaying(n, k, m_top, f"degree_cap {degree_cap} too small: series coefficients")
-    tail = abs(c_seq[m_top + 1]) * s ** (m_top + 1) / (1.0 - s)
-    return value, tail
-
-
-def a1k_pizza_series(n: int, k: int, coords: Sequence[float],
-                     degree_cap: int) -> Tuple[float, float]:
-    """Series value of the pizza quantity for k orthogonal coordinate
-    hyperplanes in dimension n, with a rigorous tail bound:
-
-        2^k * beta_(n-k) * sum over block degrees d <= degree_cap
-
-    Requires sum(coords^2) < 1 strictly.
-    """
-    if len(coords) != k:
-        raise ValueError(f"need {k} coordinates, got {len(coords)}")
-    prefactor = 2**k * ball_volume(n - k)
-    value, tail = _series_core(n, k, coords, degree_cap)
-    return prefactor * value, prefactor * tail
-
-
-# ---------------------------------------------------------------------------
 # exact sign fold (rational arithmetic, for sign verdicts)
 # ---------------------------------------------------------------------------
 
@@ -428,17 +332,48 @@ def _int_binomial_convolve(a: List[int], b: List[int], comb: List[List[int]]) ->
             for m, row in enumerate(comb)]
 
 
+def _require_cap(degree_cap: int, k: int) -> None:
+    """Refuse a degree cap below the lowest block degree k or above
+    MAX_DEGREE_CAP."""
+    if degree_cap < k:
+        raise ValueError("degree_cap below the lowest block degree")
+    if degree_cap > MAX_DEGREE_CAP:
+        raise ValueError(f"degree_cap {degree_cap} above the largest admitted, {MAX_DEGREE_CAP}")
+
+
 def _exact_frame(spec: ArrangementSpec, point: Sequence, degree_cap: int
                  ) -> Tuple[FoldGeometry, List[Fraction], int]:
     """(geometry, exact point, m_top) for the exact folds, after the checks
-    they share: family A or D, the point's dimension, a cap of at least k."""
+    they share: family A or D, the point's dimension, a cap from k to
+    MAX_DEGREE_CAP."""
     if spec.family not in ("A", "D"):
         raise ValueError(f"exact fold applies to families A and D, not {spec.family}")
     require_dimension(spec, point)
     geometry = fold_parameters(spec)
-    if degree_cap < geometry.k:
-        raise ValueError("degree_cap below the lowest block degree")
+    _require_cap(degree_cap, geometry.k)
     return geometry, [Fraction(x) for x in point], (degree_cap - geometry.k) // 2
+
+
+def _series_weights(m_top: int) -> Tuple[int, List[int], List[List[int]]]:
+    """(O, the weights O/(2r+1), the binomial rows C(m, j)) of the integer
+    series through r = m_top, with O = lcm(1, 3, .., 2 m_top + 1)."""
+    odd = math.lcm(*range(1, 2 * m_top + 2, 2))
+    return (odd, [odd // (2 * r + 1) for r in range(m_top + 1)],
+            [[math.comb(m, j) for j in range(m + 1)] for m in range(m_top + 1)])
+
+
+def _forms_series(values: Sequence[int], weights: List[int], comb: List[List[int]]) -> List[int]:
+    """The binomial convolution, over the integer forms U in `values`, of
+    their series U^(2r+1) O/(2r+1), r = 0..m_top (weights and comb from
+    _series_weights)."""
+    series = None
+    for v in values:
+        g, power, vv = [], v, v * v
+        for w in weights:
+            g.append(power * w)
+            power *= vv
+        series = g if series is None else _int_binomial_convolve(series, g, comb)
+    return series
 
 
 def _edge_forms(geometry: FoldGeometry, point: Sequence[Fraction]
@@ -460,7 +395,8 @@ def _signed_sums(geometry: FoldGeometry, forms: Dict[Tuple[int, int], Tuple[int,
     forms U at one point (_edge_forms), with O = lcm(1, 3, .., 2 m_top + 1).
 
     Each form contributes the series U^(2r+1) (O/(2r+1)), r = 0..m_top, and
-    an edge the series of its form or the binomial convolution of its pair.
+    an edge the series of its form or the binomial convolution of its pair
+    (_forms_series).
     S[m] is the signed sum over the maximal matchings of the convolution of
     their edges' series, so that, with D from _edge_forms,
 
@@ -473,19 +409,8 @@ def _signed_sums(geometry: FoldGeometry, forms: Dict[Tuple[int, int], Tuple[int,
     is the edge's series, taken unconvolved, and a state whose sum equals
     it stores it."""
     size = m_top + 1
-    odd = math.lcm(*range(1, 2 * m_top + 2, 2))
-    weights = [odd // (2 * r + 1) for r in range(size)]
-    comb = [[math.comb(m, j) for j in range(m + 1)] for m in range(size)]
-    edges = {}
-    for (i, j), values in forms.items():
-        series = None
-        for v in values:
-            g, power, vv = [], v, v * v
-            for w in weights:
-                g.append(power * w)
-                power *= vv
-            series = g if series is None else _int_binomial_convolve(series, g, comb)
-        edges[i - 1, j - 1] = series
+    odd, weights, comb = _series_weights(m_top)
+    edges = {(i - 1, j - 1): _forms_series(values, weights, comb) for (i, j), values in forms.items()}
     plan = _pfaffian_plan(geometry.ground)
     unit = [1] + [0] * m_top
     memo = {0: unit}  # the empty set
@@ -756,41 +681,75 @@ def _require_decaying(n: int, k: int, m_top: int, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# fold of the series over all matching-indexed subsystems
+# the series oracles: exact integer series, converted to float once
 # ---------------------------------------------------------------------------
+
+
+def a1k_pizza_series(n: int, k: int, coords: Sequence[float],
+                     degree_cap: int) -> Tuple[float, float]:
+    """Series value of the pizza quantity for k orthogonal coordinate
+    hyperplanes in dimension n, with a rigorous tail bound:
+
+        2^k * beta_(n-k) * sum over block degrees 2m+k <= degree_cap of T_(2m+k),
+
+    T_(2m+k) = c_m * sum over |r| = m of the multinomial times
+    prod x_i^(2 r_i + 1)/(2 r_i + 1).  That inner sum is the binomial
+    convolution of the coordinates' series x^(2r+1)/(2r+1), computed on the
+    integers U = x D (D the lcm of the coordinates' denominators) by
+    _forms_series, the per-edge loop of _signed_sums, so
+
+        T_(2m+k) = c_m S[m] / (D^(2m+k) O^k).
+
+    The sum is exact and converted to float once.  Requires
+    s = sum(coords^2) < 1 strictly.
+
+    Tail: |T_(2m+k)| <= |c_m| s^m, since the inner sum is bounded by s^m
+    and each |x_i| < 1.  Once the ratios |c_(m+1)/c_m| stay <= 1
+    (_require_decaying) the remainder is dominated by the geometric bound
+    |c_(m_top+1)| s^(m_top+1) / (1 - s).
+    """
+    if len(coords) != k:
+        raise ValueError(f"need {k} coordinates, got {len(coords)}")
+    exact = [Fraction(x) for x in coords]
+    s = sum(x * x for x in exact)
+    if s >= 1:
+        raise DivergentRegion(f"sum of squared coordinates {float(s)} >= 1: "
+                              f"outside the open convergence region")
+    _require_cap(degree_cap, k)
+    m_top = (degree_cap - k) // 2
+    _require_decaying(n, k, m_top, f"degree_cap {degree_cap} too small: series coefficients")
+    denominator = math.lcm(*(x.denominator for x in exact))
+    odd, weights, comb = _series_weights(m_top)
+    series = _forms_series([x.numerator * (denominator // x.denominator) for x in exact],
+                           weights, comb)
+    value = sum(c_coefficient(n, k, m) * Fraction(t, denominator ** (2 * m + k))
+                for m, t in enumerate(series)) / odd**k
+    tail = abs(c_coefficient(n, k, m_top + 1)) * s ** (m_top + 1) / (1 - s)
+    prefactor = 2**k * ball_volume(n - k)
+    return prefactor * float(value), prefactor * float(tail)
 
 
 def sum_over_2structures(spec: ArrangementSpec, ball: BallSpec,
                          degree_cap: int) -> Tuple[float, float]:
-    """Signed sum of per-subsystem series values over all maximal matchings,
-    with the per-matching tail bounds accumulated.
+    """(value, tail bound) of the pizza quantity of a ball as the signed
+    sum over the maximal matchings of their subsystems' series:
+    exact_sign_fold at the center scaled to radius one, times the prefactor
+    2^(k/2) beta_(n-k) and R^n (the value scales by R^dim and the center
+    contracts to a/R), with exact_sign_fold's rigorous bound scaled alike.
+    Both are exact until the one conversion to float.
 
-    General radii are reduced to radius one by homogeneity: the value scales
-    by R^dim and the center contracts to a/R.
-    """
+    It refuses a family other than A or D, a center of the wrong dimension,
+    a cap outside [k, MAX_DEGREE_CAP], a type A center off the sum-zero
+    hyperplane, and a scaled center outside the open unit ball."""
     if spec.family not in ("A", "D"):
         raise ValueError(f"2-structure fold applies to families A and D, not {spec.family}")
-    require_dimension(spec, ball.center)
-    n = spec.rank
-    geometry = fold_parameters(spec)
-    k = geometry.k
-    if degree_cap < k:
-        raise ValueError("degree_cap below the lowest block degree")
+    geometry, center, _ = _exact_frame(spec, ball.center, degree_cap)
     require_sum_zero(spec, ball.center, ball.radius)
-    scale = ball.radius ** n
-    center = [x / ball.radius for x in ball.center]
-    norm = math.sqrt(sum(x * x for x in center))
-    if norm >= 1.0:
+    radius = Fraction(ball.radius)
+    center = [x / radius for x in center]
+    if sum(x * x for x in center) >= 1:
         raise DivergentRegion("series route needs the center strictly inside the unit ball")
-
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    prefactor = 2**k * ball_volume(n - k)
-    tables = _series_tables(n, k, (degree_cap - k) // 2)
-    value = 0.0
-    tail = 0.0
-    for matching in enumerate_matchings(geometry.ground):
-        coords = [u * inv_sqrt2 for u in form_values(geometry, matching, center)]
-        v, t = _series_core(n, k, coords, degree_cap, tables)
-        value += mt.sign(matching) * v
-        tail += t
-    return scale * prefactor * value, scale * prefactor * tail
+    value, tail = exact_sign_fold(spec, center, degree_cap)
+    k = geometry.k
+    scale = ball.radius ** spec.rank * 2 ** (k / 2) * ball_volume(spec.rank - k)
+    return scale * float(value), scale * float(tail)

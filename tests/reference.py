@@ -23,8 +23,8 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from coxpizza import matchings as mt
 from coxpizza.conjectures import (ConjectureReport, ReconstructionMismatch, RewriteFailed, _finish,
                                   _type_d)
-from coxpizza.matchings import (FoldGeometry, Matching, c_coefficient, enumerate_matchings,
-                                fold_parameters, form_values)
+from coxpizza.matchings import (FoldGeometry, Matching, c_coefficient, edge_forms,
+                                enumerate_matchings, fold_parameters)
 from coxpizza.oracle import (_BLOCK, _HYPERPLANE_TOL, BallSpec, DivergentRegion,
                              _int_binomial_convolve, ball_volume, exact_sign_fold)
 from coxpizza.polyring import (Monomial, Poly, Rational, divide_by_vandermonde, mul,
@@ -95,6 +95,13 @@ def flip_variable_sign(p: Poly, index: int) -> Poly:
 
 def contains_origin(ball: BallSpec) -> bool:
     return ball.radius >= math.sqrt(sum(x * x for x in ball.center))
+
+
+def form_values(geometry: FoldGeometry, m: Matching, point: Sequence) -> Iterator:
+    """The unnormalized forms of the subsystem indexed by m at a point, edge
+    by edge (edge_forms): the matchings loops below walk them."""
+    for i, j in m.edges:
+        yield from edge_forms(geometry, i, j, point)
 
 
 def mc_chunk_by_norms(rng, count: int, dim: int, radius: float, center, embed_t, roots

@@ -147,6 +147,8 @@ EXACT_COMMANDS = [
     ["check", "lemma51", "--rank", "5", "--degree", "20"],
     ["check", "sign", "--spec", "D:3", "--centers", "0.1,0.2,0.05"],
     ["matchings", "--size", "4", "--sign-sum"],
+    ["oracle", "--spec", "A1k:2@3", "--center", "0.3,0.2,0", "--method", "series"],
+    ["oracle", "--spec", "D:3", "--center", "0.25,0.1,0.03", "--method", "sum2s"],
 ]
 # Runs the commands of argv[1] in turn in one fresh interpreter and prints, as
 # its last line, the exit codes and the package modules (and numpy) loaded
@@ -268,6 +270,18 @@ def test_oracle_series_and_sum2s(capsys):
                            "--method", "sum2s", "--degree-cap", "41", "--format", "json")
     assert code == 0
     assert "tail_bound" in json.loads(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--spec", "A1k:2@3", "--center", "0.25,0.125,0", "--method", "series"],
+    ["--spec", "D:3", "--center", "0.25,0.125,0.0625", "--method", "sum2s"],
+], ids=["series", "sum2s"])
+def test_oracle_series_routes_refuse_a_cap_above_400(capsys, argv):
+    # the sign checks' largest cap; the exact series at 400 takes a fraction of a second
+    code, out, err = run_cli(capsys, "oracle", *argv, "--degree-cap", "401")
+    assert (code, out, err) == (2, "", "error: degree_cap 401 above the largest admitted, 400\n")
+    code, out, err = run_cli(capsys, "oracle", *argv, "--degree-cap", "400")
+    assert code == 0 and err == "" and len(out.splitlines()) == 1
 
 
 def test_oracle_series_requires_a1k(capsys):

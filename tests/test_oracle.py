@@ -8,16 +8,17 @@ import pytest
 
 from coxpizza import matchings as mt
 from coxpizza import oracle
-from coxpizza.matchings import c_coefficient, enumerate_matchings, fold_parameters, form_values
-from coxpizza.oracle import (MODULUS, BallSpec, DivergentRegion, McEstimate, _c_sequence,
-                             _edge_forms, _pfaffian_plan, _require_decaying, _signed_sums,
-                             a1k_pizza_series, ball_volume, exact_sign_fold, fold_at, fold_mod,
-                             fold_mod_work, mc_pizza, random_interior_centers, sign_fold_tails,
+from coxpizza.matchings import c_coefficient, enumerate_matchings, fold_parameters
+from coxpizza.oracle import (MODULUS, BallSpec, DivergentRegion, McEstimate, _edge_forms,
+                             _pfaffian_plan, _require_decaying, _signed_sums, a1k_pizza_series,
+                             ball_volume, exact_sign_fold, fold_at, fold_mod, fold_mod_work,
+                             mc_pizza, random_interior_centers, sign_fold_tails,
                              sum_over_2structures)
 from coxpizza.rootsys import make_spec, numeric_roots
 from coxpizza.taylor import quotient, z_poly
 from reference import (a1k_pizza_quadrature, auto_degree_cap, coefficient, contains_origin,
-                       evaluate, mc_chunk_by_norms, signed_sums_by_matchings, vandermonde)
+                       evaluate, form_values, mc_chunk_by_norms, signed_sums_by_matchings,
+                       vandermonde)
 
 SEED = 90210
 
@@ -374,17 +375,6 @@ def test_sum2s_truncation_matches_symbolic_partial_sum():
             assert abs(direct - symbolic) <= 1e-9 * scale + 1e-18, (spec, center)
 
 
-def test_exact_sign_fold_matches_float_route():
-    spec = make_spec("A", 2)
-    center = (0.25, -0.0625, -0.1875)
-    value, bound = exact_sign_fold(spec, center, 41)
-    k = 1
-    prefactor = 2 ** (k / 2.0) * ball_volume(spec.rank - k)
-    float_value, float_tail = sum_over_2structures(spec, BallSpec(center, 1.0), 41)
-    assert math.isclose(float(value) * prefactor, float_value, rel_tol=1e-10)
-    assert abs(value) > bound
-
-
 def _reference_inner_series(n, k, pairings, m_top):
     """One matching in Fraction arithmetic: sum_m 2^-m c_m conv[m], conv the
     binomial convolution of u^(2r+1)/(2r+1) across the pairings u, and the
@@ -431,6 +421,20 @@ def _reference_sign_fold(spec, center, degree_cap):
         value += mt.sign(matching) * v
         bound += (1 << ((k + 1) // 2)) * t
     return value, bound
+
+
+@pytest.mark.parametrize("family,rank", [("D", 5), ("A", 6)])
+def test_sum2s_is_the_exact_fold_within_its_tail(family, rank):
+    # near the center the signed sum cancels down to its degree-|Phi+| term,
+    # far below its terms: a float sum of the matchings' series returns
+    # rounding noise there, orders of magnitude above its tail bound at cap 61
+    spec = make_spec(family, rank)
+    k = fold_parameters(spec).k
+    prefactor = 2 ** (k / 2) * ball_volume(spec.rank - k)
+    for center in random_interior_centers(spec, 3, SEED):
+        value, tail = sum_over_2structures(spec, BallSpec(center, 1.0), 61)
+        exact, _ = _reference_sign_fold(spec, center, 61)
+        assert abs(value - float(exact) * prefactor) <= tail, center
 
 
 def _reference_centers(spec):
@@ -645,19 +649,16 @@ def _guard_growth(n, k, m_top):
 
 
 def test_decay_guard_matches_the_growth_loops():
-    # the float loop of the series route on n < 40, k <= n, m_top < 40; the
-    # exact loop of the sign fold on m_top < 12 (it is slow, and for n < 40
-    # growth stops by m_top = 8)
+    # the float loop on n < 40, k <= n, m_top < 40; the exact loop on
+    # m_top < 12 (it is slow, and for n < 40 growth stops by m_top = 8)
     for n in range(1, 40):
         for k in range(1, n + 1):
-            c_float = _c_sequence(n, k, 40)
-            c_exact = Fraction(1)
             for m_top in range(40):
-                c_exact *= Fraction(m_top - Fraction(n - k, 2), m_top + 1)  # now c_(m_top+1)
-                expected = _reference_growth(float(c_float[m_top + 1]), 0.5 * (n - k), m_top)
+                c_next = c_coefficient(n, k, m_top + 1)
+                expected = _reference_growth(float(c_next), 0.5 * (n - k), m_top)
                 assert _guard_growth(n, k, m_top) == expected, (n, k, m_top)
                 if m_top < 12:
-                    assert _reference_growth(c_exact, Fraction(n - k, 2), m_top) == expected
+                    assert _reference_growth(c_next, Fraction(n - k, 2), m_top) == expected
 
 
 def test_series_route_rejects_growing_coefficients():
