@@ -3,8 +3,8 @@
 Each checker returns a ConjectureReport.  Verdicts: "consistent" when every
 probe supports the statement, "violated" when a witness contradicts it
 (witnesses carry the full offending instance), "inconclusive" when an
-error band still straddles zero (for a sign check, the tail band at cap
-400).  The exact audits never return inconclusive.
+error band still straddles zero (a sign check's tail band at cap 400) or
+no center was probed (all at the origin).  No exact audit is inconclusive.
 
 Checkers are probes of open statements: in verified ranges a violation
 means a bug, beyond them it is a reportable finding, so violations are
@@ -135,11 +135,12 @@ def _check_sign(conjecture_id: str, spec: ArrangementSpec, predicted_of_t,
         require_sum_zero(spec, center)
     witnesses: List[dict] = []
     notes: List[str] = []
-    inconclusive = False
+    inconclusive, probed = False, False
     for idx, center in enumerate(centers):
         if math.sqrt(sum(x * x for x in center)) < 1e-12:
             notes.append(f"center {idx}: at the origin, quantity vanishes (degenerate, skipped)")
             continue
+        probed = True
         t = chamber_sign(spec, center)
         value, tail, cap = _signed_estimate(spec, center)
         predicted = predicted_of_t(t)
@@ -176,7 +177,7 @@ def _check_sign(conjecture_id: str, spec: ArrangementSpec, predicted_of_t,
         "samples": samples,
         "seed": seed,
     }
-    return _finish(conjecture_id, params, witnesses, notes, inconclusive, started)
+    return _finish(conjecture_id, params, witnesses, notes, inconclusive or not probed, started)
 
 
 def check_sign_A(n: int, centers: Sequence[Sequence[float]], samples: int = 0,
@@ -305,9 +306,8 @@ def check_y_negativity(n: int, d_max: int) -> ConjectureReport:
     parts) must be strictly negative.  Zero coefficients are classified
     separately from positive ones (the statement is strict)."""
     started = time.perf_counter()
-    if n < 3 or n % 2 == 0:
-        raise ParityRegimeError("y-negativity applies to odd rank >= 3")
     spec, base = _type_d(n)
+    _require_symbolic_regime(spec)
     if d_max < base:
         raise ValueError(f"max degree {d_max} is below the lowest nonzero degree {base}")
     witnesses: List[dict] = []

@@ -26,9 +26,9 @@ quotients against it (quotient_from_fold divides it by the Vandermonde),
 and of the benchmark's deep-expand gates.  It runs serially, matching by
 matching, and multiplies each matching's per-edge term lists one edge at a
 time, keeping only the degree-d total at the last edge.  Both routes read
-the same per-edge tables, cleared once per degree to one common denominator
-that is divided back out at the end, so the fold's loop and the Pfaffians
-are pure integer arithmetic.
+the same per-edge tables (the Pfaffians only those their targets reach),
+cleared to one common denominator that is divided back out at the end, so
+the fold's loop and the Pfaffians are pure integer arithmetic.
 
 An edge's share of a composed block at one inner degree is one integer
 table (_edge_table) from a closed form, built once per edge layout and
@@ -78,8 +78,9 @@ class ResourceCapExceeded(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-# One cache entry per (layout, q) asked for: q <= MAX_DEGREE / 2 (folds), and q <= 367 in
-# either layout by MAX_QUOTIENT_WORK (quotients; check t-pos, whose --max-degree stops at 737).
+# One entry per (layout, q) asked for, the only copy of the tables (all of q <= 367: 27 MB for
+# one form, 16 MB for the pair): q <= MAX_DEGREE / 2 (folds), q <= 367 by MAX_QUOTIENT_WORK
+# (quotients, up to their largest target's q; check t-pos, whose --max-degree stops at 737).
 @lru_cache(maxsize=None)
 def _edge_table(pair_forms: bool, q: int) -> Tuple[Dict[Tuple[int, int], int], int]:
     """One edge's share of a composed block at inner degree q, on integers:
@@ -123,28 +124,14 @@ def _edge_table(pair_forms: bool, q: int) -> Tuple[Dict[Tuple[int, int], int], i
             for i, c in reversed(list(enumerate(row))) if c}, scalar // g
 
 
-# Few entries: one at the largest admitted m (one form, m = 306 for A_2 d613) holds 27 MB and
-# takes 0.5 s to rebuild from the cached edge tables, nearly all of it the scaling to L; the
-# pair's largest (m = 349 for D_3 d700) holds 18 MB and takes 0.4 s.
-@lru_cache(maxsize=4)
-def _cleared_tables(pair_forms: bool, m: int) -> Tuple[Tuple[Dict[Tuple[int, int], int], ...], int]:
-    """The edge tables for inner degrees q = 0..m over one denominator
-    L = lcm(cleared[0..m]): table q is _edge_table(q) times L // cleared[q].
-    Returned with L.
+def _fold_scale(spec: ArrangementSpec, geometry: FoldGeometry, m: int, lcm: int) -> Fraction:
+    """c_m m! / L^E: the one scale of a fold over edge tables cleared to one
+    denominator L, table q times L // S_q (S_q its scalar).
 
     A matching's share of the composed degree-d block is c_m m! times the
     sum over compositions q_1 + ... + q_E = m of the product of its edges'
     tables at q_t.  Over L every composition carries the same denominator
-    L^E, so the products stay integers and the whole fold is scaled once by
-    c_m m! / L^E at the end."""
-    tables, cleared = zip(*(_edge_table(pair_forms, q) for q in range(m + 1)))
-    lcm = math.lcm(*cleared)
-    return tuple({key: c * (lcm // s) for key, c in table.items()}
-                 for table, s in zip(tables, cleared)), lcm
-
-
-def _fold_scale(spec: ArrangementSpec, geometry: FoldGeometry, m: int, lcm: int) -> Fraction:
-    """c_m m! / L^E: the one scale of a fold summed over _cleared_tables."""
+    L^E, so the products stay integers and the fold is scaled once at the end."""
     return c_coefficient(spec.rank, geometry.k, m) * math.factorial(m) / lcm**geometry.nslots
 
 
@@ -206,18 +193,21 @@ def z_poly(spec: ArrangementSpec, d: int, threads: int = 1) -> Poly:
     unit forms).  Zero when d < k or d has the wrong parity.  `threads` is
     validated but unused: the fold runs in this process.
 
-    Each matching's product is built edge by edge over _cleared_tables: the
-    partial products are kept by their running inner degree, and at the last
-    edge only the completions to degree m are added to the fold.  Monomials
-    are packed into ints, 8 bits per variable (exponents stay below 256 by
-    the degree cap), so multiplying monomials adds keys."""
+    Each matching's product is built edge by edge over the tables q = 0..m,
+    cleared as in _fold_scale: the partial products are kept by their running
+    inner degree, and at the last edge only the completions to degree m are
+    added to the fold.  Monomials are packed into ints, 8 bits per variable
+    (exponents stay below 256 by the degree cap), so multiplying monomials
+    adds keys."""
     _check_threads(threads)
     geometry = _admitted_geometry(spec, d)
     if geometry is None:
         return Poly.zero(spec.ambient_dim)
     _guard_resources(geometry.ground, geometry.nslots, d)
     m = (d - geometry.k) // 2
-    tables, lcm = _cleared_tables(geometry.pair_forms, m)
+    tables, scalars = zip(*(_edge_table(geometry.pair_forms, q) for q in range(m + 1)))
+    lcm = math.lcm(*scalars)
+    factors = [lcm // s for s in scalars]
     edge_terms: Dict[Tuple[int, int], List[Tuple[List[int], List[int]]]] = {}
     acc: Dict[int, int] = {}
     get = acc.get
@@ -226,7 +216,8 @@ def z_poly(spec: ArrangementSpec, d: int, threads: int = 1) -> Poly:
             if edge not in edge_terms:
                 i, j = edge[0] - 1, edge[1] - 1
                 edge_terms[edge] = [([(ei << 8 * i) | (ej << 8 * j) for ei, ej in table],
-                                     list(table.values())) for table in tables]
+                                     [c * f for c in table.values()])
+                                    for table, f in zip(tables, factors)]
         # keys[inner], coeffs[inner]: the products of the edges so far whose
         # inner degrees sum to `inner`, the matching's sign folded in
         sgn = mt.sign(matching)
@@ -306,9 +297,11 @@ def dominant_coefficients(spec: ArrangementSpec, d: int) -> Dict[Tuple[int, ...]
 
     A matching reaches a target monomial mu through one composition only:
     edge (i, j) takes inner degree q = (mu_i + mu_j - forms)/2, with one or
-    two forms per edge, and contributes the entry w_ij of _cleared_tables on
+    two forms per edge, and contributes the entry w_ij of _edge_table(q) on
     (mu_i, mu_j), or 0 (absent, or q of the wrong parity; the exponents of
-    mu are distinct, so q lies in 0..m).  With the matching signs
+    mu are distinct, so q lies in 0..m).  Only the tables up to the largest
+    q of a target are read, cleared to one denominator L as in _fold_scale,
+    whose scale cancels the L^E of each product.  With the matching signs
     (-1)^crossings, the sum over the matchings is the Pfaffian of W_mu.  An
     odd ground set gets a vertex g+1 joined by w = 1 to the vertex of
     exponent 0, the one that may be isolated: the edge (p, g+1) crosses
@@ -323,19 +316,23 @@ def dominant_coefficients(spec: ArrangementSpec, d: int) -> Dict[Tuple[int, ...]
     ground = geometry.ground
     m = (d - geometry.k) // 2
     # work in steps of about one of _pfaffian's: (m+1)^3 for the edge tables of either layout
-    # (cold _cleared_tables at m = 367: 1.1 s for one form, 1.3 s for the pair), the Schur
-    # expansion of the result, a Pfaffian per target
+    # (cold, q = 0..367: 0.1 s for one form, 0.7 s for the pair), the Schur expansion of the
+    # result, a Pfaffian per target
     work = (m + 1) ** 3 + 100 * math.comb(size + ground - 1, ground - 1)
     lams = list(partitions(size, ground)) if work <= MAX_QUOTIENT_WORK else []
     work += len(lams) * (ground + 1) ** 3
     if work > MAX_QUOTIENT_WORK:
         raise ResourceCapExceeded(f"degree {d}: about {work} steps for the edge tables, Pfaffians "
                                   f"and Schur expansion exceed the cap of {MAX_QUOTIENT_WORK}")
-    tables, lcm = _cleared_tables(geometry.pair_forms, m)
-    scale = _fold_scale(spec, geometry, m, lcm) / (1 << (shift // 2))
     order = ground + ground % 2
     # targets are stretched by the forms per edge, and so are an edge's table degrees 2q + forms
     stretch = 2 if geometry.pair_forms else 1
+    # q = (mu_i + mu_j - stretch) >> 1 is largest on the top two exponents, at lambda = (size)
+    top = stretch * (size + 2 * ground - 4) >> 1
+    tables, scalars = zip(*(_edge_table(geometry.pair_forms, q) for q in range(top + 1)))
+    lcm = math.lcm(*scalars)
+    factors = [lcm // s for s in scalars]
+    scale = _fold_scale(spec, geometry, m, lcm) / (1 << (shift // 2))
     pfaffians = []
     for lam in lams:
         padded = lam + (0,) * (ground - len(lam))
@@ -343,7 +340,8 @@ def dominant_coefficients(spec: ArrangementSpec, d: int) -> Dict[Tuple[int, ...]
         w = [[0] * order for _ in range(order)]
         for i in range(ground):
             for j in range(i + 1, ground):
-                w[i][j] = tables[(mu[i] + mu[j] - stretch) >> 1].get((mu[i], mu[j]), 0)
+                q = (mu[i] + mu[j] - stretch) >> 1
+                w[i][j] = tables[q].get((mu[i], mu[j]), 0) * factors[q]
                 w[j][i] = -w[i][j]
             if ground % 2 and not mu[i]:
                 w[i][ground], w[ground][i] = 1, -1

@@ -30,7 +30,7 @@ from coxpizza.oracle import (_BLOCK, _HYPERPLANE_TOL, BallSpec, DivergentRegion,
 from coxpizza.polyring import (Monomial, Poly, Rational, divide_by_vandermonde, mul,
                                normalize_partition, partitions)
 from coxpizza.rootsys import ArrangementSpec, Root, make_spec, positive_roots
-from coxpizza.taylor import (ReportEntry, _admitted_geometry, _cleared_tables, _fold_scale,
+from coxpizza.taylor import (ReportEntry, _admitted_geometry, _edge_table, _fold_scale,
                              _require_symbolic_regime, dominant_coefficients, expansion_report,
                              power_sum_multiple, reduce_mod_relation, z_poly)
 
@@ -420,8 +420,9 @@ def dominant_coefficients_by_matchings(spec: ArrangementSpec, d: int
                                        ) -> Dict[Tuple[int, ...], Fraction]:
     """Same value as dominant_coefficients, by the loop over all maximal
     matchings: for each matching and target mu, the product of the edges'
-    entries of _cleared_tables on (mu_i, mu_j) with the matching's sign,
-    skipped when the isolated vertex has a nonzero exponent."""
+    entries of the edge tables for q = 0..m, cleared to one denominator L,
+    on (mu_i, mu_j) with the matching's sign, skipped when the isolated
+    vertex has a nonzero exponent."""
     geometry = _admitted_geometry(spec, d)
     shift = d - spec.positive_root_count
     if geometry is None or shift < 0:
@@ -432,7 +433,10 @@ def dominant_coefficients_by_matchings(spec: ArrangementSpec, d: int
     m = (d - geometry.k) // 2
     # targets are stretched by the forms per edge, and so are an edge's table degrees 2q + forms
     stretch = 2 if geometry.pair_forms else 1
-    tables, lcm = _cleared_tables(geometry.pair_forms, m)
+    tables, scalars = zip(*(_edge_table(geometry.pair_forms, q) for q in range(m + 1)))
+    lcm = math.lcm(*scalars)
+    tables = [{key: c * (lcm // s) for key, c in table.items()}
+              for table, s in zip(tables, scalars)]
     lams = list(partitions(size, ground))
     targets = []
     for lam in lams:

@@ -476,6 +476,23 @@ def test_check_without_anything_to_probe_is_a_usage_error(capsys, argv, message)
     assert code == 2 and out == "" and "error:" in err and message in err
 
 
+def test_check_sign_at_the_origin_only_is_inconclusive(capsys):
+    # every center skipped as degenerate: nothing was probed, so not "consistent"
+    code, out, _ = run_cli(capsys, "check", "sign", "--spec", "D:3", "--centers", "0,0,0")
+    assert code == 0
+    assert out.splitlines() == [
+        "signD: inconclusive",
+        "  note: center 0: at the origin, quantity vanishes (degenerate, skipped)"]
+
+
+@pytest.mark.parametrize("rank", ["2", "4"])
+def test_check_y_neg_refuses_a_rank_as_check_schur_does(capsys, rank):
+    yneg = run_cli(capsys, "check", "y-neg", "--rank", rank, "--max-degree", "20")
+    schur = run_cli(capsys, "check", "schur", "--rank", rank, "--degree", "20")
+    assert yneg == schur
+    assert yneg[0] == 2 and yneg[1] == "" and yneg[2].startswith("error: type D")
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "sign", "--spec", "A:2", "--centers", "0.1,0.2,0.3"),
     ("check", "sign", "--spec", "A:2", "--centers", "0.1,0.2,-0.3;0.1,0.2,0.3", "--samples", "1000"),

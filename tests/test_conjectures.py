@@ -94,7 +94,8 @@ def test_y_negativity_past_rank_seven(n, d_max):
 
 
 def test_y_negativity_rejects_even_rank():
-    with pytest.raises(ParityRegimeError):
+    # the type D regime refusal that check schur and check lemma51 give too
+    with pytest.raises(ParityRegimeError, match="type D rank 4: even rank is outside"):
         check_y_negativity(4, 16)
 
 
@@ -446,8 +447,9 @@ def test_sign_check_with_mc_cross_validation():
 
 
 def test_sign_check_origin_is_degenerate_note():
+    # no center probed: nothing supports the statement, so the verdict is not "consistent"
     report = check_sign_D(3, [(0.0, 0.0, 0.0)])
-    assert report.verdict == "consistent"
+    assert report.verdict == "inconclusive"
     assert any("degenerate" in note for note in report.notes)
 
 

@@ -377,9 +377,11 @@ def test_dominant_coefficients_agree_with_fold(cache, family, rank, d):
         assert coefficient(z, mono) == coeffs.get(lam, 0), lam
 
 
-# past DOMINANT_CASES, where the full fold is slow or out of reach; odd and even ground sets
+# past DOMINANT_CASES, where the full fold is slow or out of reach; odd and even ground sets.
+# At A_2 d201 and D_3 d400 the largest target reads the last table, q = m; the others stop short
 MATCHINGS_CASES = [("A", 6, 21), ("A", 6, 23), ("A", 6, 25), ("A", 7, 28), ("A", 7, 30),
-                   ("D", 7, 42), ("D", 7, 44), ("A", 10, 55), ("A", 10, 57)]
+                   ("D", 7, 42), ("D", 7, 44), ("A", 10, 55), ("A", 10, 57), ("A", 2, 201),
+                   ("D", 3, 400)]
 
 
 @pytest.mark.parametrize("family,rank,d", MATCHINGS_CASES,
@@ -408,6 +410,20 @@ def test_pfaffian_matches_the_matching_expansion():
             for k in range(size):
                 w[zero][k] = w[k][zero] = 0
         assert _pfaffian([row[:] for row in w]) == pfaffian_by_matchings(w), w
+
+
+def test_dominant_coefficients_read_only_the_tables_their_targets_reach(monkeypatch):
+    # D_21 d420 has the one target lambda = (), mu = 2 (20, 19, .., 0): its edges reach
+    # q = (mu_i + mu_j - 2) / 2 <= 38, though m = 200
+    asked = []
+
+    def recording(pair_forms, q):
+        asked.append(q)
+        return _edge_table(pair_forms, q)
+
+    monkeypatch.setattr(taylor, "_edge_table", recording)
+    assert list(dominant_coefficients(make_spec("D", 21), 420)) == [()]
+    assert max(asked) == 38
 
 
 def test_quotient_path_visits_no_matching(monkeypatch, capsys):
