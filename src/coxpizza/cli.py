@@ -5,9 +5,9 @@ expand (quotient reports at chosen degrees), matchings (enumeration and the
 sign-sum identity), oracle (numeric evaluators), check (conjecture probes).
 
 Exit codes: 0 success/consistent, 1 verification failure, 2 usage error
-(also a refused size and an --out path that cannot be written), 3
-conjecture violation in explore mode.  Results go to stdout; refusals and
-errors go to stderr.
+(also a refused size, an --out path that cannot be written and a float
+that overflows), 3 conjecture violation in explore mode.  Results go to
+stdout; refusals and errors go to stderr.
 
 Importing this module loads only what parsing the arguments needs; each
 command imports the engine modules it calls in its own body.  Without a
@@ -129,27 +129,19 @@ def cmd_tables(args) -> int:
 
 def cmd_expand(args) -> int:
     from .rootsys import parse_spec
-    from .taylor import ResourceCapExceeded, expansion_report, serialize_terms
+    from .taylor import expansion_report, serialize_terms
 
     spec = parse_spec(args.spec)
-    degrees = [int(x) for x in args.degrees.split(",")]
-    try:
-        report = expansion_report(spec, degrees)
-    except ResourceCapExceeded as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = expansion_report(spec, [int(x) for x in args.degrees.split(",")])
     if args.format == "json":
         text = json.dumps(report.to_json_dict(), indent=2)
     elif args.format == "csv":
         lines = ["degree,kind,exponents,num,den"]
         for entry in report.entries:
-            for term in serialize_terms(entry.quotient):
-                lines.append(f"{entry.degree},quotient,{' '.join(map(str, term['exponents']))},"
-                             f"{term['num']},{term['den']}")
-            if entry.reduced_quotient is not None:
-                for term in serialize_terms(entry.reduced_quotient):
-                    lines.append(f"{entry.degree},reduced,{' '.join(map(str, term['exponents']))},"
-                                 f"{term['num']},{term['den']}")
+            for kind, poly in (("quotient", entry.quotient), ("reduced", entry.reduced_quotient)):
+                if poly is not None:  # no reduced quotient for type D
+                    lines += [f"{entry.degree},{kind},{' '.join(map(str, term['exponents']))},"
+                              f"{term['num']},{term['den']}" for term in serialize_terms(poly)]
         text = "\n".join(lines)
     else:
         text = report.to_text()
@@ -213,9 +205,6 @@ def cmd_oracle(args) -> int:
         payload.update({"value": scale * value, "tail_bound": scale * tail,
                         "degree_cap": args.degree_cap})
     else:  # sum2s
-        if spec.family not in ("A", "D"):
-            print("--method sum2s applies to A and D arrangements only", file=sys.stderr)
-            return EXIT_USAGE
         value, tail = sum_over_2structures(spec, ball, args.degree_cap)
         payload.update({"value": value, "tail_bound": tail, "degree_cap": args.degree_cap})
     if args.format == "text":
@@ -246,16 +235,19 @@ def _report_exit(report, mode: str) -> int:
     return EXIT_VERIFICATION_FAILURE if mode == "test" else EXIT_EXPLORE_VIOLATION
 
 
-def _emit_report(report, args) -> None:
+def _check_exit(report, args, verified: bool) -> int:
+    """Emit a check's report and return its exit code.  --mode auto is test
+    inside the command's verified range (`verified`) and explore beyond it;
+    check lemma51 and check schur take no --mode and are always verified."""
     if args.format == "text":
         lines = [f"{report.conjecture_id}: {report.verdict}"]
-        for w in report.witnesses:
-            lines.append(f"  witness: {json.dumps(w)}")
-        for note in report.notes:
-            lines.append(f"  note: {note}")
+        lines += [f"  witness: {json.dumps(w)}" for w in report.witnesses]
+        lines += [f"  note: {note}" for note in report.notes]
         _emit("\n".join(lines), args.out)
     else:
         _emit(json.dumps(report.to_json_dict(), indent=2), args.out)
+    mode = getattr(args, "mode", "auto")
+    return _report_exit(report, ("test" if verified else "explore") if mode == "auto" else mode)
 
 
 def cmd_check_sign(args) -> int:
@@ -268,44 +260,31 @@ def cmd_check_sign(args) -> int:
         return EXIT_USAGE
     centers = _parse_centers(args.centers, spec, args.seed)
     check = check_sign_A if spec.family == "A" else check_sign_D
-    report = check(spec.rank, centers, args.samples, args.seed)
-    mode = args.mode if args.mode != "auto" else ("test" if spec.rank <= 7 else "explore")
-    _emit_report(report, args)
-    return _report_exit(report, mode)
+    return _check_exit(check(spec.rank, centers, args.samples, args.seed), args, spec.rank <= 7)
 
 
 def cmd_check_yneg(args) -> int:
     from .conjectures import check_y_negativity
 
-    report = check_y_negativity(args.rank, args.max_degree)
-    mode = args.mode if args.mode != "auto" else ("test" if args.rank <= 5 else "explore")
-    _emit_report(report, args)
-    return _report_exit(report, mode)
+    return _check_exit(check_y_negativity(args.rank, args.max_degree), args, args.rank <= 5)
 
 
 def cmd_check_tpos(args) -> int:
     from .conjectures import check_t_positivity
 
-    report = check_t_positivity(args.max_degree)
-    mode = args.mode if args.mode != "auto" else ("test" if args.max_degree <= 40 else "explore")
-    _emit_report(report, args)
-    return _report_exit(report, mode)
+    return _check_exit(check_t_positivity(args.max_degree), args, args.max_degree <= 40)
 
 
 def cmd_check_lemma51(args) -> int:
     from .conjectures import check_lemma51
 
-    report = check_lemma51(args.rank, args.degree)
-    _emit_report(report, args)
-    return _report_exit(report, "test")
+    return _check_exit(check_lemma51(args.rank, args.degree), args, True)
 
 
 def cmd_check_schur(args) -> int:
     from .conjectures import schur_reconstruct
 
-    report = schur_reconstruct(args.rank, args.degree)
-    _emit_report(report, args)
-    return _report_exit(report, "test")
+    return _check_exit(schur_reconstruct(args.rank, args.degree), args, True)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:

@@ -40,8 +40,8 @@ from .oracle import (MAX_DEGREE_CAP, MAX_FOLD_MOD_WORK, MODULUS, BallSpec, exact
                      fold_mod_work, mc_pizza, require_dimension, require_sum_zero, sign_fold_tails)
 from .polyring import NonDivisible, partitions
 from .rootsys import ArrangementSpec, chamber_sign, make_spec
-from .taylor import (MAX_QUOTIENT_WORK, ParityRegimeError, ResourceCapExceeded, _edge_table,
-                     _require_symbolic_regime, dominant_coefficients)
+from .taylor import (MAX_QUOTIENT_WORK, ResourceCapExceeded, _edge_table, _require_symbolic_regime,
+                     dominant_coefficients)
 
 
 class OracleDisagreement(RuntimeError):
@@ -185,9 +185,8 @@ def check_sign_A(n: int, centers: Sequence[Sequence[float]], samples: int = 0,
     """Sign prediction for type A (rank 2 or 3 mod 4): the quantity at a
     center strictly inside a chamber has sign (-1)^floor((n+1)/4) times the
     chamber sign."""
-    if n % 4 not in (2, 3):
-        raise ParityRegimeError("type A sign conjecture applies to rank 2 or 3 mod 4")
     spec = make_spec("A", n)
+    _require_symbolic_regime(spec)
     prefactor = -1 if ((n + 1) // 4) % 2 else 1
     return _check_sign("signA", spec, lambda t: prefactor * t, centers, samples, seed)
 
@@ -196,9 +195,8 @@ def check_sign_D(n: int, centers: Sequence[Sequence[float]], samples: int = 0,
                  seed: int = 0) -> ConjectureReport:
     """Sign prediction for type D (odd rank): the quantity has sign opposite
     to the chamber sign."""
-    if n % 2 == 0 or n < 3:
-        raise ParityRegimeError("type D sign conjecture applies to odd rank >= 3")
     spec = make_spec("D", n)
+    _require_symbolic_regime(spec)
     return _check_sign("signD", spec, lambda t: -t, centers, samples, seed)
 
 
@@ -209,11 +207,13 @@ def check_sign_D(n: int, centers: Sequence[Sequence[float]], samples: int = 0,
 
 def _type_d(n: int, d: Optional[int] = None) -> Tuple[ArrangementSpec, int]:
     """The rank-n type D spec and |Phi+|, the lowest degree at which its fold
-    can be nonzero; refuses a degree d where the fold vanishes identically."""
+    can be nonzero; refuses a degree d where the fold vanishes identically,
+    then an even rank (_require_symbolic_regime)."""
     spec = make_spec("D", n)
     base = spec.positive_root_count
     if d is not None and (d < base or (d - base) % 2):
         raise ValueError(f"degree {d} below the lowest nonzero degree {base} or wrong parity")
+    _require_symbolic_regime(spec)
     return spec, base
 
 
@@ -228,7 +228,6 @@ def _checked_coefficients(n: int, d: int) -> Tuple[int, Dict[Tuple[int, ...], Fr
     which must be prime to p.  Refused with ResourceCapExceeded before any
     coefficient or point when fold_mod_work exceeds MAX_FOLD_MOD_WORK."""
     spec, base = _type_d(n, d)
-    _require_symbolic_regime(spec)  # even ranks: dominant_coefficients' refusal, before the estimate
     work = fold_mod_work(spec, d)
     if work > MAX_FOLD_MOD_WORK:
         raise ResourceCapExceeded(f"rank {n} degree {d}: about {work} steps for each point of the "
@@ -304,16 +303,20 @@ def check_y_negativity(n: int, d_max: int) -> ConjectureReport:
     of the type D fold on every strictly decreasing target monomial
     a^(2(lambda+delta)) with a zero last exponent (lambda with at most n-1
     parts) must be strictly negative.  Zero coefficients are classified
-    separately from positive ones (the statement is strict)."""
+    separately from positive ones (the statement is strict).
+
+    The largest degree is computed first: dominant_coefficients' work
+    estimate does not decrease with the degree, so a range it refuses is
+    refused there, before any other degree is computed."""
     started = time.perf_counter()
     spec, base = _type_d(n)
-    _require_symbolic_regime(spec)
     if d_max < base:
         raise ValueError(f"max degree {d_max} is below the lowest nonzero degree {base}")
     witnesses: List[dict] = []
     degrees = list(range(base, d_max + 1, 2))
+    top = dominant_coefficients(spec, degrees[-1])
     for d in degrees:
-        coeffs = dominant_coefficients(spec, d)
+        coeffs = top if d == degrees[-1] else dominant_coefficients(spec, d)
         half = (d - base) // 2
         for lam in partitions(half, n - 1):
             padded = list(lam) + [0] * (n - 1 - len(lam))

@@ -74,7 +74,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .matchings import FoldGeometry, c_coefficient, edge_forms, enumerate_matchings, fold_parameters
+from .matchings import (FoldGeometry, c_coefficient, count_matchings, edge_forms, enumerate_matchings,
+                        fold_parameters)
 from .rootsys import ArrangementSpec, numeric_roots
 
 _CHUNK = 1 << 16
@@ -83,6 +84,9 @@ _HYPERPLANE_TOL = 1e-12
 _MAX_REJECTED_DRAWS = 20_000
 # the largest degree cap of the series oracles and of the sign checks' escalation
 MAX_DEGREE_CAP = 400
+# the matchings sign_fold_tails enumerates once per center: 2,027,025 (A_14, A_15, D_15)
+# are admitted, 34,459,425 (A_16, A_17, D_17) are refused
+MAX_TAIL_MATCHINGS = 10**7
 
 
 class DivergentRegion(ValueError):
@@ -102,8 +106,10 @@ class BallSpec:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        if not all(math.isfinite(x) for x in self.center):
+            raise ValueError(f"center coordinates must be finite, got {list(self.center)}")
 
 
 @dataclass(frozen=True)
@@ -158,15 +164,18 @@ def mc_pizza(spec: ArrangementSpec, ball: BallSpec, samples: int, seed: int,
     _mc_chunk); the count changes no draw.
 
     Chunked with counter-derived sub-seeds, so the estimate depends only on
-    (seed, samples) and the chunk size _CHUNK, not on threading.  Each chunk
-    is one _mc_chunk call: buffers made once per chunk, one scale per row,
-    and the chamber sign as the sign of the product of the pairings.  It
-    draws the same random stream as the loop it replaced
-    (tests/reference.py) and moves a point in its last bits at most, so a
-    keep or sign decision, and with it the estimate, changes with
-    probability far below 1e-12 per draw; the pinned estimates of the
-    tests are bit-identical.
+    (seed, samples) and the chunk size _CHUNK, not on threading: every
+    thread count runs the chunks on a pool of `threads` workers, and their
+    integer sign sums are added in chunk order.  Each chunk is one _mc_chunk
+    call: buffers made once per chunk, one scale per row, and the chamber
+    sign as the sign of the product of the pairings.  It draws the same
+    random stream as the loop it replaced (tests/reference.py) and moves a
+    point in its last bits at most, so a keep or sign decision, and with it
+    the estimate, changes with probability far below 1e-12 per draw; the
+    pinned estimates of the tests are bit-identical.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     import numpy as np
 
     if samples < 1:
@@ -184,22 +193,13 @@ def mc_pizza(spec: ArrangementSpec, ball: BallSpec, samples: int, seed: int,
     embed_t = None if embed is None else np.ascontiguousarray(embed.T)
     volume = ball_volume(dim) * ball.radius**dim
 
-    sign_sum = 0
-    nchunks = (samples + _CHUNK - 1) // _CHUNK
-
     def run_chunk(ci: int) -> int:
         count = min(_CHUNK, samples - ci * _CHUNK)
         rng = np.random.default_rng([seed, ci])
         return _mc_chunk(rng, count, dim, ball.radius, center, embed_t, roots)[0]
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sign_sum = sum(pool.map(run_chunk, range(nchunks)))
-    else:
-        for ci in range(nchunks):
-            sign_sum += run_chunk(ci)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        sign_sum = sum(pool.map(run_chunk, range((samples + _CHUNK - 1) // _CHUNK)))
 
     mean = sign_sum / samples
     if samples > 1:
@@ -629,7 +629,9 @@ def sign_fold_tails(spec: ArrangementSpec, center: Sequence) -> Callable[[int], 
     enumerated and that denominator is built once per center: the last
     center's bound is cached.  A center outside the unit ball raises
     DivergentRegion, checked on the first matching before any cap and on
-    the others at the first cap that passes."""
+    the others at the first cap that passes _require_decaying; at that cap,
+    before enumerating, more than MAX_TAIL_MATCHINGS matchings raise
+    ValueError."""
     return _center_tails(spec, tuple(Fraction(x) for x in center))
 
 
@@ -653,6 +655,9 @@ def _center_tails(spec: ArrangementSpec, center: Tuple[Fraction, ...]) -> Callab
     @lru_cache(maxsize=None)
     def weighted() -> Tuple[List[Tuple[int, int]], int]:
         """(q, multiplicity * common / (R - q)) per distinct q, and common."""
+        if count_matchings(ground) > MAX_TAIL_MATCHINGS:
+            raise ValueError(f"the tail bound enumerates {count_matchings(ground)} matchings, "
+                             f"above the cap of {MAX_TAIL_MATCHINGS}")
         counts = Counter(inside(matching.edges) for matching in enumerate_matchings(ground))
         common = math.lcm(*(radius_square - q for q in counts))
         return [(q, count * (common // (radius_square - q))) for q, count in counts.items()], common
@@ -739,10 +744,9 @@ def sum_over_2structures(spec: ArrangementSpec, ball: BallSpec,
     Both are exact until the one conversion to float.
 
     It refuses a family other than A or D, a center of the wrong dimension,
-    a cap outside [k, MAX_DEGREE_CAP], a type A center off the sum-zero
-    hyperplane, and a scaled center outside the open unit ball."""
-    if spec.family not in ("A", "D"):
-        raise ValueError(f"2-structure fold applies to families A and D, not {spec.family}")
+    a cap outside [k, MAX_DEGREE_CAP] (the three by _exact_frame), a type A
+    center off the sum-zero hyperplane, a scaled center outside the open
+    unit ball, and the tail bound's refusals (sign_fold_tails)."""
     geometry, center, _ = _exact_frame(spec, ball.center, degree_cap)
     require_sum_zero(spec, ball.center, ball.radius)
     radius = Fraction(ball.radius)

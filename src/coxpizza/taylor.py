@@ -148,11 +148,15 @@ def _check_threads(threads: int) -> None:
 
 
 def _require_symbolic_regime(spec: ArrangementSpec) -> None:
+    """The paper's regime, the one place it is written: type A of rank 2 or 3
+    mod 4 and type D of odd rank, where |Phi+| and the rank differ in parity
+    and the first Taylor term can be nonzero.  The expansion, the sign checks
+    and the type D audits refuse every other arrangement."""
     if spec.family == "A":
         if spec.rank % 4 not in (2, 3):
             raise ParityRegimeError(
-                f"type A rank {spec.rank}: hyperplane count and dimension share parity; "
-                "the expansion vanishes there (use the numeric oracle)"
+                f"type A rank {spec.rank}: hyperplane count and dimension share parity, so the "
+                "first Taylor term vanishes; the expansion and the sign conjecture need rank 2 or 3 mod 4"
             )
     elif spec.family == "D":
         if spec.rank % 2 == 0:

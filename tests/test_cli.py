@@ -125,7 +125,9 @@ def test_expand_text_json_csv(capsys, tmp_path):
 def test_expand_refuses_over_cap(capsys):
     # the degree-61 quotient of A_6 expands over C(46, 6) monomials
     code, out, err = run_cli(capsys, "expand", "--spec", "A:6", "--degrees", "61")
-    assert code == 2 and out == "" and "refused" in err and "exceed the cap" in err
+    assert code == 2 and out == ""
+    assert err == ("error: degree 61: about 936708900 steps for the edge tables, Pfaffians and "
+                   "Schur expansion exceed the cap of 50000000\n")
 
 
 def test_expand_accepts_frontier_job_with_progress():
@@ -351,6 +353,78 @@ def test_exit_code_contract_for_violations():
     assert _report_exit(violated, "test") == EXIT_VERIFICATION_FAILURE
     assert _report_exit(violated, "explore") == EXIT_EXPLORE_VIOLATION
     assert _report_exit(consistent, "test") == EXIT_OK
+
+
+@pytest.mark.parametrize("name,argv,verified", [
+    ("check_sign_A", ["sign", "--spec", "A:7", "--centers", "0"], True),
+    ("check_sign_D", ["sign", "--spec", "D:8", "--centers", "0"], False),
+    ("check_y_negativity", ["y-neg", "--rank", "5", "--max-degree", "20"], True),
+    ("check_y_negativity", ["y-neg", "--rank", "6", "--max-degree", "20"], False),
+    ("check_t_positivity", ["t-pos", "--max-degree", "40"], True),
+    ("check_t_positivity", ["t-pos", "--max-degree", "41"], False),
+    ("check_lemma51", ["lemma51", "--rank", "3", "--degree", "8"], True),
+    ("check_lemma51", ["lemma51", "--rank", "99", "--degree", "9702"], True),
+    ("schur_reconstruct", ["schur", "--rank", "3", "--degree", "8"], True),
+    ("schur_reconstruct", ["schur", "--rank", "99", "--degree", "9702"], True),
+], ids=["sign-rank7", "sign-rank8", "y-neg-rank5", "y-neg-rank6", "t-pos-d40", "t-pos-d41",
+        "lemma51-small", "lemma51-large", "schur-small", "schur-large"])
+def test_check_exit_codes_follow_each_commands_verified_range(capsys, monkeypatch, name, argv,
+                                                              verified):
+    # a violation exits 1 under --mode test, 3 under explore, and under auto
+    # 1 inside the command's verified range and 3 beyond; lemma51 and schur
+    # take no --mode and are always verified
+    violated = conjectures.ConjectureReport("probe", {}, "violated", [{"planted": 1}])
+    monkeypatch.setattr(conjectures, name, lambda *args: violated)
+    modes = [[], ["--mode", "auto"], ["--mode", "test"], ["--mode", "explore"]]
+    expected = [1 if verified else 3, 1 if verified else 3, 1, 3]
+    if name in ("check_lemma51", "schur_reconstruct"):
+        modes, expected = modes[:1], expected[:1]
+    for mode, code in zip(modes, expected):
+        assert run_cli(capsys, "check", *argv, *mode) == (
+            code, 'probe: violated\n  witness: {"planted": 1}\n', ""), mode
+
+
+A18 = ",".join(str((i - 9) / 256) for i in range(19))
+D21 = ",".join(str((i + 1) / 256) for i in range(21))
+BALL = ["oracle", "--spec", "A:2", "--center", "0.1,0.1,-0.2", "--samples", "1000"]
+# inputs the CLI refuses before the work they ask for: (argv, the start of the one error
+# line); {tmp} is a temporary directory
+REFUSED_COMMANDS = {
+    "y-neg-D3": (["check", "y-neg", "--rank", "3", "--max-degree", "738"], "degree 738: about"),
+    "y-neg-D5": (["check", "y-neg", "--rank", "5", "--max-degree", "400"], "degree 400: about"),
+    "y-neg-D7": (["check", "y-neg", "--rank", "7", "--max-degree", "200"], "degree 200: about"),
+    "tails-oracle-A18": (["oracle", "--spec", "A:18", f"--center={A18}", "--method", "sum2s"],
+                         "the tail bound enumerates 654729075 matchings"),
+    "tails-sign-A18": (["check", "sign", "--spec", "A:18", f"--centers={A18}"],
+                       "the tail bound enumerates 654729075 matchings"),
+    "tails-oracle-D21": (["oracle", "--spec", "D:21", f"--center={D21}", "--method", "sum2s"],
+                         "the tail bound enumerates 13749310575 matchings"),
+    "radius-nan": (BALL + ["--radius", "nan"], "radius must be positive and finite, got nan"),
+    "radius-inf": (BALL + ["--radius", "inf"], "radius must be positive and finite, got inf"),
+    "center-nan": (BALL[:4] + ["nan,0.1,-0.2"] + BALL[5:],
+                   "center coordinates must be finite, got [nan, 0.1, -0.2]"),
+    "radius-overflow-mc": (BALL + ["--radius", "1e200"], "(34, 'Numerical result out of range')"),
+    "radius-overflow-series": (["oracle", "--spec", "A1k:2@3", "--center", "0.1,0.1,0",
+                                "--method", "series", "--radius", "1e200"],
+                               "(34, 'Numerical result out of range')"),
+    "sum2s-family": (["oracle", "--spec", "A1k:2@3", "--center", "0.1,0.1,0", "--method", "sum2s"],
+                     "exact fold applies to families A and D, not A1k"),
+    "matchings": (["matchings", "--size", "30", "--sign-sum"], "size 30: 6190283353629375 matchings"),
+    "expand": (["expand", "--spec", "A:6", "--degrees", "61"], "degree 61: about 936708900 steps"),
+    "out": (["tables", "--which", "D", "--out", "{tmp}/missing/t.txt"],
+            "[Errno 2] No such file or directory: '{tmp}/missing/t.txt'"),
+}
+
+
+@pytest.mark.parametrize("argv,message", REFUSED_COMMANDS.values(), ids=REFUSED_COMMANDS.keys())
+def test_refused_commands_exit_two_with_one_error_line(tmp_path, argv, message):
+    # each is refused before its work: in a fresh process, well within the timeout
+    proc = subprocess.run([sys.executable, "-m", "coxpizza.cli",
+                           *(arg.format(tmp=tmp_path) for arg in argv)],
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message.format(tmp=tmp_path)}"), lines
 
 
 def test_threads_resolved_once(monkeypatch, capsys):

@@ -14,7 +14,7 @@ from coxpizza.matchings import fold_parameters
 from coxpizza.oracle import random_interior_centers
 from coxpizza.polyring import NonDivisible, Poly, exact_divide_linear
 from coxpizza.rootsys import OnHyperplane, make_spec
-from coxpizza.taylor import ParityRegimeError, ResourceCapExceeded
+from coxpizza.taylor import ParityRegimeError, ResourceCapExceeded, _require_symbolic_regime
 import reference
 from reference import (alternant, compose_block, evaluate, lemma51_by_fold, rewrite_even_symmetric,
                        schur_lambda_coefficients, signed_estimate_fixed_step, t_poly)
@@ -91,6 +91,25 @@ def test_y_negativity_past_rank_seven(n, d_max):
     report = check_y_negativity(n, d_max)
     assert report.verdict == "consistent"
     assert report.parameters["degrees"] == list(range(n * (n - 1), d_max + 1, 2))
+
+
+@pytest.mark.parametrize("n,d_max,top", [(3, 738, 738), (5, 400, 400), (7, 201, 200)])
+def test_y_negativity_refuses_at_its_largest_degree_before_any_other(monkeypatch, n, d_max, top):
+    # the work estimate does not decrease with the degree: the largest degree
+    # is computed first and kept, so a refused range makes exactly one call
+    calls = []
+    real = conjectures.dominant_coefficients
+
+    def record(spec, d):
+        calls.append(d)
+        return real(spec, d)
+    monkeypatch.setattr(conjectures, "dominant_coefficients", record)
+    with pytest.raises(ResourceCapExceeded, match=f"^degree {top}: about .* exceed the cap"):
+        check_y_negativity(n, d_max)
+    assert calls == [top]
+    calls.clear()
+    assert check_y_negativity(5, 27).parameters["degrees"] == [20, 22, 24, 26]
+    assert calls == [26, 20, 22, 24]
 
 
 def test_y_negativity_rejects_even_rank():
@@ -459,10 +478,15 @@ def test_sign_check_wall_center_raises():
 
 
 def test_sign_check_regime_validation():
-    with pytest.raises(ParityRegimeError):
-        check_sign_A(4, [(0.1, 0.0, 0.0, 0.0, -0.1)])
-    with pytest.raises(ParityRegimeError):
-        check_sign_D(4, [(0.1, 0.05, 0.02, 0.01)])
+    # the regime is written once: both checks raise _require_symbolic_regime's message
+    for check, family, center in ((check_sign_A, "A", (0.1, 0.0, 0.0, 0.0, -0.1)),
+                                  (check_sign_D, "D", (0.1, 0.05, 0.02, 0.01))):
+        with pytest.raises(ParityRegimeError) as regime:
+            _require_symbolic_regime(make_spec(family, 4))
+        with pytest.raises(ParityRegimeError) as raised:
+            check(4, [center])
+        assert str(raised.value) == str(regime.value)
+    assert str(regime.value) == "type D rank 4: even rank is outside the expansion regime"
 
 
 def test_report_serialization():

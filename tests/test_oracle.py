@@ -624,6 +624,29 @@ def test_exact_sign_fold_rejects_growing_coefficients():
         exact_sign_fold(spec, outside, 8)
 
 
+def test_tail_bound_refuses_past_its_matching_cap_before_enumerating(monkeypatch):
+    # 17!! = 34,459,425 matchings (A_16, A_17, D_17) are refused once the first
+    # matching and the decay are checked; 15!! = 2,027,025 (A_14, A_15, D_15) are enumerated
+    class Enumerated(Exception):
+        pass
+
+    def walk(ground):
+        raise Enumerated
+    monkeypatch.setattr(oracle, "enumerate_matchings", walk)
+    for family, rank, refused in (("A", 16, True), ("A", 17, True), ("D", 17, True),
+                                  ("A", 14, False), ("A", 15, False), ("D", 15, False)):
+        spec = make_spec(family, rank)
+        center = (tuple(Fraction(2 * i - rank, 512) for i in range(rank + 1)) if family == "A"
+                  else tuple(Fraction(i + 1, 256) for i in range(rank)))
+        if refused:
+            with pytest.raises(ValueError, match="^the tail bound enumerates 34459425 matchings, "
+                                                 "above the cap of 10000000$"):
+                exact_sign_fold(spec, center, spec.positive_root_count)
+        else:
+            with pytest.raises(Enumerated):
+                exact_sign_fold(spec, center, spec.positive_root_count)
+
+
 def _reference_growth(c_next, alpha, m_top):
     """The loop the decay guards ran before the closed form, on Fractions or
     floats: the first m past m_top + 1 at which |c_m| grows, or None."""
