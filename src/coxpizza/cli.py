@@ -129,7 +129,7 @@ def cmd_tables(args) -> int:
 
 def cmd_expand(args) -> int:
     from .rootsys import parse_spec
-    from .taylor import expansion_report, serialize_terms
+    from .taylor import expansion_report
 
     spec = parse_spec(args.spec)
     report = expansion_report(spec, [int(x) for x in args.degrees.split(",")])
@@ -138,10 +138,10 @@ def cmd_expand(args) -> int:
     elif args.format == "csv":
         lines = ["degree,kind,exponents,num,den"]
         for entry in report.entries:
-            for kind, poly in (("quotient", entry.quotient), ("reduced", entry.reduced_quotient)):
-                if poly is not None:  # no reduced quotient for type D
-                    lines += [f"{entry.degree},{kind},{' '.join(map(str, term['exponents']))},"
-                              f"{term['num']},{term['den']}" for term in serialize_terms(poly)]
+            for kind, terms in (("quotient", entry.terms()), ("reduced", entry.reduced_terms())):
+                if terms is not None:  # no reduced quotient for type D
+                    lines += [f"{entry.degree},{kind},{' '.join(map(str, mono))},"
+                              f"{coeff.numerator},{coeff.denominator}" for mono, coeff in terms]
         text = "\n".join(lines)
     else:
         text = report.to_text()
@@ -178,7 +178,7 @@ def cmd_matchings(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .oracle import (BallSpec, a1k_pizza_series, mc_pizza, require_dimension,
+    from .oracle import (BallSpec, a1k_pizza_series, mc_pizza, radius_power, require_dimension,
                          sum_over_2structures)
     from .rootsys import parse_spec
 
@@ -199,9 +199,9 @@ def cmd_oracle(args) -> int:
         if spec.family != "A1k":
             print("--method series applies to A1k arrangements only", file=sys.stderr)
             return EXIT_USAGE
+        scale = radius_power(args.radius, spec.ambient_dim)
         coords = [x / args.radius for x in center[: spec.rank]]
         value, tail = a1k_pizza_series(spec.ambient_dim, spec.rank, coords, args.degree_cap)
-        scale = args.radius**spec.ambient_dim
         payload.update({"value": scale * value, "tail_bound": scale * tail,
                         "degree_cap": args.degree_cap})
     else:  # sum2s

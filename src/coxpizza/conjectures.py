@@ -132,6 +132,7 @@ def _check_sign(conjecture_id: str, spec: ArrangementSpec, predicted_of_t,
         raise ValueError(f"samples must be >= 0, got {samples}")
     for center in centers:
         require_dimension(spec, center)
+        BallSpec(tuple(center), 1.0)  # refuses a non-finite coordinate
         require_sum_zero(spec, center)
     witnesses: List[dict] = []
     notes: List[str] = []

@@ -100,6 +100,23 @@ def ball_volume(dim: int) -> float:
     return math.exp(0.5 * dim * math.log(math.pi) - math.lgamma(0.5 * dim + 1)) if dim else 1.0
 
 
+def radius_power(radius: float, dim: int) -> float:
+    """R^dim, by which the volume of a ball of radius R in dim dimensions,
+    and the pizza quantity with it, scales from radius one.  Refuses a
+    radius whose ball volume, ball_volume(dim) * R^dim, is not a positive
+    finite float: it underflows to 0 or overflows, and so would every
+    route's value and error bar."""
+    try:
+        power = radius**dim
+        volume = ball_volume(dim) * power
+    except OverflowError:
+        volume = math.inf
+    if not 0 < volume < math.inf:
+        raise ValueError(f"radius {radius}: the volume of its ball in dimension {dim} "
+                         "is not a positive finite float")
+    return power
+
+
 @dataclass(frozen=True)
 class BallSpec:
     center: Tuple[float, ...]
@@ -158,7 +175,8 @@ def mc_pizza(spec: ArrangementSpec, ball: BallSpec, samples: int, seed: int,
     """Monte Carlo estimate: Vol(ball) * mean of the chamber sign over
     uniform samples.  Points within 1e-12 of a hyperplane are resampled; a
     ball that lies within that tolerance of one hyperplane, |<r, a>| + R <=
-    1e-12 for a unit root r, is refused, since every draw would be.  A ball
+    1e-12 for a unit root r, is refused, since every draw would be, and so
+    is a radius whose ball volume is not a positive finite float.  A ball
     inside the union of several such slabs but within none alone is refused
     once _MAX_REJECTED_DRAWS draws in a row are resampled (a ValueError from
     _mc_chunk); the count changes no draw.
@@ -185,13 +203,13 @@ def mc_pizza(spec: ArrangementSpec, ball: BallSpec, samples: int, seed: int,
     require_dimension(spec, ball.center)
     dim, embed = _sampling_frame(spec)
     require_sum_zero(spec, ball.center, ball.radius)
+    volume = ball_volume(dim) * radius_power(ball.radius, dim)
     roots = np.array(numeric_roots(spec))  # rows are unit roots in ambient coords
     center = np.array(ball.center, dtype=float)
     if (np.abs(roots @ center) + ball.radius).min() <= _HYPERPLANE_TOL:
         raise ValueError(f"the ball lies within {_HYPERPLANE_TOL} of a hyperplane: "
                          f"every draw would be resampled")
     embed_t = None if embed is None else np.ascontiguousarray(embed.T)
-    volume = ball_volume(dim) * ball.radius**dim
 
     def run_chunk(ci: int) -> int:
         count = min(_CHUNK, samples - ci * _CHUNK)
@@ -718,8 +736,8 @@ def a1k_pizza_series(n: int, k: int, coords: Sequence[float],
     exact = [Fraction(x) for x in coords]
     s = sum(x * x for x in exact)
     if s >= 1:
-        raise DivergentRegion(f"sum of squared coordinates {float(s)} >= 1: "
-                              f"outside the open convergence region")
+        raise DivergentRegion("the squared coordinates sum to 1 or more: outside the open "
+                              "convergence region, the unit ball")
     _require_cap(degree_cap, k)
     m_top = (degree_cap - k) // 2
     _require_decaying(n, k, m_top, f"degree_cap {degree_cap} too small: series coefficients")
@@ -745,15 +763,17 @@ def sum_over_2structures(spec: ArrangementSpec, ball: BallSpec,
 
     It refuses a family other than A or D, a center of the wrong dimension,
     a cap outside [k, MAX_DEGREE_CAP] (the three by _exact_frame), a type A
-    center off the sum-zero hyperplane, a scaled center outside the open
+    center off the sum-zero hyperplane, a radius whose ball volume is not a
+    positive finite float (radius_power), a scaled center outside the open
     unit ball, and the tail bound's refusals (sign_fold_tails)."""
     geometry, center, _ = _exact_frame(spec, ball.center, degree_cap)
     require_sum_zero(spec, ball.center, ball.radius)
+    power = radius_power(ball.radius, spec.rank)
     radius = Fraction(ball.radius)
     center = [x / radius for x in center]
     if sum(x * x for x in center) >= 1:
         raise DivergentRegion("series route needs the center strictly inside the unit ball")
     value, tail = exact_sign_fold(spec, center, degree_cap)
     k = geometry.k
-    scale = ball.radius ** spec.rank * 2 ** (k / 2) * ball_volume(spec.rank - k)
+    scale = power * 2 ** (k / 2) * ball_volume(spec.rank - k)
     return scale * float(value), scale * float(tail)

@@ -8,12 +8,14 @@ float ever enters.
 
 Symmetric polynomials (the quotients sum c_lambda s_lambda) are kept on
 their sorted-monomial coefficients over one integer denominator
-(monomial_coefficients) until spread_monomials expands them, one Fraction
-per coefficient shared by all its rearrangements.  The type A reduction
-modulo x_1 + ... + x_g = 0 runs on that basis too (reduce_symmetric_mod_sum),
-so nothing is expanded before it is reduced.  substitute_linear, the
-reference route of that reduction, substitutes into an expanded polynomial
-on Python ints over one denominator.
+(monomial_coefficients).  The type A reduction modulo x_1 + ... + x_g = 0
+runs on that basis too (reduce_symmetric_mod_sum), and monomial_terms lists
+the terms in the canonical order straight from it, one Fraction per
+coefficient shared by all its rearrangements, so the reports never build a
+Poly.  spread_monomials expands the same basis into a Poly for the
+reference routes; substitute_linear, the reference route of the reduction,
+substitutes into an expanded polynomial on Python ints over one
+denominator.
 
 The monomial order used for division and rendering is graded lexicographic
 (total degree first, then lexicographic on the exponent tuple).
@@ -22,6 +24,7 @@ The monomial order used for division and rendering is graded lexicographic
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 Rational = Fraction
@@ -156,30 +159,36 @@ class Poly:
 
     def to_text(self) -> str:
         """Canonical text form: sorted graded-lex, coefficients as num/den."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono, coeff in self.sorted_terms():
-            factors = []
-            for i, e in enumerate(mono):
-                if e == 1:
-                    factors.append(f"a{i + 1}")
-                elif e > 1:
-                    factors.append(f"a{i + 1}^{e}")
-            mag = abs(coeff)
-            body = "*".join(factors)
-            if not factors:
-                chunk = str(mag)
-            elif mag == 1:
-                chunk = body
-            else:
-                chunk = f"{mag}*{body}"
-            parts.append(("- " if coeff < 0 else "+ ") + chunk)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+        return format_terms(self.sorted_terms())
 
     def __repr__(self) -> str:
         return f"Poly({self.arity}, {self.to_text()})"
+
+
+def format_terms(terms: Sequence[Tuple[Monomial, Rational]]) -> str:
+    """The text form of (monomial, coefficient) terms in their given order:
+    coefficients as num/den, variables a1, a2, ..., "0" for no terms."""
+    if not terms:
+        return "0"
+    parts = []
+    for mono, coeff in terms:
+        factors = []
+        for i, e in enumerate(mono):
+            if e == 1:
+                factors.append(f"a{i + 1}")
+            elif e > 1:
+                factors.append(f"a{i + 1}^{e}")
+        mag = abs(coeff)
+        body = "*".join(factors)
+        if not factors:
+            chunk = str(mag)
+        elif mag == 1:
+            chunk = body
+        else:
+            chunk = f"{mag}*{body}"
+        parts.append(("- " if coeff < 0 else "+ ") + chunk)
+    text = " ".join(parts)
+    return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -486,17 +495,43 @@ def reduce_symmetric_mod_sum(q: Mapping[Partition, int]) -> Dict[Partition, int]
     return {kappa: c for kappa, c in acc.items() if c}
 
 
+def _spread(q: Mapping[Partition, int], den: int, arity: int,
+            factor: int) -> Iterator[Tuple[List[Monomial], Rational]]:
+    """For each nu of sum q_nu / den m_nu: the distinct rearrangements of
+    nu (exponents times factor), padded with zero exponents to arity
+    variables, and the one Fraction q_nu / den they all carry."""
+    pad = (0,) * (arity - len(next(iter(q), ())))
+    for nu, c in q.items():
+        if factor != 1:
+            nu = tuple(factor * e for e in nu)
+        yield _distinct_permutations(nu, pad), Fraction(c, den)
+
+
+def monomial_terms(q: Mapping[Partition, int], den: int, arity: int,
+                   factor: int = 1) -> List[Tuple[Monomial, Rational]]:
+    """The terms of sum q_nu / den m_nu, as spread_monomials expands them,
+    in Poly.sorted_terms order, without building the Poly.  The
+    rearrangements of one nu share its total degree, so the terms are
+    grouped by degree, and each group takes one sort by monomial
+    (descending; no two terms share a monomial, so no coefficients are
+    compared)."""
+    groups: Dict[int, List[Tuple[Monomial, Rational]]] = {}
+    for monos, coeff in _spread(q, den, arity, factor):
+        groups.setdefault(sum(monos[0]), []).extend(zip(monos, repeat(coeff)))
+    terms: List[Tuple[Monomial, Rational]] = []
+    for degree in sorted(groups, reverse=True):
+        terms += sorted(groups[degree], reverse=True)
+    return terms
+
+
 def spread_monomials(q: Mapping[Partition, int], den: int, arity: int,
                      factor: int = 1) -> Poly:
     """sum q_nu / den m_nu, expanded over the distinct rearrangements of
     each nu (exponents times factor), padded with zero exponents to arity
     variables."""
-    pad = (0,) * (arity - len(next(iter(q), ())))
     terms: Dict[Monomial, Rational] = {}
-    for nu, c in q.items():
-        if factor != 1:
-            nu = tuple(factor * e for e in nu)
-        terms.update(dict.fromkeys(_distinct_permutations(nu, pad), Fraction(c, den)))
+    for monos, coeff in _spread(q, den, arity, factor):
+        terms.update(dict.fromkeys(monos, coeff))
     return Poly._canonical(arity, terms)
 
 

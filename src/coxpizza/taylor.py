@@ -15,10 +15,11 @@ and the signed sum over the matchings is a Pfaffian (Stembridge, Adv. Math.
 83, 1990): dominant_coefficients takes one per target, visiting no matching.
 The quotient is symmetric, so expansion_report keeps it on its
 sorted-monomial coefficients, reduces the type A quotient modulo the sum
-relation on them, and spreads each polynomial once.  reduce_mod_relation,
-which substitutes into the expanded quotient, is the reference route of
-that reduction (the tests and the benchmark's relation gate call it).  The
-type D audits in conjectures read the same c_lambda.
+relation on them, and the reports write their terms straight from them: no
+command builds a Poly.  reduce_mod_relation, which substitutes into the
+expanded quotient, is the reference route of that reduction (the tests and
+the benchmark's relation gate call it).  The type D audits in conjectures
+read the same c_lambda.
 
 The full fold z_poly expands Z_d without assuming the alternation.  No
 command reads it: it is the reference route of the tests, which check the
@@ -48,13 +49,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import matchings as mt
 from .matchings import (FoldGeometry, c_coefficient, count_matchings, enumerate_matchings,
                         fold_parameters)
-from .polyring import (Poly, divide_by_vandermonde, monomial_coefficients, partitions,
+from .polyring import (Monomial, Partition, Poly, divide_by_vandermonde, format_terms,
+                       monomial_coefficients, monomial_terms, partitions,
                        reduce_symmetric_mod_sum, schur_combination, spread_monomials,
                        substitute_linear)
 from .rootsys import ArrangementSpec
@@ -383,9 +385,54 @@ def reduce_mod_relation(p: Poly, spec: ArrangementSpec) -> Poly:
 
 @dataclass
 class ReportEntry:
+    """One degree of a report: the quotient sum q_nu / den m_nu on its
+    sorted-monomial coefficients q, over `arity` variables with exponents
+    times `factor` (2 for type D, whose quotient is in the a_i^2), and for
+    type A the representative modulo the sum relation on the same basis
+    over the first arity - 1 variables (reduced_q, over the same den; None
+    for type D).  The reports write their terms from q; the expanded
+    polynomials are built on first access, for the reference routes."""
     degree: int
-    quotient: Poly
-    reduced_quotient: Optional[Poly]  # type A: representative mod sum = 0
+    arity: int
+    factor: int
+    den: int
+    q: Dict[Partition, int]
+    reduced_q: Optional[Dict[Partition, int]]
+
+    def terms(self) -> List[Tuple[Monomial, Fraction]]:
+        return monomial_terms(self.q, self.den, self.arity, self.factor)
+
+    def reduced_terms(self) -> Optional[List[Tuple[Monomial, Fraction]]]:
+        return None if self.reduced_q is None else monomial_terms(self.reduced_q, self.den,
+                                                                   self.arity)
+
+    @cached_property
+    def quotient(self) -> Poly:
+        return spread_monomials(self.q, self.den, self.arity, self.factor)
+
+    @cached_property
+    def reduced_quotient(self) -> Optional[Poly]:
+        """Type A: the representative modulo sum = 0, on all arity variables."""
+        return None if self.reduced_q is None else spread_monomials(self.reduced_q, self.den,
+                                                                     self.arity)
+
+    def to_text(self) -> str:
+        """The reduced quotient (type A) or the quotient (type D), written
+        c * (a1^2 + ... + an^2) when it is c times the power sum of the
+        squares of all its variables.  The type A representative leaves out
+        the last variable, so it is always written term by term."""
+        if self.reduced_q is not None:
+            return format_terms(self.reduced_terms())
+        if len(self.q) == 1:
+            (nu, c), = self.q.items()
+            if tuple(self.factor * e for e in nu) == (2,) + (0,) * (self.arity - 1):
+                return f"{Fraction(c, self.den)} * (a1^2 + ... + a{self.arity}^2)"
+        return format_terms(self.terms())
+
+
+def _json_terms(terms: List[Tuple[Monomial, Fraction]]) -> List[dict]:
+    return [{"exponents": list(mono), "num": coeff.numerator, "den": coeff.denominator}
+            for mono, coeff in terms]
 
 
 @dataclass
@@ -406,9 +453,9 @@ class ExpansionReport:
             "entries": [
                 {
                     "degree": e.degree,
-                    "quotient_terms": serialize_terms(e.quotient),
+                    "quotient_terms": _json_terms(e.terms()),
                     "reduced_quotient_terms": (
-                        serialize_terms(e.reduced_quotient) if e.reduced_quotient is not None else None
+                        _json_terms(e.reduced_terms()) if e.reduced_q is not None else None
                     ),
                 }
                 for e in self.entries
@@ -420,45 +467,8 @@ class ExpansionReport:
             f"family {self.spec.family}_{self.spec.rank}: k={self.k}, "
             f"positive roots={self.phi_plus_count}"
         ]
-        for e in self.entries:
-            shown = e.reduced_quotient if e.reduced_quotient is not None else e.quotient
-            lines.append(f"  degree {e.degree}: {render_quotient(shown)}")
+        lines += [f"  degree {e.degree}: {e.to_text()}" for e in self.entries]
         return "\n".join(lines)
-
-
-def serialize_terms(poly: Poly) -> List[dict]:
-    return [
-        {"exponents": list(mono), "num": coeff.numerator, "den": coeff.denominator}
-        for mono, coeff in poly.sorted_terms()
-    ]
-
-
-def power_sum_multiple(poly: Poly) -> Optional[Fraction]:
-    """If poly == c * (a_1^2 + ... + a_r^2), return c, else None."""
-    if len(poly) != poly.arity:
-        return None
-    coeff = None
-    seen = set()
-    for mono, c in poly.terms.items():
-        if sum(mono) != 2 or max(mono) != 2:
-            return None
-        seen.add(mono.index(2))
-        if coeff is None:
-            coeff = c
-        elif coeff != c:
-            return None
-    return coeff if len(seen) == poly.arity else None
-
-
-def render_quotient(poly: Poly) -> str:
-    if poly.is_zero():
-        return "0"
-    if poly.degree() == 0:
-        return str(next(iter(poly.terms.values())))
-    c = power_sum_multiple(poly)
-    if c is not None:
-        return f"{c} * (a1^2 + ... + a{poly.arity}^2)"
-    return poly.to_text()
 
 
 def expansion_report(spec: ArrangementSpec, degrees: Sequence[int],
@@ -467,18 +477,17 @@ def expansion_report(spec: ArrangementSpec, degrees: Sequence[int],
     at each requested degree.  `threads` is validated but unused: everything
     runs in this process.
 
-    Each quotient stays on its sorted-monomial coefficients until it is
-    spread, and the type A representative is reduced on them
-    (reduce_symmetric_mod_sum), so each polynomial is expanded once.
-    reduce_mod_relation, which substitutes into the expanded quotient, is
-    the independent route the tests compare it with."""
+    Each quotient stays on its sorted-monomial coefficients, and the type A
+    representative is reduced on them (reduce_symmetric_mod_sum), so no
+    polynomial is expanded.  reduce_mod_relation, which substitutes into
+    the expanded quotient, is the independent route the tests compare it
+    with."""
     _check_threads(threads)
     geometry = fold_parameters(spec)
     ground, factor = geometry.ground, 2 if geometry.pair_forms else 1
     entries = []
     for d in degrees:
         q, den = monomial_coefficients(dominant_coefficients(spec, d), ground)
-        reduced = (spread_monomials(reduce_symmetric_mod_sum(q), den, ground)
-                   if spec.family == "A" else None)
-        entries.append(ReportEntry(d, spread_monomials(q, den, ground, factor), reduced))
+        reduced = reduce_symmetric_mod_sum(q) if spec.family == "A" else None
+        entries.append(ReportEntry(d, ground, factor, den, q, reduced))
     return ExpansionReport(spec, geometry.k, spec.positive_root_count, entries)

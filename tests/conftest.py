@@ -1,8 +1,9 @@
 import pytest
 
 from coxpizza.rootsys import make_spec
-from coxpizza.taylor import (ExpansionReport, ReportEntry, fold_parameters,
-                             quotient_from_fold, reduce_mod_relation, z_poly)
+from coxpizza.taylor import (ExpansionReport, fold_parameters, quotient_from_fold,
+                             reduce_mod_relation, z_poly)
+from reference import report_entry
 
 _acceptance_results = {}
 
@@ -52,13 +53,13 @@ class FoldCache:
     def report(self, family, rank):
         spec = make_spec(family, rank)
         phi = spec.positive_root_count
-        k = fold_parameters(spec).k
+        geometry = fold_parameters(spec)
         entries = []
         for d in (phi, phi + 2):
             q = self.quotient(family, rank, d)
             reduced = reduce_mod_relation(q, spec) if family == "A" else None
-            entries.append(ReportEntry(d, q, reduced))
-        return ExpansionReport(spec, k, phi, entries)
+            entries.append(report_entry(d, q, reduced, 2 if geometry.pair_forms else 1))
+        return ExpansionReport(spec, geometry.k, phi, entries)
 
 
 @pytest.fixture(scope="session")

@@ -6,14 +6,17 @@ fold by direct composition of Taylor blocks (z_poly_reference); the
 dominant coefficients, the Pfaffian and the exact folds' integer sums as
 signed sums over the matchings; the Monte Carlo chunk loop before its
 block kernel; nested quadrature; check schur, check lemma51 and the table
-cells on the expanded fold and quotients; and the sign checks' earlier
-fixed-step escalation.  The polynomial helpers at the
+cells on the expanded fold and quotients; `expand`'s output rendered from
+the expanded quotients, and a report entry read back from them onto their
+sorted-monomial coefficients; and the sign checks' earlier fixed-step
+escalation.  The polynomial helpers at the
 top (constant, coefficient, power, variable permutations and sign flips)
 are the ones only tests need."""
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import time
 from dataclasses import dataclass
@@ -27,12 +30,12 @@ from coxpizza.matchings import (FoldGeometry, Matching, c_coefficient, edge_form
                                 enumerate_matchings, fold_parameters)
 from coxpizza.oracle import (_BLOCK, _HYPERPLANE_TOL, BallSpec, DivergentRegion,
                              _int_binomial_convolve, ball_volume, exact_sign_fold)
-from coxpizza.polyring import (Monomial, Poly, Rational, divide_by_vandermonde, mul,
-                               normalize_partition, partitions)
+from coxpizza.polyring import (Monomial, Partition, Poly, Rational, divide_by_vandermonde, mul,
+                               normalize_partition, partitions, spread_monomials)
 from coxpizza.rootsys import ArrangementSpec, Root, make_spec, positive_roots
-from coxpizza.taylor import (ReportEntry, _admitted_geometry, _edge_table, _fold_scale,
+from coxpizza.taylor import (ExpansionReport, ReportEntry, _admitted_geometry, _edge_table, _fold_scale,
                              _require_symbolic_regime, dominant_coefficients, expansion_report,
-                             power_sum_multiple, reduce_mod_relation, z_poly)
+                             reduce_mod_relation, z_poly)
 
 
 def constant(arity: int, value) -> Poly:
@@ -652,6 +655,84 @@ def schur_lambda_coefficients(n: int, d: int) -> Dict[str, str]:
             f"rank {n} degree {d}: alternant reconstruction does not match the fold"
         )
     return {str(list(k)): str(v) for k, v in lambda_coeffs.items()}
+
+
+def power_sum_multiple(poly: Poly) -> Optional[Fraction]:
+    """If poly == c * (a_1^2 + ... + a_r^2), return c, else None."""
+    if len(poly) != poly.arity:
+        return None
+    coeff = None
+    seen = set()
+    for mono, c in poly.terms.items():
+        if sum(mono) != 2 or max(mono) != 2:
+            return None
+        seen.add(mono.index(2))
+        if coeff is None:
+            coeff = c
+        elif coeff != c:
+            return None
+    return coeff if len(seen) == poly.arity else None
+
+
+def report_entry(degree: int, quotient: Poly, reduced: Optional[Poly], factor: int) -> ReportEntry:
+    """The ReportEntry of an expanded quotient, with exponents `factor`
+    times those of its sorted-monomial basis, and of its type A
+    representative modulo the sum relation (last variable absent; None for
+    type D): each read back onto its coefficients q_nu over the lcm of
+    their denominators.  Raises ValueError unless every rearrangement of a
+    monomial carries the same coefficient, so that q_nu spreads back to the
+    polynomial."""
+    polys = [p for p in (quotient, reduced) if p is not None]
+    den = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+
+    def basis(poly: Poly, nvars: int, f: int) -> Dict[Partition, int]:
+        q = {tuple(sorted((e // f for e in mono[:nvars]), reverse=True)):
+             c.numerator * (den // c.denominator) for mono, c in poly.terms.items()}
+        if spread_monomials(q, den, poly.arity, f) != poly:
+            raise ValueError(f"degree {degree}: not symmetric on its sorted monomials")
+        return q
+
+    arity = quotient.arity
+    return ReportEntry(degree, arity, factor, den, basis(quotient, arity, factor),
+                       None if reduced is None else basis(reduced, arity - 1, 1))
+
+
+def expand_output_by_polys(report: ExpansionReport, fmt: str) -> str:
+    """What `expand --format fmt` writes for the report, rendered from the
+    expanded quotients entry.quotient and entry.reduced_quotient: each
+    Poly's sorted_terms, and in text the reduced quotient (type A) or the
+    quotient (type D), written c * (a1^2 + ... + an^2) when
+    power_sum_multiple finds it of that shape."""
+    spec = report.spec
+    polys = [(e.degree, e.quotient, e.reduced_quotient) for e in report.entries]
+    if fmt == "json":
+        def serialize(poly: Poly) -> List[dict]:
+            return [{"exponents": list(mono), "num": c.numerator, "den": c.denominator}
+                    for mono, c in poly.sorted_terms()]
+        return json.dumps({
+            "schema_version": 1, "family": spec.family, "rank": spec.rank, "k": report.k,
+            "phi_plus": report.phi_plus_count,
+            "prefactor": {"two_power": report.k, "ball_dim": spec.rank - report.k},
+            "entries": [{"degree": d, "quotient_terms": serialize(q),
+                         "reduced_quotient_terms": None if r is None else serialize(r)}
+                        for d, q, r in polys],
+        }, indent=2)
+    if fmt == "csv":
+        lines = ["degree,kind,exponents,num,den"]
+        for d, q, r in polys:
+            for kind, poly in (("quotient", q), ("reduced", r)):
+                if poly is not None:
+                    lines += [f"{d},{kind},{' '.join(map(str, mono))},{c.numerator},{c.denominator}"
+                              for mono, c in poly.sorted_terms()]
+        return "\n".join(lines)
+    lines = [f"family {spec.family}_{spec.rank}: k={report.k}, "
+             f"positive roots={report.phi_plus_count}"]
+    for d, q, r in polys:
+        shown = q if r is None else r
+        c = power_sum_multiple(shown)
+        lines.append(f"  degree {d}: " + (shown.to_text() if c is None
+                                          else f"{c} * (a1^2 + ... + a{shown.arity}^2)"))
+    return "\n".join(lines)
 
 
 def _p2_coefficient(entry: ReportEntry, spec: ArrangementSpec) -> Optional[Fraction]:

@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from coxpizza import conjectures, matchings, oracle
+from coxpizza import conjectures, matchings, oracle, taylor
 from coxpizza.cli import build_parser, main
 from coxpizza.oracle import McEstimate
-from coxpizza.rootsys import chamber_sign, make_spec
-from reference import table_cells
+from coxpizza.polyring import Poly
+from coxpizza.rootsys import chamber_sign, make_spec, parse_spec
+from reference import expand_output_by_polys, table_cells
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +121,31 @@ def test_expand_text_json_csv(capsys, tmp_path):
     lines = out_file.read_text().splitlines()
     assert lines[0] == "degree,kind,exponents,num,den"
     assert lines[1] == "6,quotient,0 0 0,-1,6"
+
+
+NO_POLY_CELLS = [("A:2", "3,5"), ("A:3", "36,40"), ("A:6", "25"), ("D:5", "20,22,28,30")]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_expand_builds_no_poly(capsys, monkeypatch, fmt):
+    # expand writes every format from the sorted-monomial coefficients; the
+    # expanded quotients, built afterwards, render the same bytes
+    def built(*args, **kwargs):
+        raise AssertionError("expand built a Poly")
+
+    outputs = []
+    with monkeypatch.context() as patched:
+        patched.setattr(Poly, "__init__", built)
+        patched.setattr(Poly, "_canonical", staticmethod(built))
+        patched.setattr(taylor, "spread_monomials", built)
+        for spec, degrees in NO_POLY_CELLS:
+            code, out, _ = run_cli(capsys, "expand", "--spec", spec, "--degrees", degrees,
+                                   "--format", fmt)
+            assert code == 0
+            outputs.append(out)
+    for (spec, degrees), out in zip(NO_POLY_CELLS, outputs):
+        report = taylor.expansion_report(parse_spec(spec), [int(d) for d in degrees.split(",")])
+        assert out == expand_output_by_polys(report, fmt) + "\n", (spec, degrees)
 
 
 def test_expand_refuses_over_cap(capsys):
@@ -403,10 +429,36 @@ REFUSED_COMMANDS = {
     "radius-inf": (BALL + ["--radius", "inf"], "radius must be positive and finite, got inf"),
     "center-nan": (BALL[:4] + ["nan,0.1,-0.2"] + BALL[5:],
                    "center coordinates must be finite, got [nan, 0.1, -0.2]"),
-    "radius-overflow-mc": (BALL + ["--radius", "1e200"], "(34, 'Numerical result out of range')"),
+    "sign-center-nan": (["check", "sign", "--spec", "D:3", "--centers", "nan,0.1,0.2"],
+                        "center coordinates must be finite, got [nan, 0.1, 0.2]"),
+    "sign-center-inf": (["check", "sign", "--spec", "D:3", "--centers", "inf,0.1,0.2"],
+                        "center coordinates must be finite, got [inf, 0.1, 0.2]"),
+    "radius-overflow-mc": (BALL + ["--radius", "1e200"],
+                           "radius 1e+200: the volume of its ball in dimension 2 is not a "
+                           "positive finite float"),
     "radius-overflow-series": (["oracle", "--spec", "A1k:2@3", "--center", "0.1,0.1,0",
                                 "--method", "series", "--radius", "1e200"],
-                               "(34, 'Numerical result out of range')"),
+                               "radius 1e+200: the volume of its ball in dimension 3 is not a "
+                               "positive finite float"),
+    "radius-overflow-sum2s": (BALL[:5] + ["--method", "sum2s", "--radius", "1e200"],
+                              "radius 1e+200: the volume of its ball in dimension 2 is not a "
+                              "positive finite float"),
+    "radius-underflow-mc": (["oracle", "--spec", "D:3", "--center", "0.1,0.2,0.05",
+                             "--radius", "1e-200", "--samples", "100"],
+                            "radius 1e-200: the volume of its ball in dimension 3 is not a "
+                            "positive finite float"),
+    "radius-underflow-series": (["oracle", "--spec", "A1k:2@3", "--center", "0.3,0.2,0",
+                                 "--method", "series", "--radius", "1e-200"],
+                                "radius 1e-200: the volume of its ball in dimension 3 is not a "
+                                "positive finite float"),
+    "radius-underflow-sum2s": (["oracle", "--spec", "A:2", "--center", "0,0,0", "--method", "sum2s",
+                                "--radius", "1e-200"],
+                               "radius 1e-200: the volume of its ball in dimension 2 is not a "
+                               "positive finite float"),
+    "series-divergent": (["oracle", "--spec", "A1k:2@3", "--center", "1e200,0.2,0",
+                          "--method", "series"],
+                         "the squared coordinates sum to 1 or more: outside the open "
+                         "convergence region"),
     "sum2s-family": (["oracle", "--spec", "A1k:2@3", "--center", "0.1,0.1,0", "--method", "sum2s"],
                      "exact fold applies to families A and D, not A1k"),
     "matchings": (["matchings", "--size", "30", "--sign-sum"], "size 30: 6190283353629375 matchings"),

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from coxpizza.polyring import (NonDivisible, Poly, _distinct_permutations, add,
-                               divide_by_vandermonde, exact_divide_linear, mul,
+                               divide_by_vandermonde, exact_divide_linear, monomial_terms, mul,
                                normalize_partition, partitions, reduce_symmetric_mod_sum,
                                schur_combination, spread_monomials, substitute_linear)
 from reference import (constant, evaluate, is_skew_under_transposition, power, schur_bialternant,
@@ -357,6 +357,23 @@ def test_distinct_permutations_lists_each_rearrangement_once(values):
     assert len(perms) == count == len(set(perms))
     assert set(perms) == set(itertools.permutations(values))
     assert _distinct_permutations(values, (0, 5)) == [p + (0, 5) for p in perms]
+
+
+def test_monomial_terms_list_the_spread_in_canonical_order():
+    # mixed total degrees, both exponent factors, and keys one part short
+    # of the arity (the type A representative's layout)
+    rng = random.Random(29)
+    for nvars in range(1, 5):
+        for short in (0, 1) if nvars > 1 else (0,):
+            parts = nvars - short
+            shapes = [lam + (0,) * (parts - len(lam)) for size in range(6)
+                      for lam in partitions(size, parts)]
+            for factor in (1, 2):
+                q = {nu: rng.randint(-99, 99) or 1 for nu in rng.sample(shapes, min(len(shapes), 7))}
+                den = rng.choice(COPRIME_DENS)
+                expected = spread_monomials(q, den, nvars, factor).sorted_terms()
+                assert monomial_terms(q, den, nvars, factor) == expected, (nvars, short, q)
+    assert monomial_terms({}, 1, 3) == []
 
 
 def test_symmetric_reduction_matches_the_substitution():

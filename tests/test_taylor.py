@@ -11,12 +11,12 @@ from coxpizza.matchings import Matching, c_coefficient, fold_parameters
 from coxpizza.polyring import Poly, partitions, schur_combination
 from coxpizza.rootsys import make_spec
 from coxpizza.taylor import (ParityRegimeError, ResourceCapExceeded, _edge_table, _pfaffian,
-                             dominant_coefficients, expansion_report, power_sum_multiple, quotient,
+                             dominant_coefficients, expansion_report, quotient,
                              reduce_mod_relation, z_poly)
 from reference import (coefficient, constant, dominant_coefficients_by_matchings,
                        edge_table_by_composition, flip_variable_sign, permute_variables,
-                       pfaffian_by_matchings, power, t_eval_on_structure, t_poly, two_structure,
-                       vandermonde, z_poly_reference)
+                       pfaffian_by_matchings, power, power_sum_multiple, t_eval_on_structure, t_poly,
+                       two_structure, vandermonde, z_poly_reference)
 
 
 def p2(arity, c=1):
