@@ -182,6 +182,8 @@ def cmd_oracle(args) -> int:
                          sum_over_2structures)
     from .rootsys import parse_spec
 
+    if args.threads < 0:
+        raise ValueError(f"threads must be >= 0, got {args.threads}")
     spec = parse_spec(args.spec)
     center = tuple(float(x) for x in args.center.split(","))
     require_dimension(spec, center)
@@ -189,16 +191,13 @@ def cmd_oracle(args) -> int:
     payload = {"schema_version": 1, "spec": str(spec), "center": list(center),
                "radius": args.radius, "method": args.method}
     if args.method == "mc":
-        if args.threads < 0:
-            raise ValueError(f"threads must be >= 0, got {args.threads}")
         threads = args.threads or os.cpu_count() or 1
         est = mc_pizza(spec, ball, args.samples, args.seed, threads=threads)
         payload.update({"value": est.value, "std_error": est.std_error,
                         "samples": est.samples, "seed": est.seed})
     elif args.method == "series":
         if spec.family != "A1k":
-            print("--method series applies to A1k arrangements only", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"--method series applies to A1k arrangements only, not {spec}")
         scale = radius_power(args.radius, spec.ambient_dim)
         coords = [x / args.radius for x in center[: spec.rank]]
         value, tail = a1k_pizza_series(spec.ambient_dim, spec.rank, coords, args.degree_cap)
@@ -256,8 +255,7 @@ def cmd_check_sign(args) -> int:
 
     spec = parse_spec(args.spec)
     if spec.family not in ("A", "D"):
-        print("sign checks apply to A and D arrangements", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"sign checks apply to A and D arrangements, not {spec}")
     centers = _parse_centers(args.centers, spec, args.seed)
     check = check_sign_A if spec.family == "A" else check_sign_D
     return _check_exit(check(spec.rank, centers, args.samples, args.seed), args, spec.rank <= 7)

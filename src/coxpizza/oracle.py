@@ -185,12 +185,12 @@ def mc_pizza(spec: ArrangementSpec, ball: BallSpec, samples: int, seed: int,
     (seed, samples) and the chunk size _CHUNK, not on threading: every
     thread count runs the chunks on a pool of `threads` workers, and their
     integer sign sums are added in chunk order.  Each chunk is one _mc_chunk
-    call: buffers made once per chunk, one scale per row, and the chamber
-    sign as the sign of the product of the pairings.  It draws the same
-    random stream as the loop it replaced (tests/reference.py) and moves a
-    point in its last bits at most, so a keep or sign decision, and with it
-    the estimate, changes with probability far below 1e-12 per draw; the
-    pinned estimates of the tests are bit-identical.
+    call: plain NumPy expressions per block of rows, one scale per row, and
+    the chamber sign as the sign of the product of the pairings.  It draws
+    the same random stream as the loop it replaced (tests/reference.py) and
+    moves a point in its last bits at most, so a keep or sign decision, and
+    with it the estimate, changes with probability far below 1e-12 per draw;
+    the pinned estimates of the tests are bit-identical.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -236,16 +236,16 @@ def _mc_chunk(rng: np.random.Generator, count: int, dim: int, radius: float,
     since the last one that kept a point have resampled _MAX_REJECTED_DRAWS
     draws, it raises ValueError.
 
-    A pass draws the missing points at once, normals (one row of `dim` per
-    point) then uniforms for the radii, into buffers made once per chunk,
-    and works through them in blocks of _BLOCK rows that stay in cache.  A
-    row is scaled to its radius by one factor, radius / sqrt(sum of
-    squares), and embedded by `embed_t` (type A); the block's pairings with
-    the unit roots, a column per point, and their absolute values go to
-    buffers as well.  A point's chamber sign is the sign of the product of
-    its pairings: IEEE multiplication gives the product the XOR of its
-    factors' signs, also when it underflows to +-0, and no factor is 0 or
-    infinite once the points within 1e-12 of a hyperplane are dropped.
+    A pass draws the normals of the missing points at once, one row of
+    `dim` per point, and works through them in blocks of _BLOCK rows that
+    stay in cache; each block draws its uniforms for the radii just before
+    it, so the uniforms follow all of the pass's normals.  A row is scaled
+    in place to its radius by one factor, radius / sqrt(sum of squares),
+    and embedded by `embed_t` (type A).  A point's chamber sign is the sign
+    of the product of its pairings with the unit roots: IEEE multiplication
+    gives the product the XOR of its factors' signs, also when it
+    underflows to +-0, and no factor is 0 or infinite once the points
+    within 1e-12 of a hyperplane are dropped.
 
     Every row takes the same float operations in any block, so the block
     size does not change the result.  The random stream and the lines that
@@ -255,41 +255,23 @@ def _mc_chunk(rng: np.random.Generator, count: int, dim: int, radius: float,
     """
     import numpy as np
 
-    block = min(_BLOCK, count)
-    nroots = roots.shape[0]
-    directions = np.empty((count, dim))
-    radii = np.empty(count)
-    embedded = None if embed_t is None else np.empty((block, embed_t.shape[1]))
-    pairings_buf = np.empty(nroots * block)
-    magnitudes_buf = np.empty(nroots * block)
     total = draws = stalled = 0
     remaining = count
     while remaining:
         if stalled >= _MAX_REJECTED_DRAWS:
             raise ValueError(f"{stalled} draws in a row were resampled: the ball lies within "
                              f"{_HYPERPLANE_TOL} of the hyperplanes")
-        rng.standard_normal(out=directions[:remaining])
-        pass_radii = radii[:remaining]
-        rng.random(out=pass_radii)
-        pass_radii **= 1.0 / dim
-        pass_radii *= radius
+        directions = rng.standard_normal((remaining, dim))
         draws += remaining
         kept = 0
-        for start in range(0, remaining, block):
-            direction = directions[start : min(start + block, remaining)]
-            rows = direction.shape[0]
-            norms = np.sqrt(np.einsum("ij,ij->i", direction, direction))
-            direction *= (pass_radii[start : start + rows] / norms)[:, None]
-            local = direction if embed_t is None else np.matmul(direction, embed_t,
-                                                                 out=embedded[:rows])
-            points = center + local
-            size = nroots * rows  # flat buffers: the views of every block are C-contiguous
-            pairings = np.matmul(roots, points.T, out=pairings_buf[:size].reshape(nroots, rows))
-            magnitudes = np.abs(pairings, out=magnitudes_buf[:size].reshape(nroots, rows))
-            if magnitudes.min() <= _HYPERPLANE_TOL:  # rare: select points only then
-                pairings = pairings[:, np.all(magnitudes > _HYPERPLANE_TOL, axis=0)]
-            # no out= for signbit: into a one-column slice of a wider buffer
-            # it returns wrong bits (seen with numpy 2.4.6)
+        for start in range(0, remaining, _BLOCK):
+            direction = directions[start : start + _BLOCK]
+            radii = radius * rng.random(direction.shape[0]) ** (1.0 / dim)
+            direction *= (radii / np.sqrt(np.einsum("ij,ij->i", direction, direction)))[:, None]
+            points = center + (direction if embed_t is None else direction @ embed_t)
+            pairings = roots @ points.T
+            if np.abs(pairings).min() <= _HYPERPLANE_TOL:  # rare: select points only then
+                pairings = pairings[:, np.all(np.abs(pairings) > _HYPERPLANE_TOL, axis=0)]
             odd = int(np.count_nonzero(np.signbit(np.multiply.reduce(pairings, axis=0))))
             kept += pairings.shape[1]
             total += pairings.shape[1] - 2 * odd  # sum of the chamber signs

@@ -461,6 +461,12 @@ REFUSED_COMMANDS = {
                          "convergence region"),
     "sum2s-family": (["oracle", "--spec", "A1k:2@3", "--center", "0.1,0.1,0", "--method", "sum2s"],
                      "exact fold applies to families A and D, not A1k"),
+    "series-family": (["oracle", "--spec", "D:3", "--center", "0.1,0.2,0.3", "--method", "series"],
+                      "--method series applies to A1k arrangements only, not D:3"),
+    "sign-family": (["check", "sign", "--spec", "I2:5", "--centers", "auto:2"],
+                    "sign checks apply to A and D arrangements, not I2:5"),
+    "threads-sum2s": (BALL[:5] + ["--method", "sum2s", "--threads", "-3"],
+                      "threads must be >= 0, got -3"),
     "matchings": (["matchings", "--size", "30", "--sign-sum"], "size 30: 6190283353629375 matchings"),
     "expand": (["expand", "--spec", "A:6", "--degrees", "61"], "degree 61: about 936708900 steps"),
     "out": (["tables", "--which", "D", "--out", "{tmp}/missing/t.txt"],

@@ -440,6 +440,27 @@ def test_sign_escalation_stops_at_cap_400(monkeypatch, band):
     assert len(caps) <= (2 + 380 // 40 if band[0] == 0 else 1 + 380 // 2)
 
 
+def test_sign_check_samples_no_center_whose_band_straddles_zero(monkeypatch):
+    # such a band decides no sign, so Monte Carlo has nothing to cross-check
+    _recorded_folds(monkeypatch, lambda spec, center, degree_cap: (Fraction(1, 10**9),) * 2)
+    sampled = []
+    real = conjectures.mc_pizza
+
+    def counted(*args):
+        sampled.append(args)
+        return real(*args)
+    monkeypatch.setattr(conjectures, "mc_pizza", counted)
+    centers = random_interior_centers(make_spec("D", 5), 2, SEED, radius=0.3)
+    report = check_sign_D(5, centers, 20_000, SEED).to_json_dict()
+    assert sampled == []
+    unsampled = check_sign_D(5, centers, 0, SEED).to_json_dict()
+    for r in (report, unsampled):
+        del r["runtime_ms"]
+    unsampled["params"]["samples"] = 20_000
+    assert report == unsampled
+    assert report["verdict"] == "inconclusive" and len(report["notes"]) == 2
+
+
 def test_sign_escalation_witness_carries_the_deciding_cap(monkeypatch):
     real = conjectures.exact_sign_fold
 

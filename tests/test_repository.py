@@ -78,3 +78,14 @@ def test_every_public_library_method_has_a_caller():
                         and named[method.name] == Counter(_attributes(method))[method.name]):
                     uncalled.append(f"{path.name}:{cls.name}.{method.name}")
     assert uncalled == []
+
+
+def test_only_cli_main_writes_to_stderr():
+    # a command refuses by raising, and main turns the exception into its
+    # one `error:` line: a command that printed to stderr itself would
+    # bypass that line and its exit code
+    tree = ast.parse((ROOT / "src" / "coxpizza" / "cli.py").read_text(encoding="utf-8"))
+    writers = [getattr(node, "name", f"line {node.lineno}") for node in tree.body
+               if not (isinstance(node, ast.FunctionDef) and node.name == "main")
+               and "stderr" in _names(node)]
+    assert writers == []
