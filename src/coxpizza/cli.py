@@ -5,9 +5,9 @@ expand (quotient reports at chosen degrees), matchings (enumeration and the
 sign-sum identity), oracle (numeric evaluators), check (conjecture probes).
 
 Exit codes: 0 success/consistent, 1 verification failure, 2 usage error
-(also a refused size, an --out path that cannot be written and a float
-that overflows), 3 conjecture violation in explore mode.  Results go to
-stdout; refusals and errors go to stderr.
+(also a refused size, an --out path that cannot be written, a float
+that overflows and a number an option cannot read), 3 conjecture violation
+in explore mode.  Results go to stdout; refusals and errors go to stderr.
 
 Importing this module loads only what parsing the arguments needs; each
 command imports the engine modules it calls in its own body.  Without a
@@ -51,6 +51,17 @@ GOLDEN_ROWS = {
 DEFAULT_A_RANKS = (2, 3, 6, 7)
 DEFAULT_D_RANKS = (3, 5)
 EXTENDED_D_RANKS = (3, 5, 7)
+
+
+def _number(option: str, text: str, value: str, kind: type):
+    """`value`, a piece of the text given to `option`, read by `kind`, int
+    or float; a value it cannot read is refused naming the option, its
+    text and the value."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"{option} {text!r}: {value!r} is not "
+                         f"{'an integer' if kind is int else 'a number'}") from None
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -132,7 +143,8 @@ def cmd_expand(args) -> int:
     from .taylor import expansion_report
 
     spec = parse_spec(args.spec)
-    report = expansion_report(spec, [int(x) for x in args.degrees.split(",")])
+    report = expansion_report(spec, [_number("--degrees", args.degrees, x, int)
+                                     for x in args.degrees.split(",")])
     if args.format == "json":
         text = json.dumps(report.to_json_dict(), indent=2)
     elif args.format == "csv":
@@ -185,7 +197,7 @@ def cmd_oracle(args) -> int:
     if args.threads < 0:
         raise ValueError(f"threads must be >= 0, got {args.threads}")
     spec = parse_spec(args.spec)
-    center = tuple(float(x) for x in args.center.split(","))
+    center = tuple(_number("--center", args.center, x, float) for x in args.center.split(","))
     require_dimension(spec, center)
     ball = BallSpec(center, args.radius)
     payload = {"schema_version": 1, "spec": str(spec), "center": list(center),
@@ -224,8 +236,10 @@ def _parse_centers(text: str, spec, seed: int) -> list:
     if text.startswith("auto:"):
         from .oracle import random_interior_centers
 
-        return random_interior_centers(spec, int(text.split(":", 1)[1]), seed)
-    return [tuple(float(x) for x in chunk.split(",")) for chunk in text.split(";") if chunk]
+        count = _number("--centers", text, text.split(":", 1)[1], int)
+        return random_interior_centers(spec, count, seed)
+    return [tuple(_number("--centers", text, x, float) for x in chunk.split(","))
+            for chunk in text.split(";") if chunk]
 
 
 def _report_exit(report, mode: str) -> int:

@@ -43,9 +43,10 @@ computed:
                         sum_over_2structures scales it.
 
 sign_fold_tails owns that bound.  It depends only on the matchings'
-squared radii, so it is known for every cap without folding; the
-matchings are enumerated once per center (the last center's bound is
-cached), and equal radii are counted once.
+squared radii, so it is known for every cap without folding.  Their
+histogram, each distinct radius with its multiplicity, is counted once per
+center (the last center's bound is cached) by _squared_radii, which walks
+the same plan unsigned; no matching is enumerated.
 
 fold_mod walks the same plan on residues modulo the prime 2^61 - 1, on
 series packed into single integers, for Z_d at one degree and one integer
@@ -68,14 +69,12 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .matchings import (FoldGeometry, c_coefficient, count_matchings, edge_forms, enumerate_matchings,
-                        fold_parameters)
+from .matchings import FoldGeometry, c_coefficient, count_matchings, edge_forms, fold_parameters
 from .rootsys import ArrangementSpec, numeric_roots
 
 _CHUNK = 1 << 16
@@ -84,8 +83,8 @@ _HYPERPLANE_TOL = 1e-12
 _MAX_REJECTED_DRAWS = 20_000
 # the largest degree cap of the series oracles and of the sign checks' escalation
 MAX_DEGREE_CAP = 400
-# the matchings sign_fold_tails enumerates once per center: 2,027,025 (A_14, A_15, D_15)
-# are admitted, 34,459,425 (A_16, A_17, D_17) are refused
+# the matchings whose squared radii sign_fold_tails counts once per center: 2,027,025
+# (A_14, A_15, D_15) are admitted, 34,459,425 (A_16, A_17, D_17) are refused
 MAX_TAIL_MATCHINGS = 10**7
 
 
@@ -453,8 +452,8 @@ MAX_FOLD_MOD_WORK = 5 * 10**6
 
 @lru_cache(maxsize=None)
 def _pfaffian_plan(ground: int) -> Tuple[Tuple[int, Tuple, Tuple], ...]:
-    """The memo of the Pfaffian that _signed_sums and fold_mod walk: its
-    expansion by minors along the lowest vertex,
+    """The memo of the Pfaffian that _signed_sums, fold_mod and, unsigned,
+    _squared_radii walk: its expansion by minors along the lowest vertex,
     Pf(V) = sum_j (-1)^(j-1) E_(v0,vj) * Pf(V - v0 - vj), as a list of every
     vertex subset it memoizes, after its minors, as (mask, plus, minus),
     with the terms (edge, minor) of the positive and negative signs.  Leaving
@@ -599,11 +598,14 @@ def exact_sign_fold(spec: ArrangementSpec, center: Sequence, degree_cap: int) ->
 
         W = sum_m 2^-m Z_(2m+k)(center),  2m+k <= degree_cap,
 
-    with Z_d from fold_at.  B is sign_fold_tails(spec, center)(degree_cap),
-    whose checks (the center inside the unit ball, coefficients no longer
-    growing past the cap) run before the fold.
+    with Z_d from fold_at.  B is sign_fold_tails(spec, center)(degree_cap).
+    Its checks run before the fold, the cheapest first: coefficients no
+    longer growing past the cap, at most MAX_TAIL_MATCHINGS matchings, and
+    the center inside the unit ball, which needs the walk over the
+    matchings' radii.
     """
-    geometry, _, _ = _exact_frame(spec, center, degree_cap)
+    geometry, _, m_top = _exact_frame(spec, center, degree_cap)
+    _require_decaying(spec.rank, geometry.k, m_top, "cap too small: coefficients")  # before any walk
     bound = sign_fold_tails(spec, center)(degree_cap)
     folds = fold_at(spec, center, degree_cap)
     return sum(z / (1 << ((d - geometry.k) // 2)) for d, z in folds.items()), bound
@@ -624,54 +626,62 @@ def sign_fold_tails(spec: ArrangementSpec, center: Sequence) -> Callable[[int], 
     On the integer forms U = u D of _edge_forms, q_M = sum(U^2) and
     R = 2 D^2 give s_M = q_M / R, so the sum is
     sum_M q_M^(m_top+1) / (R^m_top (R - q_M)).  Equal radii are counted
-    once, with their multiplicity, and the 1/(R - q) are put over one
-    common denominator, so each B is one integer sum.  The matchings are
-    enumerated and that denominator is built once per center: the last
-    center's bound is cached.  A center outside the unit ball raises
-    DivergentRegion, checked on the first matching before any cap and on
-    the others at the first cap that passes _require_decaying; at that cap,
-    before enumerating, more than MAX_TAIL_MATCHINGS matchings raise
-    ValueError."""
+    once, with their multiplicity (_squared_radii, which enumerates no
+    matching), and the 1/(R - q) are put over one common denominator, so
+    each B is one integer sum.  The histogram and that denominator are built
+    once per center, when this is called: the last center's bound is
+    cached.  The refusals come in this order, all before any cap is read:
+    more than MAX_TAIL_MATCHINGS matchings raise ValueError before the
+    walk, and a center outside the unit ball, max q_M >= R, raises
+    DivergentRegion after it.  Each cap is then checked by
+    _require_decaying."""
     return _center_tails(spec, tuple(Fraction(x) for x in center))
 
 
 @lru_cache(maxsize=1)
 def _center_tails(spec: ArrangementSpec, center: Tuple[Fraction, ...]) -> Callable[[int], Fraction]:
     geometry = fold_parameters(spec)
-    n, k, ground = spec.rank, geometry.k, geometry.ground
+    n, k, matchings = spec.rank, geometry.k, count_matchings(geometry.ground)
+    if matchings > MAX_TAIL_MATCHINGS:
+        raise ValueError(f"{matchings} matchings exceed the tail bound's cap of {MAX_TAIL_MATCHINGS}")
     forms, denominator = _edge_forms(geometry, center)
     radius_square = 2 * denominator * denominator  # s = 1 in the units of sum(U^2)
-    edge_squares = {edge: sum(v * v for v in values) for edge, values in forms.items()}
-
-    def inside(edges: Iterable[Tuple[int, int]]) -> int:
-        square = sum(edge_squares[edge] for edge in edges)
-        if square >= radius_square:
-            raise DivergentRegion("exact fold needs the center strictly inside the unit ball")
-        return square
-
-    # enumerate_matchings' first matching, (1, 2), (3, 4), .., is checked before any cap
-    inside(zip(range(1, ground, 2), range(2, ground + 1, 2)))
-
-    @lru_cache(maxsize=None)
-    def weighted() -> Tuple[List[Tuple[int, int]], int]:
-        """(q, multiplicity * common / (R - q)) per distinct q, and common."""
-        if count_matchings(ground) > MAX_TAIL_MATCHINGS:
-            raise ValueError(f"the tail bound enumerates {count_matchings(ground)} matchings, "
-                             f"above the cap of {MAX_TAIL_MATCHINGS}")
-        counts = Counter(inside(matching.edges) for matching in enumerate_matchings(ground))
-        common = math.lcm(*(radius_square - q for q in counts))
-        return [(q, count * (common // (radius_square - q))) for q, count in counts.items()], common
-
-    lift = 1 << ((k + 1) // 2)
+    counts = _squared_radii(geometry.ground, forms)
+    if max(counts) >= radius_square:
+        raise DivergentRegion("exact fold needs the center strictly inside the unit ball")
+    common = math.lcm(*(radius_square - q for q in counts))
+    terms = [(q, count * (common // (radius_square - q))) for q, count in counts.items()]
 
     def bound(degree_cap: int) -> Fraction:
         m_top = (degree_cap - k) // 2
         _require_decaying(n, k, m_top, "cap too small: coefficients")
-        terms, common = weighted()
         tails = sum(w * q ** (m_top + 1) for q, w in terms)
-        return (lift * abs(c_coefficient(n, k, m_top + 1))
+        return ((1 << (k + 1) // 2) * abs(c_coefficient(n, k, m_top + 1))
                 * Fraction(tails, common * radius_square ** m_top))
     return bound
+
+
+def _squared_radii(ground: int, forms: Dict[Tuple[int, int], Tuple[int, ...]]) -> Dict[int, int]:
+    """{q: the number of maximal matchings M of the ground set with
+    q = sum(U^2) over M's forms}, from the edges' integer forms U
+    (_edge_forms), without enumerating a matching.
+
+    It walks _pfaffian_plan unsigned: a state maps q to its count, and a
+    term (edge, minor), plus or minus alike, adds the minor's counts shifted
+    by the edge's sum(U^2) (by 0 for None, the added vertex's edge), so the
+    whole set counts every matching once.  A state's counts are freed once
+    the last state that reads them is done."""
+    squares = {(i - 1, j - 1): sum(v * v for v in values) for (i, j), values in forms.items()}
+    plan = _pfaffian_plan(ground)
+    last_reader = {minor: mask for mask, plus, minus in plan for _, minor in plus + minus}
+    counts = {0: {0: 1}}  # the empty set: one matching, of radius 0
+    for mask, plus, minus in plan:
+        counts[mask] = merged = {}
+        for edge, minor in plus + minus:
+            shift = squares.get(edge, 0)  # None: the added vertex's edge
+            for q, count in (counts.pop(minor) if last_reader[minor] == mask else counts[minor]).items():
+                merged[q + shift] = merged.get(q + shift, 0) + count
+    return merged  # the last state is the whole set
 
 
 def _require_decaying(n: int, k: int, m_top: int, what: str) -> None:
@@ -756,6 +766,5 @@ def sum_over_2structures(spec: ArrangementSpec, ball: BallSpec,
     if sum(x * x for x in center) >= 1:
         raise DivergentRegion("series route needs the center strictly inside the unit ball")
     value, tail = exact_sign_fold(spec, center, degree_cap)
-    k = geometry.k
-    scale = power * 2 ** (k / 2) * ball_volume(spec.rank - k)
+    scale = power * 2 ** (geometry.k / 2) * ball_volume(spec.rank - geometry.k)
     return scale * float(value), scale * float(tail)

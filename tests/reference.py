@@ -4,14 +4,15 @@ products, alternants and Schur bialternants; the expanded Jacobian; the
 per-edge tables as sums of binomial-row products over compositions; the
 fold by direct composition of Taylor blocks (z_poly_reference); the
 dominant coefficients, the Pfaffian and the exact folds' integer sums as
-signed sums over the matchings; the Monte Carlo chunk loop before its
-block kernel; nested quadrature; check schur, check lemma51 and the table
-cells on the expanded fold and quotients; `expand`'s output rendered from
-the expanded quotients, and a report entry read back from them onto their
+signed sums over the matchings, and the tail bound's squared radii counted
+over them; the Monte Carlo chunk loop before its block kernel; nested
+quadrature; check schur, check lemma51 and the table cells on the expanded
+fold and quotients; `expand`'s output rendered from the expanded
+quotients, and a report entry read back from them onto their
 sorted-monomial coefficients; and the sign checks' earlier fixed-step
-escalation.  The polynomial helpers at the
-top (constant, coefficient, power, variable permutations and sign flips)
-are the ones only tests need."""
+escalation.  The polynomial helpers at the top (constant, coefficient,
+power, variable permutations and sign flips) are the ones only tests
+need."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import itertools
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -482,10 +484,10 @@ def pfaffian_by_matchings(w: Sequence[Sequence[int]]) -> int:
 
 def signed_sums_by_matchings(geometry: FoldGeometry,
                              matchings: Sequence[Tuple[int, tuple, List[Fraction]]],
-                             m_top: int) -> Tuple[List[int], int, int, List[int]]:
+                             m_top: int) -> Tuple[List[int], int, int]:
     """Same S, D and O as oracle._signed_sums and oracle._edge_forms, by
-    the loop over the matchings: (S, D, O, squares) from the (sign, edges,
-    pairings) of every matching at one point.
+    the loop over the matchings: (S, D, O) from the (sign, edges, pairings)
+    of every matching at one point.
 
     D is the lcm of the pairing denominators over all matchings and
     O = lcm(1, 3, .., 2 m_top + 1).  Each form contributes the series
@@ -496,7 +498,7 @@ def signed_sums_by_matchings(geometry: FoldGeometry,
 
         Z_(2m+k)(point) = c_m S[m] / (D^(2m+k) O^k)
 
-    on the unnormalized forms.  squares[i] is sum(U^2) of matching i."""
+    on the unnormalized forms."""
     size = m_top + 1
     forms_per_edge = 2 if geometry.pair_forms else 1
     denominator = math.lcm(*(u.denominator for _, _, us in matchings for u in us))
@@ -504,10 +506,8 @@ def signed_sums_by_matchings(geometry: FoldGeometry,
     comb = [[math.comb(m, j) for j in range(m + 1)] for m in range(size)]
     edge_series = {}
     signed = [0] * size
-    squares = []
     for sign, edges, pairings in matchings:
         scaled = [int(u * denominator) for u in pairings]
-        squares.append(sum(v * v for v in scaled))
         conv = None
         for slot, edge in enumerate(edges):
             series = edge_series.get(edge)
@@ -522,26 +522,18 @@ def signed_sums_by_matchings(geometry: FoldGeometry,
             conv = series if conv is None else _int_binomial_convolve(conv, series, comb)
         for m in range(size):
             signed[m] += sign * conv[m]
-    return signed, denominator, odd, squares
+    return signed, denominator, odd
 
 
-def fold_at(spec: ArrangementSpec, point: Sequence, degree_cap: int) -> Dict[int, Fraction]:
-    """The exact values Z_d(point) of the signed fold for d = k, k+2, ..,
-    <= degree_cap, keyed by d, in z_poly's convention (unnormalized integer
-    forms): Z_(2m+k)(point) = c_m S[m] / (D^(2m+k) O^k) from _signed_sums.
-
-    Z_d is a polynomial, so any exact point is admitted (no unit-ball or
-    sum-zero condition); this is the point-evaluation route that checks the
-    dominant coefficients and the quotients (Z_d = 2^shift Q J) without
-    expanding the fold."""
-    geometry, exact_point, m_top = _exact_frame(spec, point, degree_cap)
-    k = geometry.k
-    matchings = [(mt.sign(matching), matching.edges,
-                  list(form_values(geometry, matching, exact_point)))
-                 for matching in enumerate_matchings(geometry.ground)]
-    signed, denominator, odd, _ = _signed_sums(geometry, matchings, m_top)
-    return {2 * m + k: c_coefficient(spec.rank, k, m) * Fraction(s, denominator ** (2 * m + k))
-            / odd**k for m, s in enumerate(signed)}
+def squared_radii_by_matchings(geometry: FoldGeometry, point: Sequence[Fraction]) -> Dict[int, int]:
+    """Same histogram as oracle._squared_radii, by the loop over the
+    matchings: {q: the matchings with q = sum(U^2) over their forms} at an
+    exact point, with U = u D and D the lcm of the forms' denominators over
+    all matchings."""
+    pairings = [list(form_values(geometry, matching, point))
+                for matching in enumerate_matchings(geometry.ground)]
+    denominator = math.lcm(*(u.denominator for us in pairings for u in us))
+    return dict(Counter(sum(int(u * denominator) ** 2 for u in us) for us in pairings))
 
 
 class QuadratureError(RuntimeError):

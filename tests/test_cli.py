@@ -420,11 +420,18 @@ REFUSED_COMMANDS = {
     "y-neg-D5": (["check", "y-neg", "--rank", "5", "--max-degree", "400"], "degree 400: about"),
     "y-neg-D7": (["check", "y-neg", "--rank", "7", "--max-degree", "200"], "degree 200: about"),
     "tails-oracle-A18": (["oracle", "--spec", "A:18", f"--center={A18}", "--method", "sum2s"],
-                         "the tail bound enumerates 654729075 matchings"),
+                         "654729075 matchings exceed the tail bound's cap of 10000000"),
     "tails-sign-A18": (["check", "sign", "--spec", "A:18", f"--centers={A18}"],
-                       "the tail bound enumerates 654729075 matchings"),
+                       "654729075 matchings exceed the tail bound's cap of 10000000"),
     "tails-oracle-D21": (["oracle", "--spec", "D:21", f"--center={D21}", "--method", "sum2s"],
-                         "the tail bound enumerates 13749310575 matchings"),
+                         "13749310575 matchings exceed the tail bound's cap of 10000000"),
+    "degrees-empty": (["expand", "--spec", "A:3", "--degrees", "3,,5"],
+                      "--degrees '3,,5': '' is not an integer"),
+    "centers-auto-count": (["check", "sign", "--spec", "D:3", "--centers", "auto:x"],
+                           "--centers 'auto:x': 'x' is not an integer"),
+    "center-text": (BALL[:4] + ["0.1,a,-0.2"] + BALL[5:], "--center '0.1,a,-0.2': 'a' is not a number"),
+    "centers-text": (["check", "sign", "--spec", "D:3", "--centers", "0.1,0.2,0.05;0.1,a,0.2"],
+                     "--centers '0.1,0.2,0.05;0.1,a,0.2': 'a' is not a number"),
     "radius-nan": (BALL + ["--radius", "nan"], "radius must be positive and finite, got nan"),
     "radius-inf": (BALL + ["--radius", "inf"], "radius must be positive and finite, got inf"),
     "center-nan": (BALL[:4] + ["nan,0.1,-0.2"] + BALL[5:],

@@ -8,17 +8,18 @@ import pytest
 
 from coxpizza import matchings as mt
 from coxpizza import oracle
-from coxpizza.matchings import c_coefficient, enumerate_matchings, fold_parameters
+from coxpizza.conjectures import check_sign_D
+from coxpizza.matchings import c_coefficient, count_matchings, enumerate_matchings, fold_parameters
 from coxpizza.oracle import (MODULUS, BallSpec, DivergentRegion, McEstimate, _edge_forms,
-                             _pfaffian_plan, _require_decaying, _signed_sums, a1k_pizza_series,
-                             ball_volume, exact_sign_fold, fold_at, fold_mod, fold_mod_work,
-                             mc_pizza, random_interior_centers, sign_fold_tails,
+                             _pfaffian_plan, _require_decaying, _signed_sums, _squared_radii,
+                             a1k_pizza_series, ball_volume, exact_sign_fold, fold_at, fold_mod,
+                             fold_mod_work, mc_pizza, random_interior_centers, sign_fold_tails,
                              sum_over_2structures)
 from coxpizza.rootsys import make_spec, numeric_roots
 from coxpizza.taylor import quotient, z_poly
 from reference import (a1k_pizza_quadrature, auto_degree_cap, coefficient, contains_origin,
                        evaluate, form_values, mc_chunk_by_norms, signed_sums_by_matchings,
-                       vandermonde)
+                       squared_radii_by_matchings, vandermonde)
 
 SEED = 90210
 
@@ -440,7 +441,7 @@ def test_sum2s_is_the_exact_fold_within_its_tail(family, rank):
 def _reference_centers(spec):
     dim = spec.ambient_dim
     dyadic = random_interior_centers(spec, 1, SEED, radius=0.4, margin=0.01)[0]
-    decimal = tuple((0.1, -0.07, 0.13, -0.05, 0.02, 0.11, -0.09)[:dim])
+    decimal = tuple((0.1, -0.07, 0.13, -0.05, 0.02, 0.11, -0.09, 0.06, -0.03, 0.08, -0.12)[:dim])
     thirds_fifths = tuple(Fraction((-1) ** i, 3 + 2 * i) for i in range(dim))  # 1/3, -1/5, ..
     return {"dyadic": dyadic, "decimal": decimal, "thirds_fifths": thirds_fifths}
 
@@ -496,20 +497,42 @@ def test_signed_sums_equal_the_matchings_loop(family, rank):
         for cap in (phi, phi + 1, phi + 17, phi + 40):
             m_top = (cap - geometry.k) // 2
             signed, odd = _signed_sums(geometry, forms, m_top)
-            expected = signed_sums_by_matchings(geometry, matchings, m_top)[:3]
+            expected = signed_sums_by_matchings(geometry, matchings, m_top)
             assert (signed, denominator, odd) == expected, (point, cap)
 
 
+@pytest.mark.parametrize("family,rank", [("A", 6), ("D", 5), ("A", 7), ("D", 9), ("A", 10)])
+def test_squared_radii_count_every_matching_once(family, rank):
+    # the plan walked unsigned against the loop over every matching: odd
+    # ground sets (A_6, D_5, D_9, A_10) with their added vertex and an even
+    # one (A_7), at the dyadic, decimal and thirds-and-fifths centers
+    spec = make_spec(family, rank)
+    geometry = fold_parameters(spec)
+    for kind, center in _reference_centers(spec).items():
+        exact = [Fraction(x) for x in center]
+        counts = _squared_radii(geometry.ground, _edge_forms(geometry, exact)[0])
+        assert counts == squared_radii_by_matchings(geometry, exact), kind
+        assert sum(counts.values()) == count_matchings(geometry.ground)
+
+
 def test_fold_at_visits_no_matching(monkeypatch):
+    # the fold, its tail bound, the 2-structure series and the sign check all
+    # walk _pfaffian_plan; the oracle does not even import the enumeration
     spec = make_spec("A", 6)
     point = [Fraction(7 - 3 * i, 5 + i) for i in range(spec.ambient_dim)]
     expected = fold_at(spec, point, 31)
+    centers = {family: random_interior_centers(make_spec(family, rank), 1, SEED, radius=0.3)[0]
+               for family, rank in (("A", 6), ("D", 5))}
 
     def refuse(ground):
-        raise AssertionError("fold_at enumerated the matchings")
-    monkeypatch.setattr(oracle, "enumerate_matchings", refuse)
+        raise AssertionError("the matchings were enumerated")
     monkeypatch.setattr(mt, "enumerate_matchings", refuse)
+    assert not hasattr(oracle, "enumerate_matchings")
+    oracle._center_tails.cache_clear()  # a bound an earlier test left cached would hide a walk
     assert fold_at(spec, point, 31) == expected
+    exact_sign_fold(spec, centers["A"], 31)
+    sum_over_2structures(spec, BallSpec(centers["A"], 1.0), 31)
+    assert check_sign_D(5, [centers["D"]]).verdict == "consistent"
 
 
 def test_fold_at_and_fold_mod_walk_one_plan(monkeypatch):
@@ -613,37 +636,38 @@ def test_exact_sign_fold_outside_unit_ball():
 
 def test_exact_sign_fold_rejects_growing_coefficients():
     # A_14: (n-k)/2 = 7/2, so |c_2/c_1| = 5/4 > 1; caps 7 and 8 stop at m_top = 0.
-    # Raised at the first matching, before the other 2,027,024 are visited.
+    # Raised before the matchings' radii are counted, so also for a center
+    # outside the unit ball; at cap 9 that center is refused by its radii.
     spec = make_spec("A", 14)
     inside = tuple(Fraction(i - 7, 256) for i in range(15))
-    with pytest.raises(ValueError, match="cap too small: coefficients still growing at m=2"):
-        exact_sign_fold(spec, inside, 8)
-    # the first matching's radius is checked first
     outside = (Fraction(3, 4), Fraction(-3, 4)) + (Fraction(0),) * 13
+    for center in (inside, outside):
+        with pytest.raises(ValueError, match="cap too small: coefficients still growing at m=2"):
+            exact_sign_fold(spec, center, 8)
     with pytest.raises(DivergentRegion):
-        exact_sign_fold(spec, outside, 8)
+        exact_sign_fold(spec, outside, 9)
 
 
-def test_tail_bound_refuses_past_its_matching_cap_before_enumerating(monkeypatch):
-    # 17!! = 34,459,425 matchings (A_16, A_17, D_17) are refused once the first
-    # matching and the decay are checked; 15!! = 2,027,025 (A_14, A_15, D_15) are enumerated
-    class Enumerated(Exception):
+def test_tail_bound_refuses_past_its_matching_cap_before_walking(monkeypatch):
+    # 17!! = 34,459,425 matchings (A_16, A_17, D_17) are refused before the
+    # plan is walked; the radii of 15!! = 2,027,025 (A_14, A_15, D_15) are counted
+    class Walked(Exception):
         pass
 
     def walk(ground):
-        raise Enumerated
-    monkeypatch.setattr(oracle, "enumerate_matchings", walk)
+        raise Walked
+    monkeypatch.setattr(oracle, "_pfaffian_plan", walk)
     for family, rank, refused in (("A", 16, True), ("A", 17, True), ("D", 17, True),
                                   ("A", 14, False), ("A", 15, False), ("D", 15, False)):
         spec = make_spec(family, rank)
         center = (tuple(Fraction(2 * i - rank, 512) for i in range(rank + 1)) if family == "A"
                   else tuple(Fraction(i + 1, 256) for i in range(rank)))
         if refused:
-            with pytest.raises(ValueError, match="^the tail bound enumerates 34459425 matchings, "
-                                                 "above the cap of 10000000$"):
+            with pytest.raises(ValueError, match="^34459425 matchings exceed the tail bound's "
+                                                 "cap of 10000000$"):
                 exact_sign_fold(spec, center, spec.positive_root_count)
         else:
-            with pytest.raises(Enumerated):
+            with pytest.raises(Walked):
                 exact_sign_fold(spec, center, spec.positive_root_count)
 
 

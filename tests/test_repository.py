@@ -1,6 +1,8 @@
 import ast
+import builtins
 import shutil
 import subprocess
+import symtable
 from collections import Counter
 from pathlib import Path
 
@@ -89,3 +91,33 @@ def test_only_cli_main_writes_to_stderr():
                if not (isinstance(node, ast.FunctionDef) and node.name == "main")
                and "stderr" in _names(node)]
     assert writers == []
+
+
+def _unbound_globals(path):
+    """The global names a module reads but neither defines nor imports, at
+    its top level or by a `global` statement, builtins and __file__ aside."""
+    top = symtable.symtable(path.read_text(encoding="utf-8"), str(path), "exec")
+    defined = {symbol.get_name() for symbol in top.get_symbols()
+               if symbol.is_assigned() or symbol.is_imported()}
+    read = set()
+    tables = [top]
+    while tables:
+        table = tables.pop()
+        tables += table.get_children()
+        for symbol in table.get_symbols():
+            if table is top or symbol.is_global():
+                if table is not top and symbol.is_assigned():
+                    defined.add(symbol.get_name())
+                if symbol.is_referenced():
+                    read.add(symbol.get_name())
+    return sorted(read - defined - set(dir(builtins)) - {"__file__"})
+
+
+def test_every_global_name_read_is_bound():
+    # a function that reads a name its module never binds raises NameError
+    # only when it runs: no linter is installed, so the symbol tables stand in
+    unbound = [f"{path.relative_to(ROOT)}: {name}"
+               for folder in ("src", "tests", "perfbench")
+               for path in sorted((ROOT / folder).rglob("*.py"))
+               for name in _unbound_globals(path)]
+    assert unbound == []
