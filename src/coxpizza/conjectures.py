@@ -130,6 +130,8 @@ def _check_sign(conjecture_id: str, spec: ArrangementSpec, predicted_of_t,
         raise ValueError("no centers to probe")
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     for center in centers:
         require_dimension(spec, center)
         BallSpec(tuple(center), 1.0)  # refuses a non-finite coordinate

@@ -23,14 +23,25 @@ _mc_chunk) and random_interior_centers (with _subspace_basis) import it
 themselves.  The exact routes never load it, so a command that does not
 sample starts without it.
 
-One exact point evaluator, _signed_sums, serves two callers.  It clears the
-forms at a point to integers by one common denominator, gives every edge
-its integer series (_forms_series, which also gives a1k_pizza_series its
-one series), and evaluates the signed sum over the matchings of their
-edges' products as one Pfaffian over the ring of binomial-convolution
-series, into one sum per degree.  The Pfaffian is memoized on vertex
-subsets, and _pfaffian_plan lists the memo's states in the order they are
-computed:
+The signed sum over the matchings of their edges' products is a Pfaffian.
+It is memoized on vertex subsets: _pfaffian_plan lists the memo's states in
+the order they are computed, and _walk_plan, its one reader, walks them over
+any ring, given the ring's unit, the product of an edge with a minor's value
+and the combination of a state's positive and negative terms.  It drops each
+state's value after the last state that reads it.  Three folds walk it, each
+on its own ring:
+
+  * _signed_sums     -- integer binomial-convolution series, exactly: the
+                        one exact point evaluator.  It clears the forms at a
+                        point to integers by one common denominator, gives
+                        every edge its integer series (_forms_series, which
+                        also gives a1k_pizza_series its one series), and
+                        sums one value per degree.
+  * fold_mod         -- residues modulo the prime 2^61 - 1, a series packed
+                        into one integer.
+  * _squared_radii   -- unsigned, histograms of the matchings' squared radii.
+
+_signed_sums serves two callers:
 
   * fold_at          -- the exact values Z_d(point) of the symbolic fold
                         (z_poly's convention) at any exact point, degree by
@@ -45,17 +56,15 @@ computed:
 sign_fold_tails owns that bound.  It depends only on the matchings'
 squared radii, so it is known for every cap without folding.  Their
 histogram, each distinct radius with its multiplicity, is counted once per
-center (the last center's bound is cached) by _squared_radii, which walks
-the same plan unsigned; no matching is enumerated.
+center (the last center's bound is cached) by _squared_radii; no matching
+is enumerated.
 
-fold_mod walks the same plan on residues modulo the prime 2^61 - 1, on
-series packed into single integers, for Z_d at one degree and one integer
-point.  check schur and check lemma51 test the identity Z_d = 2^shift Q J
-with it at three seeded points of [0, 2^61 - 1): a wrong identity of
-degree d passes one with probability at most d / (2^61 - 1)
-(Schwartz-Zippel).  Exact values at such points run to thousands of bits;
-residues fit a machine word.  fold_mod_work estimates its cost without
-folding.
+fold_mod gives Z_d at one degree and one integer point.  check schur and
+check lemma51 test the identity Z_d = 2^shift Q J with it at three seeded
+points of [0, 2^61 - 1): a wrong identity of degree d passes one with
+probability at most d / (2^61 - 1) (Schwartz-Zippel).  Exact values at
+such points run to thousands of bits; residues fit a machine word.
+fold_mod_work estimates its cost without folding.
 
 Type A lives on the hyperplane sum(a) = 0 inside R^(n+1); sampling happens
 in an explicit orthonormal basis of that subspace, so volumes are the
@@ -199,6 +208,8 @@ def mc_pizza(spec: ArrangementSpec, ball: BallSpec, samples: int, seed: int,
         raise ValueError("need at least one sample")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     require_dimension(spec, ball.center)
     dim, embed = _sampling_frame(spec)
     require_sum_zero(spec, ball.center, ball.radius)
@@ -294,6 +305,8 @@ def random_interior_centers(spec: ArrangementSpec, count: int, seed: int,
 
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count} (no centers to draw)")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng([seed, 0x5EED])
     roots = np.array(numeric_roots(spec))
     dim, embed = _sampling_frame(spec)
@@ -332,8 +345,10 @@ def _int_binomial_convolve(a: List[int], b: List[int], comb: List[List[int]]) ->
 
 
 def _require_cap(degree_cap: int, k: int) -> None:
-    """Refuse a degree cap below the lowest block degree k or above
-    MAX_DEGREE_CAP."""
+    """Refuse a degree cap that is not an integer, below the lowest block
+    degree k or above MAX_DEGREE_CAP."""
+    if not isinstance(degree_cap, int):
+        raise ValueError(f"degree_cap {degree_cap!r} is not an integer")
     if degree_cap < k:
         raise ValueError("degree_cap below the lowest block degree")
     if degree_cap > MAX_DEGREE_CAP:
@@ -403,27 +418,21 @@ def _signed_sums(geometry: FoldGeometry, forms: Dict[Tuple[int, int], Tuple[int,
 
     on the unnormalized forms.  That signed sum is the Pfaffian of the edge
     series over the ring of binomial-convolution series (the crossing signs
-    are the Pfaffian's; Stembridge 1990), computed state by state along
-    _pfaffian_plan.  The unit series is one list object: an edge times it
-    is the edge's series, taken unconvolved, and a state whose sum equals
-    it stores it."""
-    size = m_top + 1
+    are the Pfaffian's; Stembridge 1990), computed by _walk_plan.  The unit
+    series is one list object: an edge times it is the edge's series, taken
+    unconvolved, and a state whose sum equals it stores it."""
     odd, weights, comb = _series_weights(m_top)
     edges = {(i - 1, j - 1): _forms_series(values, weights, comb) for (i, j), values in forms.items()}
-    plan = _pfaffian_plan(geometry.ground)
-    unit = [1] + [0] * m_top
-    memo = {0: unit}  # the empty set
-    for mask, plus, minus in plan:
-        total = [0] * size
-        for sign, terms in ((1, plus), (-1, minus)):
-            for edge, minor in terms:
-                term = memo[minor]
-                if edge is not None:  # None: the added vertex's edge, the unit series
-                    term = edges[edge] if term is unit else _int_binomial_convolve(edges[edge], term, comb)
-                for m, t in enumerate(term):
-                    total[m] += sign * t
-        memo[mask] = unit if total == unit else total
-    return memo[plan[-1][0]], odd
+    unit = edges[None] = [1] + [0] * m_top  # None, the added vertex's edge: the unit series
+
+    def times(edge: Optional[Tuple[int, int]], minor: List[int]) -> List[int]:
+        return (edges[edge] if minor is unit else minor if edge is None
+                else _int_binomial_convolve(edges[edge], minor, comb))
+
+    def combine(plus: List[List[int]], minus: List[List[int]]) -> List[int]:
+        total = [sum(column) for column in zip(*plus, *([-t for t in term] for term in minus))]
+        return unit if total == unit else total
+    return _walk_plan(geometry.ground, unit, times, combine), odd
 
 
 def fold_at(spec: ArrangementSpec, point: Sequence, degree_cap: int) -> Dict[int, Fraction]:
@@ -452,8 +461,9 @@ MAX_FOLD_MOD_WORK = 5 * 10**6
 
 @lru_cache(maxsize=None)
 def _pfaffian_plan(ground: int) -> Tuple[Tuple[int, Tuple, Tuple], ...]:
-    """The memo of the Pfaffian that _signed_sums, fold_mod and, unsigned,
-    _squared_radii walk: its expansion by minors along the lowest vertex,
+    """The memo of the Pfaffian that _walk_plan, its only reader, walks for
+    _signed_sums, fold_mod and _squared_radii: its expansion by minors along
+    the lowest vertex,
     Pf(V) = sum_j (-1)^(j-1) E_(v0,vj) * Pf(V - v0 - vj), as a list of every
     vertex subset it memoizes, after its minors, as (mask, plus, minus),
     with the terms (edge, minor) of the positive and negative signs.  Leaving
@@ -484,9 +494,31 @@ def _pfaffian_plan(ground: int) -> Tuple[Tuple[int, Tuple, Tuple], ...]:
     return tuple(plan)
 
 
+def _walk_plan(ground: int, unit: object, times: Callable[[Optional[tuple], object], object],
+               combine: Callable[[list, list], object]) -> object:
+    """The Pfaffian of the ground set's edges over one ring, the one walk of
+    _pfaffian_plan: each state, in the plan's order, is set to
+    combine(plus, minus), the lists of its positive and negative terms
+    times(edge, the minor's value), from `unit` at the empty set.  A state's
+    value is dropped once the last state that reads it is done, so at 13-14
+    vertices at most 345 of the 609 states are kept at once.  Returns the
+    whole set's value."""
+    plan = _pfaffian_plan(ground)
+    last_reader = {minor: mask for mask, plus, minus in plan for _, minor in plus + minus}
+    values = {0: unit}
+    for mask, plus, minus in plan:
+        terms = [times(edge, values.pop(minor) if last_reader[minor] == mask else values[minor])
+                 for edge, minor in plus + minus]
+        values[mask] = combine(terms[:len(plus)], terms[len(plus):])
+    return values[mask]
+
+
 def _mod_frame(spec: ArrangementSpec, degree: int) -> Tuple[FoldGeometry, int, int]:
     """(geometry, m, vertices) of fold_mod at one degree: m = (degree - k) / 2,
-    and the memo's vertices, one more than the ground set when it is odd."""
+    and the memo's vertices, one more than the ground set when it is odd.
+    Refuses a degree that is not an integer, or where the fold vanishes."""
+    if not isinstance(degree, int):
+        raise ValueError(f"degree {degree!r} is not an integer")
     geometry = fold_parameters(spec)
     if degree < geometry.k or (degree - geometry.k) % 2:
         raise ValueError(f"degree {degree}: the fold vanishes below {geometry.k} "
@@ -512,7 +544,7 @@ def fold_mod(spec: ArrangementSpec, point: Sequence[int], degree: int) -> int:
     there, reduced (its denominator is a power of 2 times factors up to
     degree, all invertible).
 
-    It walks _pfaffian_plan on residues.  With the forms' series stored
+    It walks the plan on residues (_walk_plan).  With the forms' series stored
     in exponential form, a_r / r!, the binomial convolution is the ordinary
     product of power series: a form u gives u^(2r+1) / ((2r+1) r!), an edge
     of type D the product of its two forms' series, and the Pfaffian's value
@@ -524,11 +556,12 @@ def fold_mod(spec: ArrangementSpec, point: Sequence[int], degree: int) -> int:
     bitlen(m+1) + bitlen(g), g the vertices.  A state adds the positive
     terms, adds a multiple of MODULUS above 2^b in every slot, subtracts
     the negative terms and truncates to m+1 slots: with W >= b + 2 no slot
-    borrows or carries.  Two Mersenne folds over all slots at once,
+    up to m borrows or carries, and the terms' higher slots, dropped there,
+    never reach them.  Two Mersenne folds over all slots at once,
     (x & MODULUS) + (x >> 61), bring each coefficient below 2^62 again
     (two suffice while W < 183).  W is rounded up to whole bytes, so a
-    series is packed from bytes.  The weights 1/((2r+1) r!) take one
-    inversion."""
+    series is packed from bytes.  The weights 1/((2r+1) r!) are inverted
+    slot by slot."""
     geometry, m, order = _mod_frame(spec, degree)
     require_dimension(spec, point)
     point = [operator.index(x) for x in point]
@@ -543,16 +576,7 @@ def fold_mod(spec: ArrangementSpec, point: Sequence[int], degree: int) -> int:
         x = (x & low) + ((x >> 61) & high)
         return (x & low) + ((x >> 61) & high)
 
-    denominators, prefix = [], [1]
-    factorial = 1
-    for r in range(size):
-        denominators.append((2 * r + 1) * factorial % MODULUS)
-        prefix.append(prefix[-1] * denominators[-1] % MODULUS)
-        factorial = factorial * (r + 1) % MODULUS
-    inverse, weights = pow(prefix[-1], -1, MODULUS), [0] * size
-    for r in range(m, -1, -1):
-        weights[r] = inverse * prefix[r] % MODULUS
-        inverse = inverse * denominators[r] % MODULUS
+    weights = [pow((2 * r + 1) * math.factorial(r), -1, MODULUS) for r in range(size)]
 
     def series(u: int) -> int:
         values, square, power = [], u * u % MODULUS, u % MODULUS
@@ -561,22 +585,14 @@ def fold_mod(spec: ArrangementSpec, point: Sequence[int], degree: int) -> int:
             power = power * square % MODULUS
         return int.from_bytes(b"".join(values), "little")
 
-    edges = {}
+    edges = {None: 1}  # the added vertex's edge: the unit series
     for i in range(geometry.ground):
         for j in range(i + 1, geometry.ground):
             forms = [series(u) for u in edge_forms(geometry, i + 1, j + 1, point)]
             edges[i, j] = forms[0] if len(forms) == 1 else reduced(forms[0] * forms[1] & truncate)
-    plan = _pfaffian_plan(geometry.ground)
-    memo = {0: 1}  # the empty set: the unit series
-    for mask, plus, minus in plan:
-        sums = []
-        for terms in (plus, minus):
-            total = 0
-            for edge, minor in terms:
-                total += memo[minor] if edge is None else edges[edge] * memo[minor]
-            sums.append(total & truncate)
-        memo[mask] = reduced(sums[0] + offset - sums[1])
-    top = memo[plan[-1][0]] >> width * m & (1 << width) - 1
+    fold = _walk_plan(geometry.ground, 1, lambda edge, minor: edges[edge] * minor,
+                      lambda plus, minus: reduced(sum(plus) + offset - sum(minus) & truncate))
+    top = fold >> width * m & (1 << width) - 1
     c = c_coefficient(spec.rank, geometry.k, m) * math.factorial(m)
     return top * c.numerator * pow(c.denominator, -1, MODULUS) % MODULUS
 
@@ -666,22 +682,21 @@ def _squared_radii(ground: int, forms: Dict[Tuple[int, int], Tuple[int, ...]]) -
     q = sum(U^2) over M's forms}, from the edges' integer forms U
     (_edge_forms), without enumerating a matching.
 
-    It walks _pfaffian_plan unsigned: a state maps q to its count, and a
-    term (edge, minor), plus or minus alike, adds the minor's counts shifted
-    by the edge's sum(U^2) (by 0 for None, the added vertex's edge), so the
-    whole set counts every matching once.  A state's counts are freed once
-    the last state that reads them is done."""
+    It walks the plan unsigned (_walk_plan): a state maps q to its count, a
+    term (edge, minor), plus or minus alike, is the minor's counts with the
+    shift they take, the edge's sum(U^2) (0 for None, the added vertex's
+    edge), and a state adds its terms' counts at their shifted radii, so no
+    histogram is copied per term and the whole set counts every matching
+    once."""
     squares = {(i - 1, j - 1): sum(v * v for v in values) for (i, j), values in forms.items()}
-    plan = _pfaffian_plan(ground)
-    last_reader = {minor: mask for mask, plus, minus in plan for _, minor in plus + minus}
-    counts = {0: {0: 1}}  # the empty set: one matching, of radius 0
-    for mask, plus, minus in plan:
-        counts[mask] = merged = {}
-        for edge, minor in plus + minus:
-            shift = squares.get(edge, 0)  # None: the added vertex's edge
-            for q, count in (counts.pop(minor) if last_reader[minor] == mask else counts[minor]).items():
+
+    def combine(plus: list, minus: list) -> Dict[int, int]:
+        merged: Dict[int, int] = {}
+        for shift, counts in plus + minus:
+            for q, count in counts.items():
                 merged[q + shift] = merged.get(q + shift, 0) + count
-    return merged  # the last state is the whole set
+        return merged
+    return _walk_plan(ground, {0: 1}, lambda edge, counts: (squares.get(edge, 0), counts), combine)
 
 
 def _require_decaying(n: int, k: int, m_top: int, what: str) -> None:
@@ -690,9 +705,8 @@ def _require_decaying(n: int, k: int, m_top: int, what: str) -> None:
     |c_m / c_(m-1)| = |m - 1 - (n-k)/2| / m exceeds 1 exactly when
     4m < n - k + 2, so past m_top + 1 the coefficients can grow only at the
     first step, m = m_top + 2; `what` names the failing cap in the error."""
-    m = m_top + 2
-    if 4 * m < n - k + 2:
-        raise ValueError(f"{what} still growing at m={m}")
+    if 4 * (m_top + 2) < n - k + 2:
+        raise ValueError(f"{what} still growing at m={m_top + 2}")
 
 
 # ---------------------------------------------------------------------------

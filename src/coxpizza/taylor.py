@@ -293,7 +293,8 @@ def _pfaffian(w: List[List[int]]) -> int:
     return sign * prev
 
 
-def dominant_coefficients(spec: ArrangementSpec, d: int) -> Dict[Tuple[int, ...], Fraction]:
+def dominant_coefficients(spec: ArrangementSpec, d: int, expansion: int = 0
+                          ) -> Dict[Tuple[int, ...], Fraction]:
     """The nonzero c_lambda of the degree-d fold, keyed by partitions as
     `partitions` yields them: the coefficient on a^(lambda+delta) (type A)
     or a^(2(lambda+delta)) (type D), delta = (ground-1, ..., 0), normalized
@@ -312,6 +313,12 @@ def dominant_coefficients(spec: ArrangementSpec, d: int) -> Dict[Tuple[int, ...]
     odd ground set gets a vertex g+1 joined by w = 1 to the vertex of
     exponent 0, the one that may be isolated: the edge (p, g+1) crosses
     g - p = p - 1 (mod 2) edges, the extra sign of matchings.sign.
+
+    The work is capped by MAX_QUOTIENT_WORK before any table is built:
+    `expansion` steps that the caller spends on the result (the Schur
+    expansion of quotient and expansion_report, _expansion_work), the edge
+    tables' and a Pfaffian per target, the targets counted only up to what
+    the cap admits.
     """
     geometry = _admitted_geometry(spec, d)
     shift = d - spec.positive_root_count
@@ -322,14 +329,18 @@ def dominant_coefficients(spec: ArrangementSpec, d: int) -> Dict[Tuple[int, ...]
     ground = geometry.ground
     m = (d - geometry.k) // 2
     # work in steps of about one of _pfaffian's: (m+1)^3 for the edge tables of either layout
-    # (cold, q = 0..367: 0.1 s for one form, 0.7 s for the pair), the Schur expansion of the
-    # result, a Pfaffian per target
-    work = (m + 1) ** 3 + 100 * math.comb(size + ground - 1, ground - 1)
-    lams = list(partitions(size, ground)) if work <= MAX_QUOTIENT_WORK else []
-    work += len(lams) * (ground + 1) ** 3
+    # (cold, q = 0..367: 0.1 s for one form, 0.7 s for the pair), (ground+1)^3 a Pfaffian
+    work, lams = expansion + (m + 1) ** 3, []
+    for lam in partitions(size, ground):
+        if work > MAX_QUOTIENT_WORK:
+            break
+        work += (ground + 1) ** 3
+        lams.append(lam)
     if work > MAX_QUOTIENT_WORK:
-        raise ResourceCapExceeded(f"degree {d}: about {work} steps for the edge tables, Pfaffians "
-                                  f"and Schur expansion exceed the cap of {MAX_QUOTIENT_WORK}")
+        stages = ("edge tables, Pfaffians and Schur expansion" if expansion
+                  else "edge tables and Pfaffians")
+        raise ResourceCapExceeded(f"degree {d}: about {work} steps for the {stages} exceed the "
+                                  f"cap of {MAX_QUOTIENT_WORK}")
     order = ground + ground % 2
     # targets are stretched by the forms per edge, and so are an edge's table degrees 2q + forms
     stretch = 2 if geometry.pair_forms else 1
@@ -355,13 +366,23 @@ def dominant_coefficients(spec: ArrangementSpec, d: int) -> Dict[Tuple[int, ...]
     return {lam: scale * value for lam, value in zip(lams, pfaffians) if value}
 
 
+def _expansion_work(spec: ArrangementSpec, d: int) -> int:
+    """The steps of expanding the degree-d quotient sum c_lambda s_lambda in
+    monomials, which quotient and expansion_report charge to
+    dominant_coefficients' cap: about 100 a monomial of its degree on the
+    g = ground variables, 100 C(size + g - 1, g - 1)."""
+    geometry = fold_parameters(spec)
+    size = max(d - spec.positive_root_count, 0) // (2 if geometry.pair_forms else 1)
+    return 100 * math.comb(size + geometry.ground - 1, geometry.ground - 1)
+
+
 def quotient(spec: ArrangementSpec, d: int) -> Poly:
     """Exact quotient of the degree-d fold by the Jacobian, normalized so the
     result matches the unit-root convention (the factor 2^-((d - |roots|)/2)):
     sum c_lambda s_lambda by the bialternant formula, from the dominant
     coefficients alone, with neither the full fold nor a division computed.
     Equal to quotient_from_fold(spec, d, z_poly(spec, d))."""
-    coeffs = dominant_coefficients(spec, d)
+    coeffs = dominant_coefficients(spec, d, _expansion_work(spec, d))
     geometry = fold_parameters(spec)
     return schur_combination(coeffs, geometry.ground, squared=geometry.pair_forms)
 
@@ -481,13 +502,15 @@ def expansion_report(spec: ArrangementSpec, degrees: Sequence[int],
     representative is reduced on them (reduce_symmetric_mod_sum), so no
     polynomial is expanded.  reduce_mod_relation, which substitutes into
     the expanded quotient, is the independent route the tests compare it
-    with."""
+    with.  The Schur expansion's steps (_expansion_work) are charged to
+    dominant_coefficients' cap, before it computes a coefficient."""
     _check_threads(threads)
     geometry = fold_parameters(spec)
     ground, factor = geometry.ground, 2 if geometry.pair_forms else 1
     entries = []
     for d in degrees:
-        q, den = monomial_coefficients(dominant_coefficients(spec, d), ground)
+        coeffs = dominant_coefficients(spec, d, _expansion_work(spec, d))
+        q, den = monomial_coefficients(coeffs, ground)
         reduced = reduce_symmetric_mod_sum(q) if spec.family == "A" else None
         entries.append(ReportEntry(d, ground, factor, den, q, reduced))
     return ExpansionReport(spec, geometry.k, spec.positive_root_count, entries)

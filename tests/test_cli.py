@@ -328,6 +328,17 @@ def test_check_commands_exit_zero(capsys):
     assert code == 0 and "consistent" in out
 
 
+@pytest.mark.parametrize("argv,verdict", [
+    (["y-neg", "--rank", "7", "--max-degree", "100"], "yNeg: consistent"),
+    (["lemma51", "--rank", "7", "--degree", "100"], "lemma51: consistent"),
+], ids=["y-neg-D7-d100", "lemma51-D7-d100"])
+def test_check_audits_are_not_charged_for_a_schur_expansion(capsys, argv, verdict):
+    # only expand expands the quotients in monomials, so only expand's cap
+    # counts that work: these audits run well under the cap
+    code, out, _ = run_cli(capsys, "check", *argv)
+    assert code == 0 and out.startswith(verdict)
+
+
 def test_check_tpos_refuses_a_max_degree_past_the_work_cap(capsys, monkeypatch):
     # m = 368: (m+1)^3 edge-table steps exceed MAX_QUOTIENT_WORK, so no table is built
     def refuse(pair_forms, q):
@@ -474,6 +485,10 @@ REFUSED_COMMANDS = {
                     "sign checks apply to A and D arrangements, not I2:5"),
     "threads-sum2s": (BALL[:5] + ["--method", "sum2s", "--threads", "-3"],
                       "threads must be >= 0, got -3"),
+    "seed-mc": (["oracle", "--spec", "A:2", "--center", "0.2,-0.1,-0.1", "--samples", "3",
+                 "--seed", "-1"], "seed must be non-negative, got -1"),
+    "seed-sign": (["check", "sign", "--spec", "A:2", "--centers", "auto:1", "--seed", "-5"],
+                  "seed must be non-negative, got -5"),
     "matchings": (["matchings", "--size", "30", "--sign-sum"], "size 30: 6190283353629375 matchings"),
     "expand": (["expand", "--spec", "A:6", "--degrees", "61"], "degree 61: about 936708900 steps"),
     "out": (["tables", "--which", "D", "--out", "{tmp}/missing/t.txt"],

@@ -197,6 +197,18 @@ def test_a_denominator_divisible_by_the_modulus_is_refused(monkeypatch):
         schur_reconstruct(5, 24)
 
 
+def test_sign_check_refuses_a_negative_seed_before_any_fold(monkeypatch):
+    def fail(*args):
+        raise AssertionError("folded before the refusal")
+
+    monkeypatch.setattr(conjectures, "exact_sign_fold", fail)
+    for check, rank, center in ((check_sign_A, 2, (0.2, -0.1, -0.1)),
+                                (check_sign_D, 3, (0.25, 0.1, 0.03))):
+        for samples in (0, 10):
+            with pytest.raises(ValueError, match="^seed must be non-negative, got -5$"):
+                check(rank, [center], samples, -5)
+
+
 def test_a_fold_over_the_work_cap_is_refused_before_any_fold(monkeypatch):
     def fail(*args):
         raise AssertionError("computed before the refusal")

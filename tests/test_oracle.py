@@ -12,9 +12,9 @@ from coxpizza.conjectures import check_sign_D
 from coxpizza.matchings import c_coefficient, count_matchings, enumerate_matchings, fold_parameters
 from coxpizza.oracle import (MODULUS, BallSpec, DivergentRegion, McEstimate, _edge_forms,
                              _pfaffian_plan, _require_decaying, _signed_sums, _squared_radii,
-                             a1k_pizza_series, ball_volume, exact_sign_fold, fold_at, fold_mod,
-                             fold_mod_work, mc_pizza, random_interior_centers, sign_fold_tails,
-                             sum_over_2structures)
+                             _walk_plan, a1k_pizza_series, ball_volume, exact_sign_fold, fold_at,
+                             fold_mod, fold_mod_work, mc_pizza, random_interior_centers,
+                             sign_fold_tails, sum_over_2structures)
 from coxpizza.rootsys import make_spec, numeric_roots
 from coxpizza.taylor import quotient, z_poly
 from reference import (a1k_pizza_quadrature, auto_degree_cap, coefficient, contains_origin,
@@ -536,7 +536,8 @@ def test_fold_at_visits_no_matching(monkeypatch):
 
 
 def test_fold_at_and_fold_mod_walk_one_plan(monkeypatch):
-    # the memo's states and their order are written once, in _pfaffian_plan
+    # the memo's states and their order are written once, in _pfaffian_plan,
+    # and the exact fold, the modular fold and the tail bound's radii walk it
     grounds = []
 
     def recording(ground):
@@ -549,6 +550,39 @@ def test_fold_at_and_fold_mod_walk_one_plan(monkeypatch):
     assert grounds == [7, 5]
     fold_mod(make_spec("D", 5), (3, -1, 4, 1, -5), 14)
     assert grounds == [7, 5, 5]
+    oracle._center_tails.cache_clear()  # a bound an earlier test left cached would hide the walk
+    spec = make_spec("A", 6)
+    sign_fold_tails(spec, random_interior_centers(spec, 1, SEED, radius=0.3)[0])(31)
+    assert grounds == [7, 5, 5, 7]
+
+
+def test_walk_plan_keeps_each_state_until_its_last_reader():
+    # a ring of counted values, each the number of matchings of its state's
+    # vertex set: at 13 vertices (14 with the added one) the walk makes the
+    # 609 states and holds at most 345 of them at once, the minors a state
+    # reads included
+    class Counted:
+        made = alive = peak = 0
+
+        def __init__(self, matchings):
+            self.matchings = matchings
+            Counted.made += 1
+            Counted.alive += 1
+            Counted.peak = max(Counted.peak, Counted.alive)
+
+        def __del__(self):
+            Counted.alive -= 1
+
+    class Unit:  # the empty set's value, not counted among the states
+        matchings = 1
+
+    whole = _walk_plan(13, Unit(), lambda edge, minor: minor,
+                       lambda plus, minus: Counted(sum(term.matchings for term in plus + minus)))
+    assert whole.matchings == count_matchings(13) == 135135
+    assert Counted.made == len(_pfaffian_plan(13)) == 609
+    assert Counted.peak <= 345
+    del whole
+    assert Counted.alive == 0
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("A", 6), ("D", 5)])
@@ -619,6 +653,24 @@ def test_fold_mod_refuses_what_it_cannot_evaluate():
         fold_mod(make_spec("D", 3), (1, 2, 3), 7)
     with pytest.raises(TypeError):
         fold_mod(make_spec("D", 3), (1, Fraction(1, 2), 3), 6)
+    with pytest.raises(ValueError, match=r"^degree 6\.0 is not an integer$"):
+        fold_mod(make_spec("D", 3), (1, 2, 3), 6.0)
+    with pytest.raises(ValueError, match=r"^degree 6\.0 is not an integer$"):
+        fold_mod_work(make_spec("D", 3), 6.0)
+
+
+def test_exact_routes_refuse_a_non_integer_degree():
+    # before the fold: a float cap would reach range() or a power of the
+    # denominator, each with its own unclear error
+    spec = make_spec("D", 3)
+    center = (0.25, 0.125, 0.0625)
+    for route in (exact_sign_fold, fold_at):
+        with pytest.raises(ValueError, match=r"^degree_cap 21\.5 is not an integer$"):
+            route(spec, center, 21.5)
+    with pytest.raises(ValueError, match=r"^degree_cap 21\.5 is not an integer$"):
+        sum_over_2structures(spec, BallSpec(center, 1.0), 21.5)
+    with pytest.raises(ValueError, match=r"^degree_cap 5\.5 is not an integer$"):
+        a1k_pizza_series(3, 2, (0.25, 0.125), 5.5)
 
 
 def test_sum2s_refuses_type_a_center_off_the_hyperplane():
@@ -770,3 +822,11 @@ def test_centers_generator_rejects_a_negative_count():
     assert random_interior_centers(spec, 0, SEED) == []
     with pytest.raises(ValueError, match="count must be non-negative, got -3"):
         random_interior_centers(spec, -3, SEED)
+
+
+def test_seeded_routes_refuse_a_negative_seed():
+    spec = make_spec("A", 2)
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        mc_pizza(spec, BallSpec((0.2, -0.1, -0.1), 1.0), 3, -1)
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -5$"):
+        random_interior_centers(spec, 1, -5)

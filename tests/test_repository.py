@@ -93,6 +93,18 @@ def test_only_cli_main_writes_to_stderr():
     assert writers == []
 
 
+def test_only_walk_plan_reads_the_pfaffian_plan():
+    # the Pfaffian memo is walked once, by oracle._walk_plan, over each fold's
+    # ring: every name or attribute _pfaffian_plan under src/ lies in its body
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "coxpizza").glob("*.py"))]
+    walks = [node for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name == "_walk_plan"]
+    reads = Counter(name for tree in trees for name in _names(tree))["_pfaffian_plan"]
+    assert len(walks) == 1 and reads > 0
+    assert Counter(_names(walks[0]))["_pfaffian_plan"] == reads
+
+
 def _unbound_globals(path):
     """The global names a module reads but neither defines nor imports, at
     its top level or by a `global` statement, builtins and __file__ aside."""
