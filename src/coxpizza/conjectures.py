@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .matchings import c_coefficient
+from .matchings import FoldGeometry, c_coefficient, fold_parameters
 from .oracle import (MAX_DEGREE_CAP, MAX_FOLD_MOD_WORK, MODULUS, BallSpec, exact_sign_fold, fold_mod,
                      fold_mod_work, mc_pizza, require_dimension, require_sum_zero, sign_fold_tails)
 from .polyring import NonDivisible, partitions
@@ -205,16 +205,18 @@ def check_sign_D(n: int, centers: Sequence[Sequence[float]], samples: int = 0,
 # ---------------------------------------------------------------------------
 
 
-def _type_d(n: int, d: Optional[int] = None) -> Tuple[ArrangementSpec, int]:
-    """The rank-n type D spec and |Phi+|, the lowest degree at which its fold
-    can be nonzero; refuses a degree d where the fold vanishes identically,
-    then an even rank (_require_symbolic_regime)."""
+def _type_d(n: int, d: Optional[int] = None) -> Tuple[ArrangementSpec, FoldGeometry]:
+    """The rank-n type D spec and its fold geometry, whose roots = |Phi+| is
+    the lowest degree at which the fold can be nonzero; refuses an even rank
+    (_require_symbolic_regime), then a degree d that is not an integer or
+    where the fold vanishes identically: below |Phi+|, or where the
+    geometry's degree check finds no block."""
     spec = make_spec("D", n)
-    base = spec.positive_root_count
-    if d is not None and (d < base or (d - base) % 2):
-        raise ValueError(f"degree {d} below the lowest nonzero degree {base} or wrong parity")
-    _require_symbolic_regime(spec)
-    return spec, base
+    geometry = _require_symbolic_regime(spec)
+    if d is not None and (geometry.half_degree(d) is None or d < geometry.roots):
+        raise ValueError(f"degree {d} below the lowest nonzero degree {geometry.roots} "
+                         f"or wrong parity")
+    return spec, geometry
 
 
 def _checked_coefficients(n: int, d: int) -> Tuple[int, Dict[Tuple[int, ...], Fraction]]:
@@ -227,12 +229,12 @@ def _checked_coefficients(n: int, d: int) -> Tuple[int, Dict[Tuple[int, ...], Fr
     by the bialternant formula, over one common denominator of the c_lambda,
     which must be prime to p.  Refused with ResourceCapExceeded before any
     coefficient or point when fold_mod_work exceeds MAX_FOLD_MOD_WORK."""
-    spec, base = _type_d(n, d)
+    spec, geometry = _type_d(n, d)
     work = fold_mod_work(spec, d)
     if work > MAX_FOLD_MOD_WORK:
         raise ResourceCapExceeded(f"rank {n} degree {d}: about {work} steps for each point of the "
                                   f"fold modulo 2^61 - 1 exceed the cap of {MAX_FOLD_MOD_WORK}")
-    shift = (d - base) // 2
+    shift = (d - geometry.roots) // 2
     coeffs = dominant_coefficients(spec, d)
     common = math.lcm(*(c.denominator for c in coeffs.values()))
     if common % MODULUS == 0:
@@ -309,9 +311,11 @@ def check_y_negativity(n: int, d_max: int) -> ConjectureReport:
     estimate does not decrease with the degree, so a range it refuses is
     refused there, before any other degree is computed."""
     started = time.perf_counter()
-    spec, base = _type_d(n)
+    spec, geometry = _type_d(n)
+    base = geometry.roots
     if d_max < base:
         raise ValueError(f"max degree {d_max} is below the lowest nonzero degree {base}")
+    geometry.half_degree(d_max)  # refuses a max degree that is not an integer
     witnesses: List[dict] = []
     degrees = list(range(base, d_max + 1, 2))
     top = dominant_coefficients(spec, degrees[-1])
@@ -410,6 +414,8 @@ def check_t_positivity(d_max: int) -> ConjectureReport:
     started = time.perf_counter()
     if d_max < 6:
         raise ValueError(f"max degree {d_max} is below the first degree 6")
+    # the blocks are D_3's: refuse a max degree that is not an integer as its folds do
+    fold_parameters(make_spec("D", 3)).half_degree(d_max)
     work = ((d_max - 2) // 2 + 1) ** 3
     if work > MAX_QUOTIENT_WORK:
         raise ResourceCapExceeded(f"max degree {d_max}: about {work} steps for the edge tables "

@@ -2,6 +2,17 @@
 geometry of types A and D: the orthogonal forms each matching indexes, and
 the binomial-series scale c_coefficient of their Taylor blocks.
 
+A matching of the ground set {1..g} (g the ambient dimension: n+1 for A_n,
+n for D_n) has g // 2 edges and, when g is odd, one isolated vertex p.  Each
+edge (i, j) carries the form e_i - e_j (type A) or the pair e_i - e_j,
+e_i + e_j (type D), so the 2-structure a matching indexes has
+k = forms per edge * (g // 2) orthogonal roots: n for D_n of even rank,
+n - 1 for odd rank.  The Pfaffians that sum over the matchings take an odd
+ground set with one added vertex g+1, which the isolated vertex pairs with:
+the edge (p, g+1) crosses p - 1 edges modulo 2, the extra sign of `sign`.
+fold_parameters derives these numbers once, and every engine reads them
+from its FoldGeometry.
+
 Matchings are streamed in a fixed deterministic order (smallest unused
 vertex pairs with each larger unused vertex in increasing order, then the
 isolated-vertex branch when the ground set is odd), so consumers can fold
@@ -112,25 +123,43 @@ def sign_sum(r: int) -> int:
 
 @dataclass(frozen=True)
 class FoldGeometry:
-    """How the maximal matchings of a family index its orthogonal
-    subsystems: matchings of {1..ground}, k forms per subsystem, nslots
-    edges per matching, and per edge the minus form e_i - e_j alone (type A)
-    or the minus/plus pair e_i - e_j, e_i + e_j (type D)."""
+    """A family's fold, as the module docstring derives it: matchings of
+    {1..ground}, `forms` forms per edge, nslots edges and k forms per
+    matching, Pfaffians over `order` vertices, and roots = |Phi+|, the forms
+    of all C(ground, 2) edges.  Only fold_parameters builds one."""
 
     ground: int
-    k: int
+    forms: int
     nslots: int
-    pair_forms: bool
+    k: int
+    order: int
+    roots: int
+
+    @property
+    def pair_forms(self) -> bool:
+        """Whether an edge carries the minus/plus pair (type D)."""
+        return self.forms == 2
+
+    def half_degree(self, d: int) -> Optional[int]:
+        """The degree check every engine reads: m = (d - k) / 2 of the
+        Taylor blocks of degree d, or None where the fold vanishes, below k
+        or at the other parity.  Refuses a degree that is not a non-negative
+        integer."""
+        if not isinstance(d, int):
+            raise ValueError(f"degree {d!r} is not an integer")
+        if d < 0:
+            raise ValueError("degree must be non-negative")
+        return None if d < self.k or (d - self.k) % 2 else (d - self.k) // 2
 
 
 def fold_parameters(spec: ArrangementSpec) -> FoldGeometry:
-    """The fold geometry of a type A or D arrangement."""
-    if spec.family == "A":
-        ground = spec.rank + 1
-        return FoldGeometry(ground, ground // 2, ground // 2, False)
-    if spec.family == "D":
-        return FoldGeometry(spec.rank, spec.rank - 1, spec.rank // 2, True)
-    raise ValueError(f"no matching fold for family {spec.family}")
+    """The fold geometry of a type A or D arrangement: the ground set is the
+    ambient dimension, and an edge carries one form (type A) or two (type D)."""
+    if spec.family not in ("A", "D"):
+        raise ValueError(f"no matching fold for family {spec.family}")
+    ground, forms = spec.ambient_dim, 1 if spec.family == "A" else 2
+    return FoldGeometry(ground, forms, ground // 2, forms * (ground // 2), ground + ground % 2,
+                        forms * ground * (ground - 1) // 2)
 
 
 _C_SEQUENCES: Dict[Tuple[int, int], Tuple[Fraction, ...]] = {}

@@ -358,12 +358,10 @@ def _require_cap(degree_cap: int, k: int) -> None:
 def _exact_frame(spec: ArrangementSpec, point: Sequence, degree_cap: int
                  ) -> Tuple[FoldGeometry, List[Fraction], int]:
     """(geometry, exact point, m_top) for the exact folds, after the checks
-    they share: family A or D, the point's dimension, a cap from k to
-    MAX_DEGREE_CAP."""
-    if spec.family not in ("A", "D"):
-        raise ValueError(f"exact fold applies to families A and D, not {spec.family}")
-    require_dimension(spec, point)
+    they share: a family with a matching fold (fold_parameters), the point's
+    dimension, a cap from k to MAX_DEGREE_CAP."""
     geometry = fold_parameters(spec)
+    require_dimension(spec, point)
     _require_cap(degree_cap, geometry.k)
     return geometry, [Fraction(x) for x in point], (degree_cap - geometry.k) // 2
 
@@ -513,17 +511,16 @@ def _walk_plan(ground: int, unit: object, times: Callable[[Optional[tuple], obje
     return values[mask]
 
 
-def _mod_frame(spec: ArrangementSpec, degree: int) -> Tuple[FoldGeometry, int, int]:
-    """(geometry, m, vertices) of fold_mod at one degree: m = (degree - k) / 2,
-    and the memo's vertices, one more than the ground set when it is odd.
-    Refuses a degree that is not an integer, or where the fold vanishes."""
-    if not isinstance(degree, int):
-        raise ValueError(f"degree {degree!r} is not an integer")
+def _mod_frame(spec: ArrangementSpec, degree: int) -> Tuple[FoldGeometry, int]:
+    """(geometry, m) of fold_mod at one degree, m from the geometry's degree
+    check (FoldGeometry.half_degree), which refuses a degree that is not an
+    integer; a degree where the fold vanishes is refused here."""
     geometry = fold_parameters(spec)
-    if degree < geometry.k or (degree - geometry.k) % 2:
+    m = geometry.half_degree(degree)
+    if m is None:
         raise ValueError(f"degree {degree}: the fold vanishes below {geometry.k} "
                          f"and at the other parity")
-    return geometry, (degree - geometry.k) // 2, geometry.ground + geometry.ground % 2
+    return geometry, m
 
 
 def fold_mod_work(spec: ArrangementSpec, degree: int) -> int:
@@ -533,7 +530,8 @@ def fold_mod_work(spec: ArrangementSpec, degree: int) -> int:
     holds the set less its lowest c vertices and j others, j <= c and
     j = c mod 2 (each step removes the lowest vertex and one more), and such
     a state has N - c - j - 1 terms."""
-    _, m, order = _mod_frame(spec, degree)
+    geometry, m = _mod_frame(spec, degree)
+    order = geometry.order
     terms = sum(math.comb(order - 1 - c, j) * (order - 1 - c - j) for c in range(order - 1)
                 for j in range(c % 2, min(c, order - 1 - c) + 1, 2))
     return terms * (m + 1)
@@ -562,10 +560,10 @@ def fold_mod(spec: ArrangementSpec, point: Sequence[int], degree: int) -> int:
     (two suffice while W < 183).  W is rounded up to whole bytes, so a
     series is packed from bytes.  The weights 1/((2r+1) r!) are inverted
     slot by slot."""
-    geometry, m, order = _mod_frame(spec, degree)
+    geometry, m = _mod_frame(spec, degree)
     require_dimension(spec, point)
     point = [operator.index(x) for x in point]
-    bits = 124 + (m + 1).bit_length() + order.bit_length()  # b above
+    bits = 124 + (m + 1).bit_length() + geometry.order.bit_length()  # b above
     size, slot = m + 1, (bits + 2 + 7) // 8
     width = 8 * slot
     ones = ((1 << width * size) - 1) // ((1 << width) - 1)  # 1 in every slot

@@ -149,24 +149,24 @@ def _check_threads(threads: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _require_symbolic_regime(spec: ArrangementSpec) -> None:
-    """The paper's regime, the one place it is written: type A of rank 2 or 3
-    mod 4 and type D of odd rank, where |Phi+| and the rank differ in parity
-    and the first Taylor term can be nonzero.  The expansion, the sign checks
-    and the type D audits refuse every other arrangement."""
+def _require_symbolic_regime(spec: ArrangementSpec) -> FoldGeometry:
+    """The fold geometry of an arrangement in the paper's regime, the one
+    place it is written: type A of rank 2 or 3 mod 4 and type D of odd rank,
+    where |Phi+| and the rank differ in parity and the first Taylor term can
+    be nonzero.  The expansion, the sign checks and the type D audits refuse
+    every other arrangement: a family without a matching fold by
+    fold_parameters, the others here."""
+    geometry = fold_parameters(spec)
     if spec.family == "A":
         if spec.rank % 4 not in (2, 3):
             raise ParityRegimeError(
                 f"type A rank {spec.rank}: hyperplane count and dimension share parity, so the "
                 "first Taylor term vanishes; the expansion and the sign conjecture need rank 2 or 3 mod 4"
             )
-    elif spec.family == "D":
-        if spec.rank % 2 == 0:
-            raise ParityRegimeError(
-                f"type D rank {spec.rank}: even rank is outside the expansion regime"
-            )
-    else:
-        raise ParityRegimeError(f"family {spec.family} has no symbolic expansion here")
+    elif spec.rank % 2 == 0:
+        raise ParityRegimeError(f"type D rank {spec.rank}: even rank is outside the expansion "
+                                "regime")
+    return geometry
 
 
 def _guard_resources(ground: int, nslots: int, d: int) -> None:
@@ -178,19 +178,6 @@ def _guard_resources(ground: int, nslots: int, d: int) -> None:
             f"fold over {count_matchings(ground)} matchings x 2^{nslots} forms "
             f"= {instances} monomial instances exceeds the cap of {MAX_MONOMIAL_INSTANCES}"
         )
-
-
-def _admitted_geometry(spec: ArrangementSpec, d: int) -> Optional[FoldGeometry]:
-    """The fold geometry when the degree-d fold is not zero by parity
-    (d < k or d - k odd gives None); raises for arrangements outside the
-    symbolic regime and negative degrees."""
-    _require_symbolic_regime(spec)
-    geometry = fold_parameters(spec)
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    if d < geometry.k or (d - geometry.k) % 2:
-        return None
-    return geometry
 
 
 def z_poly(spec: ArrangementSpec, d: int, threads: int = 1) -> Poly:
@@ -206,11 +193,11 @@ def z_poly(spec: ArrangementSpec, d: int, threads: int = 1) -> Poly:
     (exponents stay below 256 by the degree cap), so multiplying monomials
     adds keys."""
     _check_threads(threads)
-    geometry = _admitted_geometry(spec, d)
-    if geometry is None:
+    geometry = _require_symbolic_regime(spec)
+    m = geometry.half_degree(d)
+    if m is None:
         return Poly.zero(spec.ambient_dim)
     _guard_resources(geometry.ground, geometry.nslots, d)
-    m = (d - geometry.k) // 2
     tables, scalars = zip(*(_edge_table(geometry.pair_forms, q) for q in range(m + 1)))
     lcm = math.lcm(*scalars)
     factors = [lcm // s for s in scalars]
@@ -293,14 +280,14 @@ def _pfaffian(w: List[List[int]]) -> int:
     return sign * prev
 
 
-def dominant_coefficients(spec: ArrangementSpec, d: int, expansion: int = 0
+def dominant_coefficients(spec: ArrangementSpec, d: int, schur: bool = False
                           ) -> Dict[Tuple[int, ...], Fraction]:
     """The nonzero c_lambda of the degree-d fold, keyed by partitions as
     `partitions` yields them: the coefficient on a^(lambda+delta) (type A)
     or a^(2(lambda+delta)) (type D), delta = (ground-1, ..., 0), normalized
-    by 2^-((d - |roots|)/2) as in quotient.  |lambda| is d - |roots| (type
-    A) or half of it (type D); empty below the root count or when the fold
-    is zero by parity.
+    by 2^-((d - |roots|)/2) as in quotient.  |lambda| is (d - |roots|) / forms,
+    forms the forms per edge; empty below the root count or where the
+    fold's degree check (FoldGeometry.half_degree) finds it zero by parity.
 
     A matching reaches a target monomial mu through one composition only:
     edge (i, j) takes inner degree q = (mu_i + mu_j - forms)/2, with one or
@@ -314,38 +301,36 @@ def dominant_coefficients(spec: ArrangementSpec, d: int, expansion: int = 0
     exponent 0, the one that may be isolated: the edge (p, g+1) crosses
     g - p = p - 1 (mod 2) edges, the extra sign of matchings.sign.
 
-    The work is capped by MAX_QUOTIENT_WORK before any table is built:
-    `expansion` steps that the caller spends on the result (the Schur
-    expansion of quotient and expansion_report, _expansion_work), the edge
-    tables' and a Pfaffian per target, the targets counted only up to what
-    the cap admits.
+    The work is capped by MAX_QUOTIENT_WORK before any table is built: the
+    edge tables' steps and a Pfaffian's per target, the targets counted only
+    up to what the cap admits, and with `schur` the steps the caller spends
+    on the result, the Schur expansion of quotient and expansion_report:
+    about 100 a monomial of degree |lambda| on the g = ground variables,
+    100 C(|lambda| + g - 1, g - 1).
     """
-    geometry = _admitted_geometry(spec, d)
-    shift = d - spec.positive_root_count
-    if geometry is None or shift < 0:
+    geometry = _require_symbolic_regime(spec)
+    m = geometry.half_degree(d)
+    if m is None or d < geometry.roots:
         return {}
-    assert shift % 2 == 0, "supported degrees share parity with the root count"
-    size = shift // 2 if geometry.pair_forms else shift
-    ground = geometry.ground
-    m = (d - geometry.k) // 2
+    ground, forms, shift = geometry.ground, geometry.forms, d - geometry.roots
+    size = shift // forms
     # work in steps of about one of _pfaffian's: (m+1)^3 for the edge tables of either layout
     # (cold, q = 0..367: 0.1 s for one form, 0.7 s for the pair), (ground+1)^3 a Pfaffian
-    work, lams = expansion + (m + 1) ** 3, []
+    work = (100 * math.comb(size + ground - 1, ground - 1) if schur else 0) + (m + 1) ** 3
+    lams = []
     for lam in partitions(size, ground):
         if work > MAX_QUOTIENT_WORK:
             break
         work += (ground + 1) ** 3
         lams.append(lam)
     if work > MAX_QUOTIENT_WORK:
-        stages = ("edge tables, Pfaffians and Schur expansion" if expansion
+        stages = ("edge tables, Pfaffians and Schur expansion" if schur
                   else "edge tables and Pfaffians")
         raise ResourceCapExceeded(f"degree {d}: about {work} steps for the {stages} exceed the "
                                   f"cap of {MAX_QUOTIENT_WORK}")
-    order = ground + ground % 2
     # targets are stretched by the forms per edge, and so are an edge's table degrees 2q + forms
-    stretch = 2 if geometry.pair_forms else 1
-    # q = (mu_i + mu_j - stretch) >> 1 is largest on the top two exponents, at lambda = (size)
-    top = stretch * (size + 2 * ground - 4) >> 1
+    # q = (mu_i + mu_j - forms) >> 1 is largest on the top two exponents, at lambda = (size)
+    top = forms * (size + 2 * ground - 4) >> 1
     tables, scalars = zip(*(_edge_table(geometry.pair_forms, q) for q in range(top + 1)))
     lcm = math.lcm(*scalars)
     factors = [lcm // s for s in scalars]
@@ -353,11 +338,11 @@ def dominant_coefficients(spec: ArrangementSpec, d: int, expansion: int = 0
     pfaffians = []
     for lam in lams:
         padded = lam + (0,) * (ground - len(lam))
-        mu = [stretch * (part + ground - 1 - i) for i, part in enumerate(padded)]
-        w = [[0] * order for _ in range(order)]
+        mu = [forms * (part + ground - 1 - i) for i, part in enumerate(padded)]
+        w = [[0] * geometry.order for _ in range(geometry.order)]
         for i in range(ground):
             for j in range(i + 1, ground):
-                q = (mu[i] + mu[j] - stretch) >> 1
+                q = (mu[i] + mu[j] - forms) >> 1
                 w[i][j] = tables[q].get((mu[i], mu[j]), 0) * factors[q]
                 w[j][i] = -w[i][j]
             if ground % 2 and not mu[i]:
@@ -366,23 +351,13 @@ def dominant_coefficients(spec: ArrangementSpec, d: int, expansion: int = 0
     return {lam: scale * value for lam, value in zip(lams, pfaffians) if value}
 
 
-def _expansion_work(spec: ArrangementSpec, d: int) -> int:
-    """The steps of expanding the degree-d quotient sum c_lambda s_lambda in
-    monomials, which quotient and expansion_report charge to
-    dominant_coefficients' cap: about 100 a monomial of its degree on the
-    g = ground variables, 100 C(size + g - 1, g - 1)."""
-    geometry = fold_parameters(spec)
-    size = max(d - spec.positive_root_count, 0) // (2 if geometry.pair_forms else 1)
-    return 100 * math.comb(size + geometry.ground - 1, geometry.ground - 1)
-
-
 def quotient(spec: ArrangementSpec, d: int) -> Poly:
     """Exact quotient of the degree-d fold by the Jacobian, normalized so the
     result matches the unit-root convention (the factor 2^-((d - |roots|)/2)):
     sum c_lambda s_lambda by the bialternant formula, from the dominant
     coefficients alone, with neither the full fold nor a division computed.
     Equal to quotient_from_fold(spec, d, z_poly(spec, d))."""
-    coeffs = dominant_coefficients(spec, d, _expansion_work(spec, d))
+    coeffs = dominant_coefficients(spec, d, schur=True)
     geometry = fold_parameters(spec)
     return schur_combination(coeffs, geometry.ground, squared=geometry.pair_forms)
 
@@ -502,15 +477,14 @@ def expansion_report(spec: ArrangementSpec, degrees: Sequence[int],
     representative is reduced on them (reduce_symmetric_mod_sum), so no
     polynomial is expanded.  reduce_mod_relation, which substitutes into
     the expanded quotient, is the independent route the tests compare it
-    with.  The Schur expansion's steps (_expansion_work) are charged to
-    dominant_coefficients' cap, before it computes a coefficient."""
+    with.  The Schur expansion's steps are charged to dominant_coefficients'
+    cap, before it computes a coefficient."""
     _check_threads(threads)
     geometry = fold_parameters(spec)
-    ground, factor = geometry.ground, 2 if geometry.pair_forms else 1
     entries = []
     for d in degrees:
-        coeffs = dominant_coefficients(spec, d, _expansion_work(spec, d))
-        q, den = monomial_coefficients(coeffs, ground)
+        coeffs = dominant_coefficients(spec, d, schur=True)
+        q, den = monomial_coefficients(coeffs, geometry.ground)
         reduced = reduce_symmetric_mod_sum(q) if spec.family == "A" else None
-        entries.append(ReportEntry(d, ground, factor, den, q, reduced))
-    return ExpansionReport(spec, geometry.k, spec.positive_root_count, entries)
+        entries.append(ReportEntry(d, geometry.ground, geometry.forms, den, q, reduced))
+    return ExpansionReport(spec, geometry.k, geometry.roots, entries)

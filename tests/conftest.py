@@ -58,7 +58,7 @@ class FoldCache:
         for d in (phi, phi + 2):
             q = self.quotient(family, rank, d)
             reduced = reduce_mod_relation(q, spec) if family == "A" else None
-            entries.append(report_entry(d, q, reduced, 2 if geometry.pair_forms else 1))
+            entries.append(report_entry(d, q, reduced, geometry.forms))
         return ExpansionReport(spec, geometry.k, phi, entries)
 
 

@@ -35,7 +35,7 @@ from coxpizza.oracle import (_BLOCK, _HYPERPLANE_TOL, BallSpec, DivergentRegion,
 from coxpizza.polyring import (Monomial, Partition, Poly, Rational, divide_by_vandermonde, mul,
                                normalize_partition, partitions, spread_monomials)
 from coxpizza.rootsys import ArrangementSpec, Root, make_spec, positive_roots
-from coxpizza.taylor import (ExpansionReport, ReportEntry, _admitted_geometry, _edge_table, _fold_scale,
+from coxpizza.taylor import (ExpansionReport, ReportEntry, _edge_table, _fold_scale,
                              _require_symbolic_regime, dominant_coefficients, expansion_report,
                              reduce_mod_relation, z_poly)
 
@@ -282,8 +282,6 @@ class TwoStructure:
 def two_structure(spec: ArrangementSpec, m: Matching) -> TwoStructure:
     """Positive roots per edge: e_i - e_j for type A; for type D the pair
     e_i - e_j then e_i + e_j.  Coordinates are unnormalized integers."""
-    if spec.family not in ("A", "D"):
-        raise ValueError(f"two-structures by matchings exist for families A and D, not {spec.family}")
     geometry = fold_parameters(spec)
     if m.ground_size != geometry.ground:
         raise ValueError(f"matching ground size {m.ground_size} does not match {spec} (expected {geometry.ground})")
@@ -408,9 +406,8 @@ def z_poly_reference(spec: ArrangementSpec, d: int) -> Poly:
     """Same value as z_poly via the direct per-structure composition
     (t_poly composed with each subsystem's forms), without the per-edge
     tables; for cross-checking."""
-    _require_symbolic_regime(spec)
-    geometry = fold_parameters(spec)
-    if d < geometry.k or (d - geometry.k) % 2:
+    geometry = _require_symbolic_regime(spec)
+    if geometry.half_degree(d) is None:
         return Poly.zero(spec.ambient_dim)
     block = t_poly(spec.rank, geometry.k, d)
     total = Poly.zero(spec.ambient_dim)
@@ -428,16 +425,13 @@ def dominant_coefficients_by_matchings(spec: ArrangementSpec, d: int
     entries of the edge tables for q = 0..m, cleared to one denominator L,
     on (mu_i, mu_j) with the matching's sign, skipped when the isolated
     vertex has a nonzero exponent."""
-    geometry = _admitted_geometry(spec, d)
-    shift = d - spec.positive_root_count
-    if geometry is None or shift < 0:
+    geometry = _require_symbolic_regime(spec)
+    m = geometry.half_degree(d)
+    shift = d - geometry.roots
+    if m is None or shift < 0:
         return {}
-    assert shift % 2 == 0, "supported degrees share parity with the root count"
-    size = shift // 2 if geometry.pair_forms else shift
-    ground = geometry.ground
-    m = (d - geometry.k) // 2
-    # targets are stretched by the forms per edge, and so are an edge's table degrees 2q + forms
-    stretch = 2 if geometry.pair_forms else 1
+    ground, forms = geometry.ground, geometry.forms
+    size = shift // forms
     tables, scalars = zip(*(_edge_table(geometry.pair_forms, q) for q in range(m + 1)))
     lcm = math.lcm(*scalars)
     tables = [{key: c * (lcm // s) for key, c in table.items()}
@@ -446,7 +440,8 @@ def dominant_coefficients_by_matchings(spec: ArrangementSpec, d: int
     targets = []
     for lam in lams:
         padded = lam + (0,) * (ground - len(lam))
-        targets.append(tuple(stretch * (part + ground - 1 - i) for i, part in enumerate(padded)))
+        # targets are stretched by the forms per edge, and so are an edge's table degrees 2q + forms
+        targets.append(tuple(forms * (part + ground - 1 - i) for i, part in enumerate(padded)))
     sums = [0] * len(targets)
 
     for matching in enumerate_matchings(ground):
@@ -458,7 +453,7 @@ def dominant_coefficients_by_matchings(spec: ArrangementSpec, d: int
                 continue
             prod = sgn
             for i, j in edges:
-                c = tables[(mu[i] + mu[j] - stretch) >> 1].get((mu[i], mu[j]))
+                c = tables[(mu[i] + mu[j] - forms) >> 1].get((mu[i], mu[j]))
                 if c is None:
                     break
                 prod *= c
@@ -500,7 +495,6 @@ def signed_sums_by_matchings(geometry: FoldGeometry,
 
     on the unnormalized forms."""
     size = m_top + 1
-    forms_per_edge = 2 if geometry.pair_forms else 1
     denominator = math.lcm(*(u.denominator for _, _, us in matchings for u in us))
     odd = math.lcm(*range(1, 2 * m_top + 2, 2))
     comb = [[math.comb(m, j) for j in range(m + 1)] for m in range(size)]
@@ -512,7 +506,7 @@ def signed_sums_by_matchings(geometry: FoldGeometry,
         for slot, edge in enumerate(edges):
             series = edge_series.get(edge)
             if series is None:
-                for v in scaled[slot * forms_per_edge : (slot + 1) * forms_per_edge]:
+                for v in scaled[slot * geometry.forms : (slot + 1) * geometry.forms]:
                     g, power, vv = [], v, v * v
                     for r in range(size):
                         g.append(power * (odd // (2 * r + 1)))

@@ -300,6 +300,13 @@ def test_oracle_series_and_sum2s(capsys):
     assert "tail_bound" in json.loads(out)
 
 
+def test_oracle_sum2s_is_exactly_zero_on_even_rank_d(capsys):
+    # each matching of D_4 carries 4 forms, so every Taylor block of the fold has degree 4,
+    # below |Phi+| = 12, where the alternating fold vanishes: the pizza quantity is 0
+    assert run_cli(capsys, "oracle", "--spec", "D:4", "--center", "0.21,-0.13,0.07,0.03",
+                   "--method", "sum2s") == (0, "0.0 (+- 0.0)\n", "")
+
+
 @pytest.mark.parametrize("argv", [
     ["--spec", "A1k:2@3", "--center", "0.25,0.125,0", "--method", "series"],
     ["--spec", "D:3", "--center", "0.25,0.125,0.0625", "--method", "sum2s"],
@@ -478,7 +485,7 @@ REFUSED_COMMANDS = {
                          "the squared coordinates sum to 1 or more: outside the open "
                          "convergence region"),
     "sum2s-family": (["oracle", "--spec", "A1k:2@3", "--center", "0.1,0.1,0", "--method", "sum2s"],
-                     "exact fold applies to families A and D, not A1k"),
+                     "no matching fold for family A1k"),
     "series-family": (["oracle", "--spec", "D:3", "--center", "0.1,0.2,0.3", "--method", "series"],
                       "--method series applies to A1k arrangements only, not D:3"),
     "sign-family": (["check", "sign", "--spec", "I2:5", "--centers", "auto:2"],

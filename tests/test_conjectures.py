@@ -71,6 +71,16 @@ def test_type_d_audits_refuse_even_ranks_before_any_estimate(check):
         check(4, 12)
 
 
+@pytest.mark.parametrize("check,args", [
+    (check_y_negativity, (5, 34.0)), (check_t_positivity, (20.0,)),
+    (check_lemma51, (5, 22.0)), (schur_reconstruct, (5, 22.0)),
+], ids=["y-neg", "t-pos", "lemma51", "schur"])
+def test_exact_audits_refuse_a_non_integer_degree(check, args):
+    # the fold geometry's degree check, before any coefficient or table
+    with pytest.raises(ValueError, match=rf"^degree {args[-1]} is not an integer$"):
+        check(*args)
+
+
 def test_y_negativity_small_ranges():
     report = check_y_negativity(3, 12)
     assert report.verdict == "consistent"

@@ -1,7 +1,7 @@
 import pytest
 
 from coxpizza.matchings import (Matching, count_matchings, crossings,
-                                enumerate_matchings, sign, sign_sum)
+                                enumerate_matchings, fold_parameters, sign, sign_sum)
 from coxpizza.rootsys import Root, make_spec
 from reference import two_structure
 
@@ -105,6 +105,24 @@ def test_two_structure_root_counts():
     d5 = make_spec("D", 5)
     for m in enumerate_matchings(5):
         assert len(two_structure(d5, m).positive_roots) == 4
+
+
+def test_k_is_the_root_count_of_every_two_structure():
+    # D_n of even rank: n/2 edges of two forms each, n forms, not n - 1
+    specs = [make_spec("A", r) for r in range(2, 8)] + [make_spec("D", r) for r in range(3, 9)]
+    for spec in specs:
+        k = fold_parameters(spec).k
+        for m in enumerate_matchings(spec.ambient_dim):
+            assert len(two_structure(spec, m).positive_roots) == k, (str(spec), m.render())
+
+
+def test_fold_parameters_follow_from_the_ground_set():
+    specs = [make_spec("A", r) for r in range(1, 26)] + [make_spec("D", r) for r in range(3, 26)]
+    for spec in specs:
+        geometry = fold_parameters(spec)
+        assert geometry.ground == spec.ambient_dim and geometry.nslots == geometry.ground // 2
+        assert geometry.order % 2 == 0 and 0 <= geometry.order - geometry.ground <= 1
+        assert geometry.roots == spec.positive_root_count, str(spec)
 
 
 def test_two_structure_orthogonality():

@@ -608,7 +608,7 @@ def test_sign_fold_tails_is_the_fold_bound_without_folding(family, rank):
 
 
 def test_fold_at_shares_the_exact_fold_checks():
-    with pytest.raises(ValueError, match="families A and D, not I2"):
+    with pytest.raises(ValueError, match="^no matching fold for family I2$"):
         fold_at(make_spec("I2", 5), (1, 2), 9)
     with pytest.raises(ValueError, match="center has dimension 4, expected 3"):
         fold_at(make_spec("D", 3), (1, 2, 3, 4), 9)
@@ -641,7 +641,7 @@ def test_fold_mod_work_counts_the_memo_terms():
         spec = make_spec("D", rank)
         plan = _pfaffian_plan(rank)
         terms = sum(len(plus) + len(minus) for _, plus, minus in plan)
-        assert fold_mod_work(spec, 2 * rank + rank - 1) == terms * (rank + 1), rank
+        assert fold_mod_work(spec, 2 * rank + fold_parameters(spec).k) == terms * (rank + 1), rank
 
 
 def test_fold_mod_refuses_what_it_cannot_evaluate():
@@ -671,6 +671,35 @@ def test_exact_routes_refuse_a_non_integer_degree():
         sum_over_2structures(spec, BallSpec(center, 1.0), 21.5)
     with pytest.raises(ValueError, match=r"^degree_cap 5\.5 is not an integer$"):
         a1k_pizza_series(3, 2, (0.25, 0.125), 5.5)
+
+
+# outside the regime (A_n with n = 0, 1 mod 4, D_n of even rank) every Taylor block of the fold
+# has degree at most n, below |Phi+|, where the alternating fold vanishes: the pizza quantity is 0
+OUTSIDE_REGIME = {
+    "D4": ("D", 4, (0.21, -0.13, 0.07, 0.03)),
+    "D6": ("D", 6, (0.21, -0.13, 0.07, 0.03, 0.01, 0.02)),
+    "D8": ("D", 8, (0.21, -0.13, 0.07, 0.03, 0.01, 0.02, -0.11, 0.05)),
+    "A4": ("A", 4, (0.21, -0.13, 0.07, 0.03, -0.18)),
+    "A5": ("A", 5, (0.21, -0.13, 0.07, 0.03, -0.18, 0.0)),
+}
+
+
+@pytest.mark.parametrize("family,rank,center", OUTSIDE_REGIME.values(), ids=OUTSIDE_REGIME.keys())
+def test_exact_routes_are_zero_outside_the_regime(family, rank, center):
+    spec = make_spec(family, rank)
+    assert exact_sign_fold(spec, center, 61) == (0, 0)
+    assert sum_over_2structures(spec, BallSpec(center, 1.0), 61) == (0.0, 0.0)
+    estimate = mc_pizza(spec, BallSpec(center, 1.0), 20_000, SEED)
+    assert abs(estimate.value) <= 3 * estimate.std_error
+
+
+def test_fold_at_is_zero_on_even_rank_d():
+    # D_4's matchings carry k = 4 forms each: c_m = 0 past m = 0, and Z_4 alternates in the
+    # squares at degree 4, below the degree 12 of their Vandermonde, so it vanishes
+    spec = make_spec("D", 4)
+    assert fold_parameters(spec).k == 4
+    values = fold_at(spec, (3, -7, 11, 2), 40)
+    assert list(values) == list(range(4, 41, 2)) and not any(values.values())
 
 
 def test_sum2s_refuses_type_a_center_off_the_hyperplane():

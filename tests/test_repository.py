@@ -105,6 +105,42 @@ def test_only_walk_plan_reads_the_pfaffian_plan():
     assert Counter(_names(walks[0]))["_pfaffian_plan"] == reads
 
 
+def _fold_copies(tree):
+    """The expressions of a module that rederive a family's fold numbers:
+    `2 if <x>.pair_forms else 1` (the forms per edge) and `<x> + <x> % 2`
+    (the Pfaffian's order)."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.IfExp) and isinstance(node.test, ast.Attribute)
+                and node.test.attr == "pair_forms"
+                and [getattr(node.body, "value", None), getattr(node.orelse, "value", None)] == [2, 1]):
+            yield ast.unparse(node)
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+                and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Mod)
+                and getattr(node.right.right, "value", None) == 2
+                and ast.dump(node.left) == ast.dump(node.right.left)):
+            yield ast.unparse(node)
+
+
+def test_only_fold_parameters_derives_a_fold():
+    # a family's ground size, forms per edge, k, nslots and Pfaffian order are derived once,
+    # by matchings.fold_parameters: no other code builds a FoldGeometry or rederives its numbers
+    paths = [path for folder in ("src", "tests", "perfbench")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    builders = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                     and "FoldGeometry" in _names(node.func)):
+            owners = [f.name for f in functions if call in ast.walk(f)]
+            builders.append(f"{path.relative_to(ROOT)}:{'.'.join(owners) or '<module>'}")
+    assert builders == ["src/coxpizza/matchings.py:fold_parameters"]
+    copies = [f"{path.name}: {copy}" for path in sorted((ROOT / "src" / "coxpizza").glob("*.py"))
+              if path.name != "matchings.py"
+              for copy in _fold_copies(ast.parse(path.read_text(encoding="utf-8")))]
+    assert copies == []
+
+
 def _unbound_globals(path):
     """The global names a module reads but neither defines nor imports, at
     its top level or by a `global` statement, builtins and __file__ aside."""

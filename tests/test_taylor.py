@@ -9,7 +9,7 @@ from coxpizza import matchings, taylor
 from coxpizza.cli import main
 from coxpizza.matchings import Matching, c_coefficient, fold_parameters
 from coxpizza.polyring import Poly, partitions, schur_combination
-from coxpizza.rootsys import make_spec
+from coxpizza.rootsys import make_spec, parse_spec
 from coxpizza.taylor import (ParityRegimeError, ResourceCapExceeded, _edge_table, _pfaffian,
                              dominant_coefficients, expansion_report, quotient,
                              reduce_mod_relation, z_poly)
@@ -185,6 +185,17 @@ def test_fold_zero_at_wrong_parity():
 def test_fold_vanishes_below_root_count():
     for family, rank, d in (("A", 2, 1), ("A", 3, 4), ("D", 3, 4), ("D", 5, 18)):
         assert z_poly(make_spec(family, rank), d).is_zero(), (family, rank, d)
+
+
+@pytest.mark.parametrize("route,spec,degrees", [
+    (dominant_coefficients, "A:6", 23.0), (expansion_report, "A:6", [23.0]), (z_poly, "A:2", 5.0),
+], ids=["dominant_coefficients", "expansion_report", "z_poly"])
+def test_symbolic_routes_refuse_a_non_integer_degree(route, spec, degrees):
+    # the fold geometry's degree check, before any table: a float degree would reach range()
+    # or math.comb, each with its own unclear TypeError
+    degree = degrees[0] if isinstance(degrees, list) else degrees
+    with pytest.raises(ValueError, match=rf"^degree {degree} is not an integer$"):
+        route(parse_spec(spec), degrees)
 
 
 def test_fold_rejects_same_parity_regime():
@@ -365,15 +376,15 @@ def test_dominant_coefficients_agree_with_fold(cache, family, rank, d):
     # absent partition means a zero coefficient
     spec = make_spec(family, rank)
     geometry = fold_parameters(spec)
-    shift = d - spec.positive_root_count
-    stretch = 2 if geometry.pair_forms else 1
+    shift = d - geometry.roots
     z = cache.fold(family, rank, d).scale(Fraction(1, 1 << (shift // 2)))
     coeffs = dominant_coefficients(spec, d)
-    lams = list(partitions(shift // stretch, geometry.ground))
+    lams = list(partitions(shift // geometry.forms, geometry.ground))
     assert set(coeffs) <= set(lams) and all(coeffs.values())
+    ground, forms = geometry.ground, geometry.forms
     for lam in lams:
-        padded = lam + (0,) * (geometry.ground - len(lam))
-        mono = tuple(stretch * (part + geometry.ground - 1 - i) for i, part in enumerate(padded))
+        padded = lam + (0,) * (ground - len(lam))
+        mono = tuple(forms * (part + ground - 1 - i) for i, part in enumerate(padded))
         assert coefficient(z, mono) == coeffs.get(lam, 0), lam
 
 
