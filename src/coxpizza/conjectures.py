@@ -22,11 +22,14 @@ coefficients (check y-neg; check schur and check lemma51, which test them
 against oracle.fold_mod, the fold modulo 2^61 - 1, at three seeded points
 of [0, 2^61 - 1), so a wrong identity of degree d passes one point with
 probability at most d / (2^61 - 1)) and the edge tables (check t-pos).
-No audit expands the fold.  Degrees where the fold vanishes are refused.
+No audit expands the fold.  Degrees where the fold vanishes are refused
+(FoldGeometry.schur_shift), with the reason: below |Phi+|, or the other
+parity.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -38,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .matchings import FoldGeometry, c_coefficient, fold_parameters
 from .oracle import (MAX_DEGREE_CAP, MAX_FOLD_MOD_WORK, MODULUS, BallSpec, exact_sign_fold, fold_mod,
                      fold_mod_work, mc_pizza, require_dimension, require_sum_zero, sign_fold_tails)
-from .polyring import NonDivisible, partitions
+from .polyring import NonDivisible, alternant_exponents, partitions
 from .rootsys import ArrangementSpec, chamber_sign, make_spec
 from .taylor import (MAX_QUOTIENT_WORK, ResourceCapExceeded, _edge_table, _require_symbolic_regime,
                      dominant_coefficients)
@@ -107,18 +110,28 @@ def _signed_estimate(spec: ArrangementSpec, center: Sequence[float]) -> Tuple[Fr
     bound is below a quarter of that value; near the origin the leading
     term is close to the whole, and that fold decides.  While the band still
     straddles zero the cap is chosen again from the new value; a value of
-    exactly 0 steps the cap by 40.  The cap never exceeds 400."""
+    exactly 0 steps the cap by 40.  The cap never exceeds 400.
+
+    The smallest cap is found by bisection, not by a scan (the scan is kept
+    in tests/reference.py): the bound does not grow with the cap.  From cap
+    to cap + 2 the top block m_top rises by one, so
+    B = 2^ceil(k/2) |c_(m_top+1)| sum_M s_M^(m_top+1) / (1 - s_M) takes
+    |c_(m_top+2)| <= |c_(m_top+1)| (the probe's cap already passed
+    _require_decaying, and a larger cap only moves further past it) and
+    every s_M^(m_top+2) <= s_M^(m_top+1), as each s_M < 1.  So the test
+    "bound below a quarter of the value" is False and then True along the
+    caps, and bisect picks the first True one in at most
+    ceil(log2(#caps)) + 1 evaluations."""
     cap = spec.positive_root_count
     value, tail = exact_sign_fold(spec, center, cap)
-    tail_at = None
     while tail >= abs(value) and cap < MAX_DEGREE_CAP:
         if value == 0:
             cap = min(MAX_DEGREE_CAP, cap + 40)
         else:
-            if tail_at is None:
-                tail_at = sign_fold_tails(spec, center)
-            cap = next((c for c in range(cap + 2, MAX_DEGREE_CAP, 2)
-                        if tail_at(c) < abs(value) / 4), MAX_DEGREE_CAP)
+            tail_at = sign_fold_tails(spec, center)  # the folds' own, cached per center
+            caps = range(cap + 2, MAX_DEGREE_CAP, 2)
+            index = bisect.bisect_left(caps, True, key=lambda c: tail_at(c) < abs(value) / 4)
+            cap = caps[index] if index < len(caps) else MAX_DEGREE_CAP
         value, tail = exact_sign_fold(spec, center, cap)
     return value, tail, cap
 
@@ -194,7 +207,11 @@ def check_sign_A(n: int, centers: Sequence[Sequence[float]], samples: int = 0,
 def check_sign_D(n: int, centers: Sequence[Sequence[float]], samples: int = 0,
                  seed: int = 0) -> ConjectureReport:
     """Sign prediction for type D (odd rank): the quantity has sign opposite
-    to the chamber sign."""
+    to the chamber sign.
+
+    Y-negativity at every degree implies it on the whole domain |a| < R
+    (see check_y_negativity): the centers probed here test the prediction
+    itself, at the degrees their tail bounds reach."""
     spec = make_spec("D", n)
     _require_symbolic_regime(spec)
     return _check_sign("signD", spec, lambda t: -t, centers, samples, seed)
@@ -209,13 +226,16 @@ def _type_d(n: int, d: Optional[int] = None) -> Tuple[ArrangementSpec, FoldGeome
     """The rank-n type D spec and its fold geometry, whose roots = |Phi+| is
     the lowest degree at which the fold can be nonzero; refuses an even rank
     (_require_symbolic_regime), then a degree d that is not an integer or
-    where the fold vanishes identically: below |Phi+|, or where the
-    geometry's degree check finds no block."""
+    where the fold vanishes identically (FoldGeometry.schur_shift), naming
+    the reason: d below |Phi+|, or d of the other parity, where the degree
+    d - 1 below it carries a fold."""
     spec = make_spec("D", n)
     geometry = _require_symbolic_regime(spec)
-    if d is not None and (geometry.half_degree(d) is None or d < geometry.roots):
-        raise ValueError(f"degree {d} below the lowest nonzero degree {geometry.roots} "
-                         f"or wrong parity")
+    if d is not None and geometry.schur_shift(d) is None:
+        if d and geometry.schur_shift(d - 1) is not None:
+            raise ValueError(f"degree {d} has the wrong parity: the fold can be nonzero only at "
+                             f"degrees {geometry.roots}, {geometry.roots + 2}, ...")
+        raise ValueError(f"degree {d} below the lowest nonzero degree {geometry.roots}")
     return spec, geometry
 
 
@@ -226,7 +246,9 @@ def _checked_coefficients(n: int, d: int) -> Tuple[int, Dict[Tuple[int, ...], Fr
     probability at most d / p, by Schwartz-Zippel); raises
     ReconstructionMismatch otherwise.  The fold is oracle.fold_mod's; the
     right side is 2^shift sum c_lambda det(x_i^(lambda_j + n - j)), x = a^2,
-    by the bialternant formula, over one common denominator of the c_lambda,
+    by the bialternant formula (shift from FoldGeometry.schur_shift, the
+    exponents lambda + delta from polyring.alternant_exponents), over one
+    common denominator of the c_lambda,
     which must be prime to p.  Refused with ResourceCapExceeded before any
     coefficient or point when fold_mod_work exceeds MAX_FOLD_MOD_WORK."""
     spec, geometry = _type_d(n, d)
@@ -234,15 +256,14 @@ def _checked_coefficients(n: int, d: int) -> Tuple[int, Dict[Tuple[int, ...], Fr
     if work > MAX_FOLD_MOD_WORK:
         raise ResourceCapExceeded(f"rank {n} degree {d}: about {work} steps for each point of the "
                                   f"fold modulo 2^61 - 1 exceed the cap of {MAX_FOLD_MOD_WORK}")
-    shift = (d - geometry.roots) // 2
+    shift = geometry.schur_shift(d)
     coeffs = dominant_coefficients(spec, d)
     common = math.lcm(*(c.denominator for c in coeffs.values()))
     if common % MODULUS == 0:
         raise ReconstructionMismatch(f"rank {n} degree {d}: a c_lambda denominator is divisible by "
                                      f"2^61 - 1, so the identity cannot be checked modulo it")
     scale = pow(common, -1, MODULUS) << shift
-    alternants = [(c.numerator * (common // c.denominator),
-                   [part + n - 1 - j for j, part in enumerate(lam + (0,) * (n - len(lam)))])
+    alternants = [(c.numerator * (common // c.denominator), alternant_exponents(lam, n))
                   for lam, c in coeffs.items()]
     rng = random.Random(f"schurRecon D{n} d{d}")
     for _ in range(3):
@@ -291,7 +312,7 @@ def check_lemma51(n: int, d: int) -> ConjectureReport:
     terms = []
     for lam, c in coeffs.items():
         if len(lam) == n:
-            for mono in itertools.permutations(2 * (part + n - 1 - i) for i, part in enumerate(lam)):
+            for mono in itertools.permutations(2 * e for e in alternant_exponents(lam, n)):
                 inversions = sum(x < y for i, x in enumerate(mono) for y in mono[i + 1:])
                 terms.append((mono, (-1) ** inversions * c * (1 << shift)))
     witnesses = [{"claim": "no_zero_exponent", "monomial": list(mono), "coefficient": str(coeff)}
@@ -307,30 +328,39 @@ def check_y_negativity(n: int, d_max: int) -> ConjectureReport:
     parts) must be strictly negative.  Zero coefficients are classified
     separately from positive ones (the statement is strict).
 
+    What it proves: Z_d = 2^s sum c_lambda s_lambda(a^2) pi(a), s the Schur
+    shift and pi(a) = prod_(i<j) (a_i^2 - a_j^2), whose sign is the chamber
+    sign.  Schur polynomials have non-negative monomial coefficients, so
+    s_lambda(a^2) >= 0 at every real a, and the c_lambda with n parts
+    vanish (Lemma 5.1(b), check schur), so this check reads every c_lambda
+    there is.  If every c_lambda < 0, at every degree, then each Z_d, and
+    the quantity sum_m 2^-m Z_(2m+k) wherever it converges (|a| < R), has
+    the sign of -pi(a): check_sign_D's prediction on the whole domain.  A
+    check up to d_max covers the degrees up to d_max.
+
     The largest degree is computed first: dominant_coefficients' work
     estimate does not decrease with the degree, so a range it refuses is
-    refused there, before any other degree is computed."""
+    refused there, before any other degree is computed or listed."""
     started = time.perf_counter()
     spec, geometry = _type_d(n)
-    base = geometry.roots
-    if d_max < base:
-        raise ValueError(f"max degree {d_max} is below the lowest nonzero degree {base}")
-    geometry.half_degree(d_max)  # refuses a max degree that is not an integer
+    # the largest degree up to d_max where the fold can be nonzero: d_max or the one below it
+    top = next((d for d in (d_max, d_max - 1) if d >= 0 and geometry.schur_shift(d) is not None),
+               None)
+    if top is None:
+        raise ValueError(f"max degree {d_max} is below the lowest nonzero degree {geometry.roots}")
+    top_coeffs = dominant_coefficients(spec, top)
     witnesses: List[dict] = []
-    degrees = list(range(base, d_max + 1, 2))
-    top = dominant_coefficients(spec, degrees[-1])
+    degrees = list(range(geometry.roots, top + 1, 2))
     for d in degrees:
-        coeffs = top if d == degrees[-1] else dominant_coefficients(spec, d)
-        half = (d - base) // 2
-        for lam in partitions(half, n - 1):
-            padded = list(lam) + [0] * (n - 1 - len(lam))
-            mono = tuple(2 * padded[i] + 2 * (n - 1 - i) for i in range(n - 1))
+        coeffs = top_coeffs if d == top else dominant_coefficients(spec, d)
+        for lam in partitions(geometry.schur_shift(d), n - 1):
+            mono = [2 * e for e in alternant_exponents(lam, n)[:-1]]
             coeff = coeffs.get(lam, 0)
             if coeff > 0:
-                witnesses.append({"degree": d, "partition": list(lam), "monomial": list(mono),
+                witnesses.append({"degree": d, "partition": list(lam), "monomial": mono,
                                   "coefficient": str(coeff), "kind": "positive"})
             elif coeff == 0:
-                witnesses.append({"degree": d, "partition": list(lam), "monomial": list(mono),
+                witnesses.append({"degree": d, "partition": list(lam), "monomial": mono,
                                   "coefficient": "0", "kind": "zero (non-strict violation)"})
     params = {"rank": n, "degrees": degrees}
     return _finish("yNeg", params, witnesses, [], False, started)

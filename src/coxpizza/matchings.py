@@ -11,7 +11,9 @@ n - 1 for odd rank.  The Pfaffians that sum over the matchings take an odd
 ground set with one added vertex g+1, which the isolated vertex pairs with:
 the edge (p, g+1) crosses p - 1 edges modulo 2, the extra sign of `sign`.
 fold_parameters derives these numbers once, and every engine reads them
-from its FoldGeometry.
+from its FoldGeometry, with the degree frame: half_degree gives the block
+m = (d - k) / 2 of degree d, and schur_shift the shift s = (d - |Phi+|) / 2
+of the alternating fold's bialternant form.
 
 Matchings are streamed in a fixed deterministic order (smallest unused
 vertex pairs with each larger unused vertex in increasing order, then the
@@ -150,6 +152,15 @@ class FoldGeometry:
         if d < 0:
             raise ValueError("degree must be non-negative")
         return None if d < self.k or (d - self.k) % 2 else (d - self.k) // 2
+
+    def schur_shift(self, d: int) -> Optional[int]:
+        """The degree frame every reader of the alternating fold shares: the
+        shift s = (d - roots) / 2 of Z_d = 2^s sum c_lambda a_(lambda+delta),
+        exponents doubled for the pair (Macdonald, ch. I.3), so |lambda| =
+        2s / forms; or None where the fold vanishes, below roots (an
+        alternant has degree at least roots) or where half_degree finds no
+        block.  roots and k share their parity, so s is an integer."""
+        return None if self.half_degree(d) is None or d < self.roots else (d - self.roots) // 2
 
 
 def fold_parameters(spec: ArrangementSpec) -> FoldGeometry:

@@ -292,15 +292,22 @@ def _mc_chunk(rng: np.random.Generator, count: int, dim: int, radius: float,
 
 def random_interior_centers(spec: ArrangementSpec, count: int, seed: int,
                             radius: float = 0.4, margin: float = 0.03) -> List[Tuple[float, ...]]:
-    """Seeded centers strictly inside chambers: norm at most `radius`, every
-    unit-root pairing at least `margin` in absolute value.  Type A centers
-    are drawn inside the sum-zero subspace.
+    """Seeded centers strictly inside chambers: drawn with norm at most
+    `radius`, every unit-root pairing at least `margin` in absolute value.
+    Type A centers are drawn inside the sum-zero subspace.
 
     Coordinates are quantized to multiples of 1/256, so they convert to
-    small exact rationals for the exact sign fold.  Raises ValueError after
-    _MAX_REJECTED_DRAWS consecutive draws fail the tests (at the defaults,
-    D_7 and higher ranks practically never meet the margin), and for a
-    negative count."""
+    small exact rationals for the exact sign fold.  Rounding moves each of
+    the g coordinates by at most 1/512, and for type A restoring the sum
+    relation moves the last one by at most g/512 more, so a center's norm
+    is at most radius + sqrt(g)/512 (type D) or radius + (sqrt(g) + g)/512
+    (type A); at radius 0.4 the largest of 300 draws (seed 7) were 0.4010
+    (A_6), 0.4026 (A_10) and 0.4017 (D_9).  So the redraw of a norm past
+    radius + 0.1 can fire only from about 45 coordinates of type A on.
+
+    Raises ValueError after _MAX_REJECTED_DRAWS consecutive draws fail the
+    tests (at the defaults, D_7 and higher ranks practically never meet the
+    margin), and for a negative count."""
     import numpy as np
 
     if count < 0:
@@ -344,15 +351,17 @@ def _int_binomial_convolve(a: List[int], b: List[int], comb: List[List[int]]) ->
             for m, row in enumerate(comb)]
 
 
-def _require_cap(degree_cap: int, k: int) -> None:
-    """Refuse a degree cap that is not an integer, below the lowest block
-    degree k or above MAX_DEGREE_CAP."""
+def _require_cap(degree_cap: int, k: int) -> int:
+    """The top block m_top = (degree_cap - k) // 2 that a degree cap
+    reaches, the one place a cap is read, after refusing a cap that is not
+    an integer, below the lowest block degree k or above MAX_DEGREE_CAP."""
     if not isinstance(degree_cap, int):
         raise ValueError(f"degree_cap {degree_cap!r} is not an integer")
     if degree_cap < k:
         raise ValueError("degree_cap below the lowest block degree")
     if degree_cap > MAX_DEGREE_CAP:
         raise ValueError(f"degree_cap {degree_cap} above the largest admitted, {MAX_DEGREE_CAP}")
+    return (degree_cap - k) // 2
 
 
 def _exact_frame(spec: ArrangementSpec, point: Sequence, degree_cap: int
@@ -362,8 +371,8 @@ def _exact_frame(spec: ArrangementSpec, point: Sequence, degree_cap: int
     dimension, a cap from k to MAX_DEGREE_CAP."""
     geometry = fold_parameters(spec)
     require_dimension(spec, point)
-    _require_cap(degree_cap, geometry.k)
-    return geometry, [Fraction(x) for x in point], (degree_cap - geometry.k) // 2
+    m_top = _require_cap(degree_cap, geometry.k)
+    return geometry, [Fraction(x) for x in point], m_top
 
 
 def _series_weights(m_top: int) -> Tuple[int, List[int], List[List[int]]]:
@@ -622,7 +631,7 @@ def exact_sign_fold(spec: ArrangementSpec, center: Sequence, degree_cap: int) ->
     _require_decaying(spec.rank, geometry.k, m_top, "cap too small: coefficients")  # before any walk
     bound = sign_fold_tails(spec, center)(degree_cap)
     folds = fold_at(spec, center, degree_cap)
-    return sum(z / (1 << ((d - geometry.k) // 2)) for d, z in folds.items()), bound
+    return sum(z / (1 << geometry.half_degree(d)) for d, z in folds.items()), bound
 
 
 def sign_fold_tails(spec: ArrangementSpec, center: Sequence) -> Callable[[int], Fraction]:
@@ -647,8 +656,9 @@ def sign_fold_tails(spec: ArrangementSpec, center: Sequence) -> Callable[[int], 
     cached.  The refusals come in this order, all before any cap is read:
     more than MAX_TAIL_MATCHINGS matchings raise ValueError before the
     walk, and a center outside the unit ball, max q_M >= R, raises
-    DivergentRegion after it.  Each cap is then checked by
-    _require_decaying."""
+    DivergentRegion after it.  Each cap is then refused as exact_sign_fold
+    refuses it: by _require_cap (an integer from k to MAX_DEGREE_CAP, which
+    gives m_top), then by _require_decaying."""
     return _center_tails(spec, tuple(Fraction(x) for x in center))
 
 
@@ -667,7 +677,7 @@ def _center_tails(spec: ArrangementSpec, center: Tuple[Fraction, ...]) -> Callab
     terms = [(q, count * (common // (radius_square - q))) for q, count in counts.items()]
 
     def bound(degree_cap: int) -> Fraction:
-        m_top = (degree_cap - k) // 2
+        m_top = _require_cap(degree_cap, k)
         _require_decaying(n, k, m_top, "cap too small: coefficients")
         tails = sum(w * q ** (m_top + 1) for q, w in terms)
         return ((1 << (k + 1) // 2) * abs(c_coefficient(n, k, m_top + 1))
@@ -742,8 +752,7 @@ def a1k_pizza_series(n: int, k: int, coords: Sequence[float],
     if s >= 1:
         raise DivergentRegion("the squared coordinates sum to 1 or more: outside the open "
                               "convergence region, the unit ball")
-    _require_cap(degree_cap, k)
-    m_top = (degree_cap - k) // 2
+    m_top = _require_cap(degree_cap, k)
     _require_decaying(n, k, m_top, f"degree_cap {degree_cap} too small: series coefficients")
     denominator = math.lcm(*(x.denominator for x in exact))
     odd, weights, comb = _series_weights(m_top)

@@ -363,6 +363,13 @@ def partitions(total: int, max_parts: int) -> Iterator[Partition]:
     yield from rec(total, max_parts, total, ())
 
 
+def alternant_exponents(lam: Partition, nvars: int) -> Tuple[int, ...]:
+    """lambda + delta: the exponents of the alternant a_(lambda+delta) in
+    nvars variables, lambda padded with zeros to nvars parts and
+    delta = (nvars - 1, ..., 1, 0)."""
+    return tuple(part + nvars - 1 - i for i, part in enumerate(lam + (0,) * (nvars - len(lam))))
+
+
 def _monomial_coefficients(coeffs: Mapping[Partition, int], size: int,
                            nvars: int) -> Dict[Partition, int]:
     """Coefficients q_nu on the sorted monomials x^nu of sum c_lambda s_lambda
@@ -402,12 +409,10 @@ def _monomial_coefficients(coeffs: Mapping[Partition, int], size: int,
         return total
 
     for lam in partitions(size, nvars):
-        padded = lam + (0,) * (nvars - len(lam))
-        for i, part in enumerate(padded):
-            alpha[i] = part + nvars - 1 - i
+        alpha[:] = alternant_exponents(lam, nvars)
         q = coeffs.get(lam, 0) - alternating_sum(nvars - 1, 0)
         if q:
-            out[padded] = q
+            out[lam + (0,) * (nvars - len(lam))] = q
     return out
 
 

@@ -7,8 +7,10 @@ polynomial Z_d; its quotient by the arrangement Jacobian, with the
 power-of-two normalization fixed, is what the reports carry.
 
 The quotient is computed without expanding Z_d.  Z_d is alternating (in
-the squared variables for type D), so Z_d = sum c_lambda a_(lambda+delta)
-and the quotient is sum c_lambda s_lambda by the bialternant formula.  Each
+the squared variables for type D), so Z_d = 2^s sum c_lambda a_(lambda+delta)
+with s = (d - |Phi+|) / 2, the Schur shift of FoldGeometry.schur_shift, and
+lambda + delta from polyring.alternant_exponents, and the quotient is
+sum c_lambda s_lambda by the bialternant formula.  Each
 edge of a matching touches two variables only, so a matching's share of one
 dominant coefficient c_lambda is a single product of per-edge coefficients,
 and the signed sum over the matchings is a Pfaffian (Stembridge, Adv. Math.
@@ -38,10 +40,9 @@ reference routes by direct composition (edge_table_by_composition, t_poly,
 compose_block, z_poly_reference) live in tests/reference.py.
 
 All algebra runs on unnormalized integer root coordinates, which keeps
-every coefficient rational.  Because the supported degrees always have the
-same parity as the positive-root count, the normalization mismatch against
-unit-length roots is an integer power of two, applied once to the
-dominant coefficients (or to the divided fold), never inside the pipeline.
+every coefficient rational.  The normalization mismatch against
+unit-length roots is 2^s, s the Schur shift, applied once to the dominant
+coefficients (or to the divided fold), never inside the pipeline.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import matchings as mt
 from .matchings import (FoldGeometry, c_coefficient, count_matchings, enumerate_matchings,
                         fold_parameters)
-from .polyring import (Monomial, Partition, Poly, divide_by_vandermonde, format_terms,
-                       monomial_coefficients, monomial_terms, partitions,
+from .polyring import (Monomial, Partition, Poly, alternant_exponents, divide_by_vandermonde,
+                       format_terms, monomial_coefficients, monomial_terms, partitions,
                        reduce_symmetric_mod_sum, schur_combination, spread_monomials,
                        substitute_linear)
 from .rootsys import ArrangementSpec
@@ -242,15 +243,15 @@ def z_poly(spec: ArrangementSpec, d: int, threads: int = 1) -> Poly:
 
 def quotient_from_fold(spec: ArrangementSpec, d: int, z: Poly) -> Poly:
     """Quotient derivation from an already-computed degree-d fold: exact
-    Vandermonde division then the 2^-((d - |roots|)/2) normalization."""
+    Vandermonde division then the normalization 2^-s, s the Schur shift
+    (FoldGeometry.schur_shift).  A zero fold is its own quotient."""
     if z.is_zero():
         return z
-    phi_plus = spec.positive_root_count
+    shift = fold_parameters(spec).schur_shift(d)
+    if shift is None:
+        raise ValueError(f"a nonzero fold at degree {d}, where the fold vanishes")
     q = divide_by_vandermonde(z, range(z.arity), squared=(spec.family == "D"))
-    shift = d - phi_plus
-    assert shift % 2 == 0, "supported degrees share parity with the root count"
-    half = shift // 2
-    return q.scale(Fraction(1, 1 << half)) if half >= 0 else q.scale(1 << (-half))
+    return q.scale(Fraction(1, 1 << shift))
 
 
 def _pfaffian(w: List[List[int]]) -> int:
@@ -284,10 +285,11 @@ def dominant_coefficients(spec: ArrangementSpec, d: int, schur: bool = False
                           ) -> Dict[Tuple[int, ...], Fraction]:
     """The nonzero c_lambda of the degree-d fold, keyed by partitions as
     `partitions` yields them: the coefficient on a^(lambda+delta) (type A)
-    or a^(2(lambda+delta)) (type D), delta = (ground-1, ..., 0), normalized
-    by 2^-((d - |roots|)/2) as in quotient.  |lambda| is (d - |roots|) / forms,
-    forms the forms per edge; empty below the root count or where the
-    fold's degree check (FoldGeometry.half_degree) finds it zero by parity.
+    or a^(2(lambda+delta)) (type D), delta = (ground-1, ..., 0), the
+    exponents polyring.alternant_exponents writes, normalized by 2^-s as in
+    quotient.  s is the Schur shift of FoldGeometry.schur_shift and |lambda|
+    is 2s / forms, forms the forms per edge; empty where schur_shift finds
+    the fold zero, below the root count or at the other parity.
 
     A matching reaches a target monomial mu through one composition only:
     edge (i, j) takes inner degree q = (mu_i + mu_j - forms)/2, with one or
@@ -309,11 +311,11 @@ def dominant_coefficients(spec: ArrangementSpec, d: int, schur: bool = False
     100 C(|lambda| + g - 1, g - 1).
     """
     geometry = _require_symbolic_regime(spec)
-    m = geometry.half_degree(d)
-    if m is None or d < geometry.roots:
+    shift = geometry.schur_shift(d)
+    if shift is None:
         return {}
-    ground, forms, shift = geometry.ground, geometry.forms, d - geometry.roots
-    size = shift // forms
+    ground, forms, m = geometry.ground, geometry.forms, geometry.half_degree(d)
+    size = 2 * shift // forms
     # work in steps of about one of _pfaffian's: (m+1)^3 for the edge tables of either layout
     # (cold, q = 0..367: 0.1 s for one form, 0.7 s for the pair), (ground+1)^3 a Pfaffian
     work = (100 * math.comb(size + ground - 1, ground - 1) if schur else 0) + (m + 1) ** 3
@@ -334,11 +336,10 @@ def dominant_coefficients(spec: ArrangementSpec, d: int, schur: bool = False
     tables, scalars = zip(*(_edge_table(geometry.pair_forms, q) for q in range(top + 1)))
     lcm = math.lcm(*scalars)
     factors = [lcm // s for s in scalars]
-    scale = _fold_scale(spec, geometry, m, lcm) / (1 << (shift // 2))
+    scale = _fold_scale(spec, geometry, m, lcm) / (1 << shift)
     pfaffians = []
     for lam in lams:
-        padded = lam + (0,) * (ground - len(lam))
-        mu = [forms * (part + ground - 1 - i) for i, part in enumerate(padded)]
+        mu = [forms * e for e in alternant_exponents(lam, ground)]
         w = [[0] * geometry.order for _ in range(geometry.order)]
         for i in range(ground):
             for j in range(i + 1, ground):
@@ -353,7 +354,7 @@ def dominant_coefficients(spec: ArrangementSpec, d: int, schur: bool = False
 
 def quotient(spec: ArrangementSpec, d: int) -> Poly:
     """Exact quotient of the degree-d fold by the Jacobian, normalized so the
-    result matches the unit-root convention (the factor 2^-((d - |roots|)/2)):
+    result matches the unit-root convention (the factor 2^-s, s the Schur shift):
     sum c_lambda s_lambda by the bialternant formula, from the dominant
     coefficients alone, with neither the full fold nor a division computed.
     Equal to quotient_from_fold(spec, d, z_poly(spec, d))."""

@@ -10,7 +10,7 @@ quadrature; check schur, check lemma51 and the table cells on the expanded
 fold and quotients; `expand`'s output rendered from the expanded
 quotients, and a report entry read back from them onto their
 sorted-monomial coefficients; and the sign checks' earlier fixed-step
-escalation.  The polynomial helpers at the top (constant, coefficient,
+escalation and their cap search by a linear scan.  The polynomial helpers at the top (constant, coefficient,
 power, variable permutations and sign flips) are the ones only tests
 need."""
 
@@ -30,8 +30,8 @@ from coxpizza.conjectures import (ConjectureReport, ReconstructionMismatch, Rewr
                                   _type_d)
 from coxpizza.matchings import (FoldGeometry, Matching, c_coefficient, edge_forms,
                                 enumerate_matchings, fold_parameters)
-from coxpizza.oracle import (_BLOCK, _HYPERPLANE_TOL, BallSpec, DivergentRegion,
-                             _int_binomial_convolve, ball_volume, exact_sign_fold)
+from coxpizza.oracle import (_BLOCK, _HYPERPLANE_TOL, MAX_DEGREE_CAP, BallSpec, DivergentRegion,
+                             _int_binomial_convolve, ball_volume, exact_sign_fold, sign_fold_tails)
 from coxpizza.polyring import (Monomial, Partition, Poly, Rational, divide_by_vandermonde, mul,
                                normalize_partition, partitions, spread_monomials)
 from coxpizza.rootsys import ArrangementSpec, Root, make_spec, positive_roots
@@ -172,6 +172,26 @@ def signed_estimate_fixed_step(spec: ArrangementSpec, center: Sequence[float]
     value, tail = exact_sign_fold(spec, center, cap)
     while tail >= abs(value) and cap < 400:
         cap = min(400, cap + 40)
+        value, tail = exact_sign_fold(spec, center, cap)
+    return value, tail, cap
+
+
+def signed_estimate_linear_scan(spec: ArrangementSpec, center: Sequence[float]
+                               ) -> Tuple[Fraction, Fraction, int]:
+    """The sign checks' cap search before bisection, as (value, tail,
+    degree_cap): a probe at cap |Phi+|, then the tail bound evaluated at
+    every cap above it in turn, up to the first below a quarter of the
+    value; a value of exactly 0 steps the cap by 40, and the cap stops at
+    MAX_DEGREE_CAP."""
+    cap = spec.positive_root_count
+    value, tail = exact_sign_fold(spec, center, cap)
+    while tail >= abs(value) and cap < MAX_DEGREE_CAP:
+        if value == 0:
+            cap = min(MAX_DEGREE_CAP, cap + 40)
+        else:
+            tail_at = sign_fold_tails(spec, center)
+            cap = next((c for c in range(cap + 2, MAX_DEGREE_CAP, 2)
+                        if tail_at(c) < abs(value) / 4), MAX_DEGREE_CAP)
         value, tail = exact_sign_fold(spec, center, cap)
     return value, tail, cap
 

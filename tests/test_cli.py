@@ -629,8 +629,13 @@ def test_check_sign_without_interior_centers_is_a_usage_error(capsys):
     (("check", "lemma51", "--rank", "5", "--degree", "19"), "below the lowest nonzero degree 20"),
     (("check", "lemma51", "--rank", "5", "--degree", "10"), "below the lowest nonzero degree 20"),
     (("check", "lemma51", "--rank", "3", "--degree", "4"), "below the lowest nonzero degree 6"),
+    (("check", "lemma51", "--rank", "5", "--degree", "21"),
+     "degree 21 has the wrong parity: the fold can be nonzero only at degrees 20, 22, ..."),
+    (("check", "schur", "--rank", "5", "--degree", "21"),
+     "degree 21 has the wrong parity: the fold can be nonzero only at degrees 20, 22, ..."),
 ], ids=["sign-auto0", "sign-auto-negative", "sign-empty-list", "y-neg-below-base", "t-pos-below-6",
-        "lemma51-odd-below-base", "lemma51-below-base", "lemma51-d3-below-base"])
+        "lemma51-odd-below-base", "lemma51-below-base", "lemma51-d3-below-base",
+        "lemma51-other-parity", "schur-other-parity"])
 def test_check_without_anything_to_probe_is_a_usage_error(capsys, argv, message):
     # a check that probes nothing must not report "consistent"
     code, out, err = run_cli(capsys, *argv)

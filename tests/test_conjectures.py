@@ -16,7 +16,8 @@ from coxpizza.rootsys import OnHyperplane, make_spec
 from coxpizza.taylor import ParityRegimeError, ResourceCapExceeded, _require_symbolic_regime
 import reference
 from reference import (alternant, compose_block, evaluate, lemma51_by_fold, rewrite_even_symmetric,
-                       schur_lambda_coefficients, signed_estimate_fixed_step, t_poly)
+                       schur_lambda_coefficients, signed_estimate_fixed_step,
+                       signed_estimate_linear_scan, t_poly)
 
 SEED = 4711
 
@@ -57,12 +58,26 @@ def test_lemma51_matches_the_monomial_loop(n, d):
     assert _json_without_runtime(check_lemma51(n, d)) == _json_without_runtime(lemma51_by_fold(n, d))
 
 
-@pytest.mark.parametrize("n,d", [(3, 7), (3, 4), (5, 19), (5, 10)])
+def _vanishing_degree_message(n, d):
+    # below n(n-1) the fold is zero at either parity; above it only at the other parity
+    base = n * (n - 1)
+    if d < base:
+        return f"^degree {d} below the lowest nonzero degree {base}$"
+    return rf"^degree {d} has the wrong parity: the fold can be nonzero only at degrees {base}, " \
+           rf"{base + 2}, \.\.\.$"
+
+
+@pytest.mark.parametrize("n,d", [(3, 7), (3, 4), (5, 19), (5, 10), (5, 0), (5, 21), (5, 35)])
 def test_lemma51_refuses_degrees_where_the_fold_vanishes(n, d):
-    # below n(n-1) or at the other parity the fold is zero: nothing to audit
-    with pytest.raises(ValueError, match=f"^degree {d} below the lowest nonzero degree "
-                                         f"{n * (n - 1)} or wrong parity$"):
+    # nothing to audit, and the refusal names which of the two conditions failed
+    with pytest.raises(ValueError, match=_vanishing_degree_message(n, d)):
         check_lemma51(n, d)
+
+
+@pytest.mark.parametrize("n,d", [(3, 7), (5, 19), (5, 21)])
+def test_schur_refuses_degrees_where_the_fold_vanishes(n, d):
+    with pytest.raises(ValueError, match=_vanishing_degree_message(n, d)):
+        schur_reconstruct(n, d)
 
 
 @pytest.mark.parametrize("check", [check_lemma51, schur_reconstruct])
@@ -119,6 +134,19 @@ def test_y_negativity_refuses_at_its_largest_degree_before_any_other(monkeypatch
     calls.clear()
     assert check_y_negativity(5, 27).parameters["degrees"] == [20, 22, 24, 26]
     assert calls == [26, 20, 22, 24]
+
+
+def test_y_negativity_refuses_a_huge_range_before_listing_its_degrees():
+    # a list of the 10^6 degrees up to 2*10^6 would take tens of MB before the refusal
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapExceeded, match="^degree 2000000: about .* exceed the cap"):
+            check_y_negativity(5, 2 * 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_y_negativity_rejects_even_rank():
@@ -422,6 +450,44 @@ def test_sign_escalation_decides_no_later_than_the_fixed_step_route(monkeypatch,
         assert abs(value) > tail and abs(old_value) > old_tail
         assert (value > 0) == (old_value > 0)
         assert cap <= min(old_cap, 40)
+
+
+SEARCH_CENTERS = [("A", 6, 0.4, 6), ("A", 6, 0.9, 4), ("A", 7, 0.4, 4), ("D", 5, 0.4, 6),
+                  ("D", 7, 0.4, 3)]
+
+
+@pytest.mark.parametrize("family,rank,radius,count", SEARCH_CENTERS,
+                         ids=[f"{f}{n}-r{r}" for f, n, r, _ in SEARCH_CENTERS])
+def test_cap_bisection_picks_the_linear_scans_cap(family, rank, radius, count):
+    # the bound does not grow with the cap, so bisection and the scan stop at the same cap
+    spec = make_spec(family, rank)
+    for center in random_interior_centers(spec, count, SEED, radius=radius, margin=0.01):
+        assert conjectures._signed_estimate(spec, center) == signed_estimate_linear_scan(spec, center)
+
+
+def test_cap_search_evaluates_the_bound_logarithmically(monkeypatch):
+    # far centers decide at caps 63-133, where a scan from the probe at |Phi+| = 21
+    # evaluates the bound at 21-56 caps
+    spec = make_spec("A", 6)
+    evaluated = []
+    real = conjectures.sign_fold_tails
+
+    def counted(spec, center):
+        bound = real(spec, center)
+
+        def count(cap):
+            evaluated.append(cap)
+            return bound(cap)
+        return count
+    monkeypatch.setattr(conjectures, "sign_fold_tails", counted)
+    calls = _recorded_folds(monkeypatch)
+    caps = len(range(spec.positive_root_count + 2, oracle.MAX_DEGREE_CAP, 2))
+    for center in random_interior_centers(spec, 4, SEED, radius=0.9, margin=0.01):
+        evaluated.clear()
+        calls.clear()
+        cap = conjectures._signed_estimate(spec, center)[2]
+        assert [c for _, c in calls] == [spec.positive_root_count, cap] and cap > 60
+        assert 0 < len(evaluated) <= math.ceil(math.log2(caps)) + 1
 
 
 @pytest.mark.parametrize("family,rank", [("D", 5), ("A", 6)])

@@ -607,6 +607,21 @@ def test_sign_fold_tails_is_the_fold_bound_without_folding(family, rank):
         assert tail_at(cap) == exact_sign_fold(spec, center, cap)[1]
 
 
+@pytest.mark.parametrize("cap,message", [
+    (401, r"^degree_cap 401 above the largest admitted, 400$"),
+    (3, r"^degree_cap below the lowest block degree$"),
+    (24.0, r"^degree_cap 24\.0 is not an integer$"),
+], ids=["above-largest", "below-k", "float"])
+def test_sign_fold_tails_refuses_a_cap_as_the_fold_does(cap, message):
+    # the public bound reads its cap through the fold's own check (k = 4 for D_5)
+    spec = make_spec("D", 5)
+    center = random_interior_centers(spec, 1, SEED, radius=0.3)[0]
+    with pytest.raises(ValueError, match=message):
+        exact_sign_fold(spec, center, cap)
+    with pytest.raises(ValueError, match=message):
+        sign_fold_tails(spec, center)(cap)
+
+
 def test_fold_at_shares_the_exact_fold_checks():
     with pytest.raises(ValueError, match="^no matching fold for family I2$"):
         fold_at(make_spec("I2", 5), (1, 2), 9)
@@ -838,6 +853,19 @@ def test_centers_generator_properties():
             if spec.family == "A":
                 assert abs(sum(c)) < 1e-12
         assert centers == random_interior_centers(spec, 4, SEED)
+
+
+@pytest.mark.parametrize("family,rank,largest", [("A", 6, 0.4010), ("A", 10, 0.4026),
+                                                  ("D", 9, 0.4017)])
+def test_centers_reach_past_the_radius_only_by_rounding(family, rank, largest):
+    # each of the g coordinates rounds by at most 1/512, and the type A sum-zero
+    # correction moves the last one by at most g/512 more
+    spec = make_spec(family, rank)
+    g = spec.ambient_dim
+    reach = 0.4 + (math.sqrt(g) + (g if family == "A" else 0)) / 512
+    norms = [math.sqrt(sum(x * x for x in c))
+             for c in random_interior_centers(spec, 300, 7, radius=0.4, margin=0.0)]
+    assert round(max(norms), 4) == largest and 0.4 < max(norms) <= reach
 
 
 def test_centers_generator_gives_up_when_no_draw_meets_the_margin():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from coxpizza.polyring import (NonDivisible, Poly, _distinct_permutations, add,
-                               divide_by_vandermonde, exact_divide_linear, monomial_terms, mul,
+                               alternant_exponents, divide_by_vandermonde, exact_divide_linear, monomial_terms, mul,
                                normalize_partition, partitions, reduce_symmetric_mod_sum,
                                schur_combination, spread_monomials, substitute_linear)
 from reference import (constant, evaluate, is_skew_under_transposition, power, schur_bialternant,
@@ -416,6 +416,22 @@ def test_partition_normalization():
 def test_partitions_enumeration():
     assert sorted(partitions(4, 2)) == [(2, 2), (3, 1), (4,)]
     assert list(partitions(0, 3)) == [()]
+
+
+@pytest.mark.parametrize("nvars", range(1, 7))
+def test_alternant_exponents_are_the_strict_partitions(nvars):
+    # lambda -> lambda + delta is a bijection from the partitions of size into at most
+    # nvars parts onto the strictly decreasing nvars-tuples of size + C(nvars, 2)
+    delta = tuple(range(nvars - 1, -1, -1))
+    for size in range(9):
+        lams = list(partitions(size, nvars))
+        exponents = [alternant_exponents(lam, nvars) for lam in lams]
+        strict = {tuple(sorted(c, reverse=True))
+                  for c in itertools.combinations(range(size + nvars), nvars)
+                  if sum(c) == size + math.comb(nvars, 2)}
+        assert set(exponents) == strict and len(exponents) == len(lams)
+        assert [tuple(e - d for e, d in zip(mu, delta)) for mu in exponents] == [
+            lam + (0,) * (nvars - len(lam)) for lam in lams]
 
 
 def test_canonical_text_rendering():

@@ -524,3 +524,14 @@ def test_quotient_degree_matches_shift():
     for d in (6, 8, 10):
         q = quotient(spec, d)
         assert q.degree() == d - spec.positive_root_count
+
+
+def test_quotient_from_fold_refuses_a_nonzero_fold_where_the_fold_vanishes():
+    # the divided fold is normalized by 2^-s, and no shift s exists below |Phi+| or at the
+    # other parity; z_poly gives zero there, which is its own quotient
+    spec = make_spec("D", 3)
+    assert taylor.quotient_from_fold(spec, 7, taylor.z_poly(spec, 7)).is_zero()
+    for d in (4, 7):
+        with pytest.raises(ValueError, match=f"^a nonzero fold at degree {d}, where the fold "
+                                             "vanishes$"):
+            taylor.quotient_from_fold(spec, d, taylor.z_poly(spec, 8))
