@@ -13,9 +13,11 @@ contradictions (e.g. the two numeric oracles disagreeing with both error
 bands excluding zero).
 
 The sign checks decide each center with oracle.exact_sign_fold, an exact
-rational fold with a rigorous tail band: one probe at degree |Phi+|, where
-the fold first can be nonzero, then one fold at the lowest cap whose tail
-bound, known without folding, is well below the probe's value.
+rational fold with a rigorous tail band.  The probe at degree |Phi+|, where
+the fold first can be nonzero, folds nothing: anti-symmetry fixes that
+term as c_() times the product of the positive roots' pairings
+(_lowest_order_term), and its tail bound is known without folding.  Then
+one fold runs at the lowest cap whose bound is well below the probe's value.
 
 The exact audits read what the pipeline computes: the dominant
 coefficients (check y-neg; check schur and check lemma51, which test them
@@ -42,7 +44,7 @@ from .matchings import FoldGeometry, c_coefficient, fold_parameters
 from .oracle import (MAX_DEGREE_CAP, MAX_FOLD_MOD_WORK, MODULUS, BallSpec, exact_sign_fold, fold_mod,
                      fold_mod_work, mc_pizza, require_dimension, require_sum_zero, sign_fold_tails)
 from .polyring import NonDivisible, alternant_exponents, partitions
-from .rootsys import ArrangementSpec, chamber_sign, make_spec
+from .rootsys import ArrangementSpec, chamber_sign, make_spec, positive_roots
 from .taylor import (MAX_QUOTIENT_WORK, ResourceCapExceeded, _edge_table, _require_symbolic_regime,
                      dominant_coefficients)
 
@@ -98,19 +100,44 @@ def _finish(conjecture_id: str, params: dict, witnesses: List[dict], notes: List
 # ---------------------------------------------------------------------------
 
 
+def _lowest_order_term(spec: ArrangementSpec, center: Sequence[float]) -> Fraction:
+    """exact_sign_fold(spec, center, |Phi+|)[0] without a fold: the
+    2^-m-weighted term Z_|Phi+|(center), m = half_degree(|Phi+|), the only
+    one at or below that cap, as the fold vanishes below |Phi+|.
+    Anti-symmetry makes Z_|Phi+| the alternant of lambda = () times c_(), so
+
+        Z_|Phi+|(a) = c_() prod_(alpha in Phi+) <alpha, a>
+
+    on the integer root coordinates (the Vandermonde product, or its
+    squares' for type D), with c_() from dominant_coefficients at
+    |Phi+|.  The pairings are exact: on the center's Fractions cleared to
+    integers by their common denominator D, whose power D^|Phi+| divides
+    the product once."""
+    degree = spec.positive_root_count
+    c_empty = dominant_coefficients(spec, degree).get((), 0)
+    exact = [Fraction(x) for x in center]
+    denominator = math.lcm(*(x.denominator for x in exact))
+    cleared = [x.numerator * (denominator // x.denominator) for x in exact]
+    product = math.prod(root.pairing(cleared) for root in positive_roots(spec))
+    return (c_empty * Fraction(product, denominator**degree)
+            / (1 << fold_parameters(spec).half_degree(degree)))
+
+
 def _signed_estimate(spec: ArrangementSpec, center: Sequence[float]) -> Tuple[Fraction, Fraction, int]:
     """(value, tail, degree_cap) from the exact rational fold.  The value is
     the quantity up to a positive prefactor, so its sign is decisive once
     |value| > tail.
 
-    The first fold probes at cap |Phi+|, the lowest degree at which the
-    anti-symmetric fold can be nonzero, so its value is the leading-order
-    term of the quantity.  The tail bound needs no fold
-    (oracle.sign_fold_tails), so the next fold runs at the smallest cap whose
-    bound is below a quarter of that value; near the origin the leading
-    term is close to the whole, and that fold decides.  While the band still
-    straddles zero the cap is chosen again from the new value; a value of
-    exactly 0 steps the cap by 40.  The cap never exceeds 400.
+    The probe at cap |Phi+|, the lowest degree at which the anti-symmetric
+    fold can be nonzero, folds nothing: its value is the leading-order term
+    of the quantity in closed form (_lowest_order_term), the same rational
+    exact_sign_fold returns there, and its tail is the bound
+    oracle.sign_fold_tails gives without folding.  The first fold runs at
+    the smallest cap whose bound is below a quarter of that value; near the
+    origin the leading term is close to the whole, and that fold decides,
+    so a decided center costs one fold.  While the band still straddles
+    zero the cap is chosen again from the new value; a value of exactly 0
+    steps the cap by 40.  The cap never exceeds 400.
 
     The smallest cap is found by bisection, not by a scan (the scan is kept
     in tests/reference.py): the bound does not grow with the cap.  From cap
@@ -123,12 +150,12 @@ def _signed_estimate(spec: ArrangementSpec, center: Sequence[float]) -> Tuple[Fr
     caps, and bisect picks the first True one in at most
     ceil(log2(#caps)) + 1 evaluations."""
     cap = spec.positive_root_count
-    value, tail = exact_sign_fold(spec, center, cap)
+    tail_at = sign_fold_tails(spec, center)  # the folds' own, cached per center
+    value, tail = _lowest_order_term(spec, center), tail_at(cap)
     while tail >= abs(value) and cap < MAX_DEGREE_CAP:
         if value == 0:
             cap = min(MAX_DEGREE_CAP, cap + 40)
         else:
-            tail_at = sign_fold_tails(spec, center)  # the folds' own, cached per center
             caps = range(cap + 2, MAX_DEGREE_CAP, 2)
             index = bisect.bisect_left(caps, True, key=lambda c: tail_at(c) < abs(value) / 4)
             cap = caps[index] if index < len(caps) else MAX_DEGREE_CAP
@@ -419,12 +446,13 @@ def _t_block_basis(d: int) -> Dict[Tuple[int, int], Fraction]:
     normalized to unit forms, divided exactly by x^2 - y^2, in the basis
     u = x^2 + y^2, v = x^2 y^2.
 
-    With m = (d-2)/2 the composed block is c_m m! times the sum over
-    r+s=m of (x+y)^(2r+1) (x-y)^(2s+1) / ((2r+1)(2s+1) r! s!); swapping r
-    and s makes it the minus/plus pair's edge table at inner degree m, so
-    the block is that table scaled by -c_m m! / (S 2^(d/2)), a scale applied
-    once to the integer basis coefficients."""
-    m = (d - 2) // 2
+    With m = (d-2)/2, D_3's half degree of d, the composed block is c_m m!
+    times the sum over r+s=m of (x+y)^(2r+1) (x-y)^(2s+1) / ((2r+1)(2s+1)
+    r! s!); swapping r and s makes it the minus/plus pair's edge table at
+    inner degree m, so the block is that table scaled by
+    -c_m m! / (S 2^(d/2)), a scale applied once to the integer basis
+    coefficients."""
+    m = fold_parameters(make_spec("D", 3)).half_degree(d)
     table, scalar = _edge_table(True, m)
     scale = -c_coefficient(3, 2, m) * math.factorial(m) / (scalar << (d // 2))
     coeffs = [table.get((e, d - e), 0) for e in range(d + 1)]
@@ -438,15 +466,17 @@ def check_t_positivity(d_max: int) -> ConjectureReport:
     u = x^2 + y^2, v = x^2 y^2.  The block is read off the minus/plus
     edge table of the type D folds (see _t_block_basis), built by its
     two-term recurrence in O(m) steps per table.  The check is refused
-    before any table is built when (m+1)^3, m = (d_max - 2) / 2, exceeds
-    MAX_QUOTIENT_WORK, the edge tables' term in dominant_coefficients:
-    d_max = 400 takes about 0.5 s and 736, the largest admitted, about 5 s."""
+    before any table is built when (m+1)^3 exceeds MAX_QUOTIENT_WORK, the
+    edge tables' term in dominant_coefficients, with m D_3's half degree of
+    the largest even degree up to d_max: d_max = 400 takes about 0.5 s and
+    736, the largest admitted, about 5 s."""
     started = time.perf_counter()
     if d_max < 6:
         raise ValueError(f"max degree {d_max} is below the first degree 6")
     # the blocks are D_3's: refuse a max degree that is not an integer as its folds do
-    fold_parameters(make_spec("D", 3)).half_degree(d_max)
-    work = ((d_max - 2) // 2 + 1) ** 3
+    geometry = fold_parameters(make_spec("D", 3))
+    geometry.half_degree(d_max)
+    work = (geometry.half_degree(d_max - d_max % 2) + 1) ** 3
     if work > MAX_QUOTIENT_WORK:
         raise ResourceCapExceeded(f"max degree {d_max}: about {work} steps for the edge tables "
                                   f"exceed the cap of {MAX_QUOTIENT_WORK}")

@@ -18,10 +18,10 @@ Near the center the signed sum cancels down to its first non-zero Taylor
 term, of degree |Phi+|, far below its terms, so it is summed exactly and
 rounded once; a float sum returns rounding noise there from rank 5 on.
 
-Only the Monte Carlo route uses numpy: mc_pizza (with its chunk kernel
-_mc_chunk) and random_interior_centers (with _subspace_basis) import it
-themselves.  The exact routes never load it, so a command that does not
-sample starts without it.
+Only the Monte Carlo route uses numpy: mc_pizza (with _affine_pairings and
+its chunk kernel _mc_chunk) and random_interior_centers (with
+_subspace_basis) import it themselves.  The exact routes never load it, so
+a command that does not sample starts without it.
 
 The signed sum over the matchings of their edges' products is a Pfaffian.
 It is memoized on vertex subsets: _pfaffian_plan lists the memo's states in
@@ -190,18 +190,21 @@ def mc_pizza(spec: ArrangementSpec, ball: BallSpec, samples: int, seed: int,
     _mc_chunk); the count changes no draw.
 
     Chunked with counter-derived sub-seeds, so the estimate depends only on
-    (seed, samples) and the chunk size _CHUNK, not on threading: every
-    thread count runs the chunks on a pool of `threads` workers, and their
-    integer sign sums are added in chunk order.  Each chunk is one _mc_chunk
-    call: plain NumPy expressions per block of rows, one scale per row, and
-    the chamber sign as the sign of the product of the pairings.  It draws
-    the same random stream as the loop it replaced (tests/reference.py) and
-    moves a point in its last bits at most, so a keep or sign decision, and
-    with it the estimate, changes with probability far below 1e-12 per draw;
-    the pinned estimates of the tests are bit-identical.
+    (seed, samples) and the chunk size _CHUNK, not on threading: one thread
+    runs the chunks in the calling thread, more run them on a pool of
+    `threads` workers, and their integer sign sums are added in chunk order.
+    Each chunk is one _mc_chunk call: plain NumPy expressions per pass and
+    per block of rows, one scale per row, the pairings as one affine map of
+    the scaled directions (_affine_pairings: the lines and offsets are
+    computed here, once per call), and the chamber sign as the sign of the
+    product of the pairings.  It draws the same random stream as the loop it
+    replaced (tests/reference.py).  The affine map moves a pairing by at
+    most a proven delta, so a block with a pairing within delta of the
+    tolerance recomputes its pairings on the loop's lines before it decides:
+    every keep and sign decision, and with them the estimate, is that of
+    the lines center + local and roots @ points; the pinned estimates of
+    the tests are bit-identical.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     import numpy as np
 
     if samples < 1:
@@ -220,14 +223,21 @@ def mc_pizza(spec: ArrangementSpec, ball: BallSpec, samples: int, seed: int,
         raise ValueError(f"the ball lies within {_HYPERPLANE_TOL} of a hyperplane: "
                          f"every draw would be resampled")
     embed_t = None if embed is None else np.ascontiguousarray(embed.T)
+    affine = _affine_pairings(roots, embed_t, center, ball.radius)
 
     def run_chunk(ci: int) -> int:
         count = min(_CHUNK, samples - ci * _CHUNK)
         rng = np.random.default_rng([seed, ci])
-        return _mc_chunk(rng, count, dim, ball.radius, center, embed_t, roots)[0]
+        return _mc_chunk(rng, count, dim, ball.radius, center, embed_t, roots, *affine)[0]
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        sign_sum = sum(pool.map(run_chunk, range((samples + _CHUNK - 1) // _CHUNK)))
+    chunks = range((samples + _CHUNK - 1) // _CHUNK)
+    if threads == 1:  # the lone thread is the caller's: no pool to start
+        sign_sum = sum(map(run_chunk, chunks))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            sign_sum = sum(pool.map(run_chunk, chunks))
 
     mean = sign_sum / samples
     if samples > 1:
@@ -238,30 +248,78 @@ def mc_pizza(spec: ArrangementSpec, ball: BallSpec, samples: int, seed: int,
     return McEstimate(volume * mean, std_error, samples, seed)
 
 
+def _affine_pairings(roots: np.ndarray, embed_t: Optional[np.ndarray], center: np.ndarray,
+                     radius: float) -> Tuple[np.ndarray, np.ndarray, float]:
+    """(lines, offsets, delta) of _mc_chunk's affine pairings
+    lines @ direction.T + offsets: lines = roots @ embed (type A) or the
+    roots, offsets the column roots @ center repeated over the _BLOCK rows
+    of a block (adding a whole block takes about half the time of
+    broadcasting one column), and delta = 4 (g + 1) 2^-52 (|center| +
+    radius), g the ambient dimension, the bound on how far they lie from
+    the pairings of the loop's lines (proved in _mc_chunk)."""
+    import numpy as np
+
+    lines = roots if embed_t is None else roots @ embed_t.T
+    offsets = np.repeat((roots @ center)[:, None], _BLOCK, axis=1)
+    delta = 4 * (roots.shape[1] + 1) * 2.0**-52 * (float(np.linalg.norm(center)) + radius)
+    return lines, offsets, delta
+
+
 def _mc_chunk(rng: np.random.Generator, count: int, dim: int, radius: float,
-              center: np.ndarray, embed_t: Optional[np.ndarray],
-              roots: np.ndarray) -> Tuple[int, int]:
+              center: np.ndarray, embed_t: Optional[np.ndarray], roots: np.ndarray,
+              lines: np.ndarray, offsets: np.ndarray, delta: float) -> Tuple[int, int]:
     """(sum of the chamber signs, draws) over `count` kept points of the
     ball, drawn from `rng`: draws - count were resampled.  Once the passes
     since the last one that kept a point have resampled _MAX_REJECTED_DRAWS
     draws, it raises ValueError.
 
     A pass draws the normals of the missing points at once, one row of
-    `dim` per point, and works through them in blocks of _BLOCK rows that
-    stay in cache; each block draws its uniforms for the radii just before
-    it, so the uniforms follow all of the pass's normals.  A row is scaled
-    in place to its radius by one factor, radius / sqrt(sum of squares),
-    and embedded by `embed_t` (type A).  A point's chamber sign is the sign
-    of the product of its pairings with the unit roots: IEEE multiplication
-    gives the product the XOR of its factors' signs, also when it
-    underflows to +-0, and no factor is 0 or infinite once the points
-    within 1e-12 of a hyperplane are dropped.
+    `dim` per point, then their uniforms U for the radii, in the order of
+    the loop it replaced (random(n) takes one 64-bit draw per double, so
+    one call or one per block draw the same stream).  It computes every
+    row's factor radius U^(1/dim) / sqrt(sum of squares) in place on one
+    array, scales the rows by it once, and works through them in blocks of
+    _BLOCK rows that stay in cache.  A block's pairings with the unit roots
+    are one affine map of its rows, lines @ direction.T + offsets (lines,
+    offsets and delta from _affine_pairings): the embedding by `embed_t`
+    (type A) is folded into the lines and the center into the offsets.  A
+    point's chamber sign is the sign of the product of its pairings: IEEE
+    multiplication gives the product the XOR of its factors' signs, also
+    when it underflows to +-0, and no factor is 0 or infinite once the
+    points within 1e-12 of a hyperplane are dropped.
 
-    Every row takes the same float operations in any block, so the block
-    size does not change the result.  The random stream and the lines that
-    decide the 1e-12 test, points = center + local and the pairings, are
-    those of the loop this replaced (tests/reference.py); the one scale
-    differs from its norm, divide and multiply in the last bits only.
+    The affine map rounds differently from the loop's lines, points =
+    center + local and pairings = roots @ points.T, so a block whose
+    smallest |pairing| is within delta of the 1e-12 tolerance recomputes
+    its pairings on those lines before the tolerance test and the sign.
+    Every other block decides as they would: each of its pairings lies
+    more than 1e-12 + delta from 0, so the loop's pairing, within delta of
+    it, is kept and has its sign.
+
+    The bound.  With u = 2^-53, a dot product of n terms, in any order and
+    with or without fused multiply-adds, is off by at most about
+    n u sum |x_i y_i| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1).  Take the float roots R (rows of norm 1 with at most
+    two nonzero entries, so of l1 norm at most sqrt(2)), the embedding E
+    (g x r, orthonormal columns, rows of norm at most 1, r = dim <= g; the
+    identity where there is none), a row d of norm at most radius, and c the center; the exact pairing is
+    P = R c + R E d.  The loop's E d is off by r u radius in each
+    coordinate and c + E d by u (|c| + radius) more, which R turns into
+    sqrt(2) u ((r + 1) radius + |c|); its product with R adds
+    g u (|c| + radius).  The affine map's lines R E are off by
+    sqrt(2) g u radius once applied to d, its offsets by g u |c|, its
+    product with d by r u radius and its sum by u (|c| + radius).  Both
+    add up to under 2.42 (2 g + 1) u (|c| + radius) to first order, and
+    delta = 4 (g + 1) 2^-52 (|c| + radius) is at least 1.6 times that,
+    which covers the higher-order terms and the rounding of the norms.  So
+    delta grows with the ball: about 1.6e-14 for D_17 at radius one,
+    3.6e-9 at radius 1e6.
+
+    Every row takes the same float operations in any block or pass, so the
+    block size does not change the result.  The random stream and, where
+    it matters, the lines that decide the 1e-12 test are those of the loop
+    this replaced (tests/reference.py); the one scale differs from its
+    norm, divide and multiply in the last bits only.
     """
     import numpy as np
 
@@ -272,16 +330,23 @@ def _mc_chunk(rng: np.random.Generator, count: int, dim: int, radius: float,
             raise ValueError(f"{stalled} draws in a row were resampled: the ball lies within "
                              f"{_HYPERPLANE_TOL} of the hyperplanes")
         directions = rng.standard_normal((remaining, dim))
+        factors = rng.random(remaining)
+        factors **= 1.0 / dim
+        factors *= radius
+        norms = np.einsum("ij,ij->i", directions, directions)
+        factors /= np.sqrt(norms, out=norms)
+        directions *= factors[:, None]
         draws += remaining
         kept = 0
         for start in range(0, remaining, _BLOCK):
             direction = directions[start : start + _BLOCK]
-            radii = radius * rng.random(direction.shape[0]) ** (1.0 / dim)
-            direction *= (radii / np.sqrt(np.einsum("ij,ij->i", direction, direction)))[:, None]
-            points = center + (direction if embed_t is None else direction @ embed_t)
-            pairings = roots @ points.T
-            if np.abs(pairings).min() <= _HYPERPLANE_TOL:  # rare: select points only then
-                pairings = pairings[:, np.all(np.abs(pairings) > _HYPERPLANE_TOL, axis=0)]
+            pairings = lines @ direction.T
+            pairings += offsets[:, : pairings.shape[1]]
+            if np.abs(pairings).min() <= _HYPERPLANE_TOL + delta:  # rare: the loop's lines decide
+                points = center + (direction if embed_t is None else direction @ embed_t)
+                pairings = roots @ points.T
+                if np.abs(pairings).min() <= _HYPERPLANE_TOL:  # select points only then
+                    pairings = pairings[:, np.all(np.abs(pairings) > _HYPERPLANE_TOL, axis=0)]
             odd = int(np.count_nonzero(np.signbit(np.multiply.reduce(pairings, axis=0))))
             kept += pairings.shape[1]
             total += pairings.shape[1] - 2 * odd  # sum of the chamber signs

@@ -444,12 +444,31 @@ def test_sign_escalation_decides_no_later_than_the_fixed_step_route(monkeypatch,
     for center in random_interior_centers(spec, 3, SEED, radius=0.3):
         calls.clear()
         value, tail, cap = conjectures._signed_estimate(spec, center)
-        # a probe at |Phi+|, then one fold at the cap its value asks for
-        assert [c for _, c in calls] == [spec.positive_root_count, cap]
+        # the probe at |Phi+| folds nothing: one fold, at the cap its value asks for
+        assert [c for _, c in calls] == [cap]
         old_value, old_tail, old_cap = signed_estimate_fixed_step(spec, center)
         assert abs(value) > tail and abs(old_value) > old_tail
         assert (value > 0) == (old_value > 0)
         assert cap <= min(old_cap, 40)
+
+
+LOWEST_ORDER_SPECS = [("A", 2), ("A", 3), ("A", 6), ("A", 7), ("D", 3), ("D", 5), ("D", 7)]
+
+
+@pytest.mark.parametrize("family,rank", LOWEST_ORDER_SPECS,
+                         ids=[f"{f}{n}" for f, n in LOWEST_ORDER_SPECS])
+def test_lowest_order_term_is_the_probe_fold(family, rank):
+    # the closed form c_() prod <alpha, a> / 2^m is the fold at cap |Phi+|, and the
+    # block of degree |Phi+| of a fold four degrees past it, at centers near the walls
+    spec = make_spec(family, rank)
+    degree = spec.positive_root_count
+    half = 1 << oracle.fold_parameters(spec).half_degree(degree)
+    for radius in (0.3, 0.6, 0.9):
+        for center in random_interior_centers(spec, 3, SEED, radius=radius, margin=0.002):
+            term = conjectures._lowest_order_term(spec, center)
+            assert term != 0
+            assert term == oracle.exact_sign_fold(spec, center, degree)[0]
+            assert term == oracle.fold_at(spec, center, degree + 4)[degree] / half
 
 
 SEARCH_CENTERS = [("A", 6, 0.4, 6), ("A", 6, 0.9, 4), ("A", 7, 0.4, 4), ("D", 5, 0.4, 6),
@@ -486,39 +505,48 @@ def test_cap_search_evaluates_the_bound_logarithmically(monkeypatch):
         evaluated.clear()
         calls.clear()
         cap = conjectures._signed_estimate(spec, center)[2]
-        assert [c for _, c in calls] == [spec.positive_root_count, cap] and cap > 60
+        assert [c for _, c in calls] == [cap] and cap > 60
         assert 0 < len(evaluated) <= math.ceil(math.log2(caps)) + 1
 
 
 @pytest.mark.parametrize("family,rank", [("D", 5), ("A", 6)])
 def test_sign_estimate_counts_each_center_once(monkeypatch, family, rank):
-    # the probe fold, the cap search and the deciding fold share one tail
-    # bound per center, and with it one count of the squared radii
+    # the probe, the cap search and the deciding fold share one tail bound
+    # per center, and with it one count of the squared radii
     spec = make_spec(family, rank)
     center = random_interior_centers(spec, 1, SEED, radius=0.3)[0]
     oracle._center_tails.cache_clear()  # a center an earlier test left cached is no miss
     calls = _recorded_folds(monkeypatch)
     conjectures._signed_estimate(spec, center)
-    assert len(calls) == 2  # the probe, then the fold at the cap the tail bound chose
+    assert len(calls) == 1  # the fold at the cap the tail bound chose; the probe folds nothing
     info = oracle._center_tails.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    assert (info.misses, info.hits) == (1, 1)  # the estimate's own call, then the fold's
 
 
 @pytest.mark.parametrize("band", [(Fraction(0), Fraction(1)), (Fraction(1, 10**9), Fraction(1, 10**9))],
                          ids=["zero", "straddling"])
 def test_sign_escalation_stops_at_cap_400(monkeypatch, band):
-    calls = _recorded_folds(monkeypatch, lambda spec, center, degree_cap: band)
+    # the band is forced at every fold and at the probe, which folds nothing:
+    # its value is the closed form, and its tail the bound at |Phi+|
     spec = make_spec("D", 5)
+    real = conjectures.sign_fold_tails
+
+    def forced_tails(spec, center):
+        bound = real(spec, center)
+        return lambda cap: band[1] if cap == spec.positive_root_count else bound(cap)
+    monkeypatch.setattr(conjectures, "sign_fold_tails", forced_tails)
+    monkeypatch.setattr(conjectures, "_lowest_order_term", lambda spec, center: band[0])
+    calls = _recorded_folds(monkeypatch, lambda spec, center, degree_cap: band)
     center = random_interior_centers(spec, 1, SEED, radius=0.3)[0]
     report = check_sign_D(5, [center])
     assert report.verdict == "inconclusive"
     assert report.witnesses == []
     assert len(report.notes) == 1 and report.notes[0].endswith("cap 400)")
     caps = [cap for _, cap in calls]
-    assert caps[0] == spec.positive_root_count and caps[-1] == 400
+    assert caps[0] > spec.positive_root_count and caps[-1] == 400
     assert caps == sorted(set(caps))  # every fold runs higher than the last
     # a zero value steps by 40; a nonzero one is re-chosen at least 2 higher
-    assert len(caps) <= (2 + 380 // 40 if band[0] == 0 else 1 + 380 // 2)
+    assert len(caps) <= (1 + 380 // 40 if band[0] == 0 else 380 // 2)
 
 
 def test_sign_check_samples_no_center_whose_band_straddles_zero(monkeypatch):

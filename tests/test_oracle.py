@@ -209,9 +209,14 @@ def test_mc_refuses_a_ball_inside_the_tolerance_slab():
     assert est.samples == 10
 
 
+# a ball of radius 1e6 centred within 1e-6 of the wall a_1 = a_2: the affine
+# pairings' delta grows with the ball, to about 3.6e-9 here
+_MC_FAR_BALL = (("A", 2), (0.5 + 5e-7, 0.5 - 5e-7, -1.0), 1e6)
+
+
 def _mc_frame(label):
-    """(spec, ball) of a _MC_BALLS entry."""
-    (family, rank), center, radius = _MC_BALLS[label]
+    """(spec, ball) of a _MC_BALLS entry, or of the far ball ("A2-far")."""
+    (family, rank), center, radius = _MC_FAR_BALL if label == "A2-far" else _MC_BALLS[label]
     return make_spec(family, rank), BallSpec(center, radius)
 
 
@@ -228,23 +233,53 @@ def test_mc_block_and_chunk_sizes_keep_the_estimate(monkeypatch):
             assert len(estimates) == 1, (label, chunk)
 
 
-@pytest.mark.parametrize("label", ["A2", "A6", "D5", "D7", "I2:5", "A2-wall"])
-def test_mc_chunk_matches_the_loop_by_norms(label):
-    # (sum of the chamber signs, draws) of single chunks, ending inside a
-    # block, on one, inside a later block and on a whole chunk
+def _mc_kernel_args(label):
+    """(ball, dim, embed_t, roots, center) of a _mc_frame ball, in the
+    arrays mc_pizza hands _mc_chunk."""
     import numpy as np
 
     spec, ball = _mc_frame(label)
     dim, embed = oracle._sampling_frame(spec)
     embed_t = None if embed is None else np.ascontiguousarray(embed.T)
-    roots = np.array(numeric_roots(spec))
-    center = np.array(ball.center)
-    for seed in (7, 11, 12345):
+    return ball, dim, embed_t, np.array(numeric_roots(spec)), np.array(ball.center)
+
+
+@pytest.mark.parametrize("label", ["A2", "A6", "D5", "D7", "I2:5", "A2-wall", "A2-far"])
+def test_mc_chunk_matches_the_loop_by_norms(label):
+    # (sum of the chamber signs, draws) of single chunks, ending inside a
+    # block, on one, inside a later block and on a whole chunk; at 40 seeds
+    # the radius-1e-11 ball on a wall catches affine pairings that decide
+    # near the wall themselves (seeds 2 and 33 then differ from the loop)
+    import numpy as np
+
+    ball, dim, embed_t, roots, center = _mc_kernel_args(label)
+    affine = oracle._affine_pairings(roots, embed_t, center, ball.radius)
+    for seed in range(40) if label == "A2-wall" else (7, 11, 12345):
         for ci, count in enumerate((1, 999, 2048, 5000, oracle._CHUNK)):
             args = (count, dim, ball.radius, center, embed_t, roots)
-            kernel = oracle._mc_chunk(np.random.default_rng([seed, ci]), *args)
+            kernel = oracle._mc_chunk(np.random.default_rng([seed, ci]), *args, *affine)
             loop = mc_chunk_by_norms(np.random.default_rng([seed, ci]), *args)
             assert kernel == loop, (seed, count)
+
+
+@pytest.mark.parametrize("label", ["A2", "A6", "D5", "D7", "I2:5", "A2-wall", "A2-far"])
+def test_affine_pairings_stay_within_delta_of_the_loops_lines(label):
+    # the bound the kernel's near-wall recompute rests on, at 20,000 rows of
+    # norm up to the radius; on the far ball the two differ by far more than
+    # the 1e-12 tolerance, so a fixed delta would not hold there
+    import numpy as np
+
+    ball, dim, embed_t, roots, center = _mc_kernel_args(label)
+    lines, offsets, delta = oracle._affine_pairings(roots, embed_t, center, ball.radius)
+    rng = np.random.default_rng(SEED)
+    rows = rng.standard_normal((20_000, dim))
+    rows *= (ball.radius * rng.random(20_000) ** (1 / dim) / np.linalg.norm(rows, axis=1))[:, None]
+    fused = lines @ rows.T + offsets[:, :1]
+    loop = roots @ (center + (rows if embed_t is None else rows @ embed_t)).T
+    gap = np.abs(fused - loop).max()
+    assert gap <= delta
+    if label == "A2-far":
+        assert gap > 100 * oracle._HYPERPLANE_TOL
 
 
 def test_product_sign_is_the_parity_of_the_negative_factors():

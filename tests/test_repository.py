@@ -144,8 +144,9 @@ def test_only_fold_parameters_derives_a_fold():
 def _frame_copies(tree):
     """The expressions of a module that rederive the degree frame, each with
     the functions around it: a degree tested against or reduced by the root
-    count (`<x> - <y>.roots`, `<x> < <y>.positive_root_count`, ...), and a
-    cap's top block `(<cap> - <k>) // 2`."""
+    count (`<x> - <y>.roots`, `<x> < <y>.positive_root_count`, ...), a
+    cap's top block `(<cap> - <k>) // 2`, and a block `(<d> - <literal>) // 2`
+    of a fixed k."""
     functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
     for node in ast.walk(tree):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
@@ -155,26 +156,30 @@ def _frame_copies(tree):
         else:
             operands = []
         counts = any(getattr(x, "attr", None) in ("roots", "positive_root_count") for x in operands)
-        top_block = (isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
-                     and getattr(node.right, "value", None) == 2
-                     and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Sub)
-                     and any("cap" in name for name in _names(node.left.left)))
-        if counts or top_block:
+        halved = (isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+                  and getattr(node.right, "value", None) == 2
+                  and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Sub))
+        top_block = halved and any("cap" in name for name in _names(node.left.left))
+        literal_block = halved and isinstance(node.left.right, ast.Constant)
+        if counts or top_block or literal_block:
             owners = ".".join(f.name for f in functions if node in ast.walk(f))
-            yield ("top block" if top_block else "root count"), f"{owners}: {ast.unparse(node)}"
+            kind = "top block" if top_block else "block" if literal_block else "root count"
+            yield kind, f"{owners}: {ast.unparse(node)}"
 
 
 def test_only_the_degree_frame_derives_the_shift_and_the_top_block():
     # the Schur shift and the test against |Phi+| are FoldGeometry.schur_shift's alone, and
-    # a cap's top block m_top is oracle._require_cap's: no other code under src/ rederives them
-    # (rootsys, which defines positive_root_count, checks its list of roots against it)
-    copies = {"root count": [], "top block": []}
+    # a cap's top block m_top is oracle._require_cap's, and a degree's block m is
+    # FoldGeometry.half_degree's: no other code under src/ rederives them, not even for one
+    # fixed k (rootsys, which defines positive_root_count, checks its list of roots against it)
+    copies = {"root count": [], "top block": [], "block": []}
     for path in sorted((ROOT / "src" / "coxpizza").glob("*.py")):
         for kind, copy in _frame_copies(ast.parse(path.read_text(encoding="utf-8"))):
             copies[kind].append(f"{path.name}:{copy}")
     assert [copy for copy in copies["root count"]
             if copy.split(":")[0] not in ("matchings.py", "rootsys.py")] == []
     assert copies["top block"] == ["oracle.py:_require_cap: (degree_cap - k) // 2"]
+    assert [copy for copy in copies["block"] if not copy.startswith("matchings.py:")] == []
 
 
 def _unbound_globals(path):
