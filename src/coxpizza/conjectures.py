@@ -12,10 +12,11 @@ data (reports), not exceptions.  Exceptions are reserved for internal
 contradictions (e.g. the two numeric oracles disagreeing with both error
 bands excluding zero).
 
-The sign checks decide each center with oracle.exact_sign_fold, an exact
-rational fold with a rigorous tail band.  The probe at degree |Phi+|, where
-the fold first can be nonzero, folds nothing: anti-symmetry fixes that
-term as c_() times the product of the positive roots' pairings
+The sign checks decide each center on one oracle.CenterSeries, the exact
+rational fold at that center with a rigorous tail band.  The probe at
+degree |Phi+|, where the fold first can be nonzero, folds nothing:
+anti-symmetry fixes that term as c_() times the product of the positive
+roots' pairings, which are the edges' forms the object already holds
 (_lowest_order_term), and its tail bound is known without folding.  Then
 one fold runs at the lowest cap whose bound is well below the probe's value.
 
@@ -41,10 +42,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .matchings import FoldGeometry, c_coefficient, fold_parameters
-from .oracle import (MAX_DEGREE_CAP, MAX_FOLD_MOD_WORK, MODULUS, BallSpec, exact_sign_fold, fold_mod,
-                     fold_mod_work, mc_pizza, require_dimension, require_sum_zero, sign_fold_tails)
+from .oracle import (MAX_DEGREE_CAP, MAX_FOLD_MOD_WORK, MODULUS, BallSpec, CenterSeries, fold_mod,
+                     fold_mod_work, mc_pizza, require_dimension, require_sum_zero)
 from .polyring import NonDivisible, alternant_exponents, partitions
-from .rootsys import ArrangementSpec, chamber_sign, make_spec, positive_roots
+from .rootsys import ArrangementSpec, chamber_sign, make_spec
 from .taylor import (MAX_QUOTIENT_WORK, ResourceCapExceeded, _edge_table, _require_symbolic_regime,
                      dominant_coefficients)
 
@@ -100,44 +101,43 @@ def _finish(conjecture_id: str, params: dict, witnesses: List[dict], notes: List
 # ---------------------------------------------------------------------------
 
 
-def _lowest_order_term(spec: ArrangementSpec, center: Sequence[float]) -> Fraction:
-    """exact_sign_fold(spec, center, |Phi+|)[0] without a fold: the
-    2^-m-weighted term Z_|Phi+|(center), m = half_degree(|Phi+|), the only
-    one at or below that cap, as the fold vanishes below |Phi+|.
-    Anti-symmetry makes Z_|Phi+| the alternant of lambda = () times c_(), so
+def _lowest_order_term(series: CenterSeries) -> Fraction:
+    """series.value(|Phi+|)[0] without a fold: the 2^-m-weighted term
+    Z_|Phi+|(center), m = half_degree(|Phi+|), the only one at or below
+    that cap, as the fold vanishes below |Phi+|.  Anti-symmetry makes
+    Z_|Phi+| the alternant of lambda = () times c_(), so
 
         Z_|Phi+|(a) = c_() prod_(alpha in Phi+) <alpha, a>
 
     on the integer root coordinates (the Vandermonde product, or its
-    squares' for type D), with c_() from dominant_coefficients at
-    |Phi+|.  The pairings are exact: on the center's Fractions cleared to
-    integers by their common denominator D, whose power D^|Phi+| divides
-    the product once."""
-    degree = spec.positive_root_count
+    squares' for type D), with c_() from dominant_coefficients at |Phi+|.
+    The positive roots e_i - e_j (and e_i + e_j for type D), i < j, are the
+    edges' forms, so the product is that of every edge's integer forms U =
+    <alpha, a> D at the center over D^|Phi+|, exactly."""
+    spec, degree = series.spec, series.geometry.roots
     c_empty = dominant_coefficients(spec, degree).get((), 0)
-    exact = [Fraction(x) for x in center]
-    denominator = math.lcm(*(x.denominator for x in exact))
-    cleared = [x.numerator * (denominator // x.denominator) for x in exact]
-    product = math.prod(root.pairing(cleared) for root in positive_roots(spec))
-    return (c_empty * Fraction(product, denominator**degree)
-            / (1 << fold_parameters(spec).half_degree(degree)))
+    product = math.prod(u for us in series.forms.values() for u in us)
+    return (c_empty * Fraction(product, series.denominator**degree)
+            / (1 << series.geometry.half_degree(degree)))
 
 
 def _signed_estimate(spec: ArrangementSpec, center: Sequence[float]) -> Tuple[Fraction, Fraction, int]:
     """(value, tail, degree_cap) from the exact rational fold.  The value is
     the quantity up to a positive prefactor, so its sign is decisive once
-    |value| > tail.
+    |value| > tail.  One CenterSeries holds the center: its forms, its tail
+    bound's histogram of squared radii, counted once, and its folds.
 
     The probe at cap |Phi+|, the lowest degree at which the anti-symmetric
     fold can be nonzero, folds nothing: its value is the leading-order term
     of the quantity in closed form (_lowest_order_term), the same rational
-    exact_sign_fold returns there, and its tail is the bound
-    oracle.sign_fold_tails gives without folding.  The first fold runs at
-    the smallest cap whose bound is below a quarter of that value; near the
-    origin the leading term is close to the whole, and that fold decides,
-    so a decided center costs one fold.  While the band still straddles
-    zero the cap is chosen again from the new value; a value of exactly 0
-    steps the cap by 40.  The cap never exceeds 400.
+    the object's value returns there, and its tail is the object's bound,
+    read first, so a center the bound refuses (outside the unit ball, or
+    past MAX_TAIL_MATCHINGS matchings) is refused before c_() is computed.
+    The first fold runs at the smallest cap whose bound is below a quarter
+    of that value; near the origin the leading term is close to the whole,
+    and that fold decides, so a decided center costs one fold.  While the
+    band still straddles zero the cap is chosen again from the new value; a
+    value of exactly 0 steps the cap by 40.  The cap never exceeds 400.
 
     The smallest cap is found by bisection, not by a scan (the scan is kept
     in tests/reference.py): the bound does not grow with the cap.  From cap
@@ -149,17 +149,18 @@ def _signed_estimate(spec: ArrangementSpec, center: Sequence[float]) -> Tuple[Fr
     "bound below a quarter of the value" is False and then True along the
     caps, and bisect picks the first True one in at most
     ceil(log2(#caps)) + 1 evaluations."""
+    series = CenterSeries(spec, center)
     cap = spec.positive_root_count
-    tail_at = sign_fold_tails(spec, center)  # the folds' own, cached per center
-    value, tail = _lowest_order_term(spec, center), tail_at(cap)
+    tail = series.bound(cap)
+    value = _lowest_order_term(series)
     while tail >= abs(value) and cap < MAX_DEGREE_CAP:
         if value == 0:
             cap = min(MAX_DEGREE_CAP, cap + 40)
         else:
             caps = range(cap + 2, MAX_DEGREE_CAP, 2)
-            index = bisect.bisect_left(caps, True, key=lambda c: tail_at(c) < abs(value) / 4)
+            index = bisect.bisect_left(caps, True, key=lambda c: series.bound(c) < abs(value) / 4)
             cap = caps[index] if index < len(caps) else MAX_DEGREE_CAP
-        value, tail = exact_sign_fold(spec, center, cap)
+        value, tail = series.value(cap)
     return value, tail, cap
 
 

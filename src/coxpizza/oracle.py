@@ -32,32 +32,37 @@ state's value after the last state that reads it.  Three folds walk it, each
 on its own ring:
 
   * _signed_sums     -- integer binomial-convolution series, exactly: the
-                        one exact point evaluator.  It clears the forms at a
-                        point to integers by one common denominator, gives
-                        every edge its integer series (_forms_series, which
-                        also gives a1k_pizza_series its one series), and
-                        sums one value per degree.
+                        one exact point evaluator.  From the forms at a
+                        point cleared to integers by one common denominator
+                        (_edge_forms), it gives every edge its integer
+                        series (_forms_series, which also gives
+                        a1k_pizza_series its one series), and sums one value
+                        per degree.
   * fold_mod         -- residues modulo the prime 2^61 - 1, a series packed
                         into one integer.
   * _squared_radii   -- unsigned, histograms of the matchings' squared radii.
 
-_signed_sums serves two callers:
+One object holds the exact series at one center: CenterSeries clears the
+forms at the center to integers once and keeps them, with the tail bound's
+histogram of the matchings' squared radii once it is counted (by
+_squared_radii; no matching is enumerated).  It is the only reader of
+_signed_sums and _squared_radii:
 
-  * fold_at          -- the exact values Z_d(point) of the symbolic fold
+  * folds            -- the exact values Z_d(point) of the symbolic fold
                         (z_poly's convention) at any exact point, degree by
                         degree; the tests check the dominant coefficients
                         and the quotients with it at seeded integer points
                         without expanding the fold.
-  * exact_sign_fold  -- the 2^-m-weighted sum of fold_at's values at the
-                        center, with the rational tail bound of
-                        sign_fold_tails: the sign verdicts read it, and
+  * bound            -- the rational tail bound of the 2^-m-weighted sum of
+                        those values at a center strictly inside the unit
+                        ball, for any cap, without folding.
+  * value            -- that sum with its bound: exact_sign_fold is this at
+                        one center; the sign verdicts read it, and
                         sum_over_2structures scales it.
 
-sign_fold_tails owns that bound.  It depends only on the matchings'
-squared radii, so it is known for every cap without folding.  Their
-histogram, each distinct radius with its multiplicity, is counted once per
-center (the last center's bound is cached) by _squared_radii; no matching
-is enumerated.
+No per-center state is kept at module level: the sign checks build one
+object per center and read the probe's bound, the cap search's bounds and
+the deciding fold from it.
 
 fold_mod gives Z_d at one degree and one integer point.  check schur and
 check lemma51 test the identity Z_d = 2^shift Q J with it at three seeded
@@ -92,7 +97,7 @@ _HYPERPLANE_TOL = 1e-12
 _MAX_REJECTED_DRAWS = 20_000
 # the largest degree cap of the series oracles and of the sign checks' escalation
 MAX_DEGREE_CAP = 400
-# the matchings whose squared radii sign_fold_tails counts once per center: 2,027,025
+# the matchings whose squared radii CenterSeries.bound counts once per center: 2,027,025
 # (A_14, A_15, D_15) are admitted, 34,459,425 (A_16, A_17, D_17) are refused
 MAX_TAIL_MATCHINGS = 10**7
 
@@ -429,17 +434,6 @@ def _require_cap(degree_cap: int, k: int) -> int:
     return (degree_cap - k) // 2
 
 
-def _exact_frame(spec: ArrangementSpec, point: Sequence, degree_cap: int
-                 ) -> Tuple[FoldGeometry, List[Fraction], int]:
-    """(geometry, exact point, m_top) for the exact folds, after the checks
-    they share: a family with a matching fold (fold_parameters), the point's
-    dimension, a cap from k to MAX_DEGREE_CAP."""
-    geometry = fold_parameters(spec)
-    require_dimension(spec, point)
-    m_top = _require_cap(degree_cap, geometry.k)
-    return geometry, [Fraction(x) for x in point], m_top
-
-
 def _series_weights(m_top: int) -> Tuple[int, List[int], List[List[int]]]:
     """(O, the weights O/(2r+1), the binomial rows C(m, j)) of the integer
     series through r = m_top, with O = lcm(1, 3, .., 2 m_top + 1)."""
@@ -505,24 +499,6 @@ def _signed_sums(geometry: FoldGeometry, forms: Dict[Tuple[int, int], Tuple[int,
         total = [sum(column) for column in zip(*plus, *([-t for t in term] for term in minus))]
         return unit if total == unit else total
     return _walk_plan(geometry.ground, unit, times, combine), odd
-
-
-def fold_at(spec: ArrangementSpec, point: Sequence, degree_cap: int) -> Dict[int, Fraction]:
-    """The exact values Z_d(point) of the signed fold for d = k, k+2, ..,
-    <= degree_cap, keyed by d, in z_poly's convention (unnormalized integer
-    forms): Z_(2m+k)(point) = c_m S[m] / (D^(2m+k) O^k) from _signed_sums,
-    which visits no matching.
-
-    Z_d is a polynomial, so any exact point is admitted (no unit-ball or
-    sum-zero condition); this is the point-evaluation route that checks the
-    dominant coefficients and the quotients (Z_d = 2^shift Q J) without
-    expanding the fold."""
-    geometry, exact_point, m_top = _exact_frame(spec, point, degree_cap)
-    k = geometry.k
-    forms, denominator = _edge_forms(geometry, exact_point)
-    signed, odd = _signed_sums(geometry, forms, m_top)
-    return {2 * m + k: c_coefficient(spec.rank, k, m) * Fraction(s, denominator ** (2 * m + k))
-            / odd**k for m, s in enumerate(signed)}
 
 
 MODULUS = (1 << 61) - 1  # a Mersenne prime: x = (x & MODULUS) + (x >> 61) modulo it
@@ -612,9 +588,9 @@ def fold_mod_work(spec: ArrangementSpec, degree: int) -> int:
 
 
 def fold_mod(spec: ArrangementSpec, point: Sequence[int], degree: int) -> int:
-    """Z_degree(point) modulo MODULUS at an integer point: fold_at's value
-    there, reduced (its denominator is a power of 2 times factors up to
-    degree, all invertible).
+    """Z_degree(point) modulo MODULUS at an integer point: the exact value
+    CenterSeries.folds gives there, reduced (its denominator is a power of 2
+    times factors up to degree, all invertible).
 
     It walks the plan on residues (_walk_plan).  With the forms' series stored
     in exponential form, a_r / r!, the binomial convolution is the ordinary
@@ -669,11 +645,103 @@ def fold_mod(spec: ArrangementSpec, point: Sequence[int], degree: int) -> int:
     return top * c.numerator * pow(c.denominator, -1, MODULUS) % MODULUS
 
 
+class CenterSeries:
+    """The exact series of the signed fold at one center, the one object the
+    exact point routes read: exact_sign_fold, sum_over_2structures (through
+    it) and the sign checks' probe, cap search and deciding fold.
+
+    The constructor refuses a family without a matching fold
+    (fold_parameters) and a center of the wrong dimension, converts the
+    center to exact values (float centers convert exactly: they are dyadic
+    rationals) and clears the edges' forms at it to integers once
+    (_edge_forms): `forms` maps every edge to its integer forms U = u D, and
+    `denominator` is D.  Every edge's forms are the positive roots' pairings
+    there, so the product of all of them over D^|Phi+| is the product of
+    the pairings.  The tail bound's histogram of the matchings' squared
+    radii is counted on the first call of bound that passes its checks, and
+    kept with the object: a caller that wants it once per center keeps one
+    object per center, and nothing is kept at module level."""
+
+    def __init__(self, spec: ArrangementSpec, center: Sequence):
+        self.spec, self.geometry = spec, fold_parameters(spec)
+        require_dimension(spec, center)
+        self.center = [Fraction(x) for x in center]
+        self.forms, self.denominator = _edge_forms(self.geometry, self.center)
+        self._tails: Optional[Tuple[int, List[Tuple[int, int]]]] = None
+
+    def folds(self, degree_cap: int) -> Dict[int, Fraction]:
+        """The exact values Z_d(center) of the signed fold for d = k, k+2,
+        .., <= degree_cap, keyed by d, in z_poly's convention (unnormalized
+        integer forms): Z_(2m+k) = c_m S[m] / (D^(2m+k) O^k) from
+        _signed_sums, which visits no matching.  Z_d is a polynomial, so it
+        is defined at every center; only the cap is refused (_require_cap)."""
+        k = self.geometry.k
+        signed, odd = _signed_sums(self.geometry, self.forms, _require_cap(degree_cap, k))
+        return {2 * m + k: c_coefficient(self.spec.rank, k, m)
+                * Fraction(s, self.denominator ** (2 * m + k)) / odd**k for m, s in enumerate(signed)}
+
+    def bound(self, degree_cap: int) -> Fraction:
+        """The tail bound B of value(degree_cap), without folding.  With
+        m_top = (degree_cap - k) // 2,
+
+            B = 2^ceil(k/2) |c_(m_top+1)| sum_M s_M^(m_top+1) / (1 - s_M),
+
+        s_M = sum(u^2)/2 the squared radius of matching M.  Each term is the
+        geometric tail of one matching's series, stated for unit pairings;
+        2^ceil(k/2) >= 2^(k/2) lifts it to the unnormalized ones.  It is
+        valid once the coefficients |c_m| stop growing past m_top + 1
+        (_require_decaying) and every s_M < 1.  s_M <= |a|^2: for type D,
+        (U_-^2 + U_+^2)/2 = a_i^2 + a_j^2, for type A (a_i - a_j)^2/2 <=
+        a_i^2 + a_j^2, and a matching's edges are disjoint; so a center
+        strictly inside the unit ball is enough.
+
+        On the integer forms, q_M = sum(U^2) and R = 2 D^2 give
+        s_M = q_M / R, so the sum is sum_M q_M^(m_top+1) / (R^m_top (R - q_M)).
+        Equal radii are counted once, with their multiplicity
+        (_squared_radii, which enumerates no matching), and the 1/(R - q)
+        are put over one common denominator, so each B is one integer sum.
+
+        The refusals come in this order, the cheapest first: the cap
+        (_require_cap, an integer from k to MAX_DEGREE_CAP, which gives
+        m_top), coefficients still growing past it (_require_decaying), a
+        center with |a|^2 >= 1 (DivergentRegion), and more than
+        MAX_TAIL_MATCHINGS matchings; only then is the histogram counted,
+        on the first call that gets there."""
+        n, k = self.spec.rank, self.geometry.k
+        m_top = _require_cap(degree_cap, k)
+        _require_decaying(n, k, m_top, "cap too small: coefficients")
+        radius_square = 2 * self.denominator * self.denominator  # s = 1 in the units of sum(U^2)
+        if self._tails is None:
+            if sum(x * x for x in self.center) >= 1:
+                raise DivergentRegion("exact fold needs the center strictly inside the unit ball")
+            matchings = count_matchings(self.geometry.ground)
+            if matchings > MAX_TAIL_MATCHINGS:
+                raise ValueError(f"{matchings} matchings exceed the tail bound's cap of "
+                                 f"{MAX_TAIL_MATCHINGS}")
+            counts = _squared_radii(self.geometry.ground, self.forms)
+            common = math.lcm(*(radius_square - q for q in counts))
+            self._tails = common, [(q, count * (common // (radius_square - q)))
+                                   for q, count in counts.items()]
+        common, terms = self._tails
+        tails = sum(w * q ** (m_top + 1) for q, w in terms)
+        return ((1 << (k + 1) // 2) * abs(c_coefficient(n, k, m_top + 1))
+                * Fraction(tails, common * radius_square ** m_top))
+
+    def value(self, degree_cap: int) -> Tuple[Fraction, Fraction]:
+        """(W, B): W = sum_m 2^-m Z_(2m+k)(center), 2m+k <= degree_cap, from
+        folds, and B = bound(degree_cap), checked and computed before the
+        fold.  See exact_sign_fold."""
+        bound = self.bound(degree_cap)
+        folds = self.folds(degree_cap)
+        return sum(z / (1 << self.geometry.half_degree(d)) for d, z in folds.items()), bound
+
+
 def exact_sign_fold(spec: ArrangementSpec, center: Sequence, degree_cap: int) -> Tuple[Fraction, Fraction]:
-    """(W, B) with W an exact rational equal to the pizza quantity at radius
-    one divided by the positive prefactor 2^(k/2) * beta_(n-k), and B a
-    rational bound with |true/prefactor - W| <= B.  sign(W) is the sign of
-    the quantity whenever |W| > B.
+    """CenterSeries(spec, center).value(degree_cap): (W, B) with W an exact
+    rational equal to the pizza quantity at radius one divided by the
+    positive prefactor 2^(k/2) * beta_(n-k), and B a rational bound with
+    |true/prefactor - W| <= B.  sign(W) is the sign of the quantity whenever
+    |W| > B.
 
     Exactness sidesteps the float cancellation across matchings, which is
     catastrophic here: the fold is orders of magnitude smaller than its
@@ -686,68 +754,14 @@ def exact_sign_fold(spec: ArrangementSpec, center: Sequence, degree_cap: int) ->
 
         W = sum_m 2^-m Z_(2m+k)(center),  2m+k <= degree_cap,
 
-    with Z_d from fold_at.  B is sign_fold_tails(spec, center)(degree_cap).
-    Its checks run before the fold, the cheapest first: coefficients no
-    longer growing past the cap, at most MAX_TAIL_MATCHINGS matchings, and
-    the center inside the unit ball, which needs the walk over the
+    with Z_d from CenterSeries.folds, and B is CenterSeries.bound.  The
+    refusals come in this order, all before the fold: a family other than A
+    or D, a center of the wrong dimension, then bound's (the cap,
+    coefficients still growing past it, a center with |a|^2 >= 1, more than
+    MAX_TAIL_MATCHINGS matchings), and only then the walk over the
     matchings' radii.
     """
-    geometry, _, m_top = _exact_frame(spec, center, degree_cap)
-    _require_decaying(spec.rank, geometry.k, m_top, "cap too small: coefficients")  # before any walk
-    bound = sign_fold_tails(spec, center)(degree_cap)
-    folds = fold_at(spec, center, degree_cap)
-    return sum(z / (1 << geometry.half_degree(d)) for d, z in folds.items()), bound
-
-
-def sign_fold_tails(spec: ArrangementSpec, center: Sequence) -> Callable[[int], Fraction]:
-    """The bound B of exact_sign_fold(spec, center, degree_cap) as a function
-    of degree_cap, without folding.  With m_top = (degree_cap - k) // 2,
-
-        B = 2^ceil(k/2) |c_(m_top+1)| sum_M s_M^(m_top+1) / (1 - s_M),
-
-    s_M = sum(u^2)/2 < 1 the squared radius of matching M.  Each term is the
-    geometric tail of one matching's series, stated for unit pairings;
-    2^ceil(k/2) >= 2^(k/2) lifts it to the unnormalized ones.  It is valid
-    once the coefficients |c_m| stop growing past m_top + 1, which is
-    checked for every cap (_require_decaying).
-
-    On the integer forms U = u D of _edge_forms, q_M = sum(U^2) and
-    R = 2 D^2 give s_M = q_M / R, so the sum is
-    sum_M q_M^(m_top+1) / (R^m_top (R - q_M)).  Equal radii are counted
-    once, with their multiplicity (_squared_radii, which enumerates no
-    matching), and the 1/(R - q) are put over one common denominator, so
-    each B is one integer sum.  The histogram and that denominator are built
-    once per center, when this is called: the last center's bound is
-    cached.  The refusals come in this order, all before any cap is read:
-    more than MAX_TAIL_MATCHINGS matchings raise ValueError before the
-    walk, and a center outside the unit ball, max q_M >= R, raises
-    DivergentRegion after it.  Each cap is then refused as exact_sign_fold
-    refuses it: by _require_cap (an integer from k to MAX_DEGREE_CAP, which
-    gives m_top), then by _require_decaying."""
-    return _center_tails(spec, tuple(Fraction(x) for x in center))
-
-
-@lru_cache(maxsize=1)
-def _center_tails(spec: ArrangementSpec, center: Tuple[Fraction, ...]) -> Callable[[int], Fraction]:
-    geometry = fold_parameters(spec)
-    n, k, matchings = spec.rank, geometry.k, count_matchings(geometry.ground)
-    if matchings > MAX_TAIL_MATCHINGS:
-        raise ValueError(f"{matchings} matchings exceed the tail bound's cap of {MAX_TAIL_MATCHINGS}")
-    forms, denominator = _edge_forms(geometry, center)
-    radius_square = 2 * denominator * denominator  # s = 1 in the units of sum(U^2)
-    counts = _squared_radii(geometry.ground, forms)
-    if max(counts) >= radius_square:
-        raise DivergentRegion("exact fold needs the center strictly inside the unit ball")
-    common = math.lcm(*(radius_square - q for q in counts))
-    terms = [(q, count * (common // (radius_square - q))) for q, count in counts.items()]
-
-    def bound(degree_cap: int) -> Fraction:
-        m_top = _require_cap(degree_cap, k)
-        _require_decaying(n, k, m_top, "cap too small: coefficients")
-        tails = sum(w * q ** (m_top + 1) for q, w in terms)
-        return ((1 << (k + 1) // 2) * abs(c_coefficient(n, k, m_top + 1))
-                * Fraction(tails, common * radius_square ** m_top))
-    return bound
+    return CenterSeries(spec, center).value(degree_cap)
 
 
 def _squared_radii(ground: int, forms: Dict[Tuple[int, int], Tuple[int, ...]]) -> Dict[int, int]:
@@ -840,17 +854,18 @@ def sum_over_2structures(spec: ArrangementSpec, ball: BallSpec,
     Both are exact until the one conversion to float.
 
     It refuses a family other than A or D, a center of the wrong dimension,
-    a cap outside [k, MAX_DEGREE_CAP] (the three by _exact_frame), a type A
-    center off the sum-zero hyperplane, a radius whose ball volume is not a
-    positive finite float (radius_power), a scaled center outside the open
-    unit ball, and the tail bound's refusals (sign_fold_tails)."""
-    geometry, center, _ = _exact_frame(spec, ball.center, degree_cap)
+    a cap outside [k, MAX_DEGREE_CAP] (_require_cap), a type A center off
+    the sum-zero hyperplane and a radius whose ball volume is not a positive
+    finite float (radius_power); then exact_sign_fold's own refusals, all
+    before any walk: coefficients still growing past the cap, a scaled
+    center outside the open unit ball and more than MAX_TAIL_MATCHINGS
+    matchings."""
+    geometry = fold_parameters(spec)
+    require_dimension(spec, ball.center)
+    _require_cap(degree_cap, geometry.k)
     require_sum_zero(spec, ball.center, ball.radius)
     power = radius_power(ball.radius, spec.rank)
     radius = Fraction(ball.radius)
-    center = [x / radius for x in center]
-    if sum(x * x for x in center) >= 1:
-        raise DivergentRegion("series route needs the center strictly inside the unit ball")
-    value, tail = exact_sign_fold(spec, center, degree_cap)
+    value, tail = exact_sign_fold(spec, [Fraction(x) / radius for x in ball.center], degree_cap)
     scale = power * 2 ** (geometry.k / 2) * ball_volume(spec.rank - geometry.k)
     return scale * float(value), scale * float(tail)

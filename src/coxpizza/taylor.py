@@ -127,6 +127,15 @@ def _edge_table(pair_forms: bool, q: int) -> Tuple[Dict[Tuple[int, int], int], i
             for i, c in reversed(list(enumerate(row))) if c}, scalar // g
 
 
+def _cleared_tables(pair_forms: bool, top: int) -> Tuple[Tuple[Dict, ...], int, List[int]]:
+    """(tables, L, factors) of the edge tables q = 0..top cleared to one
+    denominator: L is the lcm of their scalars S_q, and table q times
+    factors[q] = L // S_q is table q over L, as _fold_scale reads it."""
+    tables, scalars = zip(*(_edge_table(pair_forms, q) for q in range(top + 1)))
+    lcm = math.lcm(*scalars)
+    return tables, lcm, [lcm // s for s in scalars]
+
+
 def _fold_scale(spec: ArrangementSpec, geometry: FoldGeometry, m: int, lcm: int) -> Fraction:
     """c_m m! / L^E: the one scale of a fold over edge tables cleared to one
     denominator L, table q times L // S_q (S_q its scalar).
@@ -199,9 +208,7 @@ def z_poly(spec: ArrangementSpec, d: int, threads: int = 1) -> Poly:
     if m is None:
         return Poly.zero(spec.ambient_dim)
     _guard_resources(geometry.ground, geometry.nslots, d)
-    tables, scalars = zip(*(_edge_table(geometry.pair_forms, q) for q in range(m + 1)))
-    lcm = math.lcm(*scalars)
-    factors = [lcm // s for s in scalars]
+    tables, lcm, factors = _cleared_tables(geometry.pair_forms, m)
     edge_terms: Dict[Tuple[int, int], List[Tuple[List[int], List[int]]]] = {}
     acc: Dict[int, int] = {}
     get = acc.get
@@ -333,9 +340,7 @@ def dominant_coefficients(spec: ArrangementSpec, d: int, schur: bool = False
     # targets are stretched by the forms per edge, and so are an edge's table degrees 2q + forms
     # q = (mu_i + mu_j - forms) >> 1 is largest on the top two exponents, at lambda = (size)
     top = forms * (size + 2 * ground - 4) >> 1
-    tables, scalars = zip(*(_edge_table(geometry.pair_forms, q) for q in range(top + 1)))
-    lcm = math.lcm(*scalars)
-    factors = [lcm // s for s in scalars]
+    tables, lcm, factors = _cleared_tables(geometry.pair_forms, top)
     scale = _fold_scale(spec, geometry, m, lcm) / (1 << shift)
     pfaffians = []
     for lam in lams:

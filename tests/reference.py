@@ -30,8 +30,8 @@ from coxpizza.conjectures import (ConjectureReport, ReconstructionMismatch, Rewr
                                   _type_d)
 from coxpizza.matchings import (FoldGeometry, Matching, c_coefficient, edge_forms,
                                 enumerate_matchings, fold_parameters)
-from coxpizza.oracle import (_BLOCK, _HYPERPLANE_TOL, MAX_DEGREE_CAP, BallSpec, DivergentRegion,
-                             _int_binomial_convolve, ball_volume, exact_sign_fold, sign_fold_tails)
+from coxpizza.oracle import (_BLOCK, _HYPERPLANE_TOL, MAX_DEGREE_CAP, BallSpec, CenterSeries,
+                             DivergentRegion, _int_binomial_convolve, ball_volume, exact_sign_fold)
 from coxpizza.polyring import (Monomial, Partition, Poly, Rational, divide_by_vandermonde, mul,
                                normalize_partition, partitions, spread_monomials)
 from coxpizza.rootsys import ArrangementSpec, Root, make_spec, positive_roots
@@ -185,11 +185,11 @@ def signed_estimate_linear_scan(spec: ArrangementSpec, center: Sequence[float]
     MAX_DEGREE_CAP."""
     cap = spec.positive_root_count
     value, tail = exact_sign_fold(spec, center, cap)
+    tail_at = CenterSeries(spec, center).bound
     while tail >= abs(value) and cap < MAX_DEGREE_CAP:
         if value == 0:
             cap = min(MAX_DEGREE_CAP, cap + 40)
         else:
-            tail_at = sign_fold_tails(spec, center)
             cap = next((c for c in range(cap + 2, MAX_DEGREE_CAP, 2)
                         if tail_at(c) < abs(value) / 4), MAX_DEGREE_CAP)
         value, tail = exact_sign_fold(spec, center, cap)

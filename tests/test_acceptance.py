@@ -22,7 +22,7 @@ import pytest
 from coxpizza.conjectures import (check_sign_A, check_sign_D, check_t_positivity,
                                   check_y_negativity, schur_reconstruct)
 from coxpizza.matchings import Matching, crossings, sign, sign_sum
-from coxpizza.oracle import (BallSpec, fold_at, mc_pizza, random_interior_centers,
+from coxpizza.oracle import (BallSpec, CenterSeries, mc_pizza, random_interior_centers,
                              sum_over_2structures)
 from coxpizza.polyring import Poly, mul
 from coxpizza.rootsys import chamber_sign, make_spec, positive_roots
@@ -179,13 +179,13 @@ POINT_CELLS = ([("A", rank, d) for rank, d, _, _ in TABLE_A_CELLS]
 @pytest.mark.parametrize("family,rank,d", POINT_CELLS, ids=[f"{f}{r}_d{d}" for f, r, d in POINT_CELLS])
 def test_criterion_6_point_identities(cache, family, rank, d):
     """Every table cell at three seeded 32-bit integer points a, by exact
-    evaluation of the fold (fold_at), without expanding it:
+    evaluation of the fold (CenterSeries.folds), without expanding it:
 
       * Z_d(a) = 2^shift Q(a) J(a), with Q the computed quotient and J the
         product of the positive roots' linear forms at a;
       * Z_d(sigma a) = -Z_d(a) for a seeded transposition sigma, and for
         type D Z_d is even in a seeded variable;
-      * where the suite expands the fold anyway, fold_at equals its exact
+      * where the suite expands the fold anyway, folds equals its exact
         value at a.
 
     A wrong polynomial identity of degree d survives a uniform point of
@@ -198,7 +198,7 @@ def test_criterion_6_point_identities(cache, family, rank, d):
     rng = random.Random(SEED + 100 * rank + d)
     for _ in range(3):
         point = [rng.randrange(-2**31, 2**31) for _ in range(spec.ambient_dim)]
-        z = fold_at(spec, point, d)[d]
+        z = CenterSeries(spec, point).folds(d)[d]
         jacobian = math.prod(root.pairing(point) for root in roots)
         assert jacobian != 0 and z != 0, (family, rank, d, point)
         assert z == (1 << shift) * evaluate(q, point) * jacobian, (family, rank, d, point)
@@ -206,11 +206,11 @@ def test_criterion_6_point_identities(cache, family, rank, d):
         i, j = rng.sample(range(spec.ambient_dim), 2)
         swapped = list(point)
         swapped[i], swapped[j] = point[j], point[i]
-        assert fold_at(spec, swapped, d)[d] == -z, (family, rank, d, point, i, j)
+        assert CenterSeries(spec, swapped).folds(d)[d] == -z, (family, rank, d, point, i, j)
         if family == "D":
             flipped = list(point)
             flipped[i] = -point[i]
-            assert fold_at(spec, flipped, d)[d] == z, (family, rank, d, point, i)
+            assert CenterSeries(spec, flipped).folds(d)[d] == z, (family, rank, d, point, i)
         if fold is not None:
             assert evaluate(fold, point) == z, (family, rank, d, point)
 

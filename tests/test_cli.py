@@ -443,6 +443,11 @@ REFUSED_COMMANDS = {
                        "654729075 matchings exceed the tail bound's cap of 10000000"),
     "tails-oracle-D21": (["oracle", "--spec", "D:21", f"--center={D21}", "--method", "sum2s"],
                          "13749310575 matchings exceed the tail bound's cap of 10000000"),
+    "sign-outside-unit-ball": (["check", "sign", "--spec", "D:3", "--centers", "0.6,0.59,0.58"],
+                               "exact fold needs the center strictly inside the unit ball"),
+    "sum2s-outside-unit-ball": (["oracle", "--spec", "D:3", "--center", "0.6,0.59,0.58",
+                                 "--method", "sum2s"],
+                                "exact fold needs the center strictly inside the unit ball"),
     "degrees-empty": (["expand", "--spec", "A:3", "--degrees", "3,,5"],
                       "--degrees '3,,5': '' is not an integer"),
     "centers-auto-count": (["check", "sign", "--spec", "D:3", "--centers", "auto:x"],

@@ -239,7 +239,8 @@ def test_sign_check_refuses_a_negative_seed_before_any_fold(monkeypatch):
     def fail(*args):
         raise AssertionError("folded before the refusal")
 
-    monkeypatch.setattr(conjectures, "exact_sign_fold", fail)
+    monkeypatch.setattr(oracle.CenterSeries, "value", fail)
+    monkeypatch.setattr(oracle.CenterSeries, "bound", fail)
     for check, rank, center in ((check_sign_A, 2, (0.2, -0.1, -0.1)),
                                 (check_sign_D, 3, (0.25, 0.1, 0.03))):
         for samples in (0, 10):
@@ -403,15 +404,16 @@ def test_sign_checks_consistent_small():
 
 
 def _recorded_folds(monkeypatch, fold=None):
-    """Route the sign checks' folds through `fold` (the real one by default)
-    and return the list of (center, cap) they are called with."""
+    """Route the sign checks' folds, CenterSeries.value, through
+    fold(series, degree_cap) (the real one by default) and return the list
+    of (center, cap) they are called with."""
     calls = []
-    inner = fold or conjectures.exact_sign_fold
+    inner = fold or oracle.CenterSeries.value
 
-    def recorded(spec, center, degree_cap):
-        calls.append((tuple(center), degree_cap))
-        return inner(spec, center, degree_cap)
-    monkeypatch.setattr(conjectures, "exact_sign_fold", recorded)
+    def recorded(series, degree_cap):
+        calls.append((tuple(series.center), degree_cap))
+        return inner(series, degree_cap)
+    monkeypatch.setattr(oracle.CenterSeries, "value", recorded)
     return calls
 
 
@@ -465,10 +467,11 @@ def test_lowest_order_term_is_the_probe_fold(family, rank):
     half = 1 << oracle.fold_parameters(spec).half_degree(degree)
     for radius in (0.3, 0.6, 0.9):
         for center in random_interior_centers(spec, 3, SEED, radius=radius, margin=0.002):
-            term = conjectures._lowest_order_term(spec, center)
+            series = oracle.CenterSeries(spec, center)
+            term = conjectures._lowest_order_term(series)
             assert term != 0
             assert term == oracle.exact_sign_fold(spec, center, degree)[0]
-            assert term == oracle.fold_at(spec, center, degree + 4)[degree] / half
+            assert term == series.folds(degree + 4)[degree] / half
 
 
 SEARCH_CENTERS = [("A", 6, 0.4, 6), ("A", 6, 0.9, 4), ("A", 7, 0.4, 4), ("D", 5, 0.4, 6),
@@ -489,16 +492,12 @@ def test_cap_search_evaluates_the_bound_logarithmically(monkeypatch):
     # evaluates the bound at 21-56 caps
     spec = make_spec("A", 6)
     evaluated = []
-    real = conjectures.sign_fold_tails
+    real = oracle.CenterSeries.bound
 
-    def counted(spec, center):
-        bound = real(spec, center)
-
-        def count(cap):
-            evaluated.append(cap)
-            return bound(cap)
-        return count
-    monkeypatch.setattr(conjectures, "sign_fold_tails", counted)
+    def counted(series, cap):
+        evaluated.append(cap)
+        return real(series, cap)
+    monkeypatch.setattr(oracle.CenterSeries, "bound", counted)
     calls = _recorded_folds(monkeypatch)
     caps = len(range(spec.positive_root_count + 2, oracle.MAX_DEGREE_CAP, 2))
     for center in random_interior_centers(spec, 4, SEED, radius=0.9, margin=0.01):
@@ -506,21 +505,27 @@ def test_cap_search_evaluates_the_bound_logarithmically(monkeypatch):
         calls.clear()
         cap = conjectures._signed_estimate(spec, center)[2]
         assert [c for _, c in calls] == [cap] and cap > 60
-        assert 0 < len(evaluated) <= math.ceil(math.log2(caps)) + 1
+        # the deciding fold reads its own bound last; the probe and the search read the rest
+        assert evaluated[-1] == cap
+        assert 0 < len(evaluated) - 1 <= math.ceil(math.log2(caps)) + 1
 
 
 @pytest.mark.parametrize("family,rank", [("D", 5), ("A", 6)])
 def test_sign_estimate_counts_each_center_once(monkeypatch, family, rank):
-    # the probe, the cap search and the deciding fold share one tail bound
-    # per center, and with it one count of the squared radii
+    # the probe, the cap search and the deciding fold share one object per
+    # center: one clearing of its forms, and one count of the squared radii
     spec = make_spec(family, rank)
     center = random_interior_centers(spec, 1, SEED, radius=0.3)[0]
-    oracle._center_tails.cache_clear()  # a center an earlier test left cached is no miss
+    counted = {"_edge_forms": 0, "_squared_radii": 0}
+    for name in counted:
+        def count(*args, name=name, real=getattr(oracle, name)):
+            counted[name] += 1
+            return real(*args)
+        monkeypatch.setattr(oracle, name, count)
     calls = _recorded_folds(monkeypatch)
     conjectures._signed_estimate(spec, center)
     assert len(calls) == 1  # the fold at the cap the tail bound chose; the probe folds nothing
-    info = oracle._center_tails.cache_info()
-    assert (info.misses, info.hits) == (1, 1)  # the estimate's own call, then the fold's
+    assert counted == {"_edge_forms": 1, "_squared_radii": 1}
 
 
 @pytest.mark.parametrize("band", [(Fraction(0), Fraction(1)), (Fraction(1, 10**9), Fraction(1, 10**9))],
@@ -529,14 +534,13 @@ def test_sign_escalation_stops_at_cap_400(monkeypatch, band):
     # the band is forced at every fold and at the probe, which folds nothing:
     # its value is the closed form, and its tail the bound at |Phi+|
     spec = make_spec("D", 5)
-    real = conjectures.sign_fold_tails
+    real = oracle.CenterSeries.bound
 
-    def forced_tails(spec, center):
-        bound = real(spec, center)
-        return lambda cap: band[1] if cap == spec.positive_root_count else bound(cap)
-    monkeypatch.setattr(conjectures, "sign_fold_tails", forced_tails)
-    monkeypatch.setattr(conjectures, "_lowest_order_term", lambda spec, center: band[0])
-    calls = _recorded_folds(monkeypatch, lambda spec, center, degree_cap: band)
+    def forced_tails(series, cap):
+        return band[1] if cap == spec.positive_root_count else real(series, cap)
+    monkeypatch.setattr(oracle.CenterSeries, "bound", forced_tails)
+    monkeypatch.setattr(conjectures, "_lowest_order_term", lambda series: band[0])
+    calls = _recorded_folds(monkeypatch, lambda series, degree_cap: band)
     center = random_interior_centers(spec, 1, SEED, radius=0.3)[0]
     report = check_sign_D(5, [center])
     assert report.verdict == "inconclusive"
@@ -551,7 +555,7 @@ def test_sign_escalation_stops_at_cap_400(monkeypatch, band):
 
 def test_sign_check_samples_no_center_whose_band_straddles_zero(monkeypatch):
     # such a band decides no sign, so Monte Carlo has nothing to cross-check
-    _recorded_folds(monkeypatch, lambda spec, center, degree_cap: (Fraction(1, 10**9),) * 2)
+    _recorded_folds(monkeypatch, lambda series, degree_cap: (Fraction(1, 10**9),) * 2)
     sampled = []
     real = conjectures.mc_pizza
 
@@ -571,10 +575,10 @@ def test_sign_check_samples_no_center_whose_band_straddles_zero(monkeypatch):
 
 
 def test_sign_escalation_witness_carries_the_deciding_cap(monkeypatch):
-    real = conjectures.exact_sign_fold
+    real = oracle.CenterSeries.value
 
-    def flipped(spec, center, degree_cap):
-        value, tail = real(spec, center, degree_cap)
+    def flipped(series, degree_cap):
+        value, tail = real(series, degree_cap)
         return -value, tail
     calls = _recorded_folds(monkeypatch, flipped)
     spec = make_spec("A", 6)
@@ -584,7 +588,7 @@ def test_sign_escalation_witness_carries_the_deciding_cap(monkeypatch):
     (witness,) = report.witnesses
     assert witness["center"] == list(center)
     assert witness["degree_cap"] == calls[-1][1] == max(cap for _, cap in calls)
-    value, tail = flipped(spec, center, witness["degree_cap"])
+    value, tail = flipped(oracle.CenterSeries(spec, center), witness["degree_cap"])
     assert witness["estimate_exact"] == str(value)
     assert witness["tail_bound"] == float(tail) < abs(float(value))
 

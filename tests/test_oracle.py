@@ -8,13 +8,13 @@ import pytest
 
 from coxpizza import matchings as mt
 from coxpizza import oracle
-from coxpizza.conjectures import check_sign_D
+from coxpizza.conjectures import check_sign_A, check_sign_D
 from coxpizza.matchings import c_coefficient, count_matchings, enumerate_matchings, fold_parameters
-from coxpizza.oracle import (MODULUS, BallSpec, DivergentRegion, McEstimate, _edge_forms,
-                             _pfaffian_plan, _require_decaying, _signed_sums, _squared_radii,
-                             _walk_plan, a1k_pizza_series, ball_volume, exact_sign_fold, fold_at,
-                             fold_mod, fold_mod_work, mc_pizza, random_interior_centers,
-                             sign_fold_tails, sum_over_2structures)
+from coxpizza.oracle import (MODULUS, BallSpec, CenterSeries, DivergentRegion, McEstimate,
+                             _edge_forms, _pfaffian_plan, _require_decaying, _signed_sums,
+                             _squared_radii, _walk_plan, a1k_pizza_series, ball_volume,
+                             exact_sign_fold, fold_mod, fold_mod_work, mc_pizza,
+                             random_interior_centers, sum_over_2structures)
 from coxpizza.rootsys import make_spec, numeric_roots
 from coxpizza.taylor import quotient, z_poly
 from reference import (a1k_pizza_quadrature, auto_degree_cap, coefficient, contains_origin,
@@ -503,11 +503,11 @@ def test_exact_sign_fold_matches_reference(family, rank, center_kind):
 @pytest.mark.parametrize("family,rank,cap", [("A", 2, 9), ("A", 3, 12), ("D", 3, 12), ("D", 5, 22)])
 def test_fold_at_matches_the_expanded_fold(family, rank, cap):
     # every degree k, k+2, .. <= cap, at an exact point off the type A
-    # hyperplane and outside the unit ball: fold_at evaluates the polynomial
+    # hyperplane and outside the unit ball: folds evaluates the polynomial
     spec = make_spec(family, rank)
     k = fold_parameters(spec).k
     point = [Fraction(7 - 3 * i, 5 + i) for i in range(spec.ambient_dim)]
-    values = fold_at(spec, point, cap)
+    values = CenterSeries(spec, point).folds(cap)
     assert sorted(values) == list(range(k, cap + 1, 2))
     for d, value in values.items():
         assert value == evaluate(z_poly(spec, d), point), (family, rank, d)
@@ -555,7 +555,7 @@ def test_fold_at_visits_no_matching(monkeypatch):
     # walk _pfaffian_plan; the oracle does not even import the enumeration
     spec = make_spec("A", 6)
     point = [Fraction(7 - 3 * i, 5 + i) for i in range(spec.ambient_dim)]
-    expected = fold_at(spec, point, 31)
+    expected = CenterSeries(spec, point).folds(31)
     centers = {family: random_interior_centers(make_spec(family, rank), 1, SEED, radius=0.3)[0]
                for family, rank in (("A", 6), ("D", 5))}
 
@@ -563,8 +563,7 @@ def test_fold_at_visits_no_matching(monkeypatch):
         raise AssertionError("the matchings were enumerated")
     monkeypatch.setattr(mt, "enumerate_matchings", refuse)
     assert not hasattr(oracle, "enumerate_matchings")
-    oracle._center_tails.cache_clear()  # a bound an earlier test left cached would hide a walk
-    assert fold_at(spec, point, 31) == expected
+    assert CenterSeries(spec, point).folds(31) == expected
     exact_sign_fold(spec, centers["A"], 31)
     sum_over_2structures(spec, BallSpec(centers["A"], 1.0), 31)
     assert check_sign_D(5, [centers["D"]]).verdict == "consistent"
@@ -581,13 +580,12 @@ def test_fold_at_and_fold_mod_walk_one_plan(monkeypatch):
     monkeypatch.setattr(oracle, "_pfaffian_plan", recording)
     for family, rank in (("A", 6), ("D", 5)):
         spec = make_spec(family, rank)
-        fold_at(spec, [Fraction(7 - 3 * i, 5 + i) for i in range(spec.ambient_dim)], 31)
+        CenterSeries(spec, [Fraction(7 - 3 * i, 5 + i) for i in range(spec.ambient_dim)]).folds(31)
     assert grounds == [7, 5]
     fold_mod(make_spec("D", 5), (3, -1, 4, 1, -5), 14)
     assert grounds == [7, 5, 5]
-    oracle._center_tails.cache_clear()  # a bound an earlier test left cached would hide the walk
     spec = make_spec("A", 6)
-    sign_fold_tails(spec, random_interior_centers(spec, 1, SEED, radius=0.3)[0])(31)
+    CenterSeries(spec, random_interior_centers(spec, 1, SEED, radius=0.3)[0]).bound(31)
     assert grounds == [7, 5, 5, 7]
 
 
@@ -622,12 +620,12 @@ def test_walk_plan_keeps_each_state_until_its_last_reader():
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("A", 6), ("D", 5)])
 def test_exact_sign_fold_is_the_normalized_sum_of_fold_at(family, rank):
-    # both read _signed_sums: W = sum_m 2^-m Z_(2m+k) at the center
+    # W = sum_m 2^-m Z_(2m+k) at the center, from the object's folds
     spec = make_spec(family, rank)
     k = fold_parameters(spec).k
     center = random_interior_centers(spec, 1, SEED, radius=0.4, margin=0.01)[0]
     value, _ = exact_sign_fold(spec, center, k + 12)
-    folds = fold_at(spec, center, k + 12)
+    folds = CenterSeries(spec, center).folds(k + 12)
     assert value == sum(Fraction(z, 1 << ((d - k) // 2)) for d, z in folds.items())
 
 
@@ -637,9 +635,9 @@ def test_sign_fold_tails_is_the_fold_bound_without_folding(family, rank):
     spec = make_spec(family, rank)
     k = fold_parameters(spec).k
     center = random_interior_centers(spec, 1, SEED, radius=0.4, margin=0.01)[0]
-    tail_at = sign_fold_tails(spec, center)
+    series = CenterSeries(spec, center)
     for cap in (k, k + 1, k + 8, spec.positive_root_count + 5):
-        assert tail_at(cap) == exact_sign_fold(spec, center, cap)[1]
+        assert series.bound(cap) == exact_sign_fold(spec, center, cap)[1]
 
 
 @pytest.mark.parametrize("cap,message", [
@@ -654,16 +652,16 @@ def test_sign_fold_tails_refuses_a_cap_as_the_fold_does(cap, message):
     with pytest.raises(ValueError, match=message):
         exact_sign_fold(spec, center, cap)
     with pytest.raises(ValueError, match=message):
-        sign_fold_tails(spec, center)(cap)
+        CenterSeries(spec, center).bound(cap)
 
 
 def test_fold_at_shares_the_exact_fold_checks():
     with pytest.raises(ValueError, match="^no matching fold for family I2$"):
-        fold_at(make_spec("I2", 5), (1, 2), 9)
+        CenterSeries(make_spec("I2", 5), (1, 2)).folds(9)
     with pytest.raises(ValueError, match="center has dimension 4, expected 3"):
-        fold_at(make_spec("D", 3), (1, 2, 3, 4), 9)
+        CenterSeries(make_spec("D", 3), (1, 2, 3, 4)).folds(9)
     with pytest.raises(ValueError, match="degree_cap below the lowest block degree"):
-        fold_at(make_spec("D", 5), (1, 2, 3, 4, 5), 3)
+        CenterSeries(make_spec("D", 5), (1, 2, 3, 4, 5)).folds(3)
 
 
 MOD_CELLS = [("D", 3), ("D", 5), ("D", 7), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6)]
@@ -679,7 +677,7 @@ def test_fold_mod_is_fold_at_modulo_the_prime(family, rank):
     rng = random.Random(f"fold_mod {family}{rank}")
     for _ in range(2):
         point = [rng.randrange(-2**31, 2**31) for _ in range(spec.ambient_dim)]
-        exact = fold_at(spec, point, phi + 8)
+        exact = CenterSeries(spec, point).folds(phi + 8)
         for d in (k, phi, phi + 2, phi + 8):
             reduced = exact[d].numerator * pow(exact[d].denominator, -1, MODULUS) % MODULUS
             assert fold_mod(spec, point, d) == reduced, (point, d)
@@ -714,7 +712,7 @@ def test_exact_routes_refuse_a_non_integer_degree():
     # denominator, each with its own unclear error
     spec = make_spec("D", 3)
     center = (0.25, 0.125, 0.0625)
-    for route in (exact_sign_fold, fold_at):
+    for route in (exact_sign_fold, lambda spec, center, cap: CenterSeries(spec, center).folds(cap)):
         with pytest.raises(ValueError, match=r"^degree_cap 21\.5 is not an integer$"):
             route(spec, center, 21.5)
     with pytest.raises(ValueError, match=r"^degree_cap 21\.5 is not an integer$"):
@@ -748,7 +746,7 @@ def test_fold_at_is_zero_on_even_rank_d():
     # squares at degree 4, below the degree 12 of their Vandermonde, so it vanishes
     spec = make_spec("D", 4)
     assert fold_parameters(spec).k == 4
-    values = fold_at(spec, (3, -7, 11, 2), 40)
+    values = CenterSeries(spec, (3, -7, 11, 2)).folds(40)
     assert list(values) == list(range(4, 41, 2)) and not any(values.values())
 
 
@@ -777,6 +775,31 @@ def test_exact_sign_fold_rejects_growing_coefficients():
             exact_sign_fold(spec, center, 8)
     with pytest.raises(DivergentRegion):
         exact_sign_fold(spec, outside, 9)
+
+
+def test_exact_routes_refuse_a_center_outside_the_unit_ball_before_any_walk(monkeypatch):
+    # |a|^2 >= 1 while every matching's squared radius s_M stays below 1, so the radii
+    # alone admit these centers: D_3 at |a|^2 = 1.0445 (largest s_M 0.7081), A_2 at
+    # |a|^2 = 1.095 (largest s_M 0.91125) and D_3 at |a|^2 = 1 exactly (largest s_M 8/9);
+    # the folds still evaluate the polynomial there
+    d3, a2 = make_spec("D", 3), make_spec("A", 2)
+    centers = [(d3, (0.6, 0.59, 0.58)), (a2, (Fraction(1, 2), Fraction(7, 20), Fraction(-17, 20))),
+               (d3, (Fraction(2, 3), Fraction(2, 3), Fraction(1, 3)))]
+    for spec, center in centers:
+        assert CenterSeries(spec, center).folds(21)
+
+    def walk(ground):
+        raise AssertionError("the plan was walked")
+    monkeypatch.setattr(oracle, "_pfaffian_plan", walk)
+    message = "^exact fold needs the center strictly inside the unit ball$"
+    for spec, center in centers:
+        with pytest.raises(DivergentRegion, match=message):
+            exact_sign_fold(spec, center, 21)
+        with pytest.raises(DivergentRegion, match=message):
+            sum_over_2structures(spec, BallSpec(tuple(2 * x for x in center), 2.0), 21)
+    for check, (spec, center) in zip((check_sign_D, check_sign_A), centers):
+        with pytest.raises(DivergentRegion, match=message):
+            check(spec.rank, [center])
 
 
 def test_tail_bound_refuses_past_its_matching_cap_before_walking(monkeypatch):

@@ -105,6 +105,31 @@ def test_only_walk_plan_reads_the_pfaffian_plan():
     assert Counter(_names(walks[0]))["_pfaffian_plan"] == reads
 
 
+CENTER_READERS = ("_edge_forms", "_squared_radii", "_signed_sums")
+
+
+def test_one_center_lives_in_one_object():
+    # a center's integer forms, its radii histogram and its folds are
+    # oracle.CenterSeries's: every call under src/ of the three functions
+    # that compute them lies in that class, and no per-center result is
+    # cached at module level, so oracle's one lru_cache is the plan's
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "coxpizza").glob("*.py"))}
+    owners = [node for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) and node.name == "CenterSeries"]
+    assert len(owners) == 1
+    inside = {id(node) for node in ast.walk(owners[0])}
+    calls = [(name, node) for name, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and set(_names(node.func)) & set(CENTER_READERS)]
+    assert {reader for _, call in calls for reader in _names(call.func)} >= set(CENTER_READERS)
+    assert [f"{name}: {ast.unparse(call)}" for name, call in calls if id(call) not in inside] == []
+    oracle = trees["oracle.py"]
+    cached = [node.name for node in ast.walk(oracle) if isinstance(node, ast.FunctionDef)
+              for decorator in node.decorator_list if {"lru_cache", "cache"} & set(_names(decorator))]
+    assert cached == ["_pfaffian_plan"]
+    assert sum(name in ("lru_cache", "cache") for name in _names(oracle)) == 1
+
+
 def _fold_copies(tree):
     """The expressions of a module that rederive a family's fold numbers:
     `2 if <x>.pair_forms else 1` (the forms per edge) and `<x> + <x> % 2`
