@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .matchings import FoldGeometry, c_coefficient, fold_parameters
 from .oracle import (MAX_DEGREE_CAP, MAX_FOLD_MOD_WORK, MODULUS, BallSpec, CenterSeries, fold_mod,
-                     fold_mod_work, mc_pizza, require_dimension, require_sum_zero)
+                     fold_mod_work, mc_pizza, require_dimension, require_seed, require_sum_zero)
 from .polyring import NonDivisible, alternant_exponents, partitions
 from .rootsys import ArrangementSpec, chamber_sign, make_spec
 from .taylor import (MAX_QUOTIENT_WORK, ResourceCapExceeded, _edge_table, _require_symbolic_regime,
@@ -171,8 +171,7 @@ def _check_sign(conjecture_id: str, spec: ArrangementSpec, predicted_of_t,
         raise ValueError("no centers to probe")
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    require_seed(seed)
     for center in centers:
         require_dimension(spec, center)
         BallSpec(tuple(center), 1.0)  # refuses a non-finite coordinate

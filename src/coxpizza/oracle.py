@@ -9,10 +9,10 @@ Two independent routes:
       a1k_pizza_series      -- k orthogonal coordinate hyperplanes: the
                                binomial convolution of the coordinates'
                                series, weighted by the c_m;
-      sum_over_2structures  -- types A and D: exact_sign_fold at the center
-                               scaled to radius one, the signed sum over the
-                               matchings that the symbolic pipeline is
-                               validated against.
+      sum_over_2structures  -- types A and D: the CenterSeries value at the
+                               center scaled to radius one, the signed sum
+                               over the matchings that the symbolic pipeline
+                               is validated against.
 
 Near the center the signed sum cancels down to its first non-zero Taylor
 term, of degree |Phi+|, far below its terms, so it is summed exactly and
@@ -56,9 +56,8 @@ _signed_sums and _squared_radii:
   * bound            -- the rational tail bound of the 2^-m-weighted sum of
                         those values at a center strictly inside the unit
                         ball, for any cap, without folding.
-  * value            -- that sum with its bound: exact_sign_fold is this at
-                        one center; the sign verdicts read it, and
-                        sum_over_2structures scales it.
+  * value            -- that sum with its bound: the sign verdicts read it,
+                        and sum_over_2structures scales it.
 
 No per-center state is kept at module level: the sign checks build one
 object per center and read the probe's bound, the cap search's bounds and
@@ -176,6 +175,13 @@ def require_dimension(spec: ArrangementSpec, center: Sequence) -> None:
         raise ValueError(f"center has dimension {len(center)}, expected {spec.ambient_dim}")
 
 
+def require_seed(seed: int) -> None:
+    """Refuse a negative seed: the seeded routes key numpy's generators
+    and the checks' per-center seeds by it."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
 def require_sum_zero(spec: ArrangementSpec, center: Sequence[float], radius: float = 1.0) -> None:
     """Type A lives on the hyperplane sum(a) = 0: refuse a center off it
     (up to 1e-9 relative to the radius, at least 1)."""
@@ -216,8 +222,7 @@ def mc_pizza(spec: ArrangementSpec, ball: BallSpec, samples: int, seed: int,
         raise ValueError("need at least one sample")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    require_seed(seed)
     require_dimension(spec, ball.center)
     dim, embed = _sampling_frame(spec)
     require_sum_zero(spec, ball.center, ball.radius)
@@ -382,8 +387,7 @@ def random_interior_centers(spec: ArrangementSpec, count: int, seed: int,
 
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count} (no centers to draw)")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    require_seed(seed)
     rng = np.random.default_rng([seed, 0x5EED])
     roots = np.array(numeric_roots(spec))
     dim, embed = _sampling_frame(spec)
@@ -647,8 +651,8 @@ def fold_mod(spec: ArrangementSpec, point: Sequence[int], degree: int) -> int:
 
 class CenterSeries:
     """The exact series of the signed fold at one center, the one object the
-    exact point routes read: exact_sign_fold, sum_over_2structures (through
-    it) and the sign checks' probe, cap search and deciding fold.
+    exact point routes read: sum_over_2structures and the sign checks'
+    probe, cap search and deciding fold.
 
     The constructor refuses a family without a matching fold
     (fold_parameters) and a center of the wrong dimension, converts the
@@ -729,39 +733,28 @@ class CenterSeries:
 
     def value(self, degree_cap: int) -> Tuple[Fraction, Fraction]:
         """(W, B): W = sum_m 2^-m Z_(2m+k)(center), 2m+k <= degree_cap, from
-        folds, and B = bound(degree_cap), checked and computed before the
-        fold.  See exact_sign_fold."""
+        folds, an exact rational equal to the pizza quantity at radius one
+        divided by the positive prefactor 2^(k/2) * beta_(n-k), and
+        B = bound(degree_cap), checked and computed before the fold, with
+        |true/prefactor - W| <= B.  sign(W) is the sign of the quantity
+        whenever |W| > B.
+
+        Exactness sidesteps the float cancellation across matchings, which
+        is catastrophic here: the fold is orders of magnitude smaller than
+        its individual terms near the origin.  Float centers convert exactly
+        (they are dyadic rationals), so the verdict applies to the center as
+        given.  Per matching, the unnormalized pairings u are the unit-form
+        values scaled by sqrt(2)^k, and the block of degree 2m+k scales by
+        2^m more than the unit-form block of the quantity, hence the 2^-m.
+
+        The refusals come in this order, all before the fold: a family
+        other than A or D and a center of the wrong dimension (the
+        constructor's), then bound's (the cap, coefficients still growing
+        past it, a center with |a|^2 >= 1, more than MAX_TAIL_MATCHINGS
+        matchings), and only then the walk over the matchings' radii."""
         bound = self.bound(degree_cap)
         folds = self.folds(degree_cap)
         return sum(z / (1 << self.geometry.half_degree(d)) for d, z in folds.items()), bound
-
-
-def exact_sign_fold(spec: ArrangementSpec, center: Sequence, degree_cap: int) -> Tuple[Fraction, Fraction]:
-    """CenterSeries(spec, center).value(degree_cap): (W, B) with W an exact
-    rational equal to the pizza quantity at radius one divided by the
-    positive prefactor 2^(k/2) * beta_(n-k), and B a rational bound with
-    |true/prefactor - W| <= B.  sign(W) is the sign of the quantity whenever
-    |W| > B.
-
-    Exactness sidesteps the float cancellation across matchings, which is
-    catastrophic here: the fold is orders of magnitude smaller than its
-    individual terms near the origin.  Float centers convert exactly (they
-    are dyadic rationals), so the verdict applies to the center as given.
-
-    Per matching, the unnormalized pairings u are the unit-form values
-    scaled by sqrt(2)^k, and the block of degree 2m+k scales by 2^m more
-    than the unit-form block of the quantity, so
-
-        W = sum_m 2^-m Z_(2m+k)(center),  2m+k <= degree_cap,
-
-    with Z_d from CenterSeries.folds, and B is CenterSeries.bound.  The
-    refusals come in this order, all before the fold: a family other than A
-    or D, a center of the wrong dimension, then bound's (the cap,
-    coefficients still growing past it, a center with |a|^2 >= 1, more than
-    MAX_TAIL_MATCHINGS matchings), and only then the walk over the
-    matchings' radii.
-    """
-    return CenterSeries(spec, center).value(degree_cap)
 
 
 def _squared_radii(ground: int, forms: Dict[Tuple[int, int], Tuple[int, ...]]) -> Dict[int, int]:
@@ -847,25 +840,25 @@ def a1k_pizza_series(n: int, k: int, coords: Sequence[float],
 def sum_over_2structures(spec: ArrangementSpec, ball: BallSpec,
                          degree_cap: int) -> Tuple[float, float]:
     """(value, tail bound) of the pizza quantity of a ball as the signed
-    sum over the maximal matchings of their subsystems' series:
-    exact_sign_fold at the center scaled to radius one, times the prefactor
-    2^(k/2) beta_(n-k) and R^n (the value scales by R^dim and the center
-    contracts to a/R), with exact_sign_fold's rigorous bound scaled alike.
-    Both are exact until the one conversion to float.
+    sum over the maximal matchings of their subsystems' series: the
+    CenterSeries value at the center scaled to radius one, times the
+    prefactor 2^(k/2) beta_(n-k) and R^n (the value scales by R^dim and the
+    center contracts to a/R), with its rigorous bound scaled alike.  Both
+    are exact until the one conversion to float.
 
-    It refuses a family other than A or D, a center of the wrong dimension,
-    a cap outside [k, MAX_DEGREE_CAP] (_require_cap), a type A center off
-    the sum-zero hyperplane and a radius whose ball volume is not a positive
-    finite float (radius_power); then exact_sign_fold's own refusals, all
-    before any walk: coefficients still growing past the cap, a scaled
-    center outside the open unit ball and more than MAX_TAIL_MATCHINGS
-    matchings."""
-    geometry = fold_parameters(spec)
-    require_dimension(spec, ball.center)
-    _require_cap(degree_cap, geometry.k)
+    It refuses, in this order, a family other than A or D and a center of
+    the wrong dimension (the CenterSeries constructor), a cap outside
+    [k, MAX_DEGREE_CAP] (_require_cap), a type A center off the sum-zero
+    hyperplane and a radius whose ball volume is not a positive finite
+    float (radius_power); then the bound's own refusals, all before any
+    walk: coefficients still growing past the cap, a scaled center outside
+    the open unit ball and more than MAX_TAIL_MATCHINGS matchings."""
+    radius = Fraction(ball.radius)
+    series = CenterSeries(spec, [Fraction(x) / radius for x in ball.center])
+    k = series.geometry.k
+    _require_cap(degree_cap, k)
     require_sum_zero(spec, ball.center, ball.radius)
     power = radius_power(ball.radius, spec.rank)
-    radius = Fraction(ball.radius)
-    value, tail = exact_sign_fold(spec, [Fraction(x) / radius for x in ball.center], degree_cap)
-    scale = power * 2 ** (geometry.k / 2) * ball_volume(spec.rank - geometry.k)
+    value, tail = series.value(degree_cap)
+    scale = power * 2 ** (k / 2) * ball_volume(spec.rank - k)
     return scale * float(value), scale * float(tail)

@@ -539,17 +539,3 @@ def spread_monomials(q: Mapping[Partition, int], den: int, arity: int,
         terms.update(dict.fromkeys(monos, coeff))
     return Poly._canonical(arity, terms)
 
-
-def schur_combination(coeffs: Mapping[Partition, Rational], nvars: int,
-                      squared: bool = False) -> Poly:
-    """sum of coeffs[lambda] * s_lambda(x_1..x_nvars), expanded, or of
-    s_lambda(x_1^2..x_nvars^2) when squared.
-
-    Partitions are keyed as ``partitions`` yields them (no trailing zeros).
-    The result is symmetric, so only its sorted-monomial coefficients are
-    solved for (monomial_coefficients), and each is spread once over the
-    distinct rearrangements of its exponents.  No alternant is expanded and
-    no polynomial is divided.
-    """
-    q, den = monomial_coefficients(coeffs, nvars)
-    return spread_monomials(q, den, nvars, 2 if squared else 1)

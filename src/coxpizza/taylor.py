@@ -58,8 +58,7 @@ from .matchings import (FoldGeometry, c_coefficient, count_matchings, enumerate_
                         fold_parameters)
 from .polyring import (Monomial, Partition, Poly, alternant_exponents, divide_by_vandermonde,
                        format_terms, monomial_coefficients, monomial_terms, partitions,
-                       reduce_symmetric_mod_sum, schur_combination, spread_monomials,
-                       substitute_linear)
+                       reduce_symmetric_mod_sum, spread_monomials, substitute_linear)
 from .rootsys import ArrangementSpec
 
 MAX_DEGREE = 60  # z_poly's guards: 8-bit exponent packing, and the matchings it visits
@@ -362,10 +361,10 @@ def quotient(spec: ArrangementSpec, d: int) -> Poly:
     result matches the unit-root convention (the factor 2^-s, s the Schur shift):
     sum c_lambda s_lambda by the bialternant formula, from the dominant
     coefficients alone, with neither the full fold nor a division computed.
-    Equal to quotient_from_fold(spec, d, z_poly(spec, d))."""
-    coeffs = dominant_coefficients(spec, d, schur=True)
-    geometry = fold_parameters(spec)
-    return schur_combination(coeffs, geometry.ground, squared=geometry.pair_forms)
+    It is the expanded quotient of expansion_report's entry at d, so it
+    takes that report's refusals.  Equal to
+    quotient_from_fold(spec, d, z_poly(spec, d))."""
+    return expansion_report(spec, [d]).entries[0].quotient
 
 
 def reduce_mod_relation(p: Poly, spec: ArrangementSpec) -> Poly:

@@ -31,7 +31,7 @@ from coxpizza.conjectures import (ConjectureReport, ReconstructionMismatch, Rewr
 from coxpizza.matchings import (FoldGeometry, Matching, c_coefficient, edge_forms,
                                 enumerate_matchings, fold_parameters)
 from coxpizza.oracle import (_BLOCK, _HYPERPLANE_TOL, MAX_DEGREE_CAP, BallSpec, CenterSeries,
-                             DivergentRegion, _int_binomial_convolve, ball_volume, exact_sign_fold)
+                             DivergentRegion, _int_binomial_convolve, ball_volume)
 from coxpizza.polyring import (Monomial, Partition, Poly, Rational, divide_by_vandermonde, mul,
                                normalize_partition, partitions, spread_monomials)
 from coxpizza.rootsys import ArrangementSpec, Root, make_spec, positive_roots
@@ -169,10 +169,11 @@ def signed_estimate_fixed_step(spec: ArrangementSpec, center: Sequence[float]
             s += unit * unit
         smax = max(smax, s)
     cap = auto_degree_cap(spec.rank, geometry.k, smax, 1e-12)
-    value, tail = exact_sign_fold(spec, center, cap)
+    series = CenterSeries(spec, center)
+    value, tail = series.value(cap)
     while tail >= abs(value) and cap < 400:
         cap = min(400, cap + 40)
-        value, tail = exact_sign_fold(spec, center, cap)
+        value, tail = series.value(cap)
     return value, tail, cap
 
 
@@ -184,15 +185,15 @@ def signed_estimate_linear_scan(spec: ArrangementSpec, center: Sequence[float]
     value; a value of exactly 0 steps the cap by 40, and the cap stops at
     MAX_DEGREE_CAP."""
     cap = spec.positive_root_count
-    value, tail = exact_sign_fold(spec, center, cap)
-    tail_at = CenterSeries(spec, center).bound
+    series = CenterSeries(spec, center)
+    value, tail = series.value(cap)
     while tail >= abs(value) and cap < MAX_DEGREE_CAP:
         if value == 0:
             cap = min(MAX_DEGREE_CAP, cap + 40)
         else:
             cap = next((c for c in range(cap + 2, MAX_DEGREE_CAP, 2)
-                        if tail_at(c) < abs(value) / 4), MAX_DEGREE_CAP)
-        value, tail = exact_sign_fold(spec, center, cap)
+                        if series.bound(c) < abs(value) / 4), MAX_DEGREE_CAP)
+        value, tail = series.value(cap)
     return value, tail, cap
 
 

@@ -223,21 +223,27 @@ def test_exact_commands_do_not_load_numpy():
     (["tables", "--which", "D"], 0, QUOTIENTS),
     (["expand", "--spec", "A:6", "--degrees", "61"], 2, QUOTIENTS),
     (["oracle", "--spec", "A:2", "--center", "0.1,0.1,-0.2", "--samples", "1000"], 0,
-     ENUMERATION + ["oracle"]),
+     ENUMERATION + ["oracle", "numpy"]),
     (["oracle", "--spec", "D:3", "--center", "0.25,0.1,0.03", "--method", "sum2s"], 0,
+     ENUMERATION + ["oracle"]),
+    (["oracle", "--spec", "A1k:2@3", "--center", "0.3,0.2,0", "--method", "series"], 0,
      ENUMERATION + ["oracle"]),
     (["check", "y-neg", "--rank", "3", "--max-degree", "8"], 0,
      QUOTIENTS + ["conjectures", "oracle"]),
+    (["check", "sign", "--spec", "D:3", "--centers", "0.1,0.2,0.05"], 0,
+     QUOTIENTS + ["conjectures", "oracle"]),
 ], ids=["version", "help", "usage-error", "matchings", "matchings-refused", "tables",
-        "expand-refused", "oracle-mc", "oracle-sum2s", "check"])
+        "expand-refused", "oracle-mc", "oracle-sum2s", "oracle-series", "check", "check-sign"])
 def test_each_command_loads_only_its_engine(argv, code, engine):
     # without a bytecode cache a process compiles every module it imports:
-    # importing the CLI loads no engine module, and a command loads the ones it calls
+    # importing the CLI loads no engine module, and a command loads the ones it calls,
+    # numpy only where it samples
     report = probe_imports([argv])
     assert report["import"] == ["coxpizza", "coxpizza.cli"]
     assert report["codes"] == [code]
-    loaded = [name for name in report["loaded"][0] if name.startswith("coxpizza.")]
-    assert loaded == sorted(["coxpizza.cli"] + [f"coxpizza.{name}" for name in engine])
+    loaded = [name for name in report["loaded"][0] if name != "coxpizza"]
+    assert loaded == sorted(["coxpizza.cli"] + [name if name == "numpy" else f"coxpizza.{name}"
+                                                 for name in engine])
 
 
 @pytest.mark.parametrize("spec,degrees", [

@@ -12,9 +12,8 @@ from coxpizza.conjectures import check_sign_A, check_sign_D
 from coxpizza.matchings import c_coefficient, count_matchings, enumerate_matchings, fold_parameters
 from coxpizza.oracle import (MODULUS, BallSpec, CenterSeries, DivergentRegion, McEstimate,
                              _edge_forms, _pfaffian_plan, _require_decaying, _signed_sums,
-                             _squared_radii, _walk_plan, a1k_pizza_series, ball_volume,
-                             exact_sign_fold, fold_mod, fold_mod_work, mc_pizza,
-                             random_interior_centers, sum_over_2structures)
+                             _squared_radii, _walk_plan, a1k_pizza_series, ball_volume, fold_mod,
+                             fold_mod_work, mc_pizza, random_interior_centers, sum_over_2structures)
 from coxpizza.rootsys import make_spec, numeric_roots
 from coxpizza.taylor import quotient, z_poly
 from reference import (a1k_pizza_quadrature, auto_degree_cap, coefficient, contains_origin,
@@ -445,7 +444,7 @@ def _reference_inner_series(n, k, pairings, m_top):
 
 
 def _reference_sign_fold(spec, center, degree_cap):
-    """exact_sign_fold matching by matching, all in Fraction arithmetic."""
+    """CenterSeries.value matching by matching, all in Fraction arithmetic."""
     geometry = fold_parameters(spec)
     k = geometry.k
     m_top = (degree_cap - k) // 2
@@ -489,11 +488,11 @@ def test_exact_sign_fold_matches_reference(family, rank, center_kind):
     center = _reference_centers(spec)[center_kind]
     odd_cap = k + 9 if k % 2 == 0 else k + 10
     for cap in (k, odd_cap):
-        assert exact_sign_fold(spec, center, cap) == _reference_sign_fold(spec, center, cap)
+        assert CenterSeries(spec, center).value(cap) == _reference_sign_fold(spec, center, cap)
     # grow the cap as the sign checker does, from the lowest block on, until
     # the band excludes zero; the early caps need escalating
     for escalations, cap in enumerate(range(k, k + 120, 6)):
-        value, bound = exact_sign_fold(spec, center, cap)
+        value, bound = CenterSeries(spec, center).value(cap)
         assert (value, bound) == _reference_sign_fold(spec, center, cap), cap
         if abs(value) > bound:
             break
@@ -564,7 +563,7 @@ def test_fold_at_visits_no_matching(monkeypatch):
     monkeypatch.setattr(mt, "enumerate_matchings", refuse)
     assert not hasattr(oracle, "enumerate_matchings")
     assert CenterSeries(spec, point).folds(31) == expected
-    exact_sign_fold(spec, centers["A"], 31)
+    CenterSeries(spec, centers["A"]).value(31)
     sum_over_2structures(spec, BallSpec(centers["A"], 1.0), 31)
     assert check_sign_D(5, [centers["D"]]).verdict == "consistent"
 
@@ -624,7 +623,7 @@ def test_exact_sign_fold_is_the_normalized_sum_of_fold_at(family, rank):
     spec = make_spec(family, rank)
     k = fold_parameters(spec).k
     center = random_interior_centers(spec, 1, SEED, radius=0.4, margin=0.01)[0]
-    value, _ = exact_sign_fold(spec, center, k + 12)
+    value, _ = CenterSeries(spec, center).value(k + 12)
     folds = CenterSeries(spec, center).folds(k + 12)
     assert value == sum(Fraction(z, 1 << ((d - k) // 2)) for d, z in folds.items())
 
@@ -637,7 +636,7 @@ def test_sign_fold_tails_is_the_fold_bound_without_folding(family, rank):
     center = random_interior_centers(spec, 1, SEED, radius=0.4, margin=0.01)[0]
     series = CenterSeries(spec, center)
     for cap in (k, k + 1, k + 8, spec.positive_root_count + 5):
-        assert series.bound(cap) == exact_sign_fold(spec, center, cap)[1]
+        assert series.bound(cap) == CenterSeries(spec, center).value(cap)[1]
 
 
 @pytest.mark.parametrize("cap,message", [
@@ -650,7 +649,7 @@ def test_sign_fold_tails_refuses_a_cap_as_the_fold_does(cap, message):
     spec = make_spec("D", 5)
     center = random_interior_centers(spec, 1, SEED, radius=0.3)[0]
     with pytest.raises(ValueError, match=message):
-        exact_sign_fold(spec, center, cap)
+        CenterSeries(spec, center).value(cap)
     with pytest.raises(ValueError, match=message):
         CenterSeries(spec, center).bound(cap)
 
@@ -712,7 +711,8 @@ def test_exact_routes_refuse_a_non_integer_degree():
     # denominator, each with its own unclear error
     spec = make_spec("D", 3)
     center = (0.25, 0.125, 0.0625)
-    for route in (exact_sign_fold, lambda spec, center, cap: CenterSeries(spec, center).folds(cap)):
+    for route in (lambda spec, center, cap: CenterSeries(spec, center).value(cap),
+                  lambda spec, center, cap: CenterSeries(spec, center).folds(cap)):
         with pytest.raises(ValueError, match=r"^degree_cap 21\.5 is not an integer$"):
             route(spec, center, 21.5)
     with pytest.raises(ValueError, match=r"^degree_cap 21\.5 is not an integer$"):
@@ -735,7 +735,7 @@ OUTSIDE_REGIME = {
 @pytest.mark.parametrize("family,rank,center", OUTSIDE_REGIME.values(), ids=OUTSIDE_REGIME.keys())
 def test_exact_routes_are_zero_outside_the_regime(family, rank, center):
     spec = make_spec(family, rank)
-    assert exact_sign_fold(spec, center, 61) == (0, 0)
+    assert CenterSeries(spec, center).value(61) == (0, 0)
     assert sum_over_2structures(spec, BallSpec(center, 1.0), 61) == (0.0, 0.0)
     estimate = mc_pizza(spec, BallSpec(center, 1.0), 20_000, SEED)
     assert abs(estimate.value) <= 3 * estimate.std_error
@@ -758,7 +758,8 @@ def test_sum2s_refuses_type_a_center_off_the_hyperplane():
 def test_exact_sign_fold_outside_unit_ball():
     for spec, center in ((make_spec("D", 3), (0.9, 0.5, 0.25)),
                          (make_spec("A", 2), (0.9, -0.6, -0.3))):
-        for fold in (exact_sign_fold, _reference_sign_fold):
+        for fold in (lambda spec, center, cap: CenterSeries(spec, center).value(cap),
+                     _reference_sign_fold):
             with pytest.raises(DivergentRegion, match="strictly inside the unit ball"):
                 fold(spec, center, 21)
 
@@ -772,9 +773,9 @@ def test_exact_sign_fold_rejects_growing_coefficients():
     outside = (Fraction(3, 4), Fraction(-3, 4)) + (Fraction(0),) * 13
     for center in (inside, outside):
         with pytest.raises(ValueError, match="cap too small: coefficients still growing at m=2"):
-            exact_sign_fold(spec, center, 8)
+            CenterSeries(spec, center).value(8)
     with pytest.raises(DivergentRegion):
-        exact_sign_fold(spec, outside, 9)
+        CenterSeries(spec, outside).value(9)
 
 
 def test_exact_routes_refuse_a_center_outside_the_unit_ball_before_any_walk(monkeypatch):
@@ -794,12 +795,33 @@ def test_exact_routes_refuse_a_center_outside_the_unit_ball_before_any_walk(monk
     message = "^exact fold needs the center strictly inside the unit ball$"
     for spec, center in centers:
         with pytest.raises(DivergentRegion, match=message):
-            exact_sign_fold(spec, center, 21)
+            CenterSeries(spec, center).value(21)
         with pytest.raises(DivergentRegion, match=message):
             sum_over_2structures(spec, BallSpec(tuple(2 * x for x in center), 2.0), 21)
     for check, (spec, center) in zip((check_sign_D, check_sign_A), centers):
         with pytest.raises(DivergentRegion, match=message):
             check(spec.rank, [center])
+
+
+def test_sum2s_refuses_in_its_documented_order_before_any_walk(monkeypatch):
+    # each input carries two faults, and the earlier one in sum_over_2structures' order
+    # (family, dimension, cap, sum-zero hyperplane, radius, then the bound's) is refused
+    def walk(ground):
+        raise AssertionError("the plan was walked")
+    monkeypatch.setattr(oracle, "_pfaffian_plan", walk)
+    a2, d3 = make_spec("A", 2), make_spec("D", 3)
+    cases = [
+        (make_spec("I2", 5), BallSpec((0.1, 0.2, 0.3), 1.0), 21,
+         "^no matching fold for family I2$"),
+        (d3, BallSpec((0.1, 0.2, 0.3, 0.4), 1.0), 1, "^center has dimension 4, expected 3$"),
+        (a2, BallSpec((0.1, 0.2, 0.3), 1.0), 0, "^degree_cap below the lowest block degree$"),
+        (a2, BallSpec((0.1, 0.2, 0.3), 1e-300), 21, r"^type A centers must satisfy sum\(a\) = 0$"),
+        (d3, BallSpec((2.0, 2.0, 2.0), 1e-200), 21,
+         "^radius 1e-200: the volume of its ball in dimension 3 is not a positive finite float$"),
+    ]
+    for spec, ball, cap, message in cases:
+        with pytest.raises(ValueError, match=message):
+            sum_over_2structures(spec, ball, cap)
 
 
 def test_tail_bound_refuses_past_its_matching_cap_before_walking(monkeypatch):
@@ -819,10 +841,10 @@ def test_tail_bound_refuses_past_its_matching_cap_before_walking(monkeypatch):
         if refused:
             with pytest.raises(ValueError, match="^34459425 matchings exceed the tail bound's "
                                                  "cap of 10000000$"):
-                exact_sign_fold(spec, center, spec.positive_root_count)
+                CenterSeries(spec, center).value(spec.positive_root_count)
         else:
             with pytest.raises(Walked):
-                exact_sign_fold(spec, center, spec.positive_root_count)
+                CenterSeries(spec, center).value(spec.positive_root_count)
 
 
 def _reference_growth(c_next, alpha, m_top):
@@ -874,7 +896,7 @@ def test_series_route_rejects_growing_coefficients():
 def test_exact_sign_fold_rejects_wrong_center_dimension(family, rank, dim):
     center = (0.0625,) * dim
     with pytest.raises(ValueError, match=f"center has dimension {dim}, expected"):
-        exact_sign_fold(make_spec(family, rank), center, 41)
+        CenterSeries(make_spec(family, rank), center).value(41)
 
 
 @pytest.mark.parametrize("family,rank,cap", [("D", 5, 2), ("D", 5, 3), ("A", 6, 2)])
@@ -883,7 +905,7 @@ def test_degree_cap_below_block_degree_rejected(family, rank, cap):
     spec = make_spec(family, rank)
     center = (0.0625,) * spec.ambient_dim
     with pytest.raises(ValueError, match="degree_cap below the lowest block degree"):
-        exact_sign_fold(spec, center, cap)
+        CenterSeries(spec, center).value(cap)
     with pytest.raises(ValueError, match="degree_cap below the lowest block degree"):
         sum_over_2structures(spec, BallSpec(center, 1.0), cap)
 
@@ -894,9 +916,9 @@ def test_exact_sign_fold_sign_matches_leading_term():
     lead = coefficient(quotient(spec, 20), (0,) * 5)
     vand = vandermonde(5, squared=True)
     for center in random_interior_centers(spec, 3, SEED, radius=0.3):
-        value, bound = exact_sign_fold(spec, center, auto_degree_cap(5, 4, 0.5, 1e-12))
+        value, bound = CenterSeries(spec, center).value(auto_degree_cap(5, 4, 0.5, 1e-12))
         if abs(value) <= bound:
-            value, bound = exact_sign_fold(spec, center, 240)
+            value, bound = CenterSeries(spec, center).value(240)
         assert abs(value) > bound
         jac = evaluate(vand, list(center))
         assert (value > 0) == (float(lead) * jac > 0)

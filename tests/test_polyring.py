@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from coxpizza.polyring import (NonDivisible, Poly, _distinct_permutations, add,
-                               alternant_exponents, divide_by_vandermonde, exact_divide_linear, monomial_terms, mul,
-                               normalize_partition, partitions, reduce_symmetric_mod_sum,
-                               schur_combination, spread_monomials, substitute_linear)
+                               alternant_exponents, divide_by_vandermonde, exact_divide_linear,
+                               monomial_coefficients, monomial_terms, mul, normalize_partition,
+                               partitions, reduce_symmetric_mod_sum, spread_monomials,
+                               substitute_linear)
 from reference import (constant, evaluate, is_skew_under_transposition, power, schur_bialternant,
                        vandermonde)
 
@@ -299,6 +300,7 @@ def test_schur_matches_tableau_oracle_and_positivity():
 
 @pytest.mark.parametrize("squared", [False, True], ids=["plain", "squared"])
 def test_schur_combination_matches_bialternant(squared):
+    # sum c_lambda s_lambda on its sorted-monomial coefficients, spread into a Poly
     factor = 2 if squared else 1
     for nvars in range(1, 6):
         for size in range(5):
@@ -306,7 +308,8 @@ def test_schur_combination_matches_bialternant(squared):
                 expected = schur_bialternant(lam, nvars)
                 expected = Poly(nvars, {tuple(factor * e for e in mono): c
                                         for mono, c in expected.terms.items()})
-                got = schur_combination({lam: Fraction(1)}, nvars, squared=squared)
+                got = spread_monomials(*monomial_coefficients({lam: Fraction(1)}, nvars), nvars,
+                                       factor)
                 assert got == expected, (lam, nvars)
 
 
@@ -315,12 +318,12 @@ def test_schur_combination_is_linear():
     expected = Poly.zero(3)
     for lam, c in coeffs.items():
         expected = expected + schur_bialternant(lam, 3).scale(c)
-    assert schur_combination(coeffs, 3) == expected
-    assert schur_combination({}, 3).is_zero()
+    assert spread_monomials(*monomial_coefficients(coeffs, 3), 3, 1) == expected
+    assert spread_monomials(*monomial_coefficients({}, 3), 3, 1).is_zero()
     with pytest.raises(ValueError):
-        schur_combination({(1, 2): Fraction(1)}, 3)
+        spread_monomials(*monomial_coefficients({(1, 2): Fraction(1)}, 3), 3, 1)
     with pytest.raises(ValueError):
-        schur_combination({(1, 1, 1): Fraction(1)}, 2)
+        spread_monomials(*monomial_coefficients({(1, 1, 1): Fraction(1)}, 2), 2, 1)
 
 
 @pytest.mark.parametrize("squared", [False, True], ids=["plain", "squared"])
@@ -338,7 +341,7 @@ def test_schur_combination_with_coprime_denominators(squared):
                 expected = expected + schur_bialternant(lam, nvars).scale(c)
             expected = Poly(nvars, {tuple(factor * e for e in mono): c
                                     for mono, c in expected.terms.items()})
-            got = schur_combination(coeffs, nvars, squared=squared)
+            got = spread_monomials(*monomial_coefficients(coeffs, nvars), nvars, factor)
             assert got == expected, (nvars, coeffs)
             assert_canonical(got)
 

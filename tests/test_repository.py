@@ -235,3 +235,39 @@ def test_every_global_name_read_is_bound():
                for path in sorted((ROOT / folder).rglob("*.py"))
                for name in _unbound_globals(path)]
     assert unbound == []
+
+
+def _library_trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "src" / "coxpizza").glob("*.py"))}
+
+
+def test_the_quotient_has_one_schur_expansion():
+    # a quotient's Schur expansion is expansion_report's (monomial_coefficients, then
+    # spread_monomials for the expanded Poly): taylor.quotient reads its report entry,
+    # and no second expansion of sum c_lambda s_lambda is defined under src/
+    defined = [f"{name}:{node.name}" for name, tree in _library_trees().items()
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name == "schur_combination"]
+    assert defined == []
+
+
+def test_sum2s_reads_one_center_series():
+    # sum_over_2structures takes its family, dimension and k checks from one CenterSeries
+    # and its value from that object: it derives no fold and checks no dimension itself
+    tree = _library_trees()["oracle.py"]
+    function, = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "sum_over_2structures"]
+    called = Counter(name for node in ast.walk(function) if isinstance(node, ast.Call)
+                     for name in _names(node.func))
+    assert called["CenterSeries"] == 1
+    assert [name for name in ("fold_parameters", "require_dimension", "exact_sign_fold")
+            if called[name]] == []
+
+
+def test_the_seed_rule_has_one_home():
+    # a negative seed is refused by oracle.require_seed alone
+    texts = [path.read_text(encoding="utf-8")
+             for path in sorted((ROOT / "src" / "coxpizza").glob("*.py"))]
+    assert sum(text.count("seed must be non-negative") for text in texts) == 1

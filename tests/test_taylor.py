@@ -8,15 +8,16 @@ import pytest
 from coxpizza import matchings, taylor
 from coxpizza.cli import main
 from coxpizza.matchings import Matching, c_coefficient, fold_parameters
-from coxpizza.polyring import Poly, partitions, schur_combination
-from coxpizza.rootsys import make_spec, parse_spec
+from coxpizza.oracle import CenterSeries
+from coxpizza.polyring import Poly, partitions
+from coxpizza.rootsys import make_spec, parse_spec, positive_roots
 from coxpizza.taylor import (ParityRegimeError, ResourceCapExceeded, _edge_table, _pfaffian,
                              dominant_coefficients, expansion_report, quotient,
                              reduce_mod_relation, z_poly)
 from reference import (coefficient, constant, dominant_coefficients_by_matchings,
-                       edge_table_by_composition, flip_variable_sign, permute_variables,
-                       pfaffian_by_matchings, power, power_sum_multiple, t_eval_on_structure, t_poly,
-                       two_structure, vandermonde, z_poly_reference)
+                       edge_table_by_composition, evaluate, flip_variable_sign, permute_variables,
+                       pfaffian_by_matchings, power, power_sum_multiple, schur_bialternant,
+                       t_eval_on_structure, t_poly, two_structure, vandermonde, z_poly_reference)
 
 
 def p2(arity, c=1):
@@ -499,16 +500,34 @@ REPORT_ROUTE_CELLS = [("A", rank, d) for rank, degrees in ((2, (3, 5, 21, 41)),
                       for d in degrees]
 REPORT_ROUTE_CELLS += [pytest.param("A", 7, 44, marks=pytest.mark.extended),
                        pytest.param("A", 10, 65, marks=pytest.mark.extended)]
+# the cells whose Schur expansion by bialternants (alternant over Vandermonde, per
+# lambda) takes about a second or less; A_3 d40 takes over 20 s, A_6 d25 4.6 s, A_7 d28 3.7 s
+BIALTERNANT_CELLS = {(2, 3), (2, 5), (2, 21), (2, 41), (3, 6), (3, 8), (3, 20),
+                     (6, 19), (6, 21), (6, 23)}
 
 
 @pytest.mark.parametrize("family,rank,d", REPORT_ROUTE_CELLS)
 def test_expansion_report_matches_the_expanded_routes(family, rank, d):
-    # the report reduces the quotient on its sorted-monomial coefficients;
-    # reduce_mod_relation substitutes into the expanded quotient instead
+    # the report expands sum c_lambda s_lambda from its sorted-monomial coefficients;
+    # the bialternants expand each s_lambda by division, and elsewhere the exact fold
+    # at a seeded integer point a checks Z_d(a) = 2^shift Q(a) J(a).  The report
+    # reduces the quotient on its coefficients; reduce_mod_relation substitutes
+    # into the expanded quotient instead
     spec = make_spec(family, rank)
     entry = expansion_report(spec, [d]).entries[0]
     coeffs = dominant_coefficients(spec, d)
-    assert entry.quotient == schur_combination(coeffs, spec.ambient_dim)
+    if (rank, d) in BIALTERNANT_CELLS:
+        expected = Poly.zero(spec.ambient_dim)
+        for lam, c in coeffs.items():
+            expected = expected + schur_bialternant(lam, spec.ambient_dim).scale(c)
+        assert entry.quotient == expected
+    else:
+        rng = random.Random(100 * rank + d)
+        point = [rng.randrange(-2**31, 2**31) for _ in range(spec.ambient_dim)]
+        jacobian = math.prod(root.pairing(point) for root in positive_roots(spec))
+        shift = fold_parameters(spec).schur_shift(d)
+        z = CenterSeries(spec, point).folds(d)[d]
+        assert z != 0 and z == (1 << shift) * evaluate(entry.quotient, point) * jacobian
     assert entry.reduced_quotient == reduce_mod_relation(entry.quotient, spec)
     assert entry.reduced_quotient.arity == spec.ambient_dim
     assert entry.quotient.is_zero() == (not coeffs)
