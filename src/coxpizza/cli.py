@@ -99,7 +99,7 @@ def cmd_tables(args) -> int:
         # (type D) or c_(2) h2 + c_(1,1) e2 = (c_(2) - c_(1,1))/2 p2 modulo e1 = 0
         lead = dominant_coefficients(spec, phi).get((), Fraction(0))
         second = dominant_coefficients(spec, phi + 2)
-        if family == "A":
+        if spec.sum_zero:
             second_coeff = (second.get((2,), Fraction(0)) - second.get((1, 1), Fraction(0))) / 2
         else:
             second_coeff = second.get((1,), Fraction(0))
@@ -210,9 +210,9 @@ def cmd_oracle(args) -> int:
     elif args.method == "series":
         if spec.family != "A1k":
             raise ValueError(f"--method series applies to A1k arrangements only, not {spec}")
-        scale = radius_power(args.radius, spec.ambient_dim)
+        scale = radius_power(args.radius, spec.ball_dim)
         coords = [x / args.radius for x in center[: spec.rank]]
-        value, tail = a1k_pizza_series(spec.ambient_dim, spec.rank, coords, args.degree_cap)
+        value, tail = a1k_pizza_series(spec.ball_dim, spec.rank, coords, args.degree_cap)
         payload.update({"value": scale * value, "tail_bound": scale * tail,
                         "degree_cap": args.degree_cap})
     else:  # sum2s
@@ -265,10 +265,10 @@ def _check_exit(report, args, verified: bool) -> int:
 
 def cmd_check_sign(args) -> int:
     from .conjectures import check_sign_A, check_sign_D
-    from .rootsys import parse_spec
+    from .rootsys import PAIR_SIGNS, parse_spec
 
     spec = parse_spec(args.spec)
-    if spec.family not in ("A", "D"):
+    if spec.family not in PAIR_SIGNS:
         raise ValueError(f"sign checks apply to A and D arrangements, not {spec}")
     centers = _parse_centers(args.centers, spec, args.seed)
     check = check_sign_A if spec.family == "A" else check_sign_D

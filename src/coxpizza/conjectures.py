@@ -266,6 +266,14 @@ def _type_d(n: int, d: Optional[int] = None) -> Tuple[ArrangementSpec, FoldGeome
     return spec, geometry
 
 
+def _top_degree(geometry: FoldGeometry, d_max: int) -> Optional[int]:
+    """The largest degree up to d_max where the fold can be nonzero, d_max or
+    the one below it, or None below |Phi+|; a d_max that is not an integer
+    is refused by the degree check (FoldGeometry.schur_shift)."""
+    return next((d for d in (d_max, d_max - 1) if d >= 0 and geometry.schur_shift(d) is not None),
+                None)
+
+
 def _checked_coefficients(n: int, d: int) -> Tuple[int, Dict[Tuple[int, ...], Fraction]]:
     """(shift, c_lambda) of the type D fold, once Z_d = 2^shift sum c_lambda
     s_lambda(a^2) prod_(i<j) (a_i^2 - a_j^2) holds modulo p = 2^61 - 1 at
@@ -370,9 +378,7 @@ def check_y_negativity(n: int, d_max: int) -> ConjectureReport:
     refused there, before any other degree is computed or listed."""
     started = time.perf_counter()
     spec, geometry = _type_d(n)
-    # the largest degree up to d_max where the fold can be nonzero: d_max or the one below it
-    top = next((d for d in (d_max, d_max - 1) if d >= 0 and geometry.schur_shift(d) is not None),
-               None)
+    top = _top_degree(geometry, d_max)
     if top is None:
         raise ValueError(f"max degree {d_max} is below the lowest nonzero degree {geometry.roots}")
     top_coeffs = dominant_coefficients(spec, top)
@@ -441,10 +447,11 @@ def _u_v_basis(coeffs: Sequence[int]) -> Dict[Tuple[int, int], int]:
     return {(top - 2 * b, b): c for b, c in enumerate(solved) if c}
 
 
-def _t_block_basis(d: int) -> Dict[Tuple[int, int], Fraction]:
+def _t_block_basis(spec: ArrangementSpec, geometry: FoldGeometry,
+                   d: int) -> Dict[Tuple[int, int], Fraction]:
     """Minus the degree-d block of T(3, 2) composed with (x+y, x-y) and
     normalized to unit forms, divided exactly by x^2 - y^2, in the basis
-    u = x^2 + y^2, v = x^2 y^2.
+    u = x^2 + y^2, v = x^2 y^2; spec and geometry are D_3's.
 
     With m = (d-2)/2, D_3's half degree of d, the composed block is c_m m!
     times the sum over r+s=m of (x+y)^(2r+1) (x-y)^(2s+1) / ((2r+1)(2s+1)
@@ -452,9 +459,9 @@ def _t_block_basis(d: int) -> Dict[Tuple[int, int], Fraction]:
     inner degree m, so the block is that table scaled by
     -c_m m! / (S 2^(d/2)), a scale applied once to the integer basis
     coefficients."""
-    m = fold_parameters(make_spec("D", 3)).half_degree(d)
-    table, scalar = _edge_table(True, m)
-    scale = -c_coefficient(3, 2, m) * math.factorial(m) / (scalar << (d // 2))
+    m = geometry.half_degree(d)
+    table, scalar = _edge_table(geometry.pair_forms, m)
+    scale = -c_coefficient(spec.rank, geometry.k, m) * math.factorial(m) / (scalar << (d // 2))
     coeffs = [table.get((e, d - e), 0) for e in range(d + 1)]
     return {key: scale * c for key, c in _u_v_basis(coeffs).items()}
 
@@ -465,25 +472,28 @@ def check_t_positivity(d_max: int) -> ConjectureReport:
     x^2 - y^2, must have non-negative coefficients in the basis
     u = x^2 + y^2, v = x^2 y^2.  The block is read off the minus/plus
     edge table of the type D folds (see _t_block_basis), built by its
-    two-term recurrence in O(m) steps per table.  The check is refused
-    before any table is built when (m+1)^3 exceeds MAX_QUOTIENT_WORK, the
-    edge tables' term in dominant_coefficients, with m D_3's half degree of
-    the largest even degree up to d_max: d_max = 400 takes about 0.5 s and
-    736, the largest admitted, about 5 s."""
+    two-term recurrence in O(m) steps per table.  The blocks are D_3's, so
+    its one fold geometry gives their degrees, |Phi+| = 6 and up, as the
+    folds' degree check gives them (a max degree that is not an integer is
+    refused).  The check is refused before any table is built when (m+1)^3
+    exceeds MAX_QUOTIENT_WORK, the edge tables' term in
+    dominant_coefficients, with m D_3's half degree of the largest even
+    degree up to d_max: d_max = 400 takes about 0.5 s and 736, the largest
+    admitted, about 5 s."""
     started = time.perf_counter()
-    if d_max < 6:
-        raise ValueError(f"max degree {d_max} is below the first degree 6")
-    # the blocks are D_3's: refuse a max degree that is not an integer as its folds do
-    geometry = fold_parameters(make_spec("D", 3))
-    geometry.half_degree(d_max)
-    work = (geometry.half_degree(d_max - d_max % 2) + 1) ** 3
+    spec = make_spec("D", 3)
+    geometry = fold_parameters(spec)
+    top = _top_degree(geometry, d_max)
+    if top is None:
+        raise ValueError(f"max degree {d_max} is below the first degree {geometry.roots}")
+    work = (geometry.half_degree(top) + 1) ** 3
     if work > MAX_QUOTIENT_WORK:
         raise ResourceCapExceeded(f"max degree {d_max}: about {work} steps for the edge tables "
                                   f"exceed the cap of {MAX_QUOTIENT_WORK}")
     witnesses: List[dict] = []
-    degrees = list(range(6, d_max + 1, 2))
+    degrees = list(range(geometry.roots, top + 1, 2))
     for d in degrees:
-        for (i, j), c in sorted(_t_block_basis(d).items()):
+        for (i, j), c in sorted(_t_block_basis(spec, geometry, d).items()):
             if c < 0:
                 witnesses.append({"degree": d, "u_power": i, "v_power": j, "coefficient": str(c)})
     params = {"degrees": degrees}

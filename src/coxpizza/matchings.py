@@ -4,7 +4,8 @@ the binomial-series scale c_coefficient of their Taylor blocks.
 
 A matching of the ground set {1..g} (g the ambient dimension: n+1 for A_n,
 n for D_n) has g // 2 edges and, when g is odd, one isolated vertex p.  Each
-edge (i, j) carries the form e_i - e_j (type A) or the pair e_i - e_j,
+edge (i, j) carries the roots of its pair of coordinates
+(rootsys.PAIR_SIGNS): the form e_i - e_j (type A) or the pair e_i - e_j,
 e_i + e_j (type D), so the 2-structure a matching indexes has
 k = forms per edge * (g // 2) orthogonal roots: n for D_n of even rank,
 n - 1 for odd rank.  The Pfaffians that sum over the matchings take an odd
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .rootsys import ArrangementSpec
+from .rootsys import PAIR_SIGNS, ArrangementSpec
 
 
 @dataclass(frozen=True)
@@ -126,16 +127,22 @@ def sign_sum(r: int) -> int:
 @dataclass(frozen=True)
 class FoldGeometry:
     """A family's fold, as the module docstring derives it: matchings of
-    {1..ground}, `forms` forms per edge, nslots edges and k forms per
-    matching, Pfaffians over `order` vertices, and roots = |Phi+|, the forms
-    of all C(ground, 2) edges.  Only fold_parameters builds one."""
+    {1..ground}, an edge (i, j) carrying the forms e_i + s e_j for s in
+    `signs` (rootsys.PAIR_SIGNS), nslots edges and k forms per matching,
+    Pfaffians over `order` vertices, and roots = |Phi+|, the forms of all
+    C(ground, 2) edges.  Only fold_parameters builds one."""
 
     ground: int
-    forms: int
+    signs: Tuple[int, ...]
     nslots: int
     k: int
     order: int
     roots: int
+
+    @property
+    def forms(self) -> int:
+        """The forms per edge: 1 (type A) or 2 (type D)."""
+        return len(self.signs)
 
     @property
     def pair_forms(self) -> bool:
@@ -164,13 +171,15 @@ class FoldGeometry:
 
 
 def fold_parameters(spec: ArrangementSpec) -> FoldGeometry:
-    """The fold geometry of a type A or D arrangement: the ground set is the
-    ambient dimension, and an edge carries one form (type A) or two (type D)."""
-    if spec.family not in ("A", "D"):
+    """The fold geometry of a family with a matching fold, type A or D: the
+    ground set is the ambient dimension, and an edge carries the roots of a
+    pair of coordinates (rootsys.PAIR_SIGNS), one form (type A) or two
+    (type D)."""
+    if spec.family not in PAIR_SIGNS:
         raise ValueError(f"no matching fold for family {spec.family}")
-    ground, forms = spec.ambient_dim, 1 if spec.family == "A" else 2
-    return FoldGeometry(ground, forms, ground // 2, forms * (ground // 2), ground + ground % 2,
-                        forms * ground * (ground - 1) // 2)
+    ground, signs = spec.ambient_dim, PAIR_SIGNS[spec.family]
+    return FoldGeometry(ground, signs, ground // 2, len(signs) * (ground // 2), ground + ground % 2,
+                        spec.positive_root_count)
 
 
 _C_SEQUENCES: Dict[Tuple[int, int], Tuple[Fraction, ...]] = {}
@@ -197,8 +206,9 @@ def c_coefficient(n: int, k: int, m: int) -> Fraction:
     return seq[m]
 
 
-def edge_forms(geometry: FoldGeometry, i: int, j: int, point: Sequence) -> tuple:
-    """The unnormalized forms of the edge (i, j) at a point: a_i - a_j, then
-    a_i + a_j when the edge carries a pair."""
-    minus = point[i - 1] - point[j - 1]
-    return (minus, point[i - 1] + point[j - 1]) if geometry.pair_forms else (minus,)
+def edge_forms(geometry: FoldGeometry, i: int, j: int, point: Sequence) -> list:
+    """The unnormalized forms a_i + s a_j of the edge (i, j) at a point, s in
+    the geometry's signs: a_i - a_j, then a_i + a_j when the edge carries the
+    pair; one subtraction or addition a form, no product."""
+    x, y = point[i - 1], point[j - 1]
+    return [x - y if s < 0 else x + y for s in geometry.signs]

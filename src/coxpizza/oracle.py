@@ -70,9 +70,10 @@ probability at most d / (2^61 - 1) (Schwartz-Zippel).  Exact values at
 such points run to thousands of bits; residues fit a machine word.
 fold_mod_work estimates its cost without folding.
 
-Type A lives on the hyperplane sum(a) = 0 inside R^(n+1); sampling happens
-in an explicit orthonormal basis of that subspace, so volumes are the
-n-dimensional ones.  mc_pizza, sum_over_2structures and the sign checks
+Type A lives on the hyperplane sum(a) = 0 inside R^(n+1)
+(ArrangementSpec.sum_zero); sampling happens in an explicit orthonormal
+basis of that subspace, so volumes are the n-dimensional ones
+(ArrangementSpec.ball_dim).  mc_pizza, sum_over_2structures and the sign checks
 refuse type A centers off that hyperplane (require_sum_zero); the exact
 evaluators take any point of the ambient space, where their sums are
 still defined.
@@ -88,11 +89,10 @@ from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .matchings import FoldGeometry, c_coefficient, count_matchings, edge_forms, fold_parameters
-from .rootsys import ArrangementSpec, numeric_roots
+from .rootsys import WALL_TOL, ArrangementSpec, numeric_roots
 
 _CHUNK = 1 << 16
 _BLOCK = 2048  # Monte Carlo rows per pass: a block's temporaries stay in cache
-_HYPERPLANE_TOL = 1e-12
 _MAX_REJECTED_DRAWS = 20_000
 # the largest degree cap of the series oracles and of the sign checks' escalation
 MAX_DEGREE_CAP = 400
@@ -163,10 +163,8 @@ def _subspace_basis(dim: int) -> np.ndarray:
 
 
 def _sampling_frame(spec: ArrangementSpec) -> Tuple[int, Optional[np.ndarray]]:
-    """(intrinsic dimension, embedding matrix or None) for uniform sampling."""
-    if spec.family == "A":
-        return spec.rank, _subspace_basis(spec.ambient_dim)
-    return spec.ambient_dim, None
+    """(the balls' dimension, embedding matrix or None) for uniform sampling."""
+    return spec.ball_dim, _subspace_basis(spec.ambient_dim) if spec.sum_zero else None
 
 
 def require_dimension(spec: ArrangementSpec, center: Sequence) -> None:
@@ -185,7 +183,7 @@ def require_seed(seed: int) -> None:
 def require_sum_zero(spec: ArrangementSpec, center: Sequence[float], radius: float = 1.0) -> None:
     """Type A lives on the hyperplane sum(a) = 0: refuse a center off it
     (up to 1e-9 relative to the radius, at least 1)."""
-    if spec.family == "A" and abs(sum(center)) > 1e-9 * max(1.0, radius):
+    if spec.sum_zero and abs(sum(center)) > 1e-9 * max(1.0, radius):
         raise ValueError("type A centers must satisfy sum(a) = 0")
 
 
@@ -229,8 +227,8 @@ def mc_pizza(spec: ArrangementSpec, ball: BallSpec, samples: int, seed: int,
     volume = ball_volume(dim) * radius_power(ball.radius, dim)
     roots = np.array(numeric_roots(spec))  # rows are unit roots in ambient coords
     center = np.array(ball.center, dtype=float)
-    if (np.abs(roots @ center) + ball.radius).min() <= _HYPERPLANE_TOL:
-        raise ValueError(f"the ball lies within {_HYPERPLANE_TOL} of a hyperplane: "
+    if (np.abs(roots @ center) + ball.radius).min() <= WALL_TOL:
+        raise ValueError(f"the ball lies within {WALL_TOL} of a hyperplane: "
                          f"every draw would be resampled")
     embed_t = None if embed is None else np.ascontiguousarray(embed.T)
     affine = _affine_pairings(roots, embed_t, center, ball.radius)
@@ -338,7 +336,7 @@ def _mc_chunk(rng: np.random.Generator, count: int, dim: int, radius: float,
     while remaining:
         if stalled >= _MAX_REJECTED_DRAWS:
             raise ValueError(f"{stalled} draws in a row were resampled: the ball lies within "
-                             f"{_HYPERPLANE_TOL} of the hyperplanes")
+                             f"{WALL_TOL} of the hyperplanes")
         directions = rng.standard_normal((remaining, dim))
         factors = rng.random(remaining)
         factors **= 1.0 / dim
@@ -352,11 +350,11 @@ def _mc_chunk(rng: np.random.Generator, count: int, dim: int, radius: float,
             direction = directions[start : start + _BLOCK]
             pairings = lines @ direction.T
             pairings += offsets[:, : pairings.shape[1]]
-            if np.abs(pairings).min() <= _HYPERPLANE_TOL + delta:  # rare: the loop's lines decide
+            if np.abs(pairings).min() <= WALL_TOL + delta:  # rare: the loop's lines decide
                 points = center + (direction if embed_t is None else direction @ embed_t)
                 pairings = roots @ points.T
-                if np.abs(pairings).min() <= _HYPERPLANE_TOL:  # select points only then
-                    pairings = pairings[:, np.all(np.abs(pairings) > _HYPERPLANE_TOL, axis=0)]
+                if np.abs(pairings).min() <= WALL_TOL:  # select points only then
+                    pairings = pairings[:, np.all(np.abs(pairings) > WALL_TOL, axis=0)]
             odd = int(np.count_nonzero(np.signbit(np.multiply.reduce(pairings, axis=0))))
             kept += pairings.shape[1]
             total += pairings.shape[1] - 2 * odd  # sum of the chamber signs
@@ -404,7 +402,7 @@ def random_interior_centers(spec: ArrangementSpec, count: int, seed: int,
         y *= radius * rng.random() ** (1.0 / dim) / np.linalg.norm(y)
         x = embed @ y if embed is not None else y
         x = np.round(x * 256.0) / 256.0
-        if spec.family == "A":
+        if spec.sum_zero:
             x[-1] -= x.sum()  # restore the exact sum-zero relation after rounding
         if np.linalg.norm(x) > radius + 0.1 or np.linalg.norm(x) < 1e-9:
             continue
@@ -858,7 +856,7 @@ def sum_over_2structures(spec: ArrangementSpec, ball: BallSpec,
     k = series.geometry.k
     _require_cap(degree_cap, k)
     require_sum_zero(spec, ball.center, ball.radius)
-    power = radius_power(ball.radius, spec.rank)
+    power = radius_power(ball.radius, spec.ball_dim)
     value, tail = series.value(degree_cap)
-    scale = power * 2 ** (k / 2) * ball_volume(spec.rank - k)
+    scale = power * 2 ** (k / 2) * ball_volume(spec.ball_dim - k)
     return scale * float(value), scale * float(tail)

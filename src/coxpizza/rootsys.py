@@ -21,6 +21,11 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 FAMILIES = ("A", "D", "A1k", "I2")
+# The roots e_i + s e_j, s in PAIR_SIGNS[family], that a pair of coordinates i < j carries: the
+# one definition of the families with a matching fold and of the forms an edge carries
+PAIR_SIGNS = {"A": (-1,), "D": (-1, 1)}
+# a float pairing within WALL_TOL of 0 lies on its hyperplane (chamber_sign, oracle's sampling)
+WALL_TOL = 1e-12
 
 
 class OnHyperplane(ValueError):
@@ -34,6 +39,17 @@ class ArrangementSpec:
     ambient_dim: int
     positive_root_count: int
 
+    @property
+    def sum_zero(self) -> bool:
+        """Whether the arrangement lives on the hyperplane sum(a) = 0 (type A)."""
+        return self.family == "A"
+
+    @property
+    def ball_dim(self) -> int:
+        """The dimension of its balls: the rank for type A, which lives on the
+        sum-zero hyperplane, the ambient dimension otherwise."""
+        return self.rank if self.sum_zero else self.ambient_dim
+
     def __str__(self) -> str:
         if self.family == "A1k":
             return f"A1k:{self.rank}@{self.ambient_dim}"
@@ -41,14 +57,11 @@ class ArrangementSpec:
 
 
 def make_spec(family: str, rank: int, ambient_dim: int | None = None) -> ArrangementSpec:
-    if family == "A":
-        if rank < 1:
-            raise ValueError("type A needs rank >= 1")
-        return ArrangementSpec("A", rank, rank + 1, rank * (rank + 1) // 2)
-    if family == "D":
-        if rank < 3:
-            raise ValueError("type D needs rank >= 3")
-        return ArrangementSpec("D", rank, rank, rank * (rank - 1))
+    if family in PAIR_SIGNS:
+        least, ambient = (1, rank + 1) if family == "A" else (3, rank)
+        if rank < least:
+            raise ValueError(f"type {family} needs rank >= {least}")
+        return ArrangementSpec(family, rank, ambient, len(PAIR_SIGNS[family]) * math.comb(ambient, 2))
     if family == "A1k":
         ambient = rank if ambient_dim is None else ambient_dim
         if not 1 <= rank <= ambient:
@@ -88,31 +101,16 @@ class Root:
 def positive_roots(spec: ArrangementSpec) -> List[Root]:
     """The standard positive system, in deterministic order.
 
-    Order: lexicographic in (i, j); for type D the e_i - e_j form precedes
-    e_i + e_j.  I2 has no exact integer roots; use numeric_roots.
+    Order: lexicographic in (i, j), then the order of PAIR_SIGNS, so for
+    type D the e_i - e_j form precedes e_i + e_j.  I2 has no exact integer
+    roots; use numeric_roots.
     """
     dim = spec.ambient_dim
-    roots: List[Root] = []
-    if spec.family == "A":
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                coords = [0] * dim
-                coords[i], coords[j] = 1, -1
-                roots.append(Root(tuple(coords), 2))
-    elif spec.family == "D":
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                minus = [0] * dim
-                minus[i], minus[j] = 1, -1
-                plus = [0] * dim
-                plus[i], plus[j] = 1, 1
-                roots.append(Root(tuple(minus), 2))
-                roots.append(Root(tuple(plus), 2))
+    if spec.family in PAIR_SIGNS:
+        roots = [Root(tuple(1 if t == i else s if t == j else 0 for t in range(dim)), 2)
+                 for i in range(dim) for j in range(i + 1, dim) for s in PAIR_SIGNS[spec.family]]
     elif spec.family == "A1k":
-        for i in range(spec.rank):
-            coords = [0] * dim
-            coords[i] = 1
-            roots.append(Root(tuple(coords), 1))
+        roots = [Root(tuple(int(t == i) for t in range(dim)), 1) for i in range(spec.rank)]
     else:
         raise ValueError(f"family {spec.family} has no exact integer roots")
     assert len(roots) == spec.positive_root_count
@@ -131,14 +129,11 @@ def numeric_roots(spec: ArrangementSpec) -> List[Tuple[float, ...]]:
     return out
 
 
-_NUMERIC_TOL = 1e-12
-
-
 def chamber_sign(spec: ArrangementSpec, point: Sequence) -> int:
     """(-1)^(number of positive roots with negative pairing at the point).
 
     The base chamber (all pairings positive) returns +1.  Raises
-    OnHyperplane for exact zeros, or float pairings within 1e-12.
+    OnHyperplane for exact zeros, or float pairings within WALL_TOL (1e-12).
     """
     if len(point) != spec.ambient_dim:
         raise ValueError(f"point has dimension {len(point)}, expected {spec.ambient_dim}")
@@ -150,7 +145,7 @@ def chamber_sign(spec: ArrangementSpec, point: Sequence) -> int:
     else:
         pairings = [root.pairing(point) for root in positive_roots(spec)]
     for p in pairings:
-        if (exact and p == 0) or (not exact and abs(p) <= _NUMERIC_TOL):
+        if (exact and p == 0) or (not exact and abs(p) <= WALL_TOL):
             raise OnHyperplane(f"point {tuple(point)} lies on a hyperplane of {spec}")
         if p < 0:
             negatives += 1

@@ -253,10 +253,11 @@ def quotient_from_fold(spec: ArrangementSpec, d: int, z: Poly) -> Poly:
     (FoldGeometry.schur_shift).  A zero fold is its own quotient."""
     if z.is_zero():
         return z
-    shift = fold_parameters(spec).schur_shift(d)
+    geometry = fold_parameters(spec)
+    shift = geometry.schur_shift(d)
     if shift is None:
         raise ValueError(f"a nonzero fold at degree {d}, where the fold vanishes")
-    q = divide_by_vandermonde(z, range(z.arity), squared=(spec.family == "D"))
+    q = divide_by_vandermonde(z, range(z.arity), squared=geometry.pair_forms)
     return q.scale(Fraction(1, 1 << shift))
 
 
@@ -370,7 +371,7 @@ def quotient(spec: ArrangementSpec, d: int) -> Poly:
 def reduce_mod_relation(p: Poly, spec: ArrangementSpec) -> Poly:
     """Canonical representative of p modulo a_1 + ... + a_(n+1) = 0 (type A):
     substitutes the last variable by minus the sum of the others."""
-    if spec.family != "A":
+    if not spec.sum_zero:
         raise ValueError("the sum-to-zero relation applies to type A only")
     if p.arity != spec.ambient_dim:
         raise ValueError(f"polynomial arity {p.arity} does not match {spec}")
@@ -450,7 +451,7 @@ class ExpansionReport:
             "rank": self.spec.rank,
             "k": self.k,
             "phi_plus": self.phi_plus_count,
-            "prefactor": {"two_power": self.k, "ball_dim": self.spec.rank - self.k},
+            "prefactor": {"two_power": self.k, "ball_dim": self.spec.ball_dim - self.k},
             "entries": [
                 {
                     "degree": e.degree,
@@ -490,6 +491,6 @@ def expansion_report(spec: ArrangementSpec, degrees: Sequence[int],
     for d in degrees:
         coeffs = dominant_coefficients(spec, d, schur=True)
         q, den = monomial_coefficients(coeffs, geometry.ground)
-        reduced = reduce_symmetric_mod_sum(q) if spec.family == "A" else None
+        reduced = reduce_symmetric_mod_sum(q) if spec.sum_zero else None
         entries.append(ReportEntry(d, geometry.ground, geometry.forms, den, q, reduced))
     return ExpansionReport(spec, geometry.k, geometry.roots, entries)

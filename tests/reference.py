@@ -30,11 +30,11 @@ from coxpizza.conjectures import (ConjectureReport, ReconstructionMismatch, Rewr
                                   _type_d)
 from coxpizza.matchings import (FoldGeometry, Matching, c_coefficient, edge_forms,
                                 enumerate_matchings, fold_parameters)
-from coxpizza.oracle import (_BLOCK, _HYPERPLANE_TOL, MAX_DEGREE_CAP, BallSpec, CenterSeries,
+from coxpizza.oracle import (_BLOCK, MAX_DEGREE_CAP, BallSpec, CenterSeries,
                              DivergentRegion, _int_binomial_convolve, ball_volume)
 from coxpizza.polyring import (Monomial, Partition, Poly, Rational, divide_by_vandermonde, mul,
                                normalize_partition, partitions, spread_monomials)
-from coxpizza.rootsys import ArrangementSpec, Root, make_spec, positive_roots
+from coxpizza.rootsys import WALL_TOL, ArrangementSpec, Root, make_spec, positive_roots
 from coxpizza.taylor import (ExpansionReport, ReportEntry, _edge_table, _fold_scale,
                              _require_symbolic_regime, dominant_coefficients, expansion_report,
                              reduce_mod_relation, z_poly)
@@ -130,8 +130,8 @@ def mc_chunk_by_norms(rng, count: int, dim: int, radius: float, center, embed_t,
             local = direction * radii[start : start + _BLOCK, None]
             points = center + (local @ embed_t if embed_t is not None else local)
             pairings = roots @ points.T
-            if np.abs(pairings).min() <= _HYPERPLANE_TOL:
-                pairings = pairings[:, np.all(np.abs(pairings) > _HYPERPLANE_TOL, axis=0)]
+            if np.abs(pairings).min() <= WALL_TOL:
+                pairings = pairings[:, np.all(np.abs(pairings) > WALL_TOL, axis=0)]
             negatives = np.add.reduce(np.signbit(pairings), axis=0, dtype=np.uint8)
             odd = int(np.count_nonzero(negatives & 1))
             kept += pairings.shape[1]

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -89,7 +90,8 @@ def test_type_d_audits_refuse_even_ranks_before_any_estimate(check):
 @pytest.mark.parametrize("check,args", [
     (check_y_negativity, (5, 34.0)), (check_t_positivity, (20.0,)),
     (check_lemma51, (5, 22.0)), (schur_reconstruct, (5, 22.0)),
-], ids=["y-neg", "t-pos", "lemma51", "schur"])
+    (check_y_negativity, (5, 5.5)), (check_t_positivity, (5.5,)),
+], ids=["y-neg", "t-pos", "lemma51", "schur", "y-neg-below-first", "t-pos-below-first"])
 def test_exact_audits_refuse_a_non_integer_degree(check, args):
     # the fold geometry's degree check, before any coefficient or table
     with pytest.raises(ValueError, match=rf"^degree {args[-1]} is not an integer$"):
@@ -327,6 +329,70 @@ def test_lemma51_raises_when_the_fold_disagrees(monkeypatch):
         check_lemma51(5, 24)
 
 
+Y_NEG_PLANTED = [
+    {"degree": 10, "partition": [2], "monomial": [8, 2], "coefficient": "13/224",
+     "kind": "positive"},
+    {"degree": 10, "partition": [1, 1], "monomial": [6, 4], "coefficient": "0",
+     "kind": "zero (non-strict violation)"},
+]
+T_POS_PLANTED = [{"degree": 8, "u_power": 1, "v_power": 1, "coefficient": "-1/140"}]
+
+
+def _plant_y_neg(monkeypatch):
+    # D_3 at degree 10 has c_(2) = -13/224 and c_(1,1) = -1/16: flip the first, drop the second
+    def plant(coeffs):
+        if (1, 1) in coeffs:
+            coeffs[(2,)] = -coeffs[(2,)]
+            del coeffs[(1, 1)]
+
+    _patch_dominant_coefficients(monkeypatch, plant)
+
+
+def _plant_t_pos(monkeypatch):
+    # the degree-8 block is 3/1120 u^3 + 1/140 u v: flip the u v coefficient
+    real = conjectures._t_block_basis
+
+    def planted(*args):
+        basis = dict(real(*args))
+        if args[-1] == 8:
+            basis[(1, 1)] = -basis[(1, 1)]
+        return basis
+
+    monkeypatch.setattr(conjectures, "_t_block_basis", planted)
+
+
+@pytest.mark.parametrize("plant,check,args,witnesses", [
+    (_plant_y_neg, check_y_negativity, (3, 10), Y_NEG_PLANTED),
+    (_plant_t_pos, check_t_positivity, (10,), T_POS_PLANTED),
+], ids=["y-neg", "t-pos"])
+def test_exact_audits_report_a_planted_violation(monkeypatch, plant, check, args, witnesses):
+    # a positive and a zero c_lambda, and a negative block coefficient, are witnesses with
+    # their kind and powers, and make the report violated
+    plant(monkeypatch)
+    report = check(*args)
+    assert report.verdict == "violated"
+    assert report.witnesses == witnesses
+    assert json.loads(json.dumps(report.to_json_dict()))["witnesses"] == witnesses
+
+
+@pytest.mark.parametrize("plant,argv,witnesses", [
+    (_plant_y_neg, ["y-neg", "--rank", "3", "--max-degree", "10"], Y_NEG_PLANTED),
+    (_plant_t_pos, ["t-pos", "--max-degree", "10"], T_POS_PLANTED),
+], ids=["y-neg", "t-pos"])
+def test_a_planted_violation_exits_by_mode(monkeypatch, capsys, plant, argv, witnesses):
+    # through the command: exit 1 under --mode test, 3 under --mode explore, and the
+    # witnesses written one a line
+    from coxpizza.cli import main
+
+    plant(monkeypatch)
+    conjecture_id = "yNeg" if argv[0] == "y-neg" else "tPos"
+    expected = "".join([f"{conjecture_id}: violated\n"]
+                       + [f"  witness: {json.dumps(w)}\n" for w in witnesses])
+    for mode, code in (("test", 1), ("explore", 3)):
+        assert main(["check", *argv, "--mode", mode]) == code
+        assert capsys.readouterr() == (expected, "")
+
+
 def test_t_positivity_leading_cases():
     report = check_t_positivity(16)
     assert report.verdict == "consistent"
@@ -337,11 +403,13 @@ def test_t_block_basis_matches_the_composed_block():
     # the reference route: compose T(3, 2) with (x+y, x-y), normalize to unit
     # forms, negate, divide by x-y and x+y, rewrite in u = x^2+y^2, v = x^2 y^2
     x_plus_y, x_minus_y = Poly.linear_form(2, (1, 1)), Poly.linear_form(2, (1, -1))
+    spec = make_spec("D", 3)
+    geometry = oracle.fold_parameters(spec)
     for d in range(6, 41, 2):
         composed = compose_block(t_poly(3, 2, d), [x_plus_y, x_minus_y])
         negated = -composed.scale(Fraction(1, 1 << (d // 2)))
         quot = exact_divide_linear(exact_divide_linear(negated, x_minus_y), x_plus_y)
-        assert _t_block_basis(d) == rewrite_even_symmetric(quot), d
+        assert _t_block_basis(spec, geometry, d) == rewrite_even_symmetric(quot), d
 
 
 # homogeneous blocks as their coefficients on x^e y^(degree-e), by e

@@ -14,7 +14,7 @@ from coxpizza.oracle import (MODULUS, BallSpec, CenterSeries, DivergentRegion, M
                              _edge_forms, _pfaffian_plan, _require_decaying, _signed_sums,
                              _squared_radii, _walk_plan, a1k_pizza_series, ball_volume, fold_mod,
                              fold_mod_work, mc_pizza, random_interior_centers, sum_over_2structures)
-from coxpizza.rootsys import make_spec, numeric_roots
+from coxpizza.rootsys import WALL_TOL, make_spec, numeric_roots
 from coxpizza.taylor import quotient, z_poly
 from reference import (a1k_pizza_quadrature, auto_degree_cap, coefficient, contains_origin,
                        evaluate, form_values, mc_chunk_by_norms, signed_sums_by_matchings,
@@ -278,7 +278,7 @@ def test_affine_pairings_stay_within_delta_of_the_loops_lines(label):
     gap = np.abs(fused - loop).max()
     assert gap <= delta
     if label == "A2-far":
-        assert gap > 100 * oracle._HYPERPLANE_TOL
+        assert gap > 100 * WALL_TOL
 
 
 def test_product_sign_is_the_parity_of_the_negative_factors():

@@ -271,3 +271,116 @@ def test_the_seed_rule_has_one_home():
     texts = [path.read_text(encoding="utf-8")
              for path in sorted((ROOT / "src" / "coxpizza").glob("*.py"))]
     assert sum(text.count("seed must be non-negative") for text in texts) == 1
+
+
+def _owner(functions, node):
+    return ".".join(f.name for f in functions if node in ast.walk(f)) or "<module>"
+
+
+def _reads_size(node):
+    """Whether an expression reads a spec's rank or ambient dimension."""
+    return bool({"rank", "ambient_dim"} & set(_names(node)))
+
+
+def _family_frame_copies(tree):
+    """The expressions of a module that rederive a family's frame, each with the
+    functions around it: a family tested against "A" or "D" (`<x>.family == "A"`,
+    `<x>.family in ("A", "D")`), a count of coordinate pairs `<x> * (<x> - 1)` or
+    `<x> * (<x> + 1)` of a ground size, and a ball's dimension (the dimension argument of
+    ball_volume, radius_power and a1k_pizza_series, or a report's "ball_dim") read off a
+    spec's rank or ambient dimension."""
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    dimension_args = {"ball_volume": 0, "radius_power": 1, "a1k_pizza_series": 0}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and "family" in _names(node.left):
+            literals = {sub.value for comparator in node.comparators for sub in ast.walk(comparator)
+                        if isinstance(sub, ast.Constant)}
+            if literals & {"A", "D"}:
+                yield "family", f"{_owner(functions, node)}: {ast.unparse(node)}"
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, (ast.Add, ast.Sub))
+                and getattr(node.right.right, "value", None) == 1
+                and set(_names(node.right.left)) & {"rank", "ambient_dim", "ambient", "ground"}):
+            factors = [node.left, getattr(node.left, "right", None)]
+            if any(f is not None and ast.dump(f) == ast.dump(node.right.left) for f in factors):
+                yield "pairs", f"{_owner(functions, node)}: {ast.unparse(node)}"
+        elif isinstance(node, ast.Call) and set(_names(node.func)) & set(dimension_args):
+            index = dimension_args[[n for n in _names(node.func) if n in dimension_args][0]]
+            if len(node.args) > index and _reads_size(node.args[index]):
+                yield "ball", f"{_owner(functions, node)}: {ast.unparse(node)}"
+        elif isinstance(node, ast.Dict):
+            for key, value in zip(node.keys, node.values):
+                if getattr(key, "value", None) == "ball_dim" and _reads_size(value):
+                    yield "ball", f"{_owner(functions, node)}: {ast.unparse(value)}"
+
+
+def test_only_rootsys_defines_the_family_frame():
+    # which roots a pair of coordinates carries (rootsys.PAIR_SIGNS), |Phi+| and the balls'
+    # dimension (ArrangementSpec.ball_dim, with the sum-zero relation ArrangementSpec.sum_zero)
+    # are rootsys's: outside it a family is tested against "A" only by the paper's parity
+    # regime and by check sign's choice of its prediction, and nothing counts pairs or reads
+    # a ball's dimension off the rank or the ambient dimension
+    copies = [f"{name}:{kind}:{copy}" for name, tree in _library_trees().items()
+              if name != "rootsys.py" for kind, copy in _family_frame_copies(tree)]
+    assert copies == ["cli.py:family:cmd_check_sign: spec.family == 'A'",
+                      "taylor.py:family:_require_symbolic_regime: spec.family == 'A'"]
+    frame = _library_trees()["oracle.py"]
+    sampling, = [node for node in frame.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_sampling_frame"]
+    assert {"ball_dim", "sum_zero"} <= set(_names(sampling))
+
+
+def test_fold_geometry_reads_the_pair_table():
+    # a FoldGeometry's forms per edge are the roots rootsys.PAIR_SIGNS gives a pair, and
+    # edge_forms builds the forms from the geometry's signs
+    from coxpizza.matchings import fold_parameters
+    from coxpizza.rootsys import PAIR_SIGNS, make_spec
+
+    functions = {node.name: node for node in _library_trees()["matchings.py"].body
+                 if isinstance(node, ast.FunctionDef)}
+    assert "PAIR_SIGNS" in _names(functions["fold_parameters"])
+    assert "signs" in _names(functions["edge_forms"])
+    for family, rank in (("A", 2), ("A", 7), ("D", 3), ("D", 6)):
+        geometry = fold_parameters(make_spec(family, rank))
+        assert geometry.signs is PAIR_SIGNS[family]
+        assert geometry.forms == len(PAIR_SIGNS[family])
+
+
+def test_the_wall_tolerance_is_defined_once():
+    # a float pairing within rootsys.WALL_TOL of 0 lies on its hyperplane, for chamber_sign
+    # and for the Monte Carlo sampling alike: no second 1e-12 is assigned under src/
+    defined = [f"{name}:{ast.unparse(target)}" for name, tree in _library_trees().items()
+               for node in ast.walk(tree) if isinstance(node, (ast.Assign, ast.AnnAssign))
+               and getattr(node.value, "value", None) == 1e-12
+               for target in (node.targets if isinstance(node, ast.Assign) else [node.target])]
+    assert defined == ["rootsys.py:WALL_TOL"]
+
+
+def test_check_tpos_builds_its_frame_once():
+    # check t-pos reads D_3's frame from one geometry: no function of conjectures that
+    # builds a spec or a geometry (make_spec, fold_parameters, or a function that calls one)
+    # is called inside a loop, and the t-pos functions write no literal of D_3's frame
+    tree = _library_trees()["conjectures.py"]
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    builders = {"make_spec", "fold_parameters"}
+    while True:
+        grown = builders | {name for name, node in functions.items()
+                            if any(isinstance(sub, ast.Call) and set(_names(sub.func)) & builders
+                                   for sub in ast.walk(node))}
+        if grown == builders:
+            break
+        builders = grown
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    in_loops = [f"{name}: {ast.unparse(sub)}" for name, node in functions.items()
+                for loop in ast.walk(node) if isinstance(loop, loops)
+                for part in ([*loop.body, *loop.orelse] if isinstance(loop, (ast.For, ast.While))
+                             else [loop])
+                for sub in ast.walk(part)
+                if isinstance(sub, ast.Call) and set(_names(sub.func)) & builders]
+    assert in_loops == []
+    literals = [f"{name}: {ast.unparse(sub)}" for name in ("check_t_positivity", "_t_block_basis")
+                for sub in ast.walk(functions[name])
+                if isinstance(sub, ast.Constant) and sub.value == 6
+                or isinstance(sub, ast.Call) and "c_coefficient" in _names(sub.func)
+                and any(isinstance(arg, ast.Constant) for arg in sub.args)]
+    assert literals == []

@@ -1,9 +1,11 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from coxpizza.matchings import edge_forms, fold_parameters
 from coxpizza.polyring import Poly, mul
 from coxpizza.rootsys import (ArrangementSpec, OnHyperplane, Root, chamber_sign, make_spec,
                               numeric_roots, parse_spec, positive_roots)
@@ -16,18 +18,44 @@ def test_spec_parsing():
     assert parse_spec("A1k:3@7") == ArrangementSpec("A1k", 3, 7, 3)
     assert parse_spec("I2:5") == ArrangementSpec("I2", 5, 2, 5)
     assert str(parse_spec("A1k:3@7")) == "A1k:3@7"
+    # type A lives on the sum-zero hyperplane, so its balls have the rank's dimension
+    specs = [parse_spec(text) for text in ("A:6", "D:5", "A1k:3@7", "I2:5")]
+    assert [(spec.sum_zero, spec.ball_dim) for spec in specs] == [(True, 6), (False, 5), (False, 7),
+                                                                   (False, 2)]
     for bad in ("B:4", "A:x", "D:5@3", "", "A"):
         with pytest.raises(ValueError):
             parse_spec(bad)
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        make_spec("D", 2)
-    with pytest.raises(ValueError):
-        make_spec("A1k", 5, 3)
-    with pytest.raises(ValueError):
-        make_spec("I2", 1)
+    # each family's refusal, and an unknown family's, with its message
+    for args, message in ((("B", 3), "unknown family 'B', expected one of ('A', 'D', 'A1k', 'I2')"),
+                          (("A", 0), "type A needs rank >= 1"),
+                          (("D", 2), "type D needs rank >= 3"),
+                          (("A1k", 5, 3), "type A1k needs 1 <= k <= ambient dimension"),
+                          (("I2", 1), "type I2 needs m >= 2")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_spec(*args)
+
+
+PAIR_SPECS = [("A", n) for n in range(2, 8)] + [("D", n) for n in range(3, 8)]
+
+
+@pytest.mark.parametrize("family,rank", PAIR_SPECS, ids=[f"{f}{n}" for f, n in PAIR_SPECS])
+def test_positive_roots_are_the_edge_forms(family, rank):
+    # the roots a pair of coordinates carries, one list: the pairings of positive_roots at a
+    # seeded rational point are the forms of the edges (i, j), i < j, in order, and there are
+    # |Phi+| of them, as make_spec and fold_parameters count them
+    spec = make_spec(family, rank)
+    geometry = fold_parameters(spec)
+    rng = random.Random(f"pair roots {spec}")
+    point = [Fraction(rng.randrange(-999, 1000), rng.randrange(1, 60))
+             for _ in range(spec.ambient_dim)]
+    pairings = [root.pairing(point) for root in positive_roots(spec)]
+    forms = [u for i in range(1, geometry.ground + 1) for j in range(i + 1, geometry.ground + 1)
+             for u in edge_forms(geometry, i, j, point)]
+    assert pairings == forms
+    assert len(pairings) == spec.positive_root_count == geometry.roots
 
 
 def test_positive_root_counts():
