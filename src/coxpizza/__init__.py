@@ -5,4 +5,10 @@ signed volume sums (pizza quantities) of reflection arrangements."""
 KERNEL_IMPLEMENTATION = "pure"
 
 __version__ = "0.1.0"
-__all__ = ["KERNEL_IMPLEMENTATION", "__version__"]
+__all__ = ["KERNEL_IMPLEMENTATION", "VerificationFailure", "__version__"]
+
+
+class VerificationFailure(RuntimeError):
+    """An internal contradiction: two routes to one result disagree, or an
+    identity the code relies on fails.  It means a bug, and the CLI exits 1
+    on it; every refusal is a ValueError instead, and exits 2."""

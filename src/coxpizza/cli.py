@@ -8,6 +8,10 @@ Exit codes: 0 success/consistent, 1 verification failure, 2 usage error
 (also a refused size, an --out path that cannot be written, a float
 that overflows and a number an option cannot read), 3 conjecture violation
 in explore mode.  Results go to stdout; refusals and errors go to stderr.
+main tells a failure's kind by its base class alone: a refusal is a
+ValueError (exit 2), and an internal contradiction of any command, a
+check's included, is a coxpizza.VerificationFailure (exit 1); either prints
+one `error:` line.
 
 Importing this module loads only what parsing the arguments needs; each
 command imports the engine modules it calls in its own body.  Without a
@@ -25,7 +29,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import KERNEL_IMPLEMENTATION, __version__
+from . import KERNEL_IMPLEMENTATION, VerificationFailure, __version__
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
@@ -403,23 +407,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, OSError, OverflowError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:  # a refusal
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:
-        # the engine's refusals and failed verifications; the command that
-        # raised one has loaded its module already
-        from .taylor import ResourceCapExceeded
-
-        if isinstance(exc, ResourceCapExceeded):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        from .conjectures import OracleDisagreement, ReconstructionMismatch
-
-        if isinstance(exc, (ReconstructionMismatch, OracleDisagreement)):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VERIFICATION_FAILURE
-        raise
+    except VerificationFailure as exc:  # an internal contradiction
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION_FAILURE
 
 
 if __name__ == "__main__":

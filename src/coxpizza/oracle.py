@@ -856,7 +856,15 @@ def sum_over_2structures(spec: ArrangementSpec, ball: BallSpec,
     k = series.geometry.k
     _require_cap(degree_cap, k)
     require_sum_zero(spec, ball.center, ball.radius)
-    power = radius_power(ball.radius, spec.ball_dim)
+    scale = series_prefactor(spec, k, radius_power(ball.radius, spec.ball_dim))
     value, tail = series.value(degree_cap)
-    scale = power * 2 ** (k / 2) * ball_volume(spec.ball_dim - k)
     return scale * float(value), scale * float(tail)
+
+
+def series_prefactor(spec: ArrangementSpec, k: int, power: float = 1.0) -> float:
+    """power * 2^(k/2) * beta_(n-k), n the balls' dimension and k the forms
+    of a matching: the positive factor that turns CenterSeries.value's W and
+    B into the pizza quantity of a ball of radius R and its bound, with
+    power = R^n (1 at radius one, where Monte Carlo estimates the same
+    quantity)."""
+    return power * 2 ** (k / 2) * ball_volume(spec.ball_dim - k)

@@ -27,13 +27,15 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
+from . import VerificationFailure
+
 Rational = Fraction
 Monomial = Tuple[int, ...]
 Partition = Tuple[int, ...]
 
 
-class NonDivisible(ArithmeticError):
-    """Raised when an exact polynomial division leaves a remainder."""
+class NonDivisible(VerificationFailure):
+    """Raised when a division expected to be exact leaves a remainder."""
 
 
 def _grlex_key(mono: Monomial) -> Tuple[int, Monomial]:

@@ -71,8 +71,8 @@ class ParityRegimeError(ValueError):
     (hyperplane count and dimension must differ in parity)."""
 
 
-class ResourceCapExceeded(RuntimeError):
-    """Requested computation exceeds the configured size guards."""
+class ResourceCapExceeded(ValueError):
+    """A refusal: the requested computation exceeds a configured size guard."""
 
 
 # ---------------------------------------------------------------------------

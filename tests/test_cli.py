@@ -574,6 +574,35 @@ def test_oracle_disagreement_exits_one_without_a_traceback(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def _nondivisible(table, degree):
+    table[(0, degree)] = table.get((0, degree), 0) + 1  # a remainder mod x^2 - y^2
+
+
+def _asymmetric(table, degree):
+    # plus (x^2 - y^2) x^(D-2): an exact quotient, but not symmetric in x and y
+    table[(degree, 0)] = table.get((degree, 0), 0) + 1
+    table[(degree - 2, 2)] = table.get((degree - 2, 2), 0) - 1
+
+
+@pytest.mark.parametrize("plant,message", [
+    (_nondivisible, "nonzero remainder when dividing by x^2 - y^2"),
+    (_asymmetric, "quotient is not symmetric in its variables"),
+], ids=["NonDivisible", "RewriteFailed"])
+def test_tpos_contradiction_exits_one_without_a_traceback(capsys, monkeypatch, plant, message):
+    # a planted entry in the edge table t-pos reads makes its block rewrite fail
+    real = conjectures._edge_table
+
+    def planted(pair_forms, q):
+        table, scalar = real(pair_forms, q)
+        table = dict(table)
+        plant(table, 2 * q + 2)
+        return table, scalar
+    monkeypatch.setattr(conjectures, "_edge_table", planted)
+    code, out, err = run_cli(capsys, "check", "t-pos", "--max-degree", "8")
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
 def test_threads_only_on_commands_that_read_it(capsys):
     # only the Monte Carlo oracle reads --threads; the other commands refuse
     # it instead of silently accepting any value

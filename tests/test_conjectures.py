@@ -11,10 +11,12 @@ from coxpizza.conjectures import (ConjectureReport, ReconstructionMismatch, Rewr
                                   _determinant_mod, _t_block_basis, _u_v_basis, check_lemma51,
                                   check_sign_A, check_sign_D, check_t_positivity,
                                   check_y_negativity, schur_reconstruct)
-from coxpizza.oracle import random_interior_centers
-from coxpizza.polyring import NonDivisible, Poly, exact_divide_linear
+from coxpizza.matchings import c_coefficient, fold_parameters
+from coxpizza.oracle import McEstimate, random_interior_centers
+from coxpizza.polyring import NonDivisible, Poly, exact_divide_linear, partitions
 from coxpizza.rootsys import OnHyperplane, make_spec
-from coxpizza.taylor import ParityRegimeError, ResourceCapExceeded, _require_symbolic_regime
+from coxpizza.taylor import (ParityRegimeError, ResourceCapExceeded, _edge_table,
+                             _require_symbolic_regime, dominant_coefficients)
 import reference
 from reference import (alternant, compose_block, evaluate, lemma51_by_fold, rewrite_even_symmetric,
                        schur_lambda_coefficients, signed_estimate_fixed_step,
@@ -155,6 +157,66 @@ def test_y_negativity_rejects_even_rank():
     # the type D regime refusal that check schur and check lemma51 give too
     with pytest.raises(ParityRegimeError, match="type D rank 4: even rank is outside"):
         check_y_negativity(4, 16)
+
+
+# The D_3 lemma of check_y_negativity's docstring, step by step on the code's own objects:
+# the minus/plus edge table P_q (taylor._edge_table, degree D = 2q + 2) and c_m.
+
+def _pair_table(q):
+    """{e: p_e}, the coefficients of x^e y^(D-e) in P_q, as exact fractions."""
+    table, scalar = _edge_table(True, q)
+    return {e: Fraction(c, scalar) for (e, _), c in table.items()}
+
+
+def test_d3_lemma_pair_table_steps():
+    for q in range(60):
+        degree, p = 2 * q + 2, _pair_table(q)
+        assert all(e % 2 == 0 for e in p)
+        for e in range(2, degree + 1, 2):
+            # e(e-1) p_e = (D-e+2)(D-e+1) p_(e-2) + last, and the last term is positive
+            last = e * (e - 1) * p.get(e, 0) - (degree - e + 2) * (degree - e + 1) * p.get(e - 2, 0)
+            assert last == Fraction(4 * 2**q * math.comb(q, e // 2 - 1), math.factorial(q)) > 0
+        for e in range(0, degree + 1, 2):
+            assert p.get(degree - e, 0) == -p.get(e, 0)  # P_q is odd in u = x - y
+            if 2 * e > degree:
+                assert p[e] > 0  # induction up from the middle
+
+
+def test_d3_lemma_scale_is_negative():
+    # (n - k)/2 = 1/2 for D_3, and c_m = (-1)^m C(1/2, m) < 0 for every m >= 1
+    assert fold_parameters(make_spec("D", 3)).k == 2
+    assert all(c_coefficient(3, 2, m) < 0 for m in range(1, 201))
+
+
+@pytest.mark.parametrize("d", [6, 8, 20, 40, 80])
+def test_d3_coefficients_are_one_table_entry_times_one_negative_factor(d):
+    # c_lambda = c_m m! / 2^s * p_e, e = 2 lambda_1 + 4, at m = q = (d - 2)/2: no lambda has
+    # three parts, and e > D/2, so every c_lambda is negative
+    geometry = fold_parameters(make_spec("D", 3))
+    m, shift = geometry.half_degree(d), geometry.schur_shift(d)
+    coeffs, p = dominant_coefficients(make_spec("D", 3), d), _pair_table(m)
+    factor = c_coefficient(3, 2, m) * math.factorial(m) / 2**shift
+    lams = list(partitions(shift, 2))
+    assert factor < 0 and set(coeffs) <= set(lams)
+    for lam in lams:
+        first, second = (*lam, 0, 0)[:2]
+        e = 2 * first + 4
+        assert (e, 2 * second + 2) in _edge_table(True, m)[0] and 2 * e > 2 * m + 2
+        assert coeffs[lam] == factor * p[e] < 0
+
+
+def _a3_of_d3(a):
+    """phi(a), the isometry onto A_3's hyperplane that maps D_3's roots to A_3's."""
+    x1, x2, x3 = a
+    return ((x1 + x2 + x3) / 2, (x1 - x2 - x3) / 2, (-x1 + x2 - x3) / 2, (-x1 - x2 + x3) / 2)
+
+
+def test_a3_and_d3_folds_agree_at_corresponding_centers():
+    for center in random_interior_centers(make_spec("D", 3), 10, 5):
+        d3 = oracle.CenterSeries(make_spec("D", 3), center)
+        a3 = oracle.CenterSeries(make_spec("A", 3), _a3_of_d3(center))
+        assert d3.folds(60) == a3.folds(60)
+        assert d3.value(60) == a3.value(60)
 
 
 def test_schur_reconstruction_d3():
@@ -665,6 +727,46 @@ def test_sign_check_with_mc_cross_validation():
     centers = random_interior_centers(make_spec("A", 2), 2, SEED, radius=0.35)
     report = check_sign_A(2, centers, samples=300_000, seed=SEED)
     assert report.verdict == "consistent"
+
+
+def test_sign_cross_check_passes_noise_around_a_tiny_value():
+    # the exact value is about 1e-19, far below Monte Carlo's error, whose
+    # estimate 0.117 +- 0.037 is 3.1 sigma from zero with the other sign: noise,
+    # not a disagreement
+    report = check_sign_D(5, [(-0.04296875, 0.109375, 0.0, 0.15234375, 0.23046875)],
+                          20_000, 479803990)
+    assert report.verdict == "consistent"
+
+
+@pytest.mark.parametrize("sigmas,raises", [(10, True), (5.5, True), (4.5, False), (-4.5, False),
+                                           (-5.5, True)])
+def test_sign_cross_check_measures_the_gap_to_the_exact_value(monkeypatch, sigmas, raises):
+    # a planted estimate `sigmas` standard errors from the exact value, away from zero
+    # (the exact value's sign) or, for sigmas < 0, across it; the standard error is at
+    # least a hundred times the series' scaled tail band, so 5 sigma is the threshold
+    spec, center = make_spec("D", 3), (0.3, 0.2, 0.05)
+    value, tail, _ = conjectures._signed_estimate(spec, center)
+    prefactor = oracle.series_prefactor(spec, fold_parameters(spec).k)
+    quantity, band = prefactor * float(value), prefactor * float(tail)
+    error = 100 * band + abs(quantity) / 100
+    planted = McEstimate(quantity + sigmas * error * (1 if quantity > 0 else -1), error, 20_000, 0)
+    assert ((planted.value > 0) == (quantity > 0)) == (sigmas > 0)
+    monkeypatch.setattr(conjectures, "mc_pizza", lambda *args: planted)
+    if raises:
+        with pytest.raises(conjectures.OracleDisagreement, match=r"^center \(0\.3, 0\.2, 0\.05\): "
+                                                                  "series fold gives"):
+            check_sign_D(3, [center], 20_000, 0)
+    else:
+        assert check_sign_D(3, [center], 20_000, 0).verdict == "consistent"
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("family,check,count", [("D", check_sign_D, 8), ("A", check_sign_A, 4)])
+def test_sign_cross_check_raises_nothing_on_two_hundred_seeds(family, check, count):
+    spec = make_spec(family, 5 if family == "D" else 6)
+    for seed in range(200):
+        centers = random_interior_centers(spec, count, seed, radius=0.3)
+        assert check(spec.rank, centers, 20_000, seed).verdict == "consistent"
 
 
 def test_sign_check_origin_is_degenerate_note():

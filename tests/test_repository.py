@@ -384,3 +384,32 @@ def test_check_tpos_builds_its_frame_once():
                 or isinstance(sub, ast.Call) and "c_coefficient" in _names(sub.func)
                 and any(isinstance(arg, ast.Constant) for arg in sub.args)]
     assert literals == []
+
+
+def test_every_library_exception_is_a_refusal_or_a_contradiction():
+    # cli.main tells a failure's kind by its base class alone: a refusal is a ValueError
+    # (exit 2) and an internal contradiction a coxpizza.VerificationFailure (exit 1)
+    import importlib
+
+    import coxpizza
+
+    kinds = (ValueError, coxpizza.VerificationFailure)
+    classes = {}
+    for path in sorted((ROOT / "src" / "coxpizza").glob("*.py")):
+        name = "coxpizza" if path.stem == "__init__" else f"coxpizza.{path.stem}"
+        module = importlib.import_module(name)
+        classes.update({f"{path.stem}.{cls.__name__}": cls for cls in vars(module).values()
+                        if isinstance(cls, type) and issubclass(cls, BaseException)
+                        and cls.__module__ == name})
+    assert {"taylor.ResourceCapExceeded", "polyring.NonDivisible",
+            "conjectures.OracleDisagreement"} <= set(classes)
+    assert [name for name, cls in classes.items() if not issubclass(cls, kinds)] == []
+
+
+def test_cli_main_imports_nothing():
+    # main needs no engine module to tell a refusal from a contradiction
+    tree = _library_trees()["cli.py"]
+    main, = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    assert [ast.unparse(node) for node in ast.walk(main)
+            if isinstance(node, (ast.Import, ast.ImportFrom))] == []
